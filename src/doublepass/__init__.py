@@ -22,6 +22,6 @@ from .charfn import (BoundaryLeakError, CharSurface, GridSpec,
                      moc_solve, pde_residual)
 from .fock import (AtomMomentSeries, OracleConfig, TrajectoryStats,
                    TruncationLeakError, homodyne_monte_carlo, homodyne_series,
-                   simulate_atom_moments, step_unitaries)
+                   kraus_stack, simulate_atom_moments, step_unitaries)
 
 __version__ = "0.1.0"

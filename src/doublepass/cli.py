@@ -34,6 +34,12 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
+#: largest accepted coupling.  The step bounds of the routes (RK4
+#: dt <= 0.1/a^2, oracle a^2 dt <= 1e-2, the FD CFL limit) reject much
+#: smaller values at practical steps; the cap keeps the powers of alpha in
+#: the symbolic-coefficient evaluation finite (1e200 ** 2 overflows).
+MAX_ALPHA = 1e6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -65,6 +71,10 @@ class RunConfig:
     tol_oracle_sigma: float = 5.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"parameter {f.name} must be finite")
         positive = ("alpha", "t_max", "grid_step", "solver_dt", "pde_t",
                     "pde_dt", "pde_l_max", "pde_dl", "pde_k_max", "pde_dk",
                     "oracle_dt", "oracle_t_max")
@@ -72,6 +82,10 @@ class RunConfig:
             if getattr(self, name) < 0 or (name != "alpha"
                                            and getattr(self, name) == 0):
                 raise ConfigError(f"parameter {name} must be positive")
+        if self.alpha > MAX_ALPHA:
+            raise ConfigError(f"alpha must not exceed {MAX_ALPHA:.0e}")
+        if self.oracle_seed < 0:
+            raise ConfigError("oracle.seed must be nonnegative")
         if self.oracle_phase not in ("x", "p"):
             raise ConfigError("oracle.phase must be 'x' or 'p'")
 
@@ -289,24 +303,31 @@ def _oracle_config(cfg: RunConfig, alpha: float | None = None,
     )
 
 
-def oracle_csv(cfg: RunConfig) -> str:
+def _oracle_runs(cfg: RunConfig) -> tuple[fock.OracleConfig,
+                                          fock.AtomMomentSeries,
+                                          list[fock.TrajectoryStats]]:
+    """The configured oracle: one atom-moment run, one homodyne series."""
+    ocfg = _oracle_config(cfg)
+    atoms = fock.simulate_atom_moments(ocfg)
+    n_samples = max(1, round(ocfg.t_max / cfg.grid_step))
+    return ocfg, atoms, fock.homodyne_series(ocfg, n_samples)
+
+
+def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
+               stats: list[fock.TrajectoryStats]) -> str:
     """Oracle results in the shared schema plus stderr_* and n_traj columns.
 
     Atomic columns come from the deterministic trace route; the normalized
     field variance for the configured phase comes from the homodyne record
     (Var(y)/2 normalized by t).  Entries the oracle does not measure are nan.
     """
-    ocfg = _oracle_config(cfg)
-    atoms = fock.simulate_atom_moments(ocfg)
-    n_samples = max(1, round(ocfg.t_max / cfg.grid_step))
-    stats = fock.homodyne_series(ocfg, n_samples)
     field_col = ("var_x_ph_norm" if cfg.oracle_phase == "x"
                  else "var_p_ph_norm")
     header = list(gaussian.CSV_COLUMNS) + [
         "stderr_var_field_norm", "stderr_mean_record", "n_traj"]
     lines = [",".join(header)]
     for st in stats:
-        idx = round(st.time / ocfg.dt)
+        idx = round(st.time / cfg.oracle_dt)
         var_p = atoms.var_p[idx]
         var_x = atoms.var_x[idx]
         row = {c: math.nan for c in gaussian.CSV_COLUMNS}
@@ -325,7 +346,8 @@ def oracle_csv(cfg: RunConfig) -> str:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    _write_text(Path(cfg.out) / "oracle.csv", oracle_csv(cfg))
+    _, atoms, stats = _oracle_runs(cfg)
+    _write_text(Path(cfg.out) / "oracle.csv", oracle_csv(cfg, atoms, stats))
     return EXIT_OK
 
 
@@ -417,8 +439,7 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
                    f"max residual {res_worst:.3e} (tol {cfg.tol_residual:.1e})"))
 
     # 8. oracle, atomic moments (deterministic budget)
-    ocfg = _oracle_config(cfg)
-    atoms = fock.simulate_atom_moments(ocfg)
+    ocfg, atoms, series = _oracle_runs(cfg)
     closed = gaussian.closed_form_covariances(ocfg.alpha, ocfg.t_max)
     rel_p = abs(atoms.var_p[-1] - closed.entry("p_at", "p_at")) / closed.entry(
         "p_at", "p_at")
@@ -429,8 +450,8 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
                    f"rel err p {rel_p:.3e}, x {rel_x:.3e} "
                    f"(tol {cfg.tol_oracle_rel:.1e})"))
 
-    # 9. oracle, homodyne variance (statistical budget)
-    st = fock.homodyne_monte_carlo(ocfg)
+    # 9. oracle, homodyne variance (statistical budget), at the final time
+    st = series[-1]
     field = ("X_ph" if ocfg.phase == fock.PHASE_X else "P_ph")
     ref = closed.entry(field, field)
     diff = abs(st.variance / 2.0 - ref)
@@ -438,7 +459,7 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
     checks.append(("oracle_homodyne", diff < budget,
                    f"|Var(y)/2 - sigma2| = {diff:.4f} "
                    f"(budget {budget:.4f}, n={st.n})"))
-    artifacts["oracle.csv"] = oracle_csv(cfg)
+    artifacts["oracle.csv"] = oracle_csv(cfg, atoms, series)
 
     # 10. alpha = 0 homodyne control
     c0 = _oracle_config(cfg, alpha=0.0, seed_offset=1)

@@ -10,10 +10,20 @@ the atom to a fresh vacuum ancilla through the two pass unitaries
 which reproduce the one-step increments of the two single-pass couplings to
 O(dt), including the Ito corrections; the O(dt) commutator of the ordered
 product is exactly the composite Hamiltonian under test, so the splitting is
-deliberately not symmetrized.  Atomic moments come from exact ancilla
-tracing; output-field variances come from a homodyne Monte Carlo that
-projectively measures one ancilla quadrature per step in its truncated
-eigenbasis.
+deliberately not symmetrized.
+
+Each collision starts from a fresh vacuum ancilla and ends with the ancilla
+traced out or measured, so only the stacked Kraus map of the composite
+unitary enters the step loops (the repeated-interaction picture):
+
+    K_e = <e|_anc U_composite |0>_anc,   K[e * d_at + i, j] = <i, e| U |j, 0>
+
+an array of shape (d_anc * d_at, d_at) built once per run.  Atomic moments
+evolve the reduced state exactly, rho <- sum_e K_e rho K_e^dagger.
+Output-field variances come from a homodyne Monte Carlo that projectively
+measures one ancilla quadrature per step: with |e> the truncated quadrature
+eigenbasis, one (d_anc * d_at, d_at) @ (d_at, n_traj) product gives every
+outcome amplitude of every trajectory.
 """
 
 from __future__ import annotations
@@ -30,6 +40,9 @@ MAX_ALPHA2_DT = 1e-2
 
 #: tolerated population outside the lower (d_at - 2) atom levels
 LEAK_TOL = 1e-6
+
+#: tolerated deviation of the reduced-state trace from 1 after one step
+TRACE_TOL = 1e-8
 
 PHASE_X = 0.0
 PHASE_P = math.pi / 2.0
@@ -53,16 +66,22 @@ class OracleConfig:
     phase: float = PHASE_X
 
     def __post_init__(self):
+        for name in ("alpha", "dt", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.alpha < 0:
             raise ConfigError("alpha must be nonnegative")
         if self.dt <= 0 or self.t_max < self.dt:
             raise ConfigError("need 0 < dt <= t_max")
         if self.d_at < 4 or self.d_anc < 2:
             raise ConfigError("need d_at >= 4 and d_anc >= 2")
-        if self.alpha ** 2 * self.dt > MAX_ALPHA2_DT + 1e-15:
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        # a product, not a power: alpha ** 2 raises OverflowError on 1e200
+        alpha2_dt = self.alpha * self.alpha * self.dt
+        if not alpha2_dt <= MAX_ALPHA2_DT + 1e-15:
             raise ConfigError(
-                f"alpha^2*dt = {self.alpha**2 * self.dt:.2e} exceeds "
-                f"{MAX_ALPHA2_DT:.0e}")
+                f"alpha^2*dt = {alpha2_dt:.2e} exceeds {MAX_ALPHA2_DT:.0e}")
         if not (math.isclose(self.phase, PHASE_X, abs_tol=1e-12)
                 or math.isclose(self.phase, PHASE_P, abs_tol=1e-12)):
             raise ConfigError("phase must be 0 or pi/2")
@@ -84,7 +103,8 @@ class AtomMomentSeries:
     mean_p: np.ndarray
     var_x: np.ndarray
     var_p: np.ndarray
-    max_leak: float
+    max_leak: float             # largest top-two-level population seen
+    max_trace_deficit: float    # largest |1 - trace| before renormalizing
 
 
 @dataclass(frozen=True)
@@ -97,6 +117,7 @@ class TrajectoryStats:
     variance: float
     stderr_mean: float      # sample standard deviation / sqrt(n)
     stderr_var: float       # Gaussian-approx standard error of the variance
+    max_leak: float         # largest top-two-level population the monitor saw
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +166,9 @@ def step_unitaries(alpha: float, dt: float, d_at: int, d_anc: int,
     """One collision step: (U_pass1, U_pass2, U_composite = U2 @ U1)."""
     if d_at < 2 or d_anc < 2:
         raise ConfigError("dimensions must be at least 2")
-    if dt <= 0 or alpha < 0:
+    if not (dt > 0 and alpha >= 0):
         raise ConfigError("need dt > 0 and alpha >= 0")
-    if alpha ** 2 * dt > MAX_ALPHA2_DT + 1e-15:
+    if not alpha * alpha * dt <= MAX_ALPHA2_DT + 1e-15:
         raise ConfigError("alpha^2*dt exceeds the documented step bound")
     root = math.sqrt(dt) * alpha
     g1 = root * np.kron(momentum(d_at), momentum(d_anc))
@@ -155,6 +176,26 @@ def step_unitaries(alpha: float, dt: float, d_at: int, d_anc: int,
     u1 = _expm_hermitian_generator(g1)
     u2 = _expm_hermitian_generator(g2)
     return u1, u2, u2 @ u1
+
+
+def kraus_stack(alpha: float, dt: float, d_at: int, d_anc: int,
+                basis: np.ndarray | None = None) -> np.ndarray:
+    """Stacked Kraus operators of one collision with a vacuum ancilla.
+
+    Returns K of shape (d_anc * d_at, d_at) whose block e is
+    K_e = <e|_anc U_composite |0>_anc, i.e. K[e * d_at + i, j] =
+    <i, e| U |j, 0> (atom index first, as in the joint basis).  The outcome
+    states |e> are the columns of ``basis`` (default: the ancilla Fock
+    basis), so passing a quadrature eigenbasis folds the measurement
+    rotation into K.
+    """
+    _, _, u = step_unitaries(alpha, dt, d_at, d_anc)
+    if basis is None:
+        basis = np.eye(d_anc)
+    # rows split into (atom i, ancilla a); columns keep the ancilla vacuum
+    k = u[:, ::d_anc].reshape(d_at, d_anc, d_at)
+    return np.einsum("ae,iaj->eij", basis.conj(), k).reshape(
+        d_anc * d_at, d_at)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +206,20 @@ def step_unitaries(alpha: float, dt: float, d_at: int, d_anc: int,
 def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
     """Repeated-interaction evolution of the reduced atomic state.
 
-    Per step: tensor a fresh vacuum ancilla, apply the composite unitary,
-    trace out the ancilla, renormalize.  Raises
-    :class:`TruncationLeakError` when more than ``LEAK_TOL`` population
-    reaches the top two atom levels.
+    Per step: apply the collision channel rho <- sum_e K_e rho K_e^dagger
+    (fresh vacuum ancilla, composite unitary, ancilla traced out), check
+    and renormalize the trace.  Raises :class:`TruncationLeakError` when
+    the trace moves by more than ``TRACE_TOL`` or more than ``LEAK_TOL``
+    population reaches the top two atom levels.
     """
     d, da = config.d_at, config.d_anc
-    _, _, u = step_unitaries(config.alpha, config.dt, d, da)
-    u_dag = u.conj().T
+    kraus = kraus_stack(config.alpha, config.dt, d, da).reshape(da, d, d)
+    kraus_dag = kraus.conj().transpose(0, 2, 1)
     x_op = position(d)
     p_op = momentum(d)
     x2 = x_op @ x_op
     p2 = p_op @ p_op
 
-    anc_vac = np.zeros((da, da), dtype=complex)
-    anc_vac[0, 0] = 1.0
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
 
@@ -190,6 +230,7 @@ def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
     var_x = np.zeros(n_steps + 1)
     var_p = np.zeros(n_steps + 1)
     max_leak = 0.0
+    max_deficit = 0.0
 
     def record(idx: int) -> None:
         mx = np.einsum("ij,ji->", rho, x_op).real
@@ -201,22 +242,24 @@ def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
 
     record(0)
     for step in range(1, n_steps + 1):
-        joint = np.kron(rho, anc_vac)
-        joint = u @ joint @ u_dag
-        rho = np.einsum("iaja->ij", joint.reshape(d, da, d, da))
+        rho = (kraus @ rho @ kraus_dag).sum(axis=0)
         trace = rho.trace().real
-        if abs(1.0 - trace) > 1e-8:
+        deficit = abs(1.0 - trace)
+        # written as "not <=" so that NaN trips the guards
+        if not deficit <= TRACE_TOL:
             raise TruncationLeakError(
-                f"trace deficit {abs(1 - trace):.2e} at step {step}")
+                f"trace deficit {deficit:.2e} at step {step}")
+        max_deficit = max(max_deficit, deficit)
         rho = rho / trace
         leak = float(np.diag(rho).real[-2:].sum())
-        max_leak = max(max_leak, leak)
-        if leak > LEAK_TOL:
+        if not leak <= LEAK_TOL:
             raise TruncationLeakError(
                 f"top-level atom population {leak:.2e} at step {step};"
                 " increase d_at")
+        max_leak = max(max_leak, leak)
         record(step)
-    return AtomMomentSeries(times, mean_x, mean_p, var_x, var_p, max_leak)
+    return AtomMomentSeries(times, mean_x, mean_p, var_x, var_p, max_leak,
+                            max_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +276,8 @@ def _trajectory_uniforms(seed: int, n_traj: int, n_steps: int) -> np.ndarray:
     return out
 
 
-def _stats(time: float, samples: np.ndarray) -> TrajectoryStats:
+def _stats(time: float, samples: np.ndarray,
+           max_leak: float) -> TrajectoryStats:
     n = samples.size
     mean = float(samples.mean())
     var = float(samples.var(ddof=1))
@@ -242,19 +286,21 @@ def _stats(time: float, samples: np.ndarray) -> TrajectoryStats:
         time=time, n=n, mean=mean, variance=var,
         stderr_mean=std / math.sqrt(n),
         stderr_var=var * math.sqrt(2.0 / (n - 1)),
+        max_leak=max_leak,
     )
 
 
-def _homodyne_records(config: OracleConfig,
-                      sample_steps: list[int]) -> list[tuple[float, np.ndarray]]:
+def _homodyne_records(config: OracleConfig, sample_steps: list[int],
+                      ) -> list[tuple[float, np.ndarray, float]]:
+    """(time, record y per trajectory, max leak so far) at each sample step."""
     d, da = config.d_at, config.d_anc
     n_steps = config.n_steps
     n = config.n_traj
-    _, _, u = step_unitaries(config.alpha, config.dt, d, da)
     measure_p = math.isclose(config.phase, PHASE_P, abs_tol=1e-12)
     quad_op = momentum(da) if measure_p else position(da)
     eigvals, eigvecs = np.linalg.eigh(quad_op)
-    vconj = eigvecs.conj()
+    # block e of K maps the atom state to the amplitude of outcome eigvals[e]
+    kraus = kraus_stack(config.alpha, config.dt, d, da, eigvecs)
 
     uniforms = _trajectory_uniforms(config.seed, n, n_steps)
     psi = np.zeros((d, n), dtype=complex)
@@ -262,32 +308,29 @@ def _homodyne_records(config: OracleConfig,
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
 
-    out: list[tuple[float, np.ndarray]] = []
+    out: list[tuple[float, np.ndarray, float]] = []
     wanted = set(sample_steps)
     check_every = 25
+    max_leak = 0.0
+    traj = np.arange(n)
     for step in range(1, n_steps + 1):
-        joint = np.zeros((d * da, n), dtype=complex)
-        joint[::da, :] = psi
-        joint = (u @ joint).reshape(d, da, n)
-        # ancilla index -> quadrature eigenbasis
-        comps = np.einsum("je,djn->edn", vconj, joint)
-        probs = np.einsum("edn,edn->en", comps, comps.conj()).real
+        comps = (kraus @ psi).reshape(da, d, n)
+        probs = (comps.real ** 2 + comps.imag ** 2).sum(axis=1)
         cum = np.cumsum(probs, axis=0)
-        total = cum[-1]
-        draws = uniforms[:, step - 1] * total
+        draws = uniforms[:, step - 1] * cum[-1]
         idx = np.clip((draws[None, :] > cum).sum(axis=0), 0, da - 1)
-        picked = np.take_along_axis(comps, idx[None, None, :], axis=0)[0]
-        norms = np.sqrt(np.take_along_axis(probs, idx[None, :], axis=0)[0])
-        psi = picked / norms
+        psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
         y += gain * eigvals[idx]
         if step % check_every == 0 or step == n_steps:
             leak = float((np.abs(psi[-2:, :]) ** 2).sum(axis=0).max())
-            if leak > LEAK_TOL:
+            # "not <=" so that NaN trips the guard
+            if not leak <= LEAK_TOL:
                 raise TruncationLeakError(
                     f"top-level atom population {leak:.2e} in a trajectory;"
                     " increase d_at")
+            max_leak = max(max_leak, leak)
         if step in wanted:
-            out.append((step * config.dt, y.copy()))
+            out.append((step * config.dt, y.copy(), max_leak))
     return out
 
 
@@ -315,4 +358,4 @@ def homodyne_series(config: OracleConfig,
     stride = max(1, config.n_steps // n_samples)
     steps = sorted(set(list(range(stride, config.n_steps + 1, stride))
                        + [config.n_steps]))
-    return [_stats(t, ys) for t, ys in _homodyne_records(config, steps)]
+    return [_stats(*rec) for rec in _homodyne_records(config, steps)]

@@ -1,12 +1,16 @@
 """Command-line interface: config handling, outputs, exit codes."""
 
+import math
+import re
 import subprocess
 import sys
 
 import pytest
 
+from doublepass import fock
 from doublepass.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, load_config,
-                            build_parser, parse_config_file, variances_csv)
+                            build_parser, main, parse_config_file,
+                            variances_csv)
 from doublepass.errors import ConfigError
 
 
@@ -62,6 +66,12 @@ def test_invalid_values_rejected():
         RunConfig(grid_step=-0.1).validate()
     with pytest.raises(ConfigError):
         RunConfig(oracle_phase="y").validate()
+    with pytest.raises(ConfigError):
+        RunConfig(pde_dt=math.inf).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(tol_oracle_sigma=math.nan).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(oracle_seed=-1).validate()
 
 
 # -- commands -------------------------------------------------------------------
@@ -128,6 +138,21 @@ def test_config_error_exit_code(tmp_path):
     assert "unknown key" in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--alpha", "nan"),
+    ("oracle", "--t-max", "nan"),
+    ("oracle", "--alpha", "1e200"),
+    ("oracle", "--seed", "-1"),
+    ("compare", "--alpha", "nan"),
+])
+def test_bad_number_exit_code(tmp_path, argv):
+    res = run_cli(*argv, "--out", str(tmp_path))
+    assert res.returncode == EXIT_CONFIG
+    assert "configuration error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "oracle.csv").exists()
+
+
 def test_bad_flag_exit_code(tmp_path):
     res = run_cli("frobnicate", "--out", str(tmp_path))
     assert res.returncode == EXIT_CONFIG
@@ -148,3 +173,28 @@ def test_variances_deterministic(tmp_path):
     assert run_cli("variances", "--out", str(b)).returncode == EXIT_OK
     assert (a / "variances.csv").read_bytes() == \
         (b / "variances.csv").read_bytes()
+
+
+def test_compare_runs_each_oracle_result_once(tmp_path, monkeypatch):
+    calls = {"atoms": 0, "records": []}
+    atoms_fn, records_fn = fock.simulate_atom_moments, fock._homodyne_records
+
+    def count_atoms(config):
+        calls["atoms"] += 1
+        return atoms_fn(config)
+
+    def count_records(config, sample_steps):
+        calls["records"].append(config.alpha)
+        return records_fn(config, sample_steps)
+
+    monkeypatch.setattr(fock, "simulate_atom_moments", count_atoms)
+    monkeypatch.setattr(fock, "_homodyne_records", count_records)
+    assert main(["compare", "--out", str(tmp_path)]) == EXIT_OK
+    assert calls["atoms"] == 1
+    # the configured coupling and the alpha = 0 control, nothing else
+    assert sorted(calls["records"]) == [0.0, RunConfig().alpha]
+    report = (tmp_path / "compare_report.txt").read_text()
+    n_report = re.search(r"PASS oracle_homodyne: .*\bn=(\d+)\)", report)
+    last_row = (tmp_path / "oracle.csv").read_text().splitlines()[-1]
+    assert n_report is not None
+    assert int(n_report.group(1)) == int(last_row.split(",")[-1])

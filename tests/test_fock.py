@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from doublepass import fock
+from doublepass.cli import RunConfig, _oracle_config
 from doublepass.errors import ConfigError
 from doublepass.fock import (LEAK_TOL, OracleConfig, PHASE_P, PHASE_X,
-                             TruncationLeakError, annihilation, ccr_defect,
-                             homodyne_monte_carlo, homodyne_series, momentum,
-                             position, simulate_atom_moments, step_unitaries,
+                             TRACE_TOL, TruncationLeakError, annihilation,
+                             ccr_defect, homodyne_monte_carlo, homodyne_series,
+                             kraus_stack, momentum, position,
+                             simulate_atom_moments, step_unitaries,
                              vacuum_state)
 from doublepass.gaussian import closed_form_covariances
 
@@ -77,6 +80,111 @@ def test_config_validation():
     assert cfg.n_steps == 1000
 
 
+@pytest.mark.parametrize("bad", [
+    dict(alpha=math.nan), dict(alpha=math.inf), dict(dt=math.nan),
+    dict(t_max=math.nan), dict(phase=math.nan),
+    dict(alpha=1e200),          # alpha ** 2 would raise OverflowError
+    dict(seed=-1),
+])
+def test_config_rejects_nonfinite_and_out_of_range(bad):
+    kw = dict(alpha=0.5, dt=1e-3, t_max=1.0)
+    with pytest.raises(ConfigError):
+        OracleConfig(**{**kw, **bad})
+
+
+# -- stacked Kraus map against the unitary route -------------------------------
+
+
+def _quadrature_basis(phase, d_anc):
+    quad = momentum(d_anc) if phase == PHASE_P else position(d_anc)
+    return np.linalg.eigh(quad)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+@pytest.mark.parametrize("phase", [None, PHASE_X, PHASE_P])
+def test_kraus_stack_trace_preserving_on_lower_block(alpha, phase):
+    d, da = 12, 3
+    basis = None if phase is None else _quadrature_basis(phase, da)[1]
+    k = kraus_stack(alpha, 1e-3, d, da, basis).reshape(da, d, d)
+    completeness = np.einsum("eji,ejk->ik", k.conj(), k)
+    defect = (completeness - np.eye(d))[:d - 2, :d - 2]
+    assert np.abs(defect).max() < 1e-12
+
+
+def test_atom_step_matches_unitary_route():
+    # reference: Tr_anc[U (rho (x) |0><0|) U^dagger], renormalized per step
+    cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=0.05, d_at=12, d_anc=3)
+    d, da = cfg.d_at, cfg.d_anc
+    _, _, u = step_unitaries(cfg.alpha, cfg.dt, d, da)
+    anc_vac = np.zeros((da, da))
+    anc_vac[0, 0] = 1.0
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0] = 1.0
+    x, p = position(d), momentum(d)
+    ref = []
+    for step in range(cfg.n_steps + 1):
+        if step:
+            joint = u @ np.kron(rho, anc_vac) @ u.conj().T
+            rho = np.einsum("iaja->ij", joint.reshape(d, da, d, da))
+            rho = rho / rho.trace().real
+        mx, mp = np.trace(rho @ x).real, np.trace(rho @ p).real
+        ref.append((mx, mp, np.trace(rho @ x @ x).real - mx * mx,
+                    np.trace(rho @ p @ p).real - mp * mp))
+    series = simulate_atom_moments(cfg)
+    got = np.stack([series.mean_x, series.mean_p, series.var_x,
+                    series.var_p], axis=1)
+    assert cfg.n_steps == 10
+    assert np.abs(got - np.array(ref)).max() < 1e-12
+    assert series.var_x[1] != series.var_x[0]     # the step did act
+
+
+@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+def test_homodyne_step_matches_unitary_route(phase):
+    # outcome amplitudes: <e| U (psi (x) |0>) in the quadrature eigenbasis
+    alpha, dt, d, da, n = 0.9, 5e-3, 12, 3, 4
+    eigvals, eigvecs = _quadrature_basis(phase, da)
+    _, _, u = step_unitaries(alpha, dt, d, da)
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
+    psi /= np.linalg.norm(psi, axis=0)
+    joint = np.zeros((d * da, n), dtype=complex)
+    joint[::da, :] = psi
+    joint = (u @ joint).reshape(d, da, n)
+    ref = np.einsum("ae,ian->ein", eigvecs.conj(), joint)
+    got = (kraus_stack(alpha, dt, d, da, eigvecs) @ psi).reshape(da, d, n)
+    assert np.abs(got - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+def test_homodyne_records_match_unitary_route(phase):
+    # the whole sampled record, re-run through the joint-vector route with
+    # one uniform stream per (seed, trajectory index)
+    cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=0.2, d_at=12, d_anc=3,
+                       n_traj=100, seed=21, phase=phase)
+    d, da, n = cfg.d_at, cfg.d_anc, cfg.n_traj
+    eigvals, eigvecs = _quadrature_basis(phase, da)
+    _, _, u = step_unitaries(cfg.alpha, cfg.dt, d, da)
+    streams = [np.random.default_rng(child).random(cfg.n_steps)
+               for child in np.random.SeedSequence(cfg.seed).spawn(n)]
+    psi = np.zeros((d, n), dtype=complex)
+    psi[0, :] = 1.0
+    y = np.zeros(n)
+    for step in range(cfg.n_steps):
+        joint = np.zeros((d * da, n), dtype=complex)
+        joint[::da, :] = psi
+        joint = (u @ joint).reshape(d, da, n)
+        comps = np.einsum("ae,ian->ein", eigvecs.conj(), joint)
+        for j in range(n):
+            probs = (np.abs(comps[:, :, j]) ** 2).sum(axis=1)
+            e = min(int((streams[j][step] * probs.sum()
+                         > np.cumsum(probs)).sum()), da - 1)
+            psi[:, j] = comps[e, :, j] / math.sqrt(probs[e])
+            y[j] += math.sqrt(2.0 * cfg.dt) * eigvals[e]
+    st = homodyne_monte_carlo(cfg)
+    assert st.mean == pytest.approx(y.mean(), abs=1e-12)
+    assert st.variance == pytest.approx(y.var(ddof=1), abs=1e-12)
+
+
 # -- deterministic atomic moments ------------------------------------------------
 
 
@@ -116,6 +224,29 @@ def test_atom_moments_leak_detection():
     cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=2.0, d_at=4, d_anc=3)
     with pytest.raises(TruncationLeakError):
         simulate_atom_moments(cfg)
+
+
+def test_guards_trip_on_nan(monkeypatch):
+    # a NaN state must stop both loops, not flow into the statistics
+    def nan_kraus(alpha, dt, d_at, d_anc, basis=None):
+        return np.full((d_anc * d_at, d_at), np.nan, dtype=complex)
+
+    monkeypatch.setattr(fock, "kraus_stack", nan_kraus)
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100)
+    with pytest.raises(TruncationLeakError, match="trace deficit"):
+        simulate_atom_moments(cfg)
+    with pytest.raises(TruncationLeakError, match="top-level"), \
+            np.errstate(invalid="ignore"):
+        homodyne_monte_carlo(cfg)
+
+
+def test_oracle_health_within_limits_at_compare_config():
+    ocfg = _oracle_config(RunConfig())
+    atoms = simulate_atom_moments(ocfg)
+    st = homodyne_monte_carlo(ocfg)
+    assert 0.0 <= atoms.max_trace_deficit < TRACE_TOL
+    assert 0.0 <= atoms.max_leak < LEAK_TOL
+    assert 0.0 <= st.max_leak < LEAK_TOL
 
 
 # -- homodyne Monte Carlo -----------------------------------------------------------
