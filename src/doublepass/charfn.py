@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
@@ -60,7 +61,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CharSurface:
-    """Sampled characteristic function on a (k, l) grid at one time."""
+    """Sampled characteristic function on a (k, l) grid at one time.
+
+    Surfaces from :func:`fd_solve` also carry the solver's health numbers:
+    the CFL number ``max|drift| dt / dl`` and the largest boundary value
+    the leak monitor saw; both are ``None`` for other routes.
+    """
 
     family: str
     alpha: float
@@ -68,9 +74,14 @@ class CharSurface:
     k_values: np.ndarray
     l_values: np.ndarray
     values: np.ndarray          # shape (nk, nl)
+    cfl: float | None = None
+    boundary_max: float | None = None
 
     def __post_init__(self):
-        assert self.values.shape == (len(self.k_values), len(self.l_values))
+        shape = (len(self.k_values), len(self.l_values))
+        if self.values.shape != shape:
+            raise ValueError(
+                f"surface values have shape {self.values.shape}, grid {shape}")
 
     def value_at(self, k: float, l: float) -> float:
         i = int(np.argmin(np.abs(self.k_values - k)))
@@ -88,16 +99,20 @@ class CharSurface:
             raise AssertionError("surface is not even under (k,l) -> (-k,-l)")
 
     def to_csv(self, stream: TextIO) -> None:
+        nk, nl = self.values.shape
         stream.write(
             f"# family={self.family} alpha={self.alpha:.12g} t={self.t:.12g}"
             f" l_min={self.l_values[0]:.12g} l_max={self.l_values[-1]:.12g}"
-            f" nl={len(self.l_values)}"
+            f" nl={nl}"
             f" k_min={self.k_values[0]:.12g} k_max={self.k_values[-1]:.12g}"
-            f" nk={len(self.k_values)}\n")
+            f" nk={nk}\n")
         stream.write("k,l,value\n")
-        for i, k in enumerate(self.k_values):
-            for j, l in enumerate(self.l_values):
-                stream.write(f"{k:.12g},{l:.12g},{self.values[i, j]:.12g}\n")
+        # one str.format pass per k row keeps the transient lists small
+        line = "{:.12g},{:.12g},{:.12g}\n".format
+        l_list = self.l_values.tolist()
+        for k, row in zip(self.k_values.tolist(), self.values):
+            stream.write("".join(map(line, repeat(k, nl), l_list,
+                                     row.tolist())))
 
 
 def _check_family(family: str) -> None:
@@ -194,19 +209,42 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
 # ---------------------------------------------------------------------------
 
 
-def _upwind_gradient(f: np.ndarray, a: np.ndarray, dl: float) -> np.ndarray:
-    """Second-order upwind-biased d/dl with zero ghost values outside."""
-    fm1 = np.zeros_like(f)
-    fm2 = np.zeros_like(f)
-    fp1 = np.zeros_like(f)
-    fp2 = np.zeros_like(f)
-    fm1[:, 1:] = f[:, :-1]
-    fm2[:, 2:] = f[:, :-2]
-    fp1[:, :-1] = f[:, 1:]
-    fp2[:, :-2] = f[:, 2:]
-    backward = (3.0 * f - 4.0 * fm1 + fm2) / (2.0 * dl)
-    forward = (-3.0 * f + 4.0 * fp1 - fp2) / (2.0 * dl)
-    return np.where(a >= 0.0, backward, forward)
+def _upwind_layout(forward: np.ndarray):
+    """Slots of the FD state, ordered by the side of each point's stencil.
+
+    ``forward`` marks the points of the ``(nk, nl)`` grid that take the
+    forward stencil; in every row they are a prefix (l below the zero of
+    the drift), the rest take the backward one.  The slots hold, for each
+    row, its forward run followed by two ghost slots; then, for each row,
+    two ghost slots followed by its backward run: ``nk * (nl + 4)`` slots,
+    and one more that always holds zero.  So the neighbours ``f[j+1]``,
+    ``f[j+2]`` of every forward point and ``f[j-1]``, ``f[j-2]`` of every
+    backward point sit in the next or previous slots.  Each ghost slot
+    copies the grid point across its run boundary, or the zero slot beyond
+    the l grid.  Returns the slot of every grid point, the number of
+    forward-region slots, the ghost slots and the slots they copy.
+    """
+    nk, nl = forward.shape
+    cols = np.arange(nl)
+    m = forward.sum(axis=1)
+    if not np.array_equal(forward, cols < m[:, None]):
+        raise RuntimeError(
+            "forward-stencil points are not a prefix of each row")
+    fwd_start = np.concatenate(([0], np.cumsum(m + 2)[:-1]))
+    n_fwd = int(m.sum()) + 2 * nk
+    bwd_start = n_fwd + np.concatenate(([0], np.cumsum(nl - m + 2)[:-1]))
+    pos = np.where(forward, fwd_start[:, None] + cols,
+                   bwd_start[:, None] + 2 + cols - m[:, None])
+    zero = nk * (nl + 4)
+    rows, two = np.arange(nk)[:, None], np.arange(2)
+    after = m[:, None] + two            # what the forward run's ghosts copy
+    before = m[:, None] - 2 + two       # what the backward run's ghosts copy
+    ghost = np.concatenate([(fwd_start[:, None] + after).ravel(),
+                            (bwd_start[:, None] + two).ravel()])
+    across = np.concatenate([
+        np.where(after < nl, pos[rows, np.minimum(after, nl - 1)], zero),
+        np.where(before >= 0, pos[rows, np.maximum(before, 0)], zero)])
+    return pos, n_fwd, ghost, across.ravel()
 
 
 def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
@@ -214,9 +252,24 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
     """Explicit finite-difference evolution of all k-slices at once.
 
     Per step: half decay (exact pointwise factor), one Heun advection step
-    with an upwind-biased second-order derivative, half decay.  Requires the
-    CFL condition max|drift| * dt <= dl; boundary values are monitored and
-    an excess over ``boundary_tol`` raises :class:`BoundaryLeakError`.
+    with a second-order upwind-biased derivative, half decay.  The stencil
+    is backward, ``(3f - 4f[j-1] + f[j-2]) / 2dl``, where the drift is
+    nonnegative and forward, ``((4f[j+1] - 3f) - f[j+2]) / 2dl``, where it
+    is negative (zero beyond the l grid).  The drift does not depend on
+    time, so the side of every point, ``-drift`` and the decay factor are
+    fixed before the loop.
+
+    The state lives in one preallocated flat buffer laid out by
+    :func:`_upwind_layout`: all forward points, then all backward points,
+    each run of a row next to two ghost slots.  Before each Heun stage the
+    ghost slots copy the values across the run boundaries (zero beyond the
+    grid); each stencil then reads its neighbours as contiguous slices of
+    the buffer, one stencil per point, into preallocated arrays.
+
+    Requires the CFL condition max|drift| * dt <= dl; boundary values are
+    monitored after every step and an excess over ``boundary_tol`` raises
+    :class:`BoundaryLeakError`.  The CFL number and the largest boundary
+    value are returned on the surface.
     """
     _check_family(family)
     if t < 0 or dt <= 0:
@@ -230,9 +283,9 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
         drift = alpha * kk * np.ones_like(ll)
         decay = -0.25 * (alpha * ll + kk) ** 2
 
-    f = np.exp(-lv * lv / 4.0)[None, :] * np.ones((len(kv), 1))
+    f0 = np.exp(-lv * lv / 4.0)[None, :] * np.ones((len(kv), 1))
     if t == 0:
-        return CharSurface(family, alpha, 0.0, kv, lv, f)
+        return CharSurface(family, alpha, 0.0, kv, lv, f0)
 
     n_steps = round(t / dt)
     if abs(n_steps * dt - t) > 1e-9 * max(1.0, t):
@@ -241,21 +294,52 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
     if cfl > 1.0 + 1e-12:
         raise ConfigError(f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 1")
 
-    half_decay = np.exp(0.5 * dt * decay)
+    pos, n_fwd, ghost, source = _upwind_layout(drift < 0.0)
+    n = pos.size + 4 * len(kv)
+    f = np.zeros(n + 1)                 # slot n is the zero slot
+    g = np.zeros(n + 1)
+    f[pos] = f0
+    f_slots, g_slots = f[:n], g[:n]
+    neg_drift = np.zeros(n)
+    neg_drift[pos] = -drift
+    half_decay = np.ones(n)
+    half_decay[pos] = np.exp(0.5 * dt * decay)
+    two_dl, half_dt = 2.0 * grid.dl, 0.5 * dt
+    three_f, four_f, num, k1, k2 = (np.empty(n) for _ in range(5))
+    fw, bw = slice(0, n_fwd), slice(n_fwd, n)
+
+    def advection(src: np.ndarray, out: np.ndarray) -> None:
+        """out = -drift * d(src)/dl in every slot, one stencil per point."""
+        src[ghost] = src[source]
+        s = src[:n]
+        np.multiply(s, 3.0, out=three_f)
+        np.multiply(s, 4.0, out=four_f)
+        np.subtract(four_f[1:n_fwd + 1], three_f[fw], out=num[fw])
+        np.subtract(num[fw], s[2:n_fwd + 2], out=num[fw])
+        np.subtract(three_f[bw], four_f[n_fwd - 1:n - 1], out=num[bw])
+        np.add(num[bw], s[n_fwd - 2:n - 2], out=num[bw])
+        np.divide(num, two_dl, out=num)
+        np.multiply(neg_drift, num, out=out)
+
+    edges = pos[:, [0, -1]].ravel()     # first and last l columns
     leak = 0.0
     for _ in range(n_steps):
-        f = f * half_decay
-        k1 = -drift * _upwind_gradient(f, drift, grid.dl)
-        k2 = -drift * _upwind_gradient(f + dt * k1, drift, grid.dl)
-        f = f + 0.5 * dt * (k1 + k2)
-        f = f * half_decay
-        edge = max(float(np.abs(f[:, 0]).max()), float(np.abs(f[:, -1]).max()))
-        leak = max(leak, edge)
+        f_slots *= half_decay
+        advection(f, k1)
+        np.multiply(k1, dt, out=num)
+        np.add(f_slots, num, out=g_slots)
+        advection(g, k2)
+        np.add(k1, k2, out=num)
+        num *= half_dt
+        f_slots += num
+        f_slots *= half_decay
+        leak = max(leak, float(np.abs(f[edges]).max()))
         if leak > boundary_tol:
             raise BoundaryLeakError(
                 f"boundary value {leak:.3e} exceeds tolerance {boundary_tol:.1e};"
                 " widen the l grid")
-    return CharSurface(family, alpha, float(t), kv, lv, f)
+    return CharSurface(family, alpha, float(t), kv, lv, f[pos],
+                       cfl=cfl, boundary_max=leak)
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,21 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return np.arange(n + 1) * cfg.grid_step
 
 
-def variances_csv(cfg: RunConfig) -> str:
-    """Shared schema columns from the closed form plus ode_* columns."""
-    times = _time_grid(cfg)
+def _moment_trajectory(cfg: RunConfig) -> gaussian.CovTrajectory:
     ode = gaussian.build_moment_odes(cfg.alpha)
-    traj = gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt)
+    return gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt)
+
+
+def variances_csv(cfg: RunConfig,
+                  traj: gaussian.CovTrajectory | None = None) -> str:
+    """Shared schema columns from the closed form plus ode_* columns.
+
+    ``traj`` is the moment-ODE trajectory at ``cfg``; it is integrated here
+    when not given.
+    """
+    times = _time_grid(cfg)
+    if traj is None:
+        traj = _moment_trajectory(cfg)
     stride = round(cfg.grid_step / cfg.solver_dt)
     if abs(stride * cfg.solver_dt - cfg.grid_step) > 1e-9 * cfg.grid_step:
         raise ConfigError("solver.dt must divide grid_step")
@@ -242,14 +252,21 @@ def cmd_variances(cfg: RunConfig) -> int:
 
 
 def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, float, float, float]:
-    """Surface CSVs plus a deterministic summary; returns worst errors too."""
+    """Surface CSVs plus a deterministic summary; returns worst errors too.
+
+    The summary ends with the FD health numbers of each family: the CFL
+    number and the largest boundary value the leak monitor saw.
+    """
     grid = charfn.GridSpec(l_max=cfg.pde_l_max, dl=cfg.pde_dl,
                            k_max=cfg.pde_k_max, dk=cfg.pde_dk)
     surfaces: dict[str, str] = {}
     fd_worst = 0.0
     summary = [f"pde summary: alpha={_fmt(cfg.alpha)} t={_fmt(cfg.pde_t)}"]
+    health = []
     for family in (charfn.FAMILY_F, charfn.FAMILY_G):
         surf = charfn.fd_solve(family, cfg.alpha, grid, cfg.pde_t, cfg.pde_dt)
+        health.append(f"fd cfl {family}: {surf.cfl:.6e}")
+        health.append(f"fd boundary max {family}: {surf.boundary_max:.6e}")
         ref = charfn.closed_form_surface(family, cfg.alpha, cfg.pde_t, grid)
         err = float(np.abs(surf.values - ref.values).max())
         fd_worst = max(fd_worst, err)
@@ -274,6 +291,7 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, float, float, floa
                 res_worst = max(res_worst, abs(res))
     summary.append(f"moc max abs error: {moc_worst:.6e}")
     summary.append(f"closed-form residual max: {res_worst:.6e}")
+    summary.extend(health)
     return surfaces, "\n".join(summary) + "\n", fd_worst, moc_worst, res_worst
 
 
@@ -407,8 +425,7 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
                    f"G: c0={pde_g.c0}; c1={pde_g.c1}"))
 
     # 4. ODE route vs closed form
-    ode = gaussian.build_moment_odes(cfg.alpha)
-    traj = gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt)
+    traj = _moment_trajectory(cfg)
     pairs = (("p_at", "p_at"), ("p_at", "X_ph"), ("X_ph", "X_ph"),
              ("x_at", "x_at"), ("x_at", "P_ph"), ("P_ph", "P_ph"))
     worst = 0.0
@@ -424,7 +441,7 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
             worst = max(worst, rel)
     checks.append(("ode_vs_closed_form", worst < cfg.tol_ode_rel,
                    f"max rel err {worst:.3e} (tol {cfg.tol_ode_rel:.1e})"))
-    artifacts["variances.csv"] = variances_csv(cfg)
+    artifacts["variances.csv"] = variances_csv(cfg, traj)
 
     # 5-7. PDE routes
     pde_cfg = replace(cfg, pde_k_max=2.0, pde_dk=1.0, pde_l_max=10.0)

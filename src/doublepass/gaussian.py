@@ -73,7 +73,8 @@ class CovSnapshot:
         return float(self.cov[mode_index(row), mode_index(col)])
 
     def validate(self, tol: float = 1e-10) -> None:
-        assert np.allclose(self.cov, self.cov.T, atol=tol)
+        if not np.allclose(self.cov, self.cov.T, atol=tol):
+            raise AssertionError("covariance matrix is not symmetric")
         a = self.cov[:2, :2]
         if self.available[:2, :2].all():
             det = a[0, 0] * a[1, 1] - a[0, 1] ** 2
@@ -96,8 +97,10 @@ class CovTrajectory:
                                np.ones((4, 4), dtype=bool))
         if len(self.times) > 1:
             steps = np.diff(self.times)
-            assert (steps > 0).all()
-            assert np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)
+            if not ((steps > 0).all()
+                    and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
+                raise ValueError(
+                    "trajectory times must be uniform and increasing")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -130,7 +133,9 @@ class SqueezingReport:
 
 def _const(scalar: FormalScalar, alpha: float) -> float:
     value = scalar.evaluate(a=alpha)
-    assert abs(value.imag) < 1e-14 * (1 + abs(value.real)), value
+    if not abs(value.imag) < 1e-14 * (1 + abs(value.real)):
+        raise ValueError(f"moment coefficient {scalar} is not real"
+                         f" at alpha={alpha}: {value}")
     return value.real
 
 
@@ -217,8 +222,11 @@ def build_moment_odes(alpha: float) -> LinearOde:
     a_rows, d_entries = _symbolic_moment_structure()
     drift = np.array([[_const(c, alpha) for c in row] for row in a_rows])
     diffusion = np.array([[_const(c, alpha) for c in row] for row in d_entries])
-    assert np.allclose(diffusion, diffusion.T)
-    assert np.linalg.eigvalsh(diffusion).min() > -1e-12
+    if not np.allclose(diffusion, diffusion.T):
+        raise ArithmeticError("moment diffusion matrix is not symmetric")
+    if not np.linalg.eigvalsh(diffusion).min() > -1e-12:
+        raise ArithmeticError(
+            "moment diffusion matrix is not positive semidefinite")
     return LinearOde(alpha=float(alpha), drift=drift, diffusion=diffusion)
 
 

@@ -407,8 +407,11 @@ class PdeCoefficients:
     def evaluate(self, alpha: float, k: float, l: float) -> tuple[float, float]:
         c0 = self.c0.evaluate(a=alpha, k=k, l=l)
         c1 = self.c1.evaluate(a=alpha, k=k, l=l)
-        assert abs(c0.imag) < 1e-15 * (1 + abs(c0)) and \
-            abs(c1.imag) < 1e-15 * (1 + abs(c1))
+        if not (abs(c0.imag) < 1e-15 * (1 + abs(c0))
+                and abs(c1.imag) < 1e-15 * (1 + abs(c1))):
+            raise ValueError(
+                f"transport coefficients are not real at alpha={alpha},"
+                f" k={k}, l={l}: c0={c0}, c1={c1}")
         return c0.real, c1.real
 
 

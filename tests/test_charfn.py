@@ -2,13 +2,16 @@
 
 import io
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from doublepass.charfn import (BoundaryLeakError, GridSpec,
-                               closed_form_char, closed_form_surface,
-                               fd_solve, moc_solve, pde_residual)
+from doublepass.charfn import (BoundaryLeakError, CharSurface, GridSpec,
+                               _upwind_layout, closed_form_char,
+                               closed_form_surface, fd_solve, moc_solve,
+                               pde_residual)
 from doublepass.errors import ConfigError
 from doublepass.gaussian import closed_form_covariances
 
@@ -157,6 +160,152 @@ def test_fd_boundary_leak_detected():
     grid = GridSpec(l_max=2.0, dl=0.05, k_max=1.0, dk=0.5)
     with pytest.raises(BoundaryLeakError):
         fd_solve("F", 1.0, grid, 0.5, 1e-3)
+
+
+# Reference: the two-stencil step (zero-padded shifted copies, both upwind
+# stencils at every point, one kept per point).  fd_solve must match it bit
+# for bit.
+
+
+def _two_stencil_gradient(f, a, dl):
+    fm1 = np.zeros_like(f)
+    fm2 = np.zeros_like(f)
+    fp1 = np.zeros_like(f)
+    fp2 = np.zeros_like(f)
+    fm1[:, 1:] = f[:, :-1]
+    fm2[:, 2:] = f[:, :-2]
+    fp1[:, :-1] = f[:, 1:]
+    fp2[:, :-2] = f[:, 2:]
+    backward = (3.0 * f - 4.0 * fm1 + fm2) / (2.0 * dl)
+    forward = (-3.0 * f + 4.0 * fp1 - fp2) / (2.0 * dl)
+    return np.where(a >= 0.0, backward, forward)
+
+
+def _two_stencil_fd(family, alpha, grid, n_steps, dt):
+    """(values, cfl, boundary values after each step) of the old loop."""
+    kk, ll = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
+    if family == "F":
+        drift = alpha * (alpha * ll - kk)
+        decay = -0.25 * (alpha * ll - kk) ** 2
+    else:
+        drift = alpha * kk * np.ones_like(ll)
+        decay = -0.25 * (alpha * ll + kk) ** 2
+    lv = grid.l_values()
+    f = np.exp(-lv * lv / 4.0)[None, :] * np.ones((len(grid.k_values()), 1))
+    half_decay = np.exp(0.5 * dt * decay)
+    edges = []
+    for _ in range(n_steps):
+        f = f * half_decay
+        k1 = -drift * _two_stencil_gradient(f, drift, grid.dl)
+        k2 = -drift * _two_stencil_gradient(f + dt * k1, drift, grid.dl)
+        f = f + 0.5 * dt * (k1 + k2)
+        f = f * half_decay
+        edges.append(max(float(np.abs(f[:, 0]).max()),
+                         float(np.abs(f[:, -1]).max())))
+    cfl = float(np.abs(drift).max()) * dt / grid.dl
+    return f, cfl, edges
+
+
+# k of both signs and k = 0, where the G drift is exactly 0 on a whole row
+# (and the F drift at l = 0; at alpha = 0 it is 0 everywhere).
+REF_GRID = GridSpec(l_max=8.0, dl=0.1, k_max=1.0, dk=0.5)
+# |k| > alpha * l_max: the F drift points into the grid at the outer edges,
+# so the stencils there read the zero ghosts (tolerance 1: no leak error).
+INFLOW_GRID = GridSpec(l_max=4.0, dl=0.1, k_max=4.0, dk=2.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("alpha", (0.0, 0.7, 1.0))
+@pytest.mark.parametrize("grid, tol", ((REF_GRID, 1e-3), (INFLOW_GRID, 1.0)),
+                         ids=("outflow", "inflow"))
+def test_fd_bit_identical_to_two_stencil_step(family, alpha, grid, tol):
+    kv = grid.k_values()
+    assert kv.min() < 0 < kv.max() and 0.0 in kv
+    dt, n_steps = 0.01, 20
+    ref, cfl, edges = _two_stencil_fd(family, alpha, grid, n_steps, dt)
+    surf = fd_solve(family, alpha, grid, n_steps * dt, dt, tol)
+    assert np.array_equal(surf.values, ref)
+    assert np.array_equal(np.signbit(surf.values), np.signbit(ref))
+    assert surf.cfl == cfl
+    assert surf.boundary_max == max(edges)
+
+
+def test_upwind_layout_slots():
+    forward = np.array([[True, True, False],
+                        [False, False, False],
+                        [True, True, True]])
+    pos, n_fwd, ghost, source = _upwind_layout(forward)
+    # forward runs, each with two ghosts after it: slots 0-10; then two
+    # ghosts before each backward run: slots 11-20; slot 21 holds zero
+    assert n_fwd == 11
+    assert pos.tolist() == [[0, 1, 13], [16, 17, 18], [6, 7, 8]]
+    assert sorted(pos.ravel().tolist() + ghost.tolist()) == list(range(21))
+    zero = 21
+    copies = dict(zip(ghost.tolist(), source.tolist()))
+    assert copies == {2: 13, 3: zero, 4: 16, 5: 17, 9: zero, 10: zero,
+                      11: 0, 12: 1, 14: zero, 15: zero, 19: 7, 20: 8}
+    with pytest.raises(RuntimeError):
+        _upwind_layout(np.array([[False, True]]))
+
+
+def test_fd_boundary_leak_on_same_step():
+    grid = GridSpec(l_max=6.0, dl=0.05, k_max=1.0, dk=0.5)
+    dt, tol = 1e-3, 1e-3
+    _, _, edges = _two_stencil_fd("F", 1.0, grid, 500, dt)
+    leaks = np.maximum.accumulate(edges)
+    first = int(np.argmax(leaks > tol)) + 1      # steps taken when it trips
+    assert leaks[first - 1] > tol and first > 1
+    before = fd_solve("F", 1.0, grid, (first - 1) * dt, dt, tol)
+    assert before.boundary_max == leaks[first - 2]
+    with pytest.raises(BoundaryLeakError) as info:
+        fd_solve("F", 1.0, grid, first * dt, dt, tol)
+    assert str(info.value) == (
+        f"boundary value {leaks[first - 1]:.3e} exceeds tolerance {tol:.1e};"
+        " widen the l grid")
+
+
+def test_fd_cfl_limit():
+    grid = GridSpec(l_max=8.0, dl=0.1, k_max=1.0, dk=0.5)
+    # G drift is alpha * k: |drift| * dt / dl = 1 at alpha = 1, dt = dl
+    at_limit = fd_solve("G", 1.0, grid, 0.2, 0.1)
+    assert at_limit.cfl == 1.0
+    with pytest.raises(ConfigError, match="CFL"):
+        fd_solve("G", 1.0 + 1e-9, grid, 0.2, 0.1)
+
+
+def test_fd_health_only_on_fd_surfaces():
+    grid = GridSpec(l_max=8.0, dl=0.1, k_max=1.0, dk=0.5)
+    assert fd_solve("F", 1.0, grid, 0.0, 0.01).cfl is None
+    assert closed_form_surface("F", 1.0, 0.5, grid).boundary_max is None
+
+
+def test_surface_shape_guard_survives_optimize_flag():
+    code = ("import numpy as np\n"
+            "from doublepass.charfn import CharSurface\n"
+            "try:\n"
+            "    CharSurface('F', 1.0, 0.0, np.zeros(2), np.zeros(3),"
+            " np.zeros((3, 2)))\n"
+            "except ValueError:\n"
+            "    print('raised')\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised\n"
+    with pytest.raises(ValueError):
+        CharSurface("F", 1.0, 0.0, np.zeros(2), np.zeros(3), np.zeros((3, 2)))
+
+
+def test_surface_csv_matches_per_row_formatting():
+    grid = GridSpec(l_max=1.0, dl=0.25, k_max=0.5, dk=0.25)
+    surf = fd_solve("G", 0.7, grid, 0.05, 0.01, boundary_tol=1.0)
+    buf = io.StringIO()
+    surf.to_csv(buf)
+    rows = [f"{k:.12g},{l:.12g},{surf.values[i, j]:.12g}"
+            for i, k in enumerate(surf.k_values)
+            for j, l in enumerate(surf.l_values)]
+    lines = buf.getvalue().split("\n")
+    assert lines[2:] == rows + [""]
+    assert buf.tell() == len(buf.getvalue())
 
 
 def test_surface_csv_dump():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from doublepass import fock
+from doublepass import charfn, fock, gaussian
 from doublepass.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, load_config,
                             build_parser, main, parse_config_file,
                             variances_csv)
@@ -198,3 +198,46 @@ def test_compare_runs_each_oracle_result_once(tmp_path, monkeypatch):
     last_row = (tmp_path / "oracle.csv").read_text().splitlines()[-1]
     assert n_report is not None
     assert int(n_report.group(1)) == int(last_row.split(",")[-1])
+
+
+def test_pde_summary_appends_fd_health(tmp_path):
+    cfg = tmp_path / "pde.cfg"
+    cfg.write_text("pde.t = 0.2\npde.dt = 5e-4\npde.l_max = 10.0\n"
+                   "pde.dl = 0.05\npde.k_max = 1.0\npde.dk = 0.5\n")
+    assert main(["pde", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "pde_summary.txt").read_text().splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "pde summary", "fd max abs error F", "fd max abs error G",
+        "moc max abs error", "closed-form residual max",
+        "fd cfl F", "fd boundary max F", "fd cfl G", "fd boundary max G"]
+    grid = charfn.GridSpec(l_max=10.0, dl=0.05, k_max=1.0, dk=0.5)
+    surf = charfn.fd_solve("G", 1.0, grid, 0.2, 5e-4)
+    assert lines[-2] == f"fd cfl G: {surf.cfl:.6e}"
+    assert lines[-1] == f"fd boundary max G: {surf.boundary_max:.6e}"
+    assert surf.cfl == 1.0 * 5e-4 / 0.05
+
+
+def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
+    calls = {"build": 0, "integrate": 0}
+    build_fn, integrate_fn = (gaussian.build_moment_odes,
+                              gaussian.integrate_covariance)
+
+    def count_build(alpha):
+        calls["build"] += 1
+        return build_fn(alpha)
+
+    def count_integrate(ode, t_max, dt):
+        calls["integrate"] += 1
+        return integrate_fn(ode, t_max, dt)
+
+    monkeypatch.setattr(gaussian, "build_moment_odes", count_build)
+    monkeypatch.setattr(gaussian, "integrate_covariance", count_integrate)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid_step = 0.05\noracle.t_max = 0.1\noracle.dt = 2e-3\n"
+                   "oracle.d_at = 12\noracle.n_traj = 100\n")
+    main(["compare", "--config", str(cfg), "--out", str(tmp_path)])
+    assert calls == {"build": 1, "integrate": 1}
+    standalone = variances_csv(load_config(build_parser().parse_args(
+        ["variances", "--config", str(cfg)])))
+    assert (tmp_path / "variances.csv").read_text() == standalone

@@ -247,3 +247,12 @@ def test_csv_row_schema():
     row0 = csv_row_values(1.0, 0.0)
     assert row0["var_x_ph_norm"] == 0.5
     assert row0["sq_db_atom"] == 0.0
+
+
+def test_moment_coefficient_guard_is_an_exception():
+    from doublepass.gaussian import _const
+    from doublepass.scalars import FormalScalar, I
+    with pytest.raises(ValueError, match="not real"):
+        _const(FormalScalar.const(I), 1.0)
+    with pytest.raises(ValueError, match="not real"):
+        build_moment_odes(math.nan)

@@ -309,3 +309,10 @@ def test_transcript_golden_lines():
     ):
         assert line in report, line
     assert report == derivation_report()
+
+
+def test_transport_coefficient_guard_is_an_exception():
+    pde = char_fn_generator(double_pass_system(), FAMILY_F)
+    assert pde.evaluate(1.0, 0.5, -0.25) == (-0.140625, 0.75)
+    with pytest.raises(ValueError, match="not real"):
+        pde.evaluate(float("nan"), 0.5, -0.25)
