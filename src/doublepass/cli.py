@@ -127,7 +127,10 @@ _CONFIG_KEYS = {
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Parse a flat ``section.key = value`` file; unknown keys are rejected."""
     updates: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -167,7 +170,19 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--tolerance-scale must be positive")
         cfg = cfg.scaled_tolerances(args.tolerance_scale)
     cfg.validate()
+    _check_out_dir(cfg.out)
     return cfg
+
+
+def _check_out_dir(out: str) -> None:
+    """Reject an output path that is, or sits under, an existing non-directory."""
+    path = Path(out)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(
+                    f"output path {out}: {part} is not a directory")
+            return
 
 
 def _fmt(value: float) -> str:

@@ -149,7 +149,9 @@ def subset_terms(
                         acc = acc.right_mul(value)
                     else:
                         acc = alg_mul(acc, value)
-            assert isinstance(acc, ItoDifferential)
+            if not isinstance(acc, ItoDifferential):
+                raise TypeError(f"subset {subset} left no differential: "
+                                f"{type(acc).__name__}")
             out.append((subset, acc))
     return out
 

@@ -1,16 +1,22 @@
 """Exact scalar arithmetic for the symbolic layer.
 
-Coefficients live in the number field Q(i, sqrt(2)), stored as four exact
-rational components ``a + b*i + c*sqrt2 + d*i*sqrt2``.  On top of that,
-:class:`FormalScalar` is a multivariate polynomial over that field in the
-four formal symbols ``a`` (coupling strength), ``k``, ``l`` (transform
-variables) and ``t`` (time).  Everything here is exact; floating point only
-enters through :meth:`FormalScalar.evaluate`.
+Coefficients live in the number field Q(i, sqrt(2)).  A :class:`Cyclo` holds
+``(a + b*i + c*sqrt2 + d*i*sqrt2) / den`` as four Python-int numerators over
+one positive int denominator.  Every result is divided by
+``gcd(a, b, c, d, den)``, so the form is canonical: equal values have equal
+tuples, and ``+``, ``-``, ``*`` and the conjugations do int arithmetic only.
+The rational parts ``ra``..``rd`` are read as :class:`~fractions.Fraction`.
+On top of that, :class:`FormalScalar` is a multivariate polynomial over the
+field in the four formal symbols ``a`` (coupling strength), ``k``, ``l``
+(transform variables) and ``t`` (time).  Everything here is exact; floating
+point only enters through :meth:`Cyclo.to_complex` and
+:meth:`FormalScalar.evaluate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from math import sqrt as _float_sqrt
 from typing import Iterator, Mapping, Union
 
@@ -19,11 +25,11 @@ RationalLike = Union[int, Fraction]
 _SQRT2 = _float_sqrt(2.0)
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _num_den(x: RationalLike) -> tuple[int, int]:
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -31,45 +37,68 @@ class Cyclo:
     """An element of Q(i, sqrt2), represented exactly.
 
     The value is ``ra + rb*i + rc*sqrt2 + rd*i*sqrt2`` with all four parts
-    rational.  The class is immutable; arithmetic returns new instances.
+    rational, stored as ``_v = (a, b, c, d, den)``: ``ra == a/den`` and so
+    on, ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.  The class is
+    immutable; arithmetic returns new instances.
     """
 
-    __slots__ = ("ra", "rb", "rc", "rd")
+    __slots__ = ("_v",)
 
     def __init__(self, ra: RationalLike = 0, rb: RationalLike = 0,
                  rc: RationalLike = 0, rd: RationalLike = 0) -> None:
-        object.__setattr__(self, "ra", _frac(ra))
-        object.__setattr__(self, "rb", _frac(rb))
-        object.__setattr__(self, "rc", _frac(rc))
-        object.__setattr__(self, "rd", _frac(rd))
+        parts = [_num_den(r) for r in (ra, rb, rc, rd)]
+        den = lcm(*(q for _, q in parts))
+        # over the lcm of reduced denominators the tuple is already reduced
+        _set_v(self, tuple(n * (den // q) for n, q in parts) + (den,))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Cyclo is immutable")
 
     @classmethod
     def rational(cls, x: RationalLike) -> "Cyclo":
-        return cls(_frac(x))
+        return cls(x)
+
+    @property
+    def ra(self) -> Fraction:
+        return Fraction(self._v[0], self._v[4])
+
+    @property
+    def rb(self) -> Fraction:
+        return Fraction(self._v[1], self._v[4])
+
+    @property
+    def rc(self) -> Fraction:
+        return Fraction(self._v[2], self._v[4])
+
+    @property
+    def rd(self) -> Fraction:
+        return Fraction(self._v[3], self._v[4])
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
-        return Cyclo(self.ra + other.ra, self.rb + other.rb,
-                     self.rc + other.rc, self.rd + other.rd)
+        a1, b1, c1, d1, e1 = self._v
+        a2, b2, c2, d2, e2 = other._v
+        if e1 == e2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
+        return _reduced(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1,
+                        c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
-        return Cyclo(self.ra - other.ra, self.rb - other.rb,
-                     self.rc - other.rc, self.rd - other.rd)
+        return self + (-other)
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(-self.ra, -self.rb, -self.rc, -self.rd)
+        a, b, c, d, e = self._v
+        return _make((-a, -b, -c, -d, e))
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
-        a1, b1, c1, d1 = self.ra, self.rb, self.rc, self.rd
-        a2, b2, c2, d2 = other.ra, other.rb, other.rc, other.rd
+        a1, b1, c1, d1, e1 = self._v
+        a2, b2, c2, d2, e2 = other._v
         # i*i = -1, sqrt2*sqrt2 = 2, (i*sqrt2)^2 = -2
-        return Cyclo(
+        return _reduced(
             a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            e1 * e2,
         )
 
     def __pow__(self, n: int) -> "Cyclo":
@@ -86,10 +115,12 @@ class Cyclo:
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation (i -> -i; sqrt2 is real)."""
-        return Cyclo(self.ra, -self.rb, self.rc, -self.rd)
+        a, b, c, d, e = self._v
+        return _make((a, -b, c, -d, e))
 
     def _conj_sqrt2(self) -> "Cyclo":
-        return Cyclo(self.ra, self.rb, -self.rc, -self.rd)
+        a, b, c, d, e = self._v
+        return _make((a, b, -c, -d, e))
 
     def inverse(self) -> "Cyclo":
         """Exact multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -99,55 +130,58 @@ class Cyclo:
         cs = self._conj_sqrt2()
         cis = ci._conj_sqrt2()
         cofactor = ci * cs * cis
-        norm = self * cofactor
+        na, nb, nc, nd, ne = (self * cofactor)._v
         # The full Galois norm is rational by construction.
-        assert norm.rb == 0 and norm.rc == 0 and norm.rd == 0
-        inv = Fraction(1) / norm.ra
-        return Cyclo(cofactor.ra * inv, cofactor.rb * inv,
-                     cofactor.rc * inv, cofactor.rd * inv)
+        if nb or nc or nd:
+            raise ArithmeticError(
+                f"Galois norm of {self!r} is not rational")
+        a, b, c, d, e = cofactor._v
+        if na < 0:
+            na, ne = -na, -ne
+        return _reduced(a * ne, b * ne, c * ne, d * ne, e * na)
 
     def __truediv__(self, other: "Cyclo") -> "Cyclo":
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return not (self.ra or self.rb or self.rc or self.rd)
+        v = self._v
+        return not (v[0] or v[1] or v[2] or v[3])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return (self.ra == other.ra and self.rb == other.rb
-                and self.rc == other.rc and self.rd == other.rd)
+        return self._v == other._v
 
     def __hash__(self) -> int:
-        return hash((self.ra, self.rb, self.rc, self.rd))
+        return hash(self._v)
 
     def to_complex(self) -> complex:
-        return complex(float(self.ra) + _SQRT2 * float(self.rc),
-                       float(self.rb) + _SQRT2 * float(self.rd))
+        # int / int is correctly rounded, so each part is float(Fraction)
+        a, b, c, d, e = self._v
+        return complex(a / e + _SQRT2 * (c / e), b / e + _SQRT2 * (d / e))
 
     # -- printing ---------------------------------------------------------
 
     def _parts(self) -> list[str]:
+        a, b, c, d, _ = self._v
         out = []
-        if self.ra:
+        if a:
             out.append(str(self.ra))
-        if self.rb:
+        if b:
             out.append(_unit_part(self.rb, "i"))
-        if self.rc:
+        if c:
             out.append(_unit_part(self.rc, "sqrt2"))
-        if self.rd:
+        if d:
             out.append(_unit_part(self.rd, "i*sqrt2"))
         return out
 
     def is_single_part(self) -> bool:
-        return sum(bool(r) for r in (self.ra, self.rb, self.rc, self.rd)) <= 1
+        return sum(bool(n) for n in self._v[:4]) <= 1
 
     def sign_split(self) -> tuple[int, "Cyclo"]:
         """Return (sign, magnitude) for single-part values, (+1, self) else."""
-        if self.is_single_part():
-            for r in (self.ra, self.rb, self.rc, self.rd):
-                if r < 0:
-                    return -1, -self
+        if self.is_single_part() and min(self._v[:4]) < 0:
+            return -1, -self
         return 1, self
 
     def __str__(self) -> str:
@@ -164,6 +198,29 @@ class Cyclo:
 
     def __repr__(self) -> str:
         return f"Cyclo({self.ra!r}, {self.rb!r}, {self.rc!r}, {self.rd!r})"
+
+
+_set_v = Cyclo._v.__set__
+_new = object.__new__
+
+
+def _make(v: tuple[int, int, int, int, int]) -> Cyclo:
+    """Wrap an already reduced ``(a, b, c, d, den)`` tuple."""
+    out = _new(Cyclo)
+    _set_v(out, v)
+    return out
+
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> Cyclo:
+    """Canonical Cyclo of ``(a + b*i + c*sqrt2 + d*i*sqrt2) / den``, den > 0."""
+    g = gcd(a, b, c, d, den)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        d //= g
+        den //= g
+    return _make((a, b, c, d, den))
 
 
 def _unit_part(r: Fraction, unit: str) -> str:

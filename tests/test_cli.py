@@ -46,12 +46,14 @@ def test_unknown_key_rejected(tmp_path):
 def test_flag_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("alpha = 1.5\n")
+    new_out = tmp_path / "new" / "deeper"
     args = build_parser().parse_args(
         ["variances", "--config", str(cfg_file), "--alpha", "2.0",
-         "--seed", "99"])
+         "--seed", "99", "--out", str(new_out)])
     cfg = load_config(args)
     assert cfg.alpha == 2.0
     assert cfg.oracle_seed == 99
+    assert cfg.out == str(new_out)
 
 
 def test_tolerance_scale():
@@ -151,6 +153,31 @@ def test_bad_number_exit_code(tmp_path, argv):
     assert "configuration error" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize("case", [
+    "missing_config", "config_is_dir", "config_not_utf8", "out_under_file",
+    "out_is_file"])
+def test_bad_file_input_exit_code(tmp_path, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    bad_bytes = tmp_path / "latin1.cfg"
+    bad_bytes.write_bytes(b"# caf\xe9\nalpha = 1\n")
+    out = ("--out", str(tmp_path / "out"))
+    argv = {
+        "missing_config": ("--config", str(tmp_path / "absent.cfg"), *out),
+        "config_is_dir": ("--config", str(tmp_path), *out),
+        "config_not_utf8": ("--config", str(bad_bytes), *out),
+        "out_under_file": ("--out", str(blocker / "sub")),
+        "out_is_file": ("--out", str(blocker)),
+    }[case]
+    # compare would run every route before writing; the check comes first
+    res = run_cli("compare", *argv)
+    assert res.returncode == EXIT_CONFIG, res.stderr
+    assert "configuration error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker",
+                                                          "latin1.cfg"]
 
 
 def test_bad_flag_exit_code(tmp_path):

@@ -1,7 +1,10 @@
 """Exact arithmetic in Q(i, sqrt2) and the formal polynomial layer."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 
@@ -94,3 +97,230 @@ def test_printing_deterministic():
     assert str(expr) == "-(1/2)*k + a^2"
     assert str(FormalScalar.zero()) == "0"
     assert str(SYM_L.scale(MINUS_I)) == "-i*l"
+
+
+# -- reference: the four-Fraction representation ------------------------------
+
+
+class RefCyclo:
+    """The former Cyclo: four reduced Fraction parts, Fraction arithmetic."""
+
+    def __init__(self, ra=0, rb=0, rc=0, rd=0):
+        self.ra, self.rb, self.rc, self.rd = map(Fraction, (ra, rb, rc, rd))
+
+    def parts(self):
+        return (self.ra, self.rb, self.rc, self.rd)
+
+    def __add__(self, other):
+        return RefCyclo(*(x + y for x, y in zip(self.parts(), other.parts())))
+
+    def __sub__(self, other):
+        return RefCyclo(*(x - y for x, y in zip(self.parts(), other.parts())))
+
+    def __neg__(self):
+        return RefCyclo(*(-x for x in self.parts()))
+
+    def __mul__(self, other):
+        a1, b1, c1, d1 = self.parts()
+        a2, b2, c2, d2 = other.parts()
+        return RefCyclo(a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+                        a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+                        a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+                        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+    def conjugate(self):
+        return RefCyclo(self.ra, -self.rb, self.rc, -self.rd)
+
+    def _conj_sqrt2(self):
+        return RefCyclo(self.ra, self.rb, -self.rc, -self.rd)
+
+    def is_zero(self):
+        return not any(self.parts())
+
+    def inverse(self):
+        ci = self.conjugate()
+        cofactor = ci * self._conj_sqrt2() * ci._conj_sqrt2()
+        norm = self * cofactor
+        assert norm.parts()[1:] == (0, 0, 0)
+        return RefCyclo(*(x / norm.ra for x in cofactor.parts()))
+
+    def __eq__(self, other):
+        return self.parts() == other.parts()
+
+    def to_complex(self):
+        return complex(float(self.ra) + sqrt(2.0) * float(self.rc),
+                       float(self.rb) + sqrt(2.0) * float(self.rd))
+
+    def is_single_part(self):
+        return sum(bool(r) for r in self.parts()) <= 1
+
+    def sign_split(self):
+        if self.is_single_part():
+            for r in self.parts():
+                if r < 0:
+                    return -1, -self
+        return 1, self
+
+    def __str__(self):
+        pieces = []
+        for r, unit in zip(self.parts(), ("", "i", "sqrt2", "i*sqrt2")):
+            if not r:
+                continue
+            if not unit:
+                pieces.append(str(r))
+            elif r in (1, -1):
+                pieces.append(("-" if r < 0 else "") + unit)
+            else:
+                pieces.append(f"{r}*{unit}")
+        if not pieces:
+            return "0"
+        text = pieces[0]
+        for p in pieces[1:]:
+            text += " - " + p[1:] if p.startswith("-") else " + " + p
+        return text
+
+    def __repr__(self):
+        return "Cyclo({!r}, {!r}, {!r}, {!r})".format(*self.parts())
+
+
+# large coprime denominators next to small ones sharing factors
+_DENOMS = (1, 1, 2, 3, 4, 6, 12, 2 ** 61 - 1, 10 ** 9 + 7, 3 ** 40,
+           (2 ** 31 - 1) * (10 ** 9 + 9))
+
+
+def _rand_part(rng):
+    kind = rng.random()
+    if kind < 0.25:
+        return 0
+    if kind < 0.45:
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.choice(_DENOMS))
+
+
+def _rand_pairs(seed, n=1200):
+    """n seeded (Cyclo, RefCyclo) pairs with the same parts, zero included."""
+    rng = random.Random(seed)
+    out = [(Cyclo(), RefCyclo())]
+    while len(out) < n:
+        if rng.random() < 0.05 and len(out) > 1:
+            out.append(rng.choice(out))     # repeats, so == meets equal values
+            continue
+        parts = [_rand_part(rng) for _ in range(4)]
+        out.append((Cyclo(*parts), RefCyclo(*parts)))
+    return out
+
+
+def _same(new, ref):
+    """new equals ref part by part, and equals the Cyclo built from ref."""
+    assert (new.ra, new.rb, new.rc, new.rd) == ref.parts()
+    assert all(type(r) is Fraction for r in (new.ra, new.rb, new.rc, new.rd))
+    rebuilt = Cyclo(*ref.parts())
+    assert new == rebuilt
+    assert hash(new) == hash(rebuilt)
+
+
+def test_arithmetic_matches_fraction_reference():
+    elems = _rand_pairs(20261018)
+    for (x, xr), (y, yr) in zip(elems, elems[1:] + elems[:1]):
+        _same(x + y, xr + yr)
+        _same(x - y, xr - yr)
+        _same(x * y, xr * yr)
+        _same(-x, -xr)
+        _same(x.conjugate(), xr.conjugate())
+        _same(x._conj_sqrt2(), xr._conj_sqrt2())
+        if not xr.is_zero():
+            _same(x.inverse(), xr.inverse())
+        assert (x == y) == (xr == yr)
+        assert (x != y) == (xr != yr)
+        assert x.is_zero() == xr.is_zero()
+
+
+def test_equality_and_hash_match_reference():
+    elems = _rand_pairs(777)
+    rng = random.Random(5)
+    for (x, xr), (y, yr) in zip(elems, elems[1:]):
+        # the same value reached by a different route
+        again = (x + y) - y
+        assert again == x
+        assert hash(again) == hash(x)
+        scaled = x * Cyclo(3) * Cyclo(Fraction(1, 3))
+        assert scaled == x and hash(scaled) == hash(x)
+        other, otherr = rng.choice(elems)
+        if other == x:
+            assert otherr == xr
+            assert hash(other) == hash(x)
+        else:
+            assert not otherr == xr
+
+
+def test_printing_and_queries_match_reference():
+    for x, xr in _rand_pairs(3):
+        assert str(x) == str(xr)
+        assert repr(x) == repr(xr)
+        assert x.is_single_part() == xr.is_single_part()
+        sign, mag = x.sign_split()
+        ref_sign, ref_mag = xr.sign_split()
+        assert sign == ref_sign
+        _same(mag, ref_mag)
+        assert x.to_complex() == xr.to_complex()
+    single = [Cyclo(0, 0, Fraction(-3, 7)), Cyclo(0, -1), Cyclo(-2)]
+    for x in single:
+        ref = RefCyclo(x.ra, x.rb, x.rc, x.rd)
+        assert str(x) == str(ref) and x.sign_split()[0] == -1
+
+
+def test_canonical_form():
+    half_a, half_b = Cyclo(Fraction(2, 4)), Cyclo(Fraction(1, 2))
+    assert half_a == half_b and hash(half_a) == hash(half_b)
+    # values reached through arithmetic are reduced to the same form
+    routes = [Cyclo(Fraction(1, 4)) + Cyclo(Fraction(1, 4)),
+              Cyclo(Fraction(1, 6)) + Cyclo(Fraction(1, 3)),
+              Cyclo(Fraction(1, 4)) * Cyclo(2),
+              Cyclo(Fraction(3, 4)) - Cyclo(Fraction(1, 4)),
+              INV_SQRT2 * INV_SQRT2,
+              Cyclo(2).inverse()]
+    for value in routes:
+        assert value == HALF and hash(value) == hash(HALF)
+        assert repr(value) == "Cyclo(Fraction(1, 2), Fraction(0, 1), " \
+                              "Fraction(0, 1), Fraction(0, 1))"
+    assert len({half_a, half_b, *routes}) == 1
+    key = (0, 1, 0, 0)
+    total = FormalScalar({key: half_a}) + FormalScalar({key: routes[2]})
+    assert list(total.terms()) == [(key, ONE)]
+    assert (FormalScalar({key: half_a})
+            - FormalScalar({key: routes[0]})).is_zero()
+    assert Cyclo(Fraction(1, 3)) * Cyclo(3) == ONE
+    assert (HALF - HALF) == ZERO and hash(HALF - HALF) == hash(ZERO)
+
+
+def test_constructor_types():
+    assert Cyclo(True) == ONE
+    for bad in (0.5, "1", None, 1j):
+        with pytest.raises(TypeError):
+            Cyclo(bad)
+        with pytest.raises(TypeError):
+            Cyclo(0, 0, 0, bad)
+
+
+def test_guards_raise_under_optimize():
+    """The norm guard of inverse and the subset_terms check survive -O."""
+    code = "\n".join([
+        "from doublepass import ito, scalars",
+        "from doublepass.weyl import OpPoly",
+        "scalars.Cyclo._conj_sqrt2 = lambda self: self  # breaks the norm",
+        "try:",
+        "    scalars.Cyclo(1, 0, 1).inverse()",
+        "except ArithmeticError as exc:",
+        "    assert 'not rational' in str(exc)",
+        "    print('inverse raised')",
+        "ito.ItoDifferential.left_mul = lambda self, acc: acc",
+        "dx = ito.ItoDifferential(ca=OpPoly.one())",
+        "try:",
+        "    ito.subset_terms([(OpPoly.x(), dx)])",
+        "except TypeError:",
+        "    print('subset_terms raised')",
+    ])
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "inverse raised\nsubset_terms raised\n"

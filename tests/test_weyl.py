@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from doublepass.scalars import (Cyclo, FormalScalar, HALF, I, INV_SQRT2,
-                                SYM_ALPHA, SYM_L)
+                                MINUS_I, SYM_ALPHA, SYM_L)
 from doublepass.weyl import (AXIS_P, AXIS_X, FragmentError, OpPoly, WeylTerm,
                              adjoint, commutator, mul, weyl_normalize)
 
@@ -59,6 +60,29 @@ def test_mul_associative_distributive_random():
         a, b, c = (rand_poly(rng, max_deg=4) for _ in range(3))
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
         assert mul(a, b + c) == mul(a, b) + mul(a, c)
+
+
+def _reference_mul(a, b):
+    """The former mul: one reordering factor built per j of every pair."""
+    out = OpPoly.zero()
+    for (m1, n1), c1 in a.terms():
+        for (m2, n2), c2 in b.terms():
+            for j in range(min(n1, m2) + 1):
+                factor = MINUS_I ** j * Cyclo.rational(
+                    factorial(j) * comb(n1, j) * comb(m2, j))
+                out = out + OpPoly.monomial(m1 + m2 - j, n1 + n2 - j,
+                                            (c1 * c2).scale(factor))
+    return out
+
+
+def test_mul_matches_reference_random():
+    rng = random.Random(2024)
+    sym = SYM_ALPHA + SYM_L.scale(HALF)
+    for _ in range(60):
+        a, b = (rand_poly(rng, max_deg=5) for _ in range(2))
+        a = a + X.scale(sym)
+        assert mul(a, b) == _reference_mul(a, b)
+        assert str(mul(b, a)) == str(_reference_mul(b, a))
 
 
 def test_mul_degree_bound():
