@@ -6,13 +6,13 @@ from .errors import ConfigError
 from .scalars import Cyclo, FormalScalar
 from .weyl import (AXIS_P, AXIS_X, FragmentError, OpPoly, WeylTerm, adjoint,
                    commutator, mul, weyl_normalize)
-from .ito import (FAMILY_F, FAMILY_G, HPSystem, IORelation, IORelations,
-                  ItoDifferential, PdeCoefficients, char_fn_generator,
-                  derivation_report, double_pass_system, flow_differential,
-                  ito_product, lindblad, output_commutator_rate,
-                  output_quadrature_relations, series_product,
-                  single_pass_systems, subset_differential, subset_terms,
-                  vacuum_expectation)
+from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, Derivation, HPSystem,
+                  IORelation, IORelations, ItoDifferential, PdeCoefficients,
+                  char_fn_generator, derivation_report, double_pass_derivation,
+                  double_pass_system, flow_differential, ito_product, lindblad,
+                  output_commutator_rate, output_quadrature_relations,
+                  series_product, single_pass_systems, subset_differential,
+                  subset_terms, vacuum_expectation)
 from .gaussian import (CovSnapshot, CovTrajectory, LinearOde, SqueezingReport,
                        build_moment_odes, closed_form_covariances,
                        closed_form_trajectory, integrate_covariance,

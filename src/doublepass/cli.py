@@ -27,7 +27,8 @@ import numpy as np
 
 from . import charfn, fock, gaussian
 from .errors import ConfigError
-from .ito import derivation_report
+from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, derivation_report,
+                  double_pass_derivation)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -75,9 +76,11 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"parameter {f.name} must be finite")
+        tolerances = [f.name for f in fields(self)
+                      if f.name.startswith("tol_")]
         positive = ("alpha", "t_max", "grid_step", "solver_dt", "pde_t",
                     "pde_dt", "pde_l_max", "pde_dl", "pde_k_max", "pde_dk",
-                    "oracle_dt", "oracle_t_max")
+                    "oracle_dt", "oracle_t_max", *tolerances)
         for name in positive:
             if getattr(self, name) < 0 or (name != "alpha"
                                            and getattr(self, name) == 0):
@@ -95,33 +98,25 @@ class RunConfig:
         return replace(self, **updates)
 
 
+#: field-name prefix -> config-file section; other fields are top-level keys
+_SECTIONS = {"solver_": "solver.", "pde_": "pde.", "oracle_": "oracle.",
+             "tol_": "tolerance."}
+
+
+def _config_key(name: str) -> str:
+    for prefix, section in _SECTIONS.items():
+        if name.startswith(prefix):
+            return section + name[len(prefix):]
+    return name
+
+
 # config-file key -> (attribute, parser)
-_CONFIG_KEYS = {
-    "alpha": ("alpha", float),
-    "t_max": ("t_max", float),
-    "grid_step": ("grid_step", float),
-    "out": ("out", str),
-    "solver.dt": ("solver_dt", float),
-    "pde.t": ("pde_t", float),
-    "pde.dt": ("pde_dt", float),
-    "pde.l_max": ("pde_l_max", float),
-    "pde.dl": ("pde_dl", float),
-    "pde.k_max": ("pde_k_max", float),
-    "pde.dk": ("pde_dk", float),
-    "oracle.dt": ("oracle_dt", float),
-    "oracle.t_max": ("oracle_t_max", float),
-    "oracle.d_at": ("oracle_d_at", int),
-    "oracle.d_anc": ("oracle_d_anc", int),
-    "oracle.n_traj": ("oracle_n_traj", int),
-    "oracle.seed": ("oracle_seed", int),
-    "oracle.phase": ("oracle_phase", str),
-    "tolerance.ode_rel": ("tol_ode_rel", float),
-    "tolerance.pde_abs": ("tol_pde_abs", float),
-    "tolerance.moc_abs": ("tol_moc_abs", float),
-    "tolerance.residual": ("tol_residual", float),
-    "tolerance.oracle_rel": ("tol_oracle_rel", float),
-    "tolerance.oracle_sigma": ("tol_oracle_sigma", float),
-}
+_CONFIG_KEYS = {_config_key(f.name): (f.name, type(f.default))
+                for f in fields(RunConfig)}
+
+#: command-line flag (argparse dest) -> RunConfig field it overrides
+_FLAG_FIELDS = {"alpha": "alpha", "t_max": "t_max", "dt": "solver_dt",
+                "seed": "oracle_seed", "out": "out"}
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -154,16 +149,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     updates: dict[str, object] = {}
     if args.config:
         updates.update(parse_config_file(args.config))
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.t_max is not None:
-        updates["t_max"] = args.t_max
-    if args.dt is not None:
-        updates["solver_dt"] = args.dt
-    if args.seed is not None:
-        updates["oracle_seed"] = args.seed
-    if args.out is not None:
-        updates["out"] = args.out
+    for flag, name in _FLAG_FIELDS.items():
+        if getattr(args, flag) is not None:
+            updates[name] = getattr(args, flag)
     cfg = RunConfig(**updates)  # type: ignore[arg-type]
     if args.tolerance_scale is not None:
         if args.tolerance_scale <= 0:
@@ -236,27 +224,13 @@ def variances_csv(cfg: RunConfig,
     stride = round(cfg.grid_step / cfg.solver_dt)
     if abs(stride * cfg.solver_dt - cfg.grid_step) > 1e-9 * cfg.grid_step:
         raise ConfigError("solver.dt must divide grid_step")
-    ode_cols = ("var_p_at", "cov_pat_xph", "var_x_ph_norm", "var_x_at",
-                "cov_xat_pph", "var_p_ph_norm")
-    header = ",".join(gaussian.CSV_COLUMNS + tuple(f"ode_{c}" for c in ode_cols))
-    lines = [header]
-    for i, t in enumerate(times):
-        row = gaussian.csv_row_values(cfg.alpha, float(t))
-        snap = traj.snapshot(i * stride)
-        tval = float(t)
-        norm = tval if tval > 0 else 1.0
-        ode_vals = {
-            "var_p_at": snap.entry("p_at", "p_at"),
-            "cov_pat_xph": snap.entry("p_at", "X_ph"),
-            "var_x_ph_norm": snap.entry("X_ph", "X_ph") / norm
-            if tval > 0 else 0.5,
-            "var_x_at": snap.entry("x_at", "x_at"),
-            "cov_xat_pph": snap.entry("x_at", "P_ph"),
-            "var_p_ph_norm": snap.entry("P_ph", "P_ph") / norm
-            if tval > 0 else 0.5,
-        }
+    lines = [",".join(gaussian.CSV_COLUMNS
+                      + tuple(f"ode_{c}" for c in gaussian.PUBLISHED))]
+    for i, t in enumerate(times.tolist()):
+        row = gaussian.csv_row_values(cfg.alpha, t)
+        ode = gaussian.published_values(traj.snapshot(i * stride), t)
         cells = [_fmt(row[c]) for c in gaussian.CSV_COLUMNS]
-        cells += [_fmt(ode_vals[c]) for c in ode_cols]
+        cells += [_fmt(v) for v in ode.values()]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -391,64 +365,29 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
                                              dict[str, str]]:
-    from .ito import (FAMILY_F, FAMILY_G, char_fn_generator,
-                      output_commutator_rate, output_quadrature_relations,
-                      series_product, single_pass_systems)
-    from .scalars import (Cyclo, FormalScalar, I, INV_SQRT2, SYM_ALPHA,
-                          SYM_K, SYM_L)
-    from .weyl import OpPoly, mul
-    from fractions import Fraction
-
-    checks: list[tuple[str, bool, str]] = []
     artifacts: dict[str, str] = {}
 
-    # 1. series product, exact
-    sysd = series_product(*single_pass_systems())
-    x, p = OpPoly.x(), OpPoly.p()
-    l_expect = (p - x.scale(I)).scale(SYM_ALPHA).scale(INV_SQRT2)
-    h_expect = (mul(p, x) + mul(x, p)).scale(SYM_ALPHA * SYM_ALPHA).scale(
-        Cyclo(Fraction(1, 4)))
-    ok = sysd.L == l_expect and sysd.H == h_expect
-    checks.append(("series_product", ok, f"L={sysd.L}; H={sysd.H}"))
-
-    # 2. input/output relations, exact
-    io = output_quadrature_relations(sysd)
-    a = SYM_ALPHA
-    expected_terms = {
-        "x_ph_out": {"x_ph_in": FormalScalar.one(), "p_at_out": a},
-        "p_ph_out": {"p_ph_in": FormalScalar.one(), "x_at_out": -a},
-        "dx_at_out/dt": {"p_ph_in": a},
-        "dp_at_out/dt": {"x_ph_in": -a, "p_at_out": -(a * a)},
+    # 1-3. series product, I/O relations, transport coefficients, exact
+    derived = double_pass_derivation()
+    pde_f, pde_g = derived.transport[FAMILY_F], derived.transport[FAMILY_G]
+    details = {
+        "series_product": f"L={derived.system.L}; H={derived.system.H}",
+        "io_relations": "; ".join(rel.pretty() for rel in derived.io.all()),
+        "char_fn_generator": f"F: c0={pde_f.c0}; c1={pde_f.c1} | "
+                             f"G: c0={pde_g.c0}; c1={pde_g.c1}",
     }
-    ok = all(rel.terms == expected_terms[rel.name] for rel in io.all())
-    comm_ok = output_commutator_rate(io) == FormalScalar.const(I)
-    checks.append(("io_relations", ok and comm_ok,
-                   "; ".join(rel.pretty() for rel in io.all())))
-
-    # 3. transport-equation coefficients, exact
-    quarter = Cyclo(Fraction(1, 4))
-    al_minus_k = a * SYM_L - SYM_K
-    al_plus_k = a * SYM_L + SYM_K
-    pde_f = char_fn_generator(sysd, FAMILY_F)
-    pde_g = char_fn_generator(sysd, FAMILY_G)
-    ok = (pde_f.c0 == -(al_minus_k * al_minus_k).scale(quarter)
-          and pde_f.c1 == -(a * al_minus_k)
-          and pde_g.c0 == -(al_plus_k * al_plus_k).scale(quarter)
-          and pde_g.c1 == -(a * SYM_K))
-    checks.append(("char_fn_generator", ok,
-                   f"F: c0={pde_f.c0}; c1={pde_f.c1} | "
-                   f"G: c0={pde_g.c0}; c1={pde_g.c1}"))
+    forms = derived.forms()
+    checks = [(name, forms[name] == expected, details[name])
+              for name, expected in PAPER_FORMS.items()]
 
     # 4. ODE route vs closed form
     traj = _moment_trajectory(cfg)
-    pairs = (("p_at", "p_at"), ("p_at", "X_ph"), ("X_ph", "X_ph"),
-             ("x_at", "x_at"), ("x_at", "P_ph"), ("P_ph", "P_ph"))
     worst = 0.0
     stride = max(1, len(traj) // 100)
     for i in range(0, len(traj), stride):
         snap = traj.snapshot(i)
         closed = gaussian.closed_form_covariances(cfg.alpha, snap.time)
-        for r, c in pairs:
+        for r, c in gaussian.PUBLISHED.values():
             ref = closed.entry(r, c)
             diff = abs(snap.entry(r, c) - ref)
             rel = 0.0 if (ref == 0 and diff < 1e-14) else diff / max(

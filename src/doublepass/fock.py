@@ -48,8 +48,11 @@ PHASE_X = 0.0
 PHASE_P = math.pi / 2.0
 
 
-class TruncationLeakError(RuntimeError):
-    """Raised when population escapes the resolved part of the atom space."""
+class TruncationLeakError(ConfigError):
+    """Raised when population escapes the resolved part of the atom space.
+
+    A configuration error: a larger ``d_at`` (or a smaller step) removes it.
+    """
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .ito import (double_pass_system, flow_differential, lindblad,
-                  output_quadrature_relations)
+from .ito import double_pass_derivation, lindblad
 from .scalars import HALF, FormalScalar
 from .weyl import OpPoly, mul
 
@@ -34,6 +33,17 @@ CSV_COLUMNS = (
     "cov_xat_pph", "var_p_ph_norm", "sq_db_atom", "sq_db_field_x",
     "sq_db_field_p", "unc_prod_field", "unc_prod_atom",
 )
+
+#: The six published (co)variances: CSV column -> mode pair.  The CSV
+#: normalizes the field variances (``*_norm``) by t.
+PUBLISHED = {
+    "var_p_at": ("p_at", "p_at"),
+    "cov_pat_xph": ("p_at", "X_ph"),
+    "var_x_ph_norm": ("X_ph", "X_ph"),
+    "var_x_at": ("x_at", "x_at"),
+    "cov_xat_pph": ("x_at", "P_ph"),
+    "var_p_ph_norm": ("P_ph", "P_ph"),
+}
 
 _REFERENCE_VAR = 0.5
 
@@ -140,23 +150,6 @@ def _const(scalar: FormalScalar, alpha: float) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _symbolic_mode_differentials() -> tuple:
-    """(cA_i, cA*_i, drift_i) per mode, from the engine; exact scalars."""
-    sys = double_pass_system()
-    io = output_quadrature_relations(sys)
-    diffs = (
-        flow_differential(sys, OpPoly.x()),
-        flow_differential(sys, OpPoly.p()),
-        io.x_ph_out.differential,
-        io.p_ph_out.differential,
-    )
-    out = []
-    for d in diffs:
-        out.append((d.ca.constant_value(), d.castar.constant_value(), d.ct))
-    return sys, tuple(out)
-
-
-@functools.lru_cache(maxsize=1)
 def _symbolic_moment_structure() -> tuple:
     """Exact (A, D) entries plus the quadratic-flow consistency check.
 
@@ -165,7 +158,12 @@ def _symbolic_moment_structure() -> tuple:
     from the pairwise Ito rule on the mode differentials.  The overlap of the
     two constructions must agree exactly.
     """
-    sys, modes = _symbolic_mode_differentials()
+    derived = double_pass_derivation()
+    io = derived.io
+    # (cA, cA*, drift) of each mode, in the order of MODES
+    modes = [(d.ca.constant_value(), d.castar.constant_value(), d.ct)
+             for d in (io.dx_at_out.differential, io.dp_at_out.differential,
+                       io.x_ph_out.differential, io.p_ph_out.differential)]
     a_rows: list[list[FormalScalar]] = []
     for _, _, drift in modes:
         if drift.degree() > 1:
@@ -193,7 +191,7 @@ def _symbolic_moment_structure() -> tuple:
         (0, 1): (mul(x, p) + mul(p, x)).scale(HALF),
     }
     for (i, j), mono in sym_mon.items():
-        g = lindblad(sys, mono)
+        g = lindblad(derived.system, mono)
         # Expected: sum_m A_im M_mj + A_jm M_im + D_ij * 1, with M_ab the
         # symmetrized monomials over the atomic pair.
         expected = OpPoly.const(d_entries[i][j])
@@ -412,26 +410,31 @@ def squeezing_report(traj: CovTrajectory) -> SqueezingReport:
     )
 
 
+def published_values(snap: CovSnapshot, t: float) -> dict[str, float]:
+    """The :data:`PUBLISHED` entries of ``snap`` at time ``t``.
+
+    Field variances are normalized by t; at t = 0 they take the vacuum
+    limit 1/2.
+    """
+    out = {}
+    for col, (r, c) in PUBLISHED.items():
+        value = snap.entry(r, c)
+        if col.endswith("_norm"):
+            value = value / t if t > 0 else _REFERENCE_VAR
+        out[col] = value
+    return out
+
+
 def csv_row_values(alpha: float, t: float) -> dict[str, float]:
     """Closed-form values for one row of the shared CSV schema."""
-    snap = closed_form_covariances(alpha, t)
-    if t > 0:
-        nx, np_ = normalized_field_variances(alpha, t)
-    else:
-        nx = np_ = _REFERENCE_VAR
-    var_p = snap.entry("p_at", "p_at")
-    var_x = snap.entry("x_at", "x_at")
-    return {
-        "t": t,
-        "var_p_at": var_p,
-        "cov_pat_xph": snap.entry("p_at", "X_ph"),
-        "var_x_ph_norm": nx,
-        "var_x_at": var_x,
-        "cov_xat_pph": snap.entry("x_at", "P_ph"),
-        "var_p_ph_norm": np_,
-        "sq_db_atom": 10.0 * math.log10(_REFERENCE_VAR / var_p),
-        "sq_db_field_x": 10.0 * math.log10(_REFERENCE_VAR / nx),
-        "sq_db_field_p": 10.0 * math.log10(_REFERENCE_VAR / np_),
-        "unc_prod_field": nx * np_,
-        "unc_prod_atom": var_x * var_p,
-    }
+    row = {"t": t, **published_values(closed_form_covariances(alpha, t), t)}
+    var_p, var_x = row["var_p_at"], row["var_x_at"]
+    nx, np_ = row["var_x_ph_norm"], row["var_p_ph_norm"]
+    row.update(
+        sq_db_atom=10.0 * math.log10(_REFERENCE_VAR / var_p),
+        sq_db_field_x=10.0 * math.log10(_REFERENCE_VAR / nx),
+        sq_db_field_p=10.0 * math.log10(_REFERENCE_VAR / np_),
+        unc_prod_field=nx * np_,
+        unc_prod_atom=var_x * var_p,
+    )
+    return row

@@ -19,10 +19,12 @@ double-pass model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Sequence, Union
 
 from .scalars import (Cyclo, FormalScalar, HALF, I, INV_SQRT2, I_INV_SQRT2,
                       MINUS_I, SYM_ALPHA, SYM_K, SYM_L)
@@ -36,14 +38,10 @@ _ONE = OpPoly.one()
 _MINUS_HALF = Cyclo(-1) * HALF
 
 
-def alg_is_zero(v: AlgebraElement) -> bool:
-    return v.is_zero()
-
-
 def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    if alg_is_zero(a):
+    if a.is_zero():
         return b
-    if alg_is_zero(b):
+    if b.is_zero():
         return a
     if isinstance(a, OpPoly) and isinstance(b, OpPoly):
         return a + b
@@ -53,7 +51,7 @@ def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    if alg_is_zero(a) or alg_is_zero(b):
+    if a.is_zero() or b.is_zero():
         return _ZERO
     if isinstance(a, OpPoly):
         if isinstance(b, OpPoly):
@@ -62,10 +60,6 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if isinstance(b, OpPoly):
         return a.mul_right(b)
     raise FragmentError("products of two Weyl exponentials are unsupported")
-
-
-def alg_scale(a: AlgebraElement, coeff: FormalScalar | Cyclo) -> AlgebraElement:
-    return a.scale(coeff)
 
 
 @dataclass(frozen=True)
@@ -97,13 +91,11 @@ class ItoDifferential:
                                alg_mul(self.ct, op))
 
     def scale(self, coeff: FormalScalar | Cyclo) -> "ItoDifferential":
-        return ItoDifferential(alg_scale(self.ca, coeff),
-                               alg_scale(self.castar, coeff),
-                               alg_scale(self.ct, coeff))
+        return ItoDifferential(self.ca.scale(coeff), self.castar.scale(coeff),
+                               self.ct.scale(coeff))
 
     def is_zero(self) -> bool:
-        return (alg_is_zero(self.ca) and alg_is_zero(self.castar)
-                and alg_is_zero(self.ct))
+        return self.ca.is_zero() and self.castar.is_zero() and self.ct.is_zero()
 
     def __str__(self) -> str:
         return f"dA: {self.ca}; dA*: {self.castar}; dt: {self.ct}"
@@ -244,10 +236,9 @@ def lindblad(sys: HPSystem, z: AlgebraElement) -> AlgebraElement:
     ls = adjoint(sys.L)
     lsl = mul(ls, sys.L)
     anti = alg_add(alg_mul(lsl, z), alg_mul(z, lsl))
-    comm = alg_add(alg_mul(sys.H, z), alg_scale(alg_mul(z, sys.H), Cyclo(-1)))
+    comm = alg_add(alg_mul(sys.H, z), alg_mul(z, sys.H).scale(Cyclo(-1)))
     sandwich = alg_mul(ls, alg_mul(z, sys.L))
-    return alg_add(alg_add(alg_scale(anti, _MINUS_HALF), alg_scale(comm, I)),
-                   sandwich)
+    return alg_add(alg_add(anti.scale(_MINUS_HALF), comm.scale(I)), sandwich)
 
 
 def vacuum_expectation(dx: ItoDifferential) -> AlgebraElement:
@@ -473,6 +464,73 @@ def char_fn_generator(sys: HPSystem, family: str) -> PdeCoefficients:
 
 
 # ---------------------------------------------------------------------------
+# The derivation, built once, and the paper's forms it must reproduce
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """The double-pass system, its I/O relations and transport equations."""
+
+    system: HPSystem
+    io: IORelations
+    transport: Mapping[str, PdeCoefficients]    # family -> coefficients
+
+    def forms(self) -> dict[str, dict]:
+        """The derived results, laid out as :data:`PAPER_FORMS`."""
+        io_forms = {rel.name: rel.terms for rel in self.io.all()}
+        io_forms["commutator_rate"] = output_commutator_rate(self.io)
+        return {
+            "series_product": {"L": self.system.L, "H": self.system.H},
+            "io_relations": io_forms,
+            "char_fn_generator": {family: (pde.c0, pde.c1)
+                                  for family, pde in self.transport.items()},
+        }
+
+
+@functools.lru_cache(maxsize=1)
+def double_pass_derivation() -> Derivation:
+    """Derive the double-pass results once per process; all callers share them.
+
+    Nothing is derived at import: the first call derives, later calls reuse.
+    """
+    sys = double_pass_system()
+    return Derivation(sys, output_quadrature_relations(sys),
+                      MappingProxyType({family: char_fn_generator(sys, family)
+                                        for family in (FAMILY_F, FAMILY_G)}))
+
+
+_X, _P = OpPoly.x(), OpPoly.p()
+_QUARTER = Cyclo(Fraction(1, 4))
+_F_ARG = SYM_ALPHA * SYM_L - SYM_K      # a*l - k
+_G_ARG = SYM_ALPHA * SYM_L + SYM_K      # a*l + k
+
+#: The paper's symbolic results, each declared once, grouped by the check
+#: that compares them with :meth:`Derivation.forms`: L = a(p - ix)/sqrt2 and
+#: H = a^2(px + xp)/4; the four I/O relations as term maps plus the rate of
+#: [x_ph_out, p_ph_out]; the (c0, c1) transport coefficients of F and G.
+PAPER_FORMS: dict[str, dict] = {
+    "series_product": {
+        "L": (_P - _X.scale(I)).scale(SYM_ALPHA).scale(INV_SQRT2),
+        "H": (mul(_P, _X) + mul(_X, _P)).scale(
+            (SYM_ALPHA * SYM_ALPHA).scale(_QUARTER)),
+    },
+    "io_relations": {
+        "x_ph_out": {"x_ph_in": FormalScalar.one(), "p_at_out": SYM_ALPHA},
+        "p_ph_out": {"p_ph_in": FormalScalar.one(), "x_at_out": -SYM_ALPHA},
+        "dx_at_out/dt": {"p_ph_in": SYM_ALPHA},
+        "dp_at_out/dt": {"x_ph_in": -SYM_ALPHA,
+                         "p_at_out": -(SYM_ALPHA * SYM_ALPHA)},
+        "commutator_rate": FormalScalar.const(I),
+    },
+    "char_fn_generator": {
+        FAMILY_F: (-(_F_ARG * _F_ARG).scale(_QUARTER), -(SYM_ALPHA * _F_ARG)),
+        FAMILY_G: (-(_G_ARG * _G_ARG).scale(_QUARTER), -(SYM_ALPHA * SYM_K)),
+    },
+}
+
+
+# ---------------------------------------------------------------------------
 # Derivation transcript
 # ---------------------------------------------------------------------------
 
@@ -493,7 +551,8 @@ def derivation_report() -> str:
     """Deterministic plain-text transcript of the symbolic derivations."""
     lines: list[str] = []
     first, second = single_pass_systems()
-    sys = series_product(first, second)
+    derived = double_pass_derivation()
+    sys, io = derived.system, derived.io
     lines.append("== single-pass systems ==")
     lines.append(f"pass 1: L = {first.L}; H = {first.H}")
     lines.append(f"pass 2: L = {second.L}; H = {second.H}")
@@ -501,7 +560,6 @@ def derivation_report() -> str:
     lines.append(f"L = {sys.L}")
     lines.append(f"H = {sys.H}")
     lines.append("== output quadrature relations ==")
-    io = output_quadrature_relations(sys)
     for rel, mid in ((io.x_ph_out, _DX_IN), (io.p_ph_out, _DP_IN)):
         _transcript_subset(
             lines, f"-- {rel.name}: subset expansion of (U*, quadrature, U) --",
@@ -519,8 +577,7 @@ def derivation_report() -> str:
     for name, z in (("x", OpPoly.x()), ("p", OpPoly.p())):
         lines.append(f"lindblad({name}) = {lindblad(sys, z)}")
     lines.append("== characteristic-function transport equations ==")
-    for family in (FAMILY_F, FAMILY_G):
-        pde = char_fn_generator(sys, family)
+    for family, pde in derived.transport.items():
         lines.append(f"family {family}: d/dt = ({pde.c0})*{family}"
                      f" + ({pde.c1})*d{family}/dl")
     return "\n".join(lines) + "\n"

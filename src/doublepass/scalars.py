@@ -101,47 +101,10 @@ class Cyclo:
             e1 * e2,
         )
 
-    def __pow__(self, n: int) -> "Cyclo":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "Cyclo":
         """Complex conjugation (i -> -i; sqrt2 is real)."""
         a, b, c, d, e = self._v
         return _make((a, -b, c, -d, e))
-
-    def _conj_sqrt2(self) -> "Cyclo":
-        a, b, c, d, e = self._v
-        return _make((a, b, -c, -d, e))
-
-    def inverse(self) -> "Cyclo":
-        """Exact multiplicative inverse; raises ZeroDivisionError on zero."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(i, sqrt2)")
-        ci = self.conjugate()
-        cs = self._conj_sqrt2()
-        cis = ci._conj_sqrt2()
-        cofactor = ci * cs * cis
-        na, nb, nc, nd, ne = (self * cofactor)._v
-        # The full Galois norm is rational by construction.
-        if nb or nc or nd:
-            raise ArithmeticError(
-                f"Galois norm of {self!r} is not rational")
-        a, b, c, d, e = cofactor._v
-        if na < 0:
-            na, ne = -na, -ne
-        return _reduced(a * ne, b * ne, c * ne, d * ne, e * na)
-
-    def __truediv__(self, other: "Cyclo") -> "Cyclo":
-        return self * other.inverse()
 
     def is_zero(self) -> bool:
         v = self._v

@@ -231,10 +231,6 @@ def commutator(a: OpPoly, b: OpPoly) -> OpPoly:
     return mul(a, b) - mul(b, a)
 
 
-def anticommutator(a: OpPoly, b: OpPoly) -> OpPoly:
-    return mul(a, b) + mul(b, a)
-
-
 class WeylTerm:
     """A single-axis Weyl exponential times a polynomial postfactor.
 

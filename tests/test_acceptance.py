@@ -7,7 +7,6 @@ import math
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +16,14 @@ from doublepass.charfn import (GridSpec, closed_form_char,
                                pde_residual)
 from doublepass.fock import (OracleConfig, PHASE_P, PHASE_X,
                              homodyne_monte_carlo, simulate_atom_moments)
-from doublepass.gaussian import (build_moment_odes, closed_form_covariances,
+from doublepass.gaussian import (PUBLISHED, build_moment_odes,
+                                 closed_form_covariances,
                                  closed_form_trajectory, integrate_covariance,
                                  normalized_field_variances, squeezing_report)
-from doublepass.ito import (FAMILY_F, FAMILY_G, char_fn_generator,
+from doublepass.ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, char_fn_generator,
                             double_pass_system, output_commutator_rate,
                             output_quadrature_relations, series_product,
                             single_pass_systems)
-from doublepass.scalars import (Cyclo, FormalScalar, I, INV_SQRT2, SYM_ALPHA,
-                                SYM_K, SYM_L)
-from doublepass.weyl import OpPoly, mul
-
-PUBLISHED = (("p_at", "p_at"), ("p_at", "X_ph"), ("X_ph", "X_ph"),
-             ("x_at", "x_at"), ("x_at", "P_ph"), ("P_ph", "P_ph"))
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -40,12 +34,10 @@ def report(number: int, ok: bool, detail: str) -> None:
 def test_criterion_01_series_product():
     start = time.perf_counter()
     sysd = series_product(*single_pass_systems())
-    x, p = OpPoly.x(), OpPoly.p()
-    l_expected = (p - x.scale(I)).scale(SYM_ALPHA).scale(INV_SQRT2)
-    h_expected = (mul(p, x) + mul(x, p)).scale(SYM_ALPHA * SYM_ALPHA).scale(
-        Cyclo(Fraction(1, 4)))
     elapsed = time.perf_counter() - start
-    ok = sysd.L == l_expected and sysd.H == h_expected and elapsed < 1.0
+    expected = PAPER_FORMS["series_product"]
+    ok = (sysd.L == expected["L"] and sysd.H == expected["H"]
+          and elapsed < 1.0)
     report(1, ok, f"series product exact structural match "
                   f"(runtime {elapsed:.3f}s < 1s)")
 
@@ -53,16 +45,9 @@ def test_criterion_01_series_product():
 def test_criterion_02_io_relations():
     start = time.perf_counter()
     io = output_quadrature_relations(double_pass_system())
-    a = SYM_ALPHA
-    one = FormalScalar.one()
-    expected = {
-        "x_ph_out": {"x_ph_in": one, "p_at_out": a},
-        "p_ph_out": {"p_ph_in": one, "x_at_out": -a},
-        "dx_at_out/dt": {"p_ph_in": a},
-        "dp_at_out/dt": {"x_ph_in": -a, "p_at_out": -(a * a)},
-    }
+    expected = PAPER_FORMS["io_relations"]
     relations_ok = all(rel.terms == expected[rel.name] for rel in io.all())
-    comm_ok = output_commutator_rate(io) == FormalScalar.const(I)
+    comm_ok = output_commutator_rate(io) == expected["commutator_rate"]
     elapsed = time.perf_counter() - start
     ok = relations_ok and comm_ok and elapsed < 1.0
     report(2, ok, f"four I/O relations and [x_ph_out, p_ph_out] = i*t exact "
@@ -72,14 +57,9 @@ def test_criterion_02_io_relations():
 def test_criterion_03_transport_coefficients():
     start = time.perf_counter()
     sysd = double_pass_system()
-    quarter = Cyclo(Fraction(1, 4))
-    fm = SYM_ALPHA * SYM_L - SYM_K
-    gm = SYM_ALPHA * SYM_L + SYM_K
-    pf = char_fn_generator(sysd, FAMILY_F)
-    pg = char_fn_generator(sysd, FAMILY_G)
-    ok = (pf.c0 == -(fm * fm).scale(quarter) and pf.c1 == -(SYM_ALPHA * fm)
-          and pg.c0 == -(gm * gm).scale(quarter)
-          and pg.c1 == -(SYM_ALPHA * SYM_K))
+    expected = PAPER_FORMS["char_fn_generator"]
+    pdes = [char_fn_generator(sysd, family) for family in (FAMILY_F, FAMILY_G)]
+    ok = all((pde.c0, pde.c1) == expected[pde.family] for pde in pdes)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     report(3, ok, f"transport coefficients exact for F and G "
@@ -94,7 +74,7 @@ def test_criterion_04_ode_vs_closed_form():
         for i in range(0, len(traj), 250):
             snap = traj.snapshot(i)
             closed = closed_form_covariances(alpha, snap.time)
-            for r, c in PUBLISHED:
+            for r, c in PUBLISHED.values():
                 ref = closed.entry(r, c)
                 diff = abs(snap.entry(r, c) - ref)
                 rel = 0.0 if (ref == 0 and diff < 1e-14) else \

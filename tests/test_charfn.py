@@ -85,6 +85,23 @@ def test_moc_matches_closed_form_grid():
     assert worst < 1e-10
 
 
+def test_moc_sharp_characteristic_matches_closed_form():
+    # F at alpha = 5, t = 3: the decay rate grows like exp(2 a^2 (s - t)),
+    # by e every 0.02 towards s = t; only bisected panels resolve it
+    worst = max(abs(moc_solve("F", 5.0, 3.0, k, l)
+                    - closed_form_char("F", 5.0, 3.0, k, l))
+                for k in np.linspace(-3.0, 3.0, 7).tolist()
+                for l in np.linspace(-3.0, 3.0, 7).tolist())
+    assert worst < 1e-10
+
+
+def test_moc_quadrature_guard_raises():
+    # G at alpha = 30, t = 3, k = -3: the decay exponent is of order 1e7, so
+    # the 10- and 20-point rules differ by rounding alone, ~1e-8 > 1e-9
+    with pytest.raises(RuntimeError, match="error estimate"):
+        moc_solve("G", 30.0, 3.0, -3.0, 0.0)
+
+
 def test_moc_initial_time():
     assert moc_solve("F", 1.0, 0.0, 2.0, 1.0) == \
         pytest.approx(math.exp(-0.25))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from doublepass import charfn, fock, gaussian
+from doublepass import charfn, fock, gaussian, ito
 from doublepass.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, load_config,
                             build_parser, main, parse_config_file,
                             variances_csv)
@@ -74,6 +74,41 @@ def test_invalid_values_rejected():
         RunConfig(tol_oracle_sigma=math.nan).validate()
     with pytest.raises(ConfigError):
         RunConfig(oracle_seed=-1).validate()
+
+
+#: every config-file key -> (RunConfig field, type its value parses to)
+CONFIG_KEYS = {
+    "alpha": ("alpha", float), "t_max": ("t_max", float),
+    "grid_step": ("grid_step", float), "out": ("out", str),
+    "solver.dt": ("solver_dt", float), "pde.t": ("pde_t", float),
+    "pde.dt": ("pde_dt", float), "pde.l_max": ("pde_l_max", float),
+    "pde.dl": ("pde_dl", float), "pde.k_max": ("pde_k_max", float),
+    "pde.dk": ("pde_dk", float), "oracle.dt": ("oracle_dt", float),
+    "oracle.t_max": ("oracle_t_max", float),
+    "oracle.d_at": ("oracle_d_at", int), "oracle.d_anc": ("oracle_d_anc", int),
+    "oracle.n_traj": ("oracle_n_traj", int),
+    "oracle.seed": ("oracle_seed", int), "oracle.phase": ("oracle_phase", str),
+    "tolerance.ode_rel": ("tol_ode_rel", float),
+    "tolerance.pde_abs": ("tol_pde_abs", float),
+    "tolerance.moc_abs": ("tol_moc_abs", float),
+    "tolerance.residual": ("tol_residual", float),
+    "tolerance.oracle_rel": ("tol_oracle_rel", float),
+    "tolerance.oracle_sigma": ("tol_oracle_sigma", float),
+}
+
+
+def test_config_keys_and_types(tmp_path):
+    cfg_file = tmp_path / "all.cfg"
+    cfg_file.write_text("".join(f"{key} = 3\n" for key in CONFIG_KEYS))
+    updates = parse_config_file(cfg_file)
+    assert {attr: type(value) for attr, value in updates.items()} == dict(
+        CONFIG_KEYS.values())
+    # field names and section spellings other than the keys above are unknown
+    for key in ("solver_dt", "tol.ode_rel", "tolerance_ode_rel", "t.max",
+                "grid.step", "oracle.d.at"):
+        cfg_file.write_text(f"{key} = 3\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_file(cfg_file)
 
 
 # -- commands -------------------------------------------------------------------
@@ -268,3 +303,61 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
     standalone = variances_csv(load_config(build_parser().parse_args(
         ["variances", "--config", str(cfg)])))
     assert (tmp_path / "variances.csv").read_text() == standalone
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("pde", "pde.l_max = 0.01\npde.k_max = 0.1\n", "widen the l grid"),
+    ("oracle", "oracle.d_at = 4\n", "increase d_at"),
+    ("compare", "tolerance.ode_rel = -1\n", "tol_ode_rel must be positive"),
+    ("compare", "tolerance.oracle_sigma = 0\n",
+     "tol_oracle_sigma must be positive"),
+], ids=["boundary_leak", "truncation_leak", "negative_tol", "zero_tol"])
+def test_fixable_by_config_exit_code(tmp_path, command, config, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
+    assert res.returncode == EXIT_CONFIG, res.stderr
+    assert "configuration error" in res.stderr and message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_import_loads_no_scipy_and_derives_nothing():
+    code = ("import sys, doublepass.cli\n"
+            "from doublepass import ito\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+            "print(ito.double_pass_derivation.cache_info().currsize)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n0\n"
+
+
+def test_compare_builds_the_derivation_once(tmp_path, monkeypatch):
+    calls = {"series_product": 0, "output_quadrature_relations": 0,
+             "char_fn_generator": 0}
+    package = [mod for name, mod in sys.modules.items()
+               if name.split(".")[0] == "doublepass"]
+    for name in calls:
+        original = getattr(ito, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+
+        for mod in package:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    # start cold, as a fresh process does
+    ito.double_pass_derivation.cache_clear()
+    gaussian._symbolic_moment_structure.cache_clear()
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid_step = 0.05\noracle.t_max = 0.1\noracle.dt = 2e-3\n"
+                   "oracle.d_at = 12\noracle.n_traj = 100\n")
+    try:
+        assert main(["compare", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+    finally:
+        ito.double_pass_derivation.cache_clear()
+    assert calls == {"series_product": 1, "output_quadrature_relations": 1,
+                     "char_fn_generator": 2}
