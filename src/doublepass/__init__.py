@@ -5,7 +5,7 @@ moment ODEs, truncated-Fock collision oracle)."""
 from .errors import ConfigError
 from .scalars import Cyclo, FormalScalar
 from .weyl import (AXIS_P, AXIS_X, FragmentError, OpPoly, WeylTerm, adjoint,
-                   commutator, mul, weyl_normalize)
+                   mul)
 from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, Derivation, HPSystem,
                   IORelation, IORelations, ItoDifferential, PdeCoefficients,
                   char_fn_generator, derivation_report, double_pass_derivation,
@@ -13,10 +13,9 @@ from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, Derivation, HPSystem,
                   output_commutator_rate, output_quadrature_relations,
                   series_product, single_pass_systems, subset_differential,
                   subset_terms, vacuum_expectation)
-from .gaussian import (CovSnapshot, CovTrajectory, LinearOde, SqueezingReport,
+from .gaussian import (CovSnapshot, CovTrajectory, LinearOde,
                        build_moment_odes, closed_form_covariances,
-                       closed_form_trajectory, integrate_covariance,
-                       normalized_field_variances, squeezing_report)
+                       integrate_covariance, variance_table)
 from .charfn import (BoundaryLeakError, CharSurface, GridSpec,
                      closed_form_char, closed_form_surface, fd_solve,
                      moc_solve, pde_residual)

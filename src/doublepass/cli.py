@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charfn, fock, gaussian
-from .errors import ConfigError
+from .errors import ConfigError, step_count
 from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, derivation_report,
                   double_pass_derivation)
 
@@ -200,9 +200,7 @@ def cmd_derive(cfg: RunConfig) -> int:
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
-    n = round(cfg.t_max / cfg.grid_step)
-    if abs(n * cfg.grid_step - cfg.t_max) > 1e-9 * max(1.0, cfg.t_max):
-        raise ConfigError("grid_step must divide t_max")
+    n = step_count(cfg.t_max, cfg.grid_step, "grid_step")
     return np.arange(n + 1) * cfg.grid_step
 
 
@@ -211,9 +209,15 @@ def _moment_trajectory(cfg: RunConfig) -> gaussian.CovTrajectory:
     return gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt)
 
 
+def _csv_lines(columns: list) -> list[str]:
+    """One formatted CSV line per row of equally long columns."""
+    return [",".join(map(_fmt, row))
+            for row in zip(*(np.asarray(col).tolist() for col in columns))]
+
+
 def variances_csv(cfg: RunConfig,
                   traj: gaussian.CovTrajectory | None = None) -> str:
-    """Shared schema columns from the closed form plus ode_* columns.
+    """The closed-form variance table plus ode_* columns from the RK4 one.
 
     ``traj`` is the moment-ODE trajectory at ``cfg``; it is integrated here
     when not given.
@@ -221,18 +225,18 @@ def variances_csv(cfg: RunConfig,
     times = _time_grid(cfg)
     if traj is None:
         traj = _moment_trajectory(cfg)
-    stride = round(cfg.grid_step / cfg.solver_dt)
-    if abs(stride * cfg.solver_dt - cfg.grid_step) > 1e-9 * cfg.grid_step:
-        raise ConfigError("solver.dt must divide grid_step")
-    lines = [",".join(gaussian.CSV_COLUMNS
-                      + tuple(f"ode_{c}" for c in gaussian.PUBLISHED))]
-    for i, t in enumerate(times.tolist()):
-        row = gaussian.csv_row_values(cfg.alpha, t)
-        ode = gaussian.published_values(traj.snapshot(i * stride), t)
-        cells = [_fmt(row[c]) for c in gaussian.CSV_COLUMNS]
-        cells += [_fmt(v) for v in ode.values()]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    stride = step_count(cfg.grid_step, cfg.solver_dt, "solver.dt",
+                        atol=1e-9 * cfg.grid_step)
+    closed = gaussian.variance_table(times, np.array([
+        gaussian.closed_form_covariances(cfg.alpha, t).cov
+        for t in times.tolist()]))
+    ode = gaussian.variance_table(
+        times, traj.covs[np.arange(len(times)) * stride])
+    header = ",".join(gaussian.CSV_COLUMNS
+                      + tuple(f"ode_{c}" for c in gaussian.PUBLISHED))
+    lines = _csv_lines([closed[c] for c in gaussian.CSV_COLUMNS]
+                       + [ode[c] for c in gaussian.PUBLISHED])
+    return "\n".join([header, *lines]) + "\n"
 
 
 def cmd_variances(cfg: RunConfig) -> int:
@@ -316,7 +320,9 @@ def _oracle_runs(cfg: RunConfig) -> tuple[fock.OracleConfig,
     """The configured oracle: one atom-moment run, one homodyne series."""
     ocfg = _oracle_config(cfg)
     atoms = fock.simulate_atom_moments(ocfg)
-    n_samples = max(1, round(ocfg.t_max / cfg.grid_step))
+    # a grid_step at or below oracle.dt samples every step; the cap keeps a
+    # tiny grid_step from overflowing the count
+    n_samples = max(1, round(min(ocfg.t_max / cfg.grid_step, ocfg.n_steps)))
     return ocfg, atoms, fock.homodyne_series(ocfg, n_samples)
 
 
@@ -328,28 +334,25 @@ def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
     field variance for the configured phase comes from the homodyne record
     (Var(y)/2 normalized by t).  Entries the oracle does not measure are nan.
     """
+    idx = [round(st.time / cfg.oracle_dt) for st in stats]
+    covs = np.full((len(stats), 4, 4), math.nan)
+    for mode, series in (("x_at", atoms.var_x), ("p_at", atoms.var_p)):
+        i = gaussian.mode_index(mode)
+        covs[:, i, i] = series[idx]
+    table = gaussian.variance_table([st.time for st in stats], covs)
     field_col = ("var_x_ph_norm" if cfg.oracle_phase == "x"
                  else "var_p_ph_norm")
-    header = list(gaussian.CSV_COLUMNS) + [
-        "stderr_var_field_norm", "stderr_mean_record", "n_traj"]
-    lines = [",".join(header)]
-    for st in stats:
-        idx = round(st.time / cfg.oracle_dt)
-        var_p = atoms.var_p[idx]
-        var_x = atoms.var_x[idx]
-        row = {c: math.nan for c in gaussian.CSV_COLUMNS}
-        row["t"] = st.time
-        row["var_p_at"] = var_p
-        row["var_x_at"] = var_x
-        row["sq_db_atom"] = 10.0 * math.log10(0.5 / var_p)
-        row["unc_prod_atom"] = var_p * var_x
-        row[field_col] = st.variance / 2.0 / st.time
-        cells = [_fmt(row[c]) for c in gaussian.CSV_COLUMNS]
-        cells.append(_fmt(st.stderr_var / 2.0 / st.time))
-        cells.append(_fmt(st.stderr_mean))
-        cells.append(str(st.n))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    table[field_col] = [st.variance / 2.0 / st.time for st in stats]
+    extra = {
+        "stderr_var_field_norm": [st.stderr_var / 2.0 / st.time
+                                  for st in stats],
+        "stderr_mean_record": [st.stderr_mean for st in stats],
+        "n_traj": [st.n for st in stats],
+    }
+    header = ",".join(gaussian.CSV_COLUMNS + tuple(extra))
+    lines = _csv_lines([table[c] for c in gaussian.CSV_COLUMNS]
+                       + list(extra.values()))
+    return "\n".join([header, *lines]) + "\n"
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -388,11 +391,8 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
         snap = traj.snapshot(i)
         closed = gaussian.closed_form_covariances(cfg.alpha, snap.time)
         for r, c in gaussian.PUBLISHED.values():
-            ref = closed.entry(r, c)
-            diff = abs(snap.entry(r, c) - ref)
-            rel = 0.0 if (ref == 0 and diff < 1e-14) else diff / max(
-                abs(ref), 1e-300)
-            worst = max(worst, rel)
+            worst = max(worst, gaussian.relative_error(snap.entry(r, c),
+                                                       closed.entry(r, c)))
     checks.append(("ode_vs_closed_form", worst < cfg.tol_ode_rel,
                    f"max rel err {worst:.3e} (tol {cfg.tol_ode_rel:.1e})"))
     artifacts["variances.csv"] = variances_csv(cfg, traj)

@@ -1,5 +1,30 @@
-"""Shared exception types."""
+"""Shared exception type and the step-count rule of every route."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
     """Invalid configuration: bad parameter values, step sizes, or keys."""
+
+
+def step_count(extent: float, step: float, key: str,
+               atol: float | None = None) -> int:
+    """Number of steps of size ``step`` in ``extent``.
+
+    ``step`` must divide ``extent`` to ``atol`` (default 1e-9 relative,
+    absolute below an extent of 1).  A count that is not finite or exceeds
+    the largest array index is a configuration error too; both errors name
+    the config key ``key``.
+    """
+    count = extent / step
+    # "not <=" so that inf and nan are rejected as well
+    if not count <= np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"{key} = {step:.3g} is too small: {extent:.3g} / {step:.3g}"
+            " steps cannot be counted")
+    n = round(count)
+    if atol is None:
+        atol = 1e-9 * max(1.0, extent)
+    if abs(n * step - extent) > atol:
+        raise ConfigError(f"{key} must divide the extent {extent:.12g}")
+    return n

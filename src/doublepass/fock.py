@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, step_count
 
 #: step bound keeping the per-collision excitation small
 MAX_ALPHA2_DT = 1e-2
@@ -91,10 +91,7 @@ class OracleConfig:
 
     @property
     def n_steps(self) -> int:
-        n = round(self.t_max / self.dt)
-        if abs(n * self.dt - self.t_max) > 1e-9 * max(1.0, self.t_max):
-            raise ConfigError("dt must divide t_max")
-        return n
+        return step_count(self.t_max, self.dt, "oracle.dt")
 
 
 @dataclass(frozen=True)
@@ -143,19 +140,6 @@ def position(dim: int) -> np.ndarray:
 def momentum(dim: int) -> np.ndarray:
     a = annihilation(dim)
     return (a - a.conj().T) / (1j * math.sqrt(2.0))
-
-
-def vacuum_state(dim: int) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
-def ccr_defect(x: np.ndarray, p: np.ndarray) -> float:
-    """Norm of [x, p] - i on the lower (d-2) block; zero in exact arithmetic."""
-    d = x.shape[0]
-    comm = x @ p - p @ x - 1j * np.eye(d)
-    return float(np.linalg.norm(comm[:d - 2, :d - 2]))
 
 
 def _expm_hermitian_generator(g: np.ndarray) -> np.ndarray:

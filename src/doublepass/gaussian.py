@@ -8,19 +8,21 @@ First and symmetrized second moments obey a linear system
 
 whose drift A and diffusion D are generated from the symbolic engine and
 instantiated numerically.  The module also evaluates the closed-form
-variances of the double-pass model and turns either route into squeezing
-numbers in dB (reference variance 1/2).
+variances of the double-pass model, and :func:`variance_table` turns either
+route (or the oracle's atomic moments) into the one variance table the CLI
+writes: the six published (co)variances, squeezing in dB (reference
+variance 1/2) and the uncertainty products.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, step_count
 from .ito import double_pass_derivation, lindblad
 from .scalars import HALF, FormalScalar
 from .weyl import OpPoly, mul
@@ -65,31 +67,16 @@ class LinearOde:
 class CovSnapshot:
     """Means and symmetrized covariance of the four modes at one time.
 
-    ``available`` marks entries that the producing route actually defines;
-    the closed-form route leaves the cross-sector entries unavailable (NaN).
+    The closed-form route leaves the entries it does not define (the
+    cross-sector ones) NaN.
     """
 
     time: float
     mean: np.ndarray
     cov: np.ndarray
-    available: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.available is None:
-            object.__setattr__(self, "available",
-                               np.ones((4, 4), dtype=bool))
 
     def entry(self, row: str, col: str) -> float:
         return float(self.cov[mode_index(row), mode_index(col)])
-
-    def validate(self, tol: float = 1e-10) -> None:
-        if not np.allclose(self.cov, self.cov.T, atol=tol):
-            raise AssertionError("covariance matrix is not symmetric")
-        a = self.cov[:2, :2]
-        if self.available[:2, :2].all():
-            det = a[0, 0] * a[1, 1] - a[0, 1] ** 2
-            if det < 0.25 - tol:
-                raise AssertionError(f"atomic uncertainty violated: det={det}")
 
 
 @dataclass(frozen=True)
@@ -99,12 +86,8 @@ class CovTrajectory:
     times: np.ndarray
     means: np.ndarray       # (n, 4)
     covs: np.ndarray        # (n, 4, 4)
-    available: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.available is None:
-            object.__setattr__(self, "available",
-                               np.ones((4, 4), dtype=bool))
         if len(self.times) > 1:
             steps = np.diff(self.times)
             if not ((steps > 0).all()
@@ -116,24 +99,10 @@ class CovTrajectory:
         return len(self.times)
 
     def snapshot(self, i: int) -> CovSnapshot:
-        return CovSnapshot(float(self.times[i]), self.means[i], self.covs[i],
-                           self.available)
+        return CovSnapshot(float(self.times[i]), self.means[i], self.covs[i])
 
     def series(self, row: str, col: str) -> np.ndarray:
         return self.covs[:, mode_index(row), mode_index(col)]
-
-
-@dataclass(frozen=True)
-class SqueezingReport:
-    """Squeezing (dB, reference 1/2) and uncertainty products over a grid."""
-
-    times: np.ndarray
-    atom_db: np.ndarray
-    field_x_db: np.ndarray
-    field_p_db: np.ndarray
-    unc_prod_atom: np.ndarray
-    unc_prod_field: np.ndarray
-    peak_atom_db: float
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +225,7 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
         raise ConfigError(
             f"dt={dt} violates the stability bound 0.1/alpha^2="
             f"{0.1 / ode.alpha ** 2:.3g}")
-    n_steps = round(t_max / dt)
-    if abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
-        raise ConfigError("dt must divide t_max")
+    n_steps = step_count(t_max, dt, "solver.dt")
 
     a = ode.drift
     means = np.zeros((n_steps + 1, 4))
@@ -332,12 +299,10 @@ def closed_form_covariances(alpha: float, t: float) -> CovSnapshot:
     if alpha < 0 or t < 0:
         raise ConfigError("alpha and t must be nonnegative")
     cov = np.full((4, 4), np.nan)
-    available = np.zeros((4, 4), dtype=bool)
 
     def put(r, c, value):
         i, j = mode_index(r), mode_index(c)
         cov[i, j] = cov[j, i] = value
-        available[i, j] = available[j, i] = True
 
     u = alpha * alpha * t
     em = -math.expm1(-u)          # 1 - exp(-u), stable for small u
@@ -351,90 +316,49 @@ def closed_form_covariances(alpha: float, t: float) -> CovSnapshot:
     else:
         put("p_at", "X_ph", -em * em / (4.0 * alpha))
         put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
-    return CovSnapshot(float(t), np.zeros(4), cov, available)
+    return CovSnapshot(float(t), np.zeros(4), cov)
 
 
-def closed_form_trajectory(alpha: float, t_max: float,
-                           n_samples: int) -> CovTrajectory:
-    """Closed forms sampled on a uniform grid, as a trajectory."""
-    times = np.linspace(0.0, t_max, n_samples)
-    covs = np.zeros((n_samples, 4, 4))
-    snap0 = closed_form_covariances(alpha, 0.0)
-    for i, t in enumerate(times):
-        covs[i] = closed_form_covariances(alpha, float(t)).cov
-    return CovTrajectory(times, np.zeros((n_samples, 4)), covs,
-                         snap0.available)
+# ---------------------------------------------------------------------------
+# The variance table
+# ---------------------------------------------------------------------------
 
 
-def normalized_field_variances(alpha: float, t: float) -> tuple[float, float]:
-    """Variances of the normalized modes X_ph/sqrt(t), P_ph/sqrt(t)."""
-    if t <= 0:
-        raise ConfigError("normalization requires t > 0")
-    snap = closed_form_covariances(alpha, t)
-    return snap.entry("X_ph", "X_ph") / t, snap.entry("P_ph", "P_ph") / t
+def variance_table(times: np.ndarray, covs: np.ndarray,
+                   ) -> dict[str, np.ndarray]:
+    """Every :data:`CSV_COLUMNS` array from covariances on a time grid.
 
-
-def _to_db(var: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(_REFERENCE_VAR / var)
-
-
-def squeezing_report(traj: CovTrajectory) -> SqueezingReport:
-    """Squeezing and uncertainty products along a trajectory.
-
-    Field variances are normalized by t; the t = 0 entry uses the vacuum
-    limit 1/2 (0 dB, product 1/4).  Nonpositive variances are rejected.
+    ``covs`` is the ``(n, 4, 4)`` stack whose :data:`PUBLISHED` entries are
+    read; entries a route does not measure are NaN and stay NaN.  The field
+    variances are normalized by t, with the vacuum limit 1/2 on a t = 0
+    row; squeezing is in dB against the reference variance 1/2.  A
+    nonpositive variance raises ``ValueError``.
     """
-    times = np.asarray(traj.times, dtype=float)
-    var_p_at = traj.series("p_at", "p_at")
-    var_x_at = traj.series("x_at", "x_at")
-    var_x_ph = traj.series("X_ph", "X_ph").copy()
-    var_p_ph = traj.series("P_ph", "P_ph").copy()
+    times = np.asarray(times, dtype=float)
+    table = {"t": times}
     positive_t = times > 0
-    norm_x = np.where(positive_t, var_x_ph / np.where(positive_t, times, 1.0),
-                      _REFERENCE_VAR)
-    norm_p = np.where(positive_t, var_p_ph / np.where(positive_t, times, 1.0),
-                      _REFERENCE_VAR)
-    for name, arr in (("p_at", var_p_at), ("x_at", var_x_at),
-                      ("x_ph_norm", norm_x), ("p_ph_norm", norm_p)):
-        if not (arr > 0).all():
-            raise ValueError(f"nonpositive variance in {name}")
-    atom_db = _to_db(var_p_at)
-    return SqueezingReport(
-        times=times,
-        atom_db=atom_db,
-        field_x_db=_to_db(norm_x),
-        field_p_db=_to_db(norm_p),
-        unc_prod_atom=var_x_at * var_p_at,
-        unc_prod_field=norm_x * norm_p,
-        peak_atom_db=float(atom_db.max()),
-    )
-
-
-def published_values(snap: CovSnapshot, t: float) -> dict[str, float]:
-    """The :data:`PUBLISHED` entries of ``snap`` at time ``t``.
-
-    Field variances are normalized by t; at t = 0 they take the vacuum
-    limit 1/2.
-    """
-    out = {}
     for col, (r, c) in PUBLISHED.items():
-        value = snap.entry(r, c)
+        values = covs[:, mode_index(r), mode_index(c)]
         if col.endswith("_norm"):
-            value = value / t if t > 0 else _REFERENCE_VAR
-        out[col] = value
-    return out
+            values = np.where(positive_t,
+                              values / np.where(positive_t, times, 1.0),
+                              _REFERENCE_VAR)
+        table[col] = values
+    for col in ("var_p_at", "var_x_at", "var_x_ph_norm", "var_p_ph_norm"):
+        if (table[col] <= 0).any():
+            raise ValueError(f"nonpositive variance in {col}")
+    for col, var in (("sq_db_atom", "var_p_at"),
+                     ("sq_db_field_x", "var_x_ph_norm"),
+                     ("sq_db_field_p", "var_p_ph_norm")):
+        table[col] = 10.0 * np.log10(_REFERENCE_VAR / table[var])
+    table["unc_prod_field"] = table["var_x_ph_norm"] * table["var_p_ph_norm"]
+    table["unc_prod_atom"] = table["var_x_at"] * table["var_p_at"]
+    return {col: table[col] for col in CSV_COLUMNS}
 
 
-def csv_row_values(alpha: float, t: float) -> dict[str, float]:
-    """Closed-form values for one row of the shared CSV schema."""
-    row = {"t": t, **published_values(closed_form_covariances(alpha, t), t)}
-    var_p, var_x = row["var_p_at"], row["var_x_at"]
-    nx, np_ = row["var_x_ph_norm"], row["var_p_ph_norm"]
-    row.update(
-        sq_db_atom=10.0 * math.log10(_REFERENCE_VAR / var_p),
-        sq_db_field_x=10.0 * math.log10(_REFERENCE_VAR / nx),
-        sq_db_field_p=10.0 * math.log10(_REFERENCE_VAR / np_),
-        unc_prod_field=nx * np_,
-        unc_prod_atom=var_x * var_p,
-    )
-    return row
+def relative_error(value: float, ref: float) -> float:
+    """|value - ref| / |ref|; 0 where ref is 0 and value within 1e-14 of it."""
+    diff = abs(value - ref)
+    if ref == 0 and diff < 1e-14:
+        return 0.0
+    return diff / max(abs(ref), 1e-300)

@@ -226,11 +226,6 @@ def adjoint(a: OpPoly) -> OpPoly:
     return out
 
 
-def commutator(a: OpPoly, b: OpPoly) -> OpPoly:
-    """Exact commutator a*b - b*a."""
-    return mul(a, b) - mul(b, a)
-
-
 class WeylTerm:
     """A single-axis Weyl exponential times a polynomial postfactor.
 
@@ -329,8 +324,3 @@ class WeylTerm:
 
     def __repr__(self) -> str:
         return f"WeylTerm({self})"
-
-
-def weyl_normalize(left: OpPoly, term: WeylTerm, right: OpPoly) -> WeylTerm:
-    """Canonicalize left * term * right into identity-prefactor form."""
-    return term.mul_left(left).mul_right(right)

@@ -17,9 +17,8 @@ from doublepass.charfn import (GridSpec, closed_form_char,
 from doublepass.fock import (OracleConfig, PHASE_P, PHASE_X,
                              homodyne_monte_carlo, simulate_atom_moments)
 from doublepass.gaussian import (PUBLISHED, build_moment_odes,
-                                 closed_form_covariances,
-                                 closed_form_trajectory, integrate_covariance,
-                                 normalized_field_variances, squeezing_report)
+                                 closed_form_covariances, integrate_covariance,
+                                 relative_error, variance_table)
 from doublepass.ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, char_fn_generator,
                             double_pass_system, output_commutator_rate,
                             output_quadrature_relations, series_product,
@@ -29,6 +28,12 @@ from doublepass.ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, char_fn_generator,
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
+
+
+def closed_form_table(alpha: float, times: np.ndarray) -> dict:
+    covs = np.array([closed_form_covariances(alpha, float(t)).cov
+                     for t in times])
+    return variance_table(times, covs)
 
 
 def test_criterion_01_series_product():
@@ -75,11 +80,8 @@ def test_criterion_04_ode_vs_closed_form():
             snap = traj.snapshot(i)
             closed = closed_form_covariances(alpha, snap.time)
             for r, c in PUBLISHED.values():
-                ref = closed.entry(r, c)
-                diff = abs(snap.entry(r, c) - ref)
-                rel = 0.0 if (ref == 0 and diff < 1e-14) else \
-                    diff / max(abs(ref), 1e-300)
-                worst = max(worst, rel)
+                worst = max(worst, relative_error(snap.entry(r, c),
+                                                  closed.entry(r, c)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
     report(4, ok, f"ODE vs closed form: max rel err {worst:.3e} < 1e-8 "
@@ -93,12 +95,14 @@ def test_criterion_05_three_db_bound():
     exceeded = False
     for alpha in (0.5, 1.0):
         t_max = 20.0 / alpha ** 2
-        rep = squeezing_report(closed_form_trajectory(alpha, t_max, 4001))
-        ode_rep = squeezing_report(integrate_covariance(
-            build_moment_odes(alpha), t_max, min(1e-2, 0.05 / alpha ** 2)))
-        exceeded |= (rep.atom_db > bound + 1e-12).any()
-        exceeded |= (ode_rep.atom_db > bound + 1e-9).any()
-        gap = abs(rep.peak_atom_db - bound)
+        atom_db = closed_form_table(alpha, np.linspace(0.0, t_max, 4001))[
+            "sq_db_atom"]
+        traj = integrate_covariance(build_moment_odes(alpha), t_max,
+                                    min(1e-2, 0.05 / alpha ** 2))
+        ode_db = variance_table(traj.times, traj.covs)["sq_db_atom"]
+        exceeded |= (atom_db > bound + 1e-12).any()
+        exceeded |= (ode_db > bound + 1e-9).any()
+        gap = abs(atom_db.max() - bound)
         worst_gap = gap if worst_gap is None else max(worst_gap, gap)
     ok = (worst_gap < 0.02) and not exceeded
     report(5, ok, f"peak atomic squeezing within {worst_gap:.2e} dB of "
@@ -107,10 +111,12 @@ def test_criterion_05_three_db_bound():
 
 def test_criterion_06_arbitrary_field_squeezing():
     alpha, t = 1.0, 100.0
-    vx_closed, _ = normalized_field_variances(alpha, t)
-    sq_db = 10.0 * math.log10(0.5 / vx_closed)
+    closed = closed_form_table(alpha, np.array([t]))
+    sq_db = closed["sq_db_field_x"][0]
+    vx_closed = closed["var_x_ph_norm"][0]
     traj = integrate_covariance(build_moment_odes(alpha), t, 2e-3)
-    vx_ode = traj.snapshot(len(traj) - 1).entry("X_ph", "X_ph") / t
+    vx_ode = variance_table(traj.times[-1:], traj.covs[-1:])[
+        "var_x_ph_norm"][0]
     rel = abs(vx_ode - vx_closed) / vx_closed
     ok = sq_db >= 18.0 and rel < 1e-6
     report(6, ok, f"x-quadrature squeezing {sq_db:.2f} dB >= 18 dB at "
@@ -122,14 +128,12 @@ def test_criterion_07_not_minimum_uncertainty():
     min_margin = math.inf
     for alpha in (0.3, 1.0, 2.0):
         times = np.linspace(0.05, 5.0, 100)
-        for t in times:
-            vx, vp = normalized_field_variances(alpha, float(t))
-            margin = vx * vp - 0.25
-            min_margin = min(min_margin, margin)
-            ok &= margin > 0
+        margins = closed_form_table(alpha, times)["unc_prod_field"] - 0.25
+        min_margin = min(min_margin, float(margins.min()))
+        ok &= bool((margins > 0).all())
     # equality only in the t -> 0 limit
-    vx0, vp0 = normalized_field_variances(1.0, 1e-9)
-    ok &= abs(vx0 * vp0 - 0.25) < 1e-8
+    prod0 = closed_form_table(1.0, np.array([1e-9]))["unc_prod_field"][0]
+    ok &= abs(prod0 - 0.25) < 1e-8
     report(7, ok, f"normalized uncertainty product > 1/4 for all sampled "
                   f"t > 0 (min margin {min_margin:.2e}); -> 1/4 as t -> 0")
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from doublepass import charfn
 from doublepass.charfn import (BoundaryLeakError, CharSurface, GridSpec,
                                _upwind_layout, closed_form_char,
                                closed_form_surface, fd_solve, moc_solve,
@@ -44,11 +45,17 @@ def test_g_slice_at_k_zero():
     assert closed_form_char("G", alpha, t, 0.0, l) == pytest.approx(expected)
 
 
+def origin_value(surf):
+    """The surface value at k = l = 0 (both grids are symmetric)."""
+    return surf.values[len(surf.k_values) // 2, len(surf.l_values) // 2]
+
+
 def test_surface_invariants():
     surf = closed_form_surface("F", 1.0, 0.7, GridSpec(6.0, 0.1, 2.0, 0.5))
-    surf.validate()
-    assert 0.0 < surf.values.min()
-    assert surf.value_at(0.0, 0.0) == 1.0
+    assert 0.0 < surf.values.min() and surf.values.max() <= 1.0
+    assert origin_value(surf) == 1.0
+    # even under (k, l) -> (-k, -l)
+    assert np.allclose(surf.values, surf.values[::-1, ::-1], atol=1e-9)
 
 
 def test_log_derivatives_reproduce_covariances():
@@ -95,11 +102,18 @@ def test_moc_sharp_characteristic_matches_closed_form():
     assert worst < 1e-10
 
 
-def test_moc_quadrature_guard_raises():
+def test_moc_quadrature_guard_raises(monkeypatch):
     # G at alpha = 30, t = 3, k = -3: the decay exponent is of order 1e7, so
-    # the 10- and 20-point rules differ by rounding alone, ~1e-8 > 1e-9
-    with pytest.raises(RuntimeError, match="error estimate"):
-        moc_solve("G", 30.0, 3.0, -3.0, 0.0)
+    # the 10- and 20-point rules differ by rounding alone, ~1e-8 > 1e-9; the
+    # value underflows to 0 even with that error added, as the closed form
+    assert moc_solve("G", 30.0, 3.0, -3.0, 0.0) == 0.0
+    assert closed_form_char("G", 30.0, 3.0, -3.0, 0.0) == 0.0
+    # at a moderate decay the same error estimate still raises
+    quadrature = charfn._gauss_legendre
+    monkeypatch.setattr(charfn, "_gauss_legendre",
+                        lambda fn, a, b: (quadrature(fn, a, b)[0], 2e-9))
+    with pytest.raises(RuntimeError, match="error estimate 2.00e-09"):
+        moc_solve("F", 1.0, 1.0, 1.0, 1.0)
 
 
 def test_moc_initial_time():
@@ -138,7 +152,9 @@ def test_fd_matches_closed_form():
         surf = fd_solve(family, 1.0, grid, 0.5, 4e-4)
         ref = closed_form_surface(family, 1.0, 0.5, grid)
         assert np.abs(surf.values - ref.values).max() < 5e-4
-        surf.validate(atol=1e-5)
+        assert abs(origin_value(surf) - 1.0) <= 1e-5
+        assert surf.values.max() <= 1.0 + 1e-5
+        assert np.allclose(surf.values, surf.values[::-1, ::-1], atol=1e-9)
 
 
 def test_fd_convergence_order_two():
@@ -157,7 +173,7 @@ def test_fd_convergence_order_two():
 def test_fd_origin_stays_normalized():
     grid = GridSpec(l_max=10.0, dl=0.05, k_max=1.0, dk=0.5)
     surf = fd_solve("G", 1.0, grid, 0.5, 1e-3)
-    assert surf.value_at(0.0, 0.0) == pytest.approx(1.0, abs=1e-9)
+    assert origin_value(surf) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grid_spec_validation():

@@ -165,6 +165,19 @@ def test_oracle_command(tmp_path):
     assert lines[0].split(",")[-1] == "n_traj"
     assert lines[-1].split(",")[-1] == "120"
     assert {len(line.split(",")) for line in lines} == {15}
+    # the oracle measures one normalized field variance, not the other, so
+    # the field squeezing and the field product stay unmeasured
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert row["sq_db_field_x"] == row["unc_prod_field"] == "nan"
+        assert row["var_x_ph_norm"] != "nan"
+    # a grid_step below oracle.dt samples every one of the 50 oracle steps
+    cfg.write_text(cfg.read_text().replace("0.05", "1e-320"))
+    assert main(["oracle", "--config", str(cfg),
+                 "--out", str(tmp_path / "fine")]) == EXIT_OK
+    fine = (tmp_path / "fine" / "oracle.csv").read_text().splitlines()
+    assert len(fine) == 1 + 50
 
 
 def test_config_error_exit_code(tmp_path):
@@ -311,7 +324,18 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
     ("compare", "tolerance.ode_rel = -1\n", "tol_ode_rel must be positive"),
     ("compare", "tolerance.oracle_sigma = 0\n",
      "tol_oracle_sigma must be positive"),
-], ids=["boundary_leak", "truncation_leak", "negative_tol", "zero_tol"])
+    # steps so small that the step count overflows
+    ("variances", "grid_step = 1e-300\n", "grid_step = 1e-300"),
+    ("variances", "solver.dt = 1e-320\n", "solver.dt = 1e-320"),
+    ("oracle", "oracle.dt = 1e-320\n", "oracle.dt = 1e-320"),
+    ("oracle", "oracle.dt = 1e-300\n", "oracle.dt = 1e-300"),
+    ("pde", "pde.dt = 1e-320\n", "pde.dt = 1e-320"),
+    ("pde", "pde.dl = 1e-300\n", "pde.dl = 1e-300"),
+    ("compare", "grid_step = 1e-300\n", "grid_step = 1e-300"),
+], ids=["boundary_leak", "truncation_leak", "negative_tol", "zero_tol",
+        "variances_tiny_grid_step", "variances_tiny_solver_dt",
+        "oracle_subnormal_dt", "oracle_tiny_dt", "pde_subnormal_dt",
+        "pde_tiny_dl", "compare_tiny_grid_step"])
 def test_fixable_by_config_exit_code(tmp_path, command, config, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)

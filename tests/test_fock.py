@@ -11,10 +11,9 @@ from doublepass.cli import RunConfig, _oracle_config
 from doublepass.errors import ConfigError
 from doublepass.fock import (LEAK_TOL, OracleConfig, PHASE_P, PHASE_X,
                              TRACE_TOL, TruncationLeakError, annihilation,
-                             ccr_defect, homodyne_monte_carlo, homodyne_series,
+                             homodyne_monte_carlo, homodyne_series,
                              kraus_stack, momentum, position,
-                             simulate_atom_moments, step_unitaries,
-                             vacuum_state)
+                             simulate_atom_moments, step_unitaries)
 from doublepass.gaussian import closed_form_covariances
 
 
@@ -23,9 +22,11 @@ def test_truncated_operators():
     a = annihilation(d)
     n = a.conj().T @ a
     assert np.allclose(np.diag(n).real[:d - 1], np.arange(d - 1))
-    assert ccr_defect(position(d), momentum(d)) < 1e-12
-    psi = vacuum_state(d)
-    x = position(d)
+    x, p = position(d), momentum(d)
+    # [x, p] = i on the lower (d - 2) block
+    ccr = x @ p - p @ x - 1j * np.eye(d)
+    assert np.linalg.norm(ccr[:d - 2, :d - 2]) < 1e-12
+    psi = np.eye(d)[0]
     assert (psi.conj() @ x @ x @ psi).real == pytest.approx(0.5)
 
 

@@ -7,21 +7,18 @@ import pytest
 
 from doublepass.errors import ConfigError
 from doublepass.gaussian import (CSV_COLUMNS, build_moment_odes,
-                                 closed_form_covariances,
-                                 closed_form_trajectory, csv_row_values,
-                                 initial_snapshot, integrate_covariance,
-                                 mode_index, normalized_field_variances,
-                                 squeezing_report)
+                                 closed_form_covariances, initial_snapshot,
+                                 integrate_covariance, mode_index,
+                                 relative_error, variance_table)
 
 PUBLISHED = (("p_at", "p_at"), ("p_at", "X_ph"), ("X_ph", "X_ph"),
              ("x_at", "x_at"), ("x_at", "P_ph"), ("P_ph", "P_ph"))
 
 
-def rel_err(value, ref):
-    diff = abs(value - ref)
-    if ref == 0:
-        return 0.0 if diff < 1e-13 else math.inf
-    return diff / abs(ref)
+def closed_form_table(alpha, times):
+    covs = np.array([closed_form_covariances(alpha, float(t)).cov
+                     for t in times])
+    return variance_table(times, covs)
 
 
 # -- build_moment_odes --------------------------------------------------------
@@ -83,7 +80,7 @@ def test_t_zero_single_snapshot():
 def test_rk4_matches_closed_form_at_unit_time():
     traj = integrate_covariance(build_moment_odes(1.0), 1.0, 1e-4)
     snap = traj.snapshot(len(traj) - 1)
-    assert rel_err(snap.entry("p_at", "p_at"),
+    assert relative_error(snap.entry("p_at", "p_at"),
                    0.25 * (1 + math.exp(-2))) < 1e-8
 
 
@@ -112,7 +109,8 @@ def test_ode_route_matches_all_published_entries():
             snap = traj.snapshot(i)
             closed = closed_form_covariances(alpha, snap.time)
             for r, c in PUBLISHED:
-                assert rel_err(snap.entry(r, c), closed.entry(r, c)) < 1e-8
+                assert relative_error(snap.entry(r, c),
+                                      closed.entry(r, c)) < 1e-8
 
 
 def test_cross_sector_stays_zero():
@@ -125,9 +123,10 @@ def test_cross_sector_stays_zero():
 def test_covariance_symmetric_psd_and_uncertainty():
     traj = integrate_covariance(build_moment_odes(1.0), 3.0, 1e-3)
     for i in range(0, len(traj), 300):
-        snap = traj.snapshot(i)
-        snap.validate()
-        assert np.linalg.eigvalsh(snap.cov).min() >= -1e-10
+        cov = traj.snapshot(i).cov
+        assert np.allclose(cov, cov.T, atol=1e-10)
+        assert cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 >= 0.25 - 1e-10
+        assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
 
 def test_var_x_at_exactly_linear():
@@ -166,10 +165,8 @@ def test_closed_form_spot_value_at_log2():
 
 def test_closed_form_unavailable_entries_marked():
     snap = closed_form_covariances(1.0, 1.0)
-    i, j = mode_index("x_at"), mode_index("X_ph")
-    assert not snap.available[i, j]
-    assert math.isnan(snap.cov[i, j])
-    assert snap.available[mode_index("p_at"), mode_index("X_ph")]
+    assert math.isnan(snap.entry("x_at", "X_ph"))
+    assert all(math.isfinite(snap.entry(r, c)) for r, c in PUBLISHED)
 
 
 def test_closed_form_alpha_zero_limits():
@@ -179,74 +176,88 @@ def test_closed_form_alpha_zero_limits():
     assert snap.entry("P_ph", "P_ph") == pytest.approx(1.0)
 
 
-# -- normalized variances / squeezing ---------------------------------------------
+# -- variance table ------------------------------------------------------------
 
 
 def test_normalized_variances_unit_values():
-    vx, vp = normalized_field_variances(1.0, 1.0)
-    assert vp == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert vx == pytest.approx(0.25 * (3 + math.exp(-2) - 4 * math.exp(-1)),
-                               rel=1e-12)
+    table = closed_form_table(1.0, np.array([1.0]))
+    assert table["var_p_ph_norm"][0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert table["var_x_ph_norm"][0] == pytest.approx(
+        0.25 * (3 + math.exp(-2) - 4 * math.exp(-1)), rel=1e-12)
 
 
 def test_normalized_variances_vacuum_limit():
-    vx, vp = normalized_field_variances(0.1, 1e-4)
-    assert vx == pytest.approx(0.5, abs=1e-5)
-    assert vp == pytest.approx(0.5, abs=1e-5)
+    table = closed_form_table(0.1, np.array([1e-4]))
+    assert table["var_x_ph_norm"][0] == pytest.approx(0.5, abs=1e-5)
+    assert table["var_p_ph_norm"][0] == pytest.approx(0.5, abs=1e-5)
 
 
 def test_normalized_variances_large_time_asymptote():
-    vx, _ = normalized_field_variances(1.0, 100.0)
-    assert vx == pytest.approx(3.0 / 400.0, rel=1e-10)
-
-
-def test_normalized_variances_reject_t_zero():
-    with pytest.raises(ConfigError):
-        normalized_field_variances(1.0, 0.0)
+    table = closed_form_table(1.0, np.array([100.0]))
+    assert table["var_x_ph_norm"][0] == pytest.approx(3.0 / 400.0, rel=1e-10)
 
 
 def test_squeezing_saturation():
-    traj = closed_form_trajectory(1.0, 10.0, 2001)
-    rep = squeezing_report(traj)
+    atom_db = closed_form_table(1.0, np.linspace(0.0, 10.0, 2001))[
+        "sq_db_atom"]
     expected = 10 * math.log10(2.0 / (1 + math.exp(-20.0)))
-    assert rep.peak_atom_db == pytest.approx(expected, abs=1e-9)
-    assert rep.peak_atom_db < 10 * math.log10(2.0)
+    assert atom_db.max() == pytest.approx(expected, abs=1e-9)
+    assert atom_db.max() < 10 * math.log10(2.0)
     # monotone approach to the bound
-    assert (np.diff(rep.atom_db) > -1e-12).all()
+    assert (np.diff(atom_db) > -1e-12).all()
 
 
 def test_field_squeezing_at_large_interaction():
-    traj = closed_form_trajectory(1.0, 100.0, 101)
-    rep = squeezing_report(traj)
-    assert rep.field_x_db[-1] == pytest.approx(
-        10 * math.log10(0.5 / 0.0075), abs=1e-6)
-    assert rep.field_x_db[-1] > 18.0
+    field_db = closed_form_table(1.0, np.linspace(0.0, 100.0, 101))[
+        "sq_db_field_x"]
+    assert field_db[-1] == pytest.approx(10 * math.log10(0.5 / 0.0075),
+                                         abs=1e-6)
+    assert field_db[-1] > 18.0
 
 
 def test_uncertainty_products():
-    rep = squeezing_report(closed_form_trajectory(1.0, 5.0, 501))
-    assert (rep.unc_prod_field[1:] > 0.25).all()
-    assert (rep.unc_prod_atom >= 0.25 - 1e-12).all()
-    assert rep.unc_prod_field[0] == pytest.approx(0.25)
+    table = closed_form_table(1.0, np.linspace(0.0, 5.0, 501))
+    assert (table["unc_prod_field"][1:] > 0.25).all()
+    assert (table["unc_prod_atom"] >= 0.25 - 1e-12).all()
+    assert table["unc_prod_field"][0] == pytest.approx(0.25)
 
 
 def test_squeezing_rejects_nonpositive_variance():
-    traj = closed_form_trajectory(1.0, 1.0, 11)
-    bad = traj.covs.copy()
-    bad[5, 1, 1] = 0.0
-    from doublepass.gaussian import CovTrajectory
-    with pytest.raises(ValueError):
-        squeezing_report(CovTrajectory(traj.times, traj.means, bad,
-                                       traj.available))
+    times = np.linspace(0.0, 1.0, 11)
+    good = np.array([closed_form_covariances(1.0, float(t)).cov
+                     for t in times])
+    for i, j in ((1, 1), (0, 0), (2, 2), (3, 3)):
+        bad = good.copy()
+        bad[5, i, j] = -1e-3 * (i + 1)
+        with pytest.raises(ValueError, match="nonpositive variance"):
+            variance_table(times, bad)
+    # a t = 0 row takes the vacuum limit, whatever its field entries
+    bad = good.copy()
+    bad[0, 2, 2] = 0.0
+    assert variance_table(times, bad)["var_x_ph_norm"][0] == 0.5
 
 
 def test_csv_row_schema():
-    row = csv_row_values(1.0, 1.0)
-    assert tuple(row) == CSV_COLUMNS
-    assert row["var_p_ph_norm"] == pytest.approx(2.0 / 3.0)
-    row0 = csv_row_values(1.0, 0.0)
-    assert row0["var_x_ph_norm"] == 0.5
-    assert row0["sq_db_atom"] == 0.0
+    times = np.array([0.0, 1.0])
+    table = closed_form_table(1.0, times)
+    assert tuple(table) == CSV_COLUMNS
+    assert table["var_p_ph_norm"][1] == pytest.approx(2.0 / 3.0)
+    # the t = 0 row: vacuum limit 1/2, 0 dB, field product 1/4
+    row0 = {col: values[0] for col, values in table.items()}
+    assert row0["var_x_ph_norm"] == row0["var_p_ph_norm"] == 0.5
+    assert row0["sq_db_atom"] == row0["sq_db_field_x"] == 0.0
+    assert row0["sq_db_field_p"] == 0.0
+    assert row0["unc_prod_field"] == 0.25
+    # entries a route does not measure stay NaN
+    covs = np.full((2, 4, 4), np.nan)
+    covs[:, 1, 1] = 0.4
+    partial = variance_table(times, covs)
+    assert partial["sq_db_atom"] == pytest.approx(
+        [10 * math.log10(0.5 / 0.4)] * 2)
+    assert np.isnan(partial["var_x_at"]).all()
+    assert np.isnan(partial["unc_prod_atom"]).all()
+    assert np.isnan(partial["sq_db_field_x"][1])
+    assert np.isnan(partial["unc_prod_field"][1])
 
 
 def test_moment_coefficient_guard_is_an_exception():

@@ -9,7 +9,7 @@ import pytest
 from doublepass.scalars import (Cyclo, FormalScalar, HALF, I, INV_SQRT2,
                                 MINUS_I, ONE, SYM_ALPHA, SYM_L)
 from doublepass.weyl import (AXIS_P, AXIS_X, FragmentError, OpPoly, WeylTerm,
-                             adjoint, commutator, mul, weyl_normalize)
+                             adjoint, mul)
 
 X = OpPoly.x()
 P = OpPoly.p()
@@ -123,6 +123,10 @@ def test_adjoint_antihomomorphism_random():
 # -- commutator --------------------------------------------------------------
 
 
+def commutator(a, b):
+    return mul(a, b) - mul(b, a)
+
+
 def test_ccr():
     assert commutator(X, P) == I_OP
 
@@ -162,33 +166,33 @@ def test_commutator_antisymmetric_bilinear():
 
 def test_push_x_through_p_exponential():
     term = WeylTerm.exponential(AXIS_P, SYM_L)
-    out = weyl_normalize(X, term, ONE_OP)
+    out = term.mul_left(X)
     assert out == WeylTerm(AXIS_P, SYM_L, X - OpPoly.const(SYM_L))
 
 
 def test_p_commutes_with_p_exponential():
     term = WeylTerm.exponential(AXIS_P, SYM_L)
-    assert weyl_normalize(P, term, ONE_OP) == WeylTerm(AXIS_P, SYM_L, P)
+    assert term.mul_left(P) == WeylTerm(AXIS_P, SYM_L, P)
 
 
 def test_push_p_through_x_exponential():
     term = WeylTerm.exponential(AXIS_X, SYM_L)
-    out = weyl_normalize(P, term, ONE_OP)
+    out = term.mul_left(P)
     assert out == WeylTerm(AXIS_X, SYM_L, P + OpPoly.const(SYM_L))
 
 
 def test_push_through_iterated():
     term = WeylTerm.exponential(AXIS_P, SYM_L)
-    out = weyl_normalize(mul(X, X), term, ONE_OP)
+    out = term.mul_left(mul(X, X))
     shifted = X - OpPoly.const(SYM_L)
     assert out == WeylTerm(AXIS_P, SYM_L, mul(shifted, shifted))
 
 
 def test_weyl_normalize_idempotent():
     term = WeylTerm(AXIS_P, SYM_L, X + P.scale(I))
-    once = weyl_normalize(ONE_OP, term, ONE_OP)
+    once = term.mul_left(ONE_OP).mul_right(ONE_OP)
     assert once == term
-    assert weyl_normalize(ONE_OP, once, ONE_OP) == once
+    assert once.mul_left(ONE_OP).mul_right(ONE_OP) == once
 
 
 def test_weyl_adjoint_rule():
