@@ -15,7 +15,8 @@ from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, Derivation, HPSystem,
                   subset_terms, vacuum_expectation)
 from .gaussian import (CovSnapshot, CovTrajectory, LinearOde,
                        build_moment_odes, closed_form_covariances,
-                       integrate_covariance, variance_table)
+                       closed_form_table, integrate_covariance,
+                       variance_table)
 from .charfn import (BoundaryLeakError, CharSurface, GridSpec,
                      closed_form_char, closed_form_surface, fd_solve,
                      moc_solve, pde_residual)

@@ -44,11 +44,12 @@ class GridSpec:
     dk: float = 0.02
 
     def __post_init__(self):
-        for extent, step, key in ((self.l_max, self.dl, "pde.dl"),
-                                  (self.k_max, self.dk, "pde.dk")):
+        for extent, step, axis in ((self.l_max, self.dl, "l"),
+                                   (self.k_max, self.dk, "k")):
             if extent <= 0 or step <= 0:
                 raise ConfigError("grid extents and steps must be positive")
-            step_count(2 * extent, step, key, atol=1e-9)
+            step_count(2 * extent, step, f"pde.d{axis}",
+                       f"2*pde.{axis}_max", atol=1e-9)
 
     def l_values(self) -> np.ndarray:
         n = round(2 * self.l_max / self.dl) + 1
@@ -311,7 +312,7 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
     if t == 0:
         return CharSurface(family, alpha, 0.0, kv, lv, f0)
 
-    n_steps = step_count(t, dt, "pde.dt")
+    n_steps = step_count(t, dt, "pde.dt", "pde.t")
     cfl = float(np.abs(drift).max()) * dt / grid.dl
     if cfl > 1.0 + 1e-12:
         raise ConfigError(f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 1")

@@ -200,7 +200,7 @@ def cmd_derive(cfg: RunConfig) -> int:
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
-    n = step_count(cfg.t_max, cfg.grid_step, "grid_step")
+    n = step_count(cfg.t_max, cfg.grid_step, "grid_step", "t_max")
     return np.arange(n + 1) * cfg.grid_step
 
 
@@ -225,11 +225,9 @@ def variances_csv(cfg: RunConfig,
     times = _time_grid(cfg)
     if traj is None:
         traj = _moment_trajectory(cfg)
-    stride = step_count(cfg.grid_step, cfg.solver_dt, "solver.dt",
+    stride = step_count(cfg.grid_step, cfg.solver_dt, "solver.dt", "grid_step",
                         atol=1e-9 * cfg.grid_step)
-    closed = gaussian.variance_table(times, np.array([
-        gaussian.closed_form_covariances(cfg.alpha, t).cov
-        for t in times.tolist()]))
+    closed = gaussian.closed_form_table(cfg.alpha, times)
     ode = gaussian.variance_table(
         times, traj.covs[np.arange(len(times)) * stride])
     header = ",".join(gaussian.CSV_COLUMNS

@@ -91,7 +91,7 @@ class OracleConfig:
 
     @property
     def n_steps(self) -> int:
-        return step_count(self.t_max, self.dt, "oracle.dt")
+        return step_count(self.t_max, self.dt, "oracle.dt", "oracle.t_max")
 
 
 @dataclass(frozen=True)

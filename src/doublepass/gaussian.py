@@ -225,7 +225,7 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
         raise ConfigError(
             f"dt={dt} violates the stability bound 0.1/alpha^2="
             f"{0.1 / ode.alpha ** 2:.3g}")
-    n_steps = step_count(t_max, dt, "solver.dt")
+    n_steps = step_count(t_max, dt, "solver.dt", "t_max")
 
     a = ode.drift
     means = np.zeros((n_steps + 1, 4))
@@ -354,6 +354,14 @@ def variance_table(times: np.ndarray, covs: np.ndarray,
     table["unc_prod_field"] = table["var_x_ph_norm"] * table["var_p_ph_norm"]
     table["unc_prod_atom"] = table["var_x_at"] * table["var_p_at"]
     return {col: table[col] for col in CSV_COLUMNS}
+
+
+def closed_form_table(alpha: float, times: np.ndarray,
+                      ) -> dict[str, np.ndarray]:
+    """The :func:`variance_table` of the closed-form covariances on ``times``."""
+    times = np.asarray(times, dtype=float)
+    return variance_table(times, np.array(
+        [closed_form_covariances(alpha, t).cov for t in times.tolist()]))
 
 
 def relative_error(value: float, ref: float) -> float:

@@ -17,8 +17,9 @@ from doublepass.charfn import (GridSpec, closed_form_char,
 from doublepass.fock import (OracleConfig, PHASE_P, PHASE_X,
                              homodyne_monte_carlo, simulate_atom_moments)
 from doublepass.gaussian import (PUBLISHED, build_moment_odes,
-                                 closed_form_covariances, integrate_covariance,
-                                 relative_error, variance_table)
+                                 closed_form_covariances, closed_form_table,
+                                 integrate_covariance, relative_error,
+                                 variance_table)
 from doublepass.ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, char_fn_generator,
                             double_pass_system, output_commutator_rate,
                             output_quadrature_relations, series_product,
@@ -28,12 +29,6 @@ from doublepass.ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, char_fn_generator,
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
-
-
-def closed_form_table(alpha: float, times: np.ndarray) -> dict:
-    covs = np.array([closed_form_covariances(alpha, float(t)).cov
-                     for t in times])
-    return variance_table(times, covs)
 
 
 def test_criterion_01_series_product():

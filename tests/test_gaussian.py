@@ -7,18 +7,12 @@ import pytest
 
 from doublepass.errors import ConfigError
 from doublepass.gaussian import (CSV_COLUMNS, build_moment_odes,
-                                 closed_form_covariances, initial_snapshot,
-                                 integrate_covariance, mode_index,
-                                 relative_error, variance_table)
+                                 closed_form_covariances, closed_form_table,
+                                 initial_snapshot, integrate_covariance,
+                                 mode_index, relative_error, variance_table)
 
 PUBLISHED = (("p_at", "p_at"), ("p_at", "X_ph"), ("X_ph", "X_ph"),
              ("x_at", "x_at"), ("x_at", "P_ph"), ("P_ph", "P_ph"))
-
-
-def closed_form_table(alpha, times):
-    covs = np.array([closed_form_covariances(alpha, float(t)).cov
-                     for t in times])
-    return variance_table(times, covs)
 
 
 # -- build_moment_odes --------------------------------------------------------
@@ -226,11 +220,12 @@ def test_squeezing_rejects_nonpositive_variance():
     times = np.linspace(0.0, 1.0, 11)
     good = np.array([closed_form_covariances(1.0, float(t)).cov
                      for t in times])
-    for i, j in ((1, 1), (0, 0), (2, 2), (3, 3)):
-        bad = good.copy()
-        bad[5, i, j] = -1e-3 * (i + 1)
-        with pytest.raises(ValueError, match="nonpositive variance"):
-            variance_table(times, bad)
+    for value in (0.0, -1e-3):
+        for i in range(4):
+            bad = good.copy()
+            bad[5, i, i] = value
+            with pytest.raises(ValueError, match="nonpositive variance"):
+                variance_table(times, bad)
     # a t = 0 row takes the vacuum limit, whatever its field entries
     bad = good.copy()
     bad[0, 2, 2] = 0.0
