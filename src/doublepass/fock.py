@@ -24,6 +24,16 @@ Output-field variances come from a homodyne Monte Carlo that projectively
 measures one ancilla quadrature per step: with |e> the truncated quadrature
 eigenbasis, one (d_anc * d_at, d_at) @ (d_at, n_traj) product gives every
 outcome amplitude of every trajectory.
+
+The homodyne loop runs only on the atom levels reachable from |0>: the
+closure of level 0 under the exact nonzero pattern of the Kraus blocks.
+Amplitudes on the other levels start at 0 and no block maps a reachable
+level into them, so they stay exactly 0 and the restricted loop drops only
+x * 0 and + 0.0 terms.  For alpha > 0 every level is reachable and the loop
+is the full one; at alpha = 0 (the vacuum control) every block is a
+multiple of the identity, each outcome amplitude is a single product, and
+the loop runs on level 0 alone.  Either way every probability, outcome and
+record keeps its bits.
 """
 
 from __future__ import annotations
@@ -227,9 +237,13 @@ def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
         var_x[idx] = np.einsum("ij,ji->", rho, x2).real - mx * mx
         var_p[idx] = np.einsum("ij,ji->", rho, p2).real - mp * mp
 
+    k_rho = np.empty((da, d, d), dtype=complex)
+    k_rho_k = np.empty((da, d, d), dtype=complex)
     record(0)
     for step in range(1, n_steps + 1):
-        rho = (kraus @ rho @ kraus_dag).sum(axis=0)
+        np.matmul(kraus, rho, out=k_rho)
+        np.matmul(k_rho, kraus_dag, out=k_rho_k)
+        rho = k_rho_k.sum(axis=0)
         trace = rho.trace().real
         deficit = abs(1.0 - trace)
         # written as "not <=" so that NaN trips the guards
@@ -277,6 +291,23 @@ def _stats(time: float, samples: np.ndarray,
     )
 
 
+def _reachable_levels(kraus: np.ndarray) -> np.ndarray:
+    """Atom levels some sequence of Kraus blocks reaches from |0>, ascending.
+
+    Level j links to level i when any block has K_e[i, j] != 0 (NaN counts
+    as nonzero), so the amplitudes on every other level stay exactly 0.
+    """
+    d = kraus.shape[1]
+    links = (kraus.reshape(-1, d, d) != 0).any(axis=0)
+    reached = np.zeros(d, dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached | links[:, reached].any(axis=1)
+        if (grown == reached).all():
+            return np.flatnonzero(reached)
+        reached = grown
+
+
 def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                       ) -> list[tuple[float, np.ndarray, float]]:
     """(time, record y per trajectory, max leak so far) at each sample step."""
@@ -288,9 +319,14 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     eigvals, eigvecs = np.linalg.eigh(quad_op)
     # block e of K maps the atom state to the amplitude of outcome eigvals[e]
     kraus = kraus_stack(config.alpha, config.dt, d, da, eigvecs)
+    # step only the levels reachable from |0>; the rest hold exact zeros
+    levels = _reachable_levels(kraus)
+    m = levels.size
+    kraus = kraus.reshape(da, d, d)[:, levels][:, :, levels].reshape(da * m, m)
+    top = levels >= d - 2
 
     uniforms = _trajectory_uniforms(config.seed, n, n_steps)
-    psi = np.zeros((d, n), dtype=complex)
+    psi = np.zeros((m, n), dtype=complex)
     psi[0, :] = 1.0
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
@@ -301,7 +337,7 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     max_leak = 0.0
     traj = np.arange(n)
     for step in range(1, n_steps + 1):
-        comps = (kraus @ psi).reshape(da, d, n)
+        comps = (kraus @ psi).reshape(da, m, n)
         probs = (comps.real ** 2 + comps.imag ** 2).sum(axis=1)
         cum = np.cumsum(probs, axis=0)
         draws = uniforms[:, step - 1] * cum[-1]
@@ -309,12 +345,16 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
         psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
         y += gain * eigvals[idx]
         if step % check_every == 0 or step == n_steps:
-            leak = float((np.abs(psi[-2:, :]) ** 2).sum(axis=0).max())
+            leak = float((np.abs(psi[top]) ** 2).sum(axis=0).max())
             # "not <=" so that NaN trips the guard
             if not leak <= LEAK_TOL:
                 raise TruncationLeakError(
                     f"top-level atom population {leak:.2e} in a trajectory;"
                     " increase d_at")
+            # the top levels may be unreachable, so test the state itself
+            if not np.isfinite(psi).all():
+                raise TruncationLeakError(
+                    f"non-finite atom state in a trajectory at step {step}")
             max_leak = max(max_leak, leak)
         if step in wanted:
             out.append((step * config.dt, y.copy(), max_leak))
@@ -337,12 +377,16 @@ def homodyne_monte_carlo(config: OracleConfig) -> TrajectoryStats:
 
 def homodyne_series(config: OracleConfig,
                     n_samples: int) -> list[TrajectoryStats]:
-    """Statistics at n_samples evenly spaced times (final time included)."""
+    """Statistics at n_samples evenly spaced times (final time included).
+
+    Sample k = 1..n_samples is taken at step k * n_steps // n_samples, so the
+    spacing is even to within one step; n_samples is capped at n_steps.
+    """
     if config.n_traj < 100:
         raise ConfigError("need at least 100 trajectories")
     if n_samples < 1:
         raise ConfigError("need at least one sample")
-    stride = max(1, config.n_steps // n_samples)
-    steps = sorted(set(list(range(stride, config.n_steps + 1, stride))
-                       + [config.n_steps]))
+    n_steps = config.n_steps
+    n = min(n_samples, n_steps)
+    steps = [k * n_steps // n for k in range(1, n + 1)]
     return [_stats(*rec) for rec in _homodyne_records(config, steps)]

@@ -228,11 +228,7 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     n_steps = step_count(t_max, dt, "solver.dt", "t_max")
 
     a = ode.drift
-    means = np.zeros((n_steps + 1, 4))
-    covs = np.zeros((n_steps + 1, 4, 4))
     snap = initial_snapshot()
-    means[0] = snap.mean
-    covs[0] = snap.cov
 
     # The right-hand side is affine in the stacked 20-vector y = (mean, C):
     # y' = K y + b with K the linear map (A mean, A C + C A^T) and b = (0, D).
@@ -260,14 +256,14 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
         term = term @ k_mat
         r_mat = r_mat + term * (dt ** j / math.factorial(j))
 
-    y = pack(snap.mean, snap.cov)
+    # row k of ys is y after step k; means and covs are views of it
+    ys = np.empty((n_steps + 1, 20))
+    ys[0] = pack(snap.mean, snap.cov)
+    means, covs = ys[:, :4], ys[:, 4:].reshape(n_steps + 1, 4, 4)
     for step in range(1, n_steps + 1):
-        y = r_mat @ y + r_vec
-        mean, cov = unpack(y)
-        cov = 0.5 * (cov + cov.T)
-        y = pack(mean, cov)
-        means[step] = mean
-        covs[step] = cov
+        ys[step] = r_mat @ ys[step - 1] + r_vec
+        cov = covs[step]
+        cov[...] = 0.5 * (cov + cov.T)
 
     times = np.arange(n_steps + 1) * dt
     traj = CovTrajectory(times, means, covs)

@@ -241,6 +241,22 @@ def test_guards_trip_on_nan(monkeypatch):
         homodyne_monte_carlo(cfg)
 
 
+def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
+    # a NaN diagonal links no level to another, so only level 0 is stepped
+    # and the top-level leak reads 0: the state itself must trip the guard
+    def nan_diagonal(alpha, dt, d_at, d_anc, basis=None):
+        k = np.zeros((d_anc, d_at, d_at), dtype=complex)
+        k[:, np.arange(d_at), np.arange(d_at)] = np.nan
+        return k.reshape(d_anc * d_at, d_at)
+
+    monkeypatch.setattr(fock, "kraus_stack", nan_diagonal)
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100)
+    nan_stack = fock.kraus_stack(0.3, 2e-3, 10, 3)
+    assert fock._reachable_levels(nan_stack).tolist() == [0]
+    with pytest.raises(TruncationLeakError), np.errstate(invalid="ignore"):
+        homodyne_monte_carlo(cfg)
+
+
 def test_oracle_health_within_limits_at_compare_config():
     ocfg = _oracle_config(RunConfig())
     atoms = simulate_atom_moments(ocfg)
@@ -248,6 +264,92 @@ def test_oracle_health_within_limits_at_compare_config():
     assert 0.0 <= atoms.max_trace_deficit < TRACE_TOL
     assert 0.0 <= atoms.max_leak < LEAK_TOL
     assert 0.0 <= st.max_leak < LEAK_TOL
+
+
+# -- homodyne loop on the reachable atom levels ------------------------------------
+
+
+def _full_space_records(config, sample_steps):
+    """Reference: the homodyne loop stepping every atom level."""
+    d, da = config.d_at, config.d_anc
+    n_steps, n = config.n_steps, config.n_traj
+    eigvals, eigvecs = _quadrature_basis(config.phase, da)
+    kraus = fock.kraus_stack(config.alpha, config.dt, d, da, eigvecs)
+    uniforms = fock._trajectory_uniforms(config.seed, n, n_steps)
+    psi = np.zeros((d, n), dtype=complex)
+    psi[0, :] = 1.0
+    y = np.zeros(n)
+    gain = math.sqrt(config.dt) * math.sqrt(2.0)
+    out, max_leak, traj = [], 0.0, np.arange(n)
+    for step in range(1, n_steps + 1):
+        comps = (kraus @ psi).reshape(da, d, n)
+        probs = (comps.real ** 2 + comps.imag ** 2).sum(axis=1)
+        cum = np.cumsum(probs, axis=0)
+        draws = uniforms[:, step - 1] * cum[-1]
+        idx = np.clip((draws[None, :] > cum).sum(axis=0), 0, da - 1)
+        psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
+        y += gain * eigvals[idx]
+        if step % 25 == 0 or step == n_steps:
+            leak = float((np.abs(psi[-2:, :]) ** 2).sum(axis=0).max())
+            max_leak = max(max_leak, leak)
+        if step in sample_steps:
+            out.append((step * config.dt, y.copy(), max_leak))
+    return out
+
+
+@pytest.mark.parametrize("d_anc", [2, 3])
+@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+@pytest.mark.parametrize("alpha", [0.0, 0.9])
+def test_reachable_level_records_bit_equal_full_space(alpha, phase, d_anc):
+    cfg = OracleConfig(alpha=alpha, dt=5e-3, t_max=0.3, d_at=12,
+                       d_anc=d_anc, n_traj=100, seed=31, phase=phase)
+    kraus = kraus_stack(alpha, cfg.dt, cfg.d_at, d_anc,
+                        _quadrature_basis(phase, d_anc)[1])
+    levels = fock._reachable_levels(kraus)
+    assert levels.tolist() == ([0] if alpha == 0.0 else
+                               list(range(cfg.d_at)))
+    steps = [10, 25, 47, cfg.n_steps]
+    got = fock._homodyne_records(cfg, steps)
+    ref = _full_space_records(cfg, steps)
+    assert len(got) == len(ref) == len(steps)
+    for (t, y, leak), (t_ref, y_ref, leak_ref) in zip(got, ref):
+        assert t == t_ref and leak == leak_ref
+        assert y.tobytes() == y_ref.tobytes()
+
+
+def test_reachable_levels_partial_set(monkeypatch):
+    # Kraus blocks acting on levels 0..2 only: the loop steps three levels,
+    # the top-level leak reads exactly 0, and the records match the full
+    # space up to the summation order of the matrix product
+    small = kraus_stack(0.9, 5e-3, 3, 3, _quadrature_basis(PHASE_X, 3)[1])
+
+    def embedded(alpha, dt, d_at, d_anc, basis=None):
+        k = np.zeros((d_anc, d_at, d_at), dtype=complex)
+        k[:, :3, :3] = small.reshape(3, 3, 3)
+        return k.reshape(d_anc * d_at, d_at)
+
+    monkeypatch.setattr(fock, "kraus_stack", embedded)
+    cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=0.2, d_at=10, d_anc=3,
+                       n_traj=100, seed=4)
+    stack = embedded(0.9, 5e-3, 10, 3)
+    assert fock._reachable_levels(stack).tolist() == [0, 1, 2]
+    steps = [20, cfg.n_steps]
+    got = fock._homodyne_records(cfg, steps)
+    ref = _full_space_records(cfg, steps)
+    for (t, y, leak), (t_ref, y_ref, leak_ref) in zip(got, ref):
+        assert t == t_ref and leak == leak_ref == 0.0
+        assert np.abs(y - y_ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+@pytest.mark.parametrize("run", ["compare", "criterion_10"])
+def test_every_level_reachable_when_coupled(run, phase):
+    cfg = (_oracle_config(RunConfig()) if run == "compare" else
+           OracleConfig(alpha=0.5, dt=1e-3, t_max=1.0, d_at=40, d_anc=3))
+    kraus = kraus_stack(cfg.alpha, cfg.dt, cfg.d_at, cfg.d_anc,
+                        _quadrature_basis(phase, cfg.d_anc)[1])
+    assert fock._reachable_levels(kraus).tolist() == \
+        list(range(cfg.d_at))
 
 
 # -- homodyne Monte Carlo -----------------------------------------------------------
@@ -319,3 +421,13 @@ def test_homodyne_series_sampling():
     # the final-time entry agrees with the single-shot API at the same seed
     final = homodyne_monte_carlo(cfg)
     assert series[-1] == final
+
+
+def test_homodyne_series_count_not_dividing_steps():
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.2, d_at=16, d_anc=3,
+                       n_traj=120, seed=3)
+    series = homodyne_series(cfg, 3)
+    assert len(series) == 3
+    assert [st.time for st in series] == [k * cfg.dt for k in (33, 66, 100)]
+    # more samples than steps: one per step
+    assert len(homodyne_series(cfg, 150)) == cfg.n_steps
