@@ -27,6 +27,10 @@ from .gaussian import closed_form_covariances
 from .ito import FAMILY_F, FAMILY_G, double_pass_derivation
 
 
+#: largest boundary value the FD leak monitor accepts
+BOUNDARY_TOL = 1e-3
+
+
 class BoundaryLeakError(ConfigError):
     """Raised when grid-boundary values exceed the leakage threshold.
 
@@ -273,7 +277,7 @@ def _upwind_layout(forward: np.ndarray):
 
 
 def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
-             boundary_tol: float = 1e-3) -> CharSurface:
+             ) -> CharSurface:
     """Explicit finite-difference evolution of all k-slices at once.
 
     Per step: half decay (exact pointwise factor), one Heun advection step
@@ -292,7 +296,7 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
     the buffer, one stencil per point, into preallocated arrays.
 
     Requires the CFL condition max|drift| * dt <= dl; boundary values are
-    monitored after every step and an excess over ``boundary_tol`` raises
+    monitored after every step and an excess over :data:`BOUNDARY_TOL` raises
     :class:`BoundaryLeakError`.  The CFL number and the largest boundary
     value are returned on the surface.
     """
@@ -357,9 +361,9 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
         f_slots += num
         f_slots *= half_decay
         leak = max(leak, float(np.abs(f[edges]).max()))
-        if leak > boundary_tol:
+        if leak > BOUNDARY_TOL:
             raise BoundaryLeakError(
-                f"boundary value {leak:.3e} exceeds tolerance {boundary_tol:.1e};"
+                f"boundary value {leak:.3e} exceeds tolerance {BOUNDARY_TOL:.1e};"
                 " widen the l grid")
     return CharSurface(family, alpha, float(t), kv, lv, f[pos],
                        cfl=cfl, boundary_max=leak)
@@ -373,13 +377,14 @@ Sampler = Callable[[float, float, float], float]
 
 
 def pde_residual(family: str, alpha: float, sampler: Sampler,
-                 t: float, k: float, l: float, h: float = 1e-4) -> float:
+                 t: float, k: float, l: float) -> float:
     """d/dt - c0*f - c1*d/dl at one point, by central differences.
 
-    Near zero for true solutions; requires t >= h so the centered time
-    stencil stays in the domain.
+    Near zero for true solutions; the differences take steps h = 1e-4, and
+    t >= h is required so the centered time stencil stays in the domain.
     """
     _check_family(family)
+    h = 1e-4
     if t < h:
         raise ConfigError("need t >= h for the centered time stencil")
     c0, c1 = double_pass_derivation().transport[family].evaluate(

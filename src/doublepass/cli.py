@@ -72,19 +72,15 @@ class RunConfig:
     tol_oracle_sigma: float = 5.0
 
     def validate(self) -> None:
+        # every float parameter is finite; alpha >= 0 and the others > 0
         for f in fields(self):
+            if type(f.default) is not float:
+                continue
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"parameter {f.name} must be finite")
-        tolerances = [f.name for f in fields(self)
-                      if f.name.startswith("tol_")]
-        positive = ("alpha", "t_max", "grid_step", "solver_dt", "pde_t",
-                    "pde_dt", "pde_l_max", "pde_dl", "pde_k_max", "pde_dk",
-                    "oracle_dt", "oracle_t_max", *tolerances)
-        for name in positive:
-            if getattr(self, name) < 0 or (name != "alpha"
-                                           and getattr(self, name) == 0):
-                raise ConfigError(f"parameter {name} must be positive")
+            if value < 0 or (f.name != "alpha" and value == 0):
+                raise ConfigError(f"parameter {f.name} must be positive")
         if self.alpha > MAX_ALPHA:
             raise ConfigError(f"alpha must not exceed {MAX_ALPHA:.0e}")
         if self.oracle_seed < 0:
@@ -204,9 +200,17 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return np.arange(n + 1) * cfg.grid_step
 
 
-def _moment_trajectory(cfg: RunConfig) -> gaussian.CovTrajectory:
+def _variance_tables(cfg: RunConfig) -> tuple[dict[str, np.ndarray],
+                                                dict[str, np.ndarray]]:
+    """The closed-form and the RK4 variance tables on the grid_step grid."""
     ode = gaussian.build_moment_odes(cfg.alpha)
-    return gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt)
+    traj = gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt)
+    times = _time_grid(cfg)
+    stride = step_count(cfg.grid_step, cfg.solver_dt, "solver.dt", "grid_step",
+                        atol=1e-9 * cfg.grid_step)
+    return (gaussian.closed_form_table(cfg.alpha, times),
+            gaussian.variance_table(
+                times, traj.covs[np.arange(len(times)) * stride]))
 
 
 def _csv_lines(columns: list) -> list[str]:
@@ -215,21 +219,14 @@ def _csv_lines(columns: list) -> list[str]:
             for row in zip(*(np.asarray(col).tolist() for col in columns))]
 
 
-def variances_csv(cfg: RunConfig,
-                  traj: gaussian.CovTrajectory | None = None) -> str:
-    """The closed-form variance table plus ode_* columns from the RK4 one.
+def _worst(errors) -> float:
+    """Largest of ``errors``, NaN if any is NaN: ``worst < tol`` fails on it."""
+    return float(np.max(errors))
 
-    ``traj`` is the moment-ODE trajectory at ``cfg``; it is integrated here
-    when not given.
-    """
-    times = _time_grid(cfg)
-    if traj is None:
-        traj = _moment_trajectory(cfg)
-    stride = step_count(cfg.grid_step, cfg.solver_dt, "solver.dt", "grid_step",
-                        atol=1e-9 * cfg.grid_step)
-    closed = gaussian.closed_form_table(cfg.alpha, times)
-    ode = gaussian.variance_table(
-        times, traj.covs[np.arange(len(times)) * stride])
+
+def variances_csv(closed: dict[str, np.ndarray],
+                  ode: dict[str, np.ndarray]) -> str:
+    """The closed-form variance table plus ode_* columns from the RK4 one."""
     header = ",".join(gaussian.CSV_COLUMNS
                       + tuple(f"ode_{c}" for c in gaussian.PUBLISHED))
     lines = _csv_lines([closed[c] for c in gaussian.CSV_COLUMNS]
@@ -238,7 +235,8 @@ def variances_csv(cfg: RunConfig,
 
 
 def cmd_variances(cfg: RunConfig) -> int:
-    _write_text(Path(cfg.out) / "variances.csv", variances_csv(cfg))
+    _write_text(Path(cfg.out) / "variances.csv",
+                variances_csv(*_variance_tables(cfg)))
     return EXIT_OK
 
 
@@ -251,7 +249,7 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, float, float, floa
     grid = charfn.GridSpec(l_max=cfg.pde_l_max, dl=cfg.pde_dl,
                            k_max=cfg.pde_k_max, dk=cfg.pde_dk)
     surfaces: dict[str, str] = {}
-    fd_worst = 0.0
+    fd_errors = []
     summary = [f"pde summary: alpha={_fmt(cfg.alpha)} t={_fmt(cfg.pde_t)}"]
     health = []
     for family in (charfn.FAMILY_F, charfn.FAMILY_G):
@@ -260,26 +258,27 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, float, float, floa
         health.append(f"fd boundary max {family}: {surf.boundary_max:.6e}")
         ref = charfn.closed_form_surface(family, cfg.alpha, cfg.pde_t, grid)
         err = float(np.abs(surf.values - ref.values).max())
-        fd_worst = max(fd_worst, err)
+        fd_errors.append(err)
         buf = io.StringIO()
         surf.to_csv(buf)
         surfaces[f"surface_{family}.csv"] = buf.getvalue()
         summary.append(f"fd max abs error {family}: {err:.6e}")
-    moc_worst = 0.0
-    res_worst = 0.0
+    moc_errors, residuals = [], []
     probe = [-2.0, -0.5, 0.0, 1.0, 2.5]
     for family in (charfn.FAMILY_F, charfn.FAMILY_G):
         for k in probe:
             for l in probe:
                 m = charfn.moc_solve(family, cfg.alpha, cfg.pde_t, k, l)
                 c = charfn.closed_form_char(family, cfg.alpha, cfg.pde_t, k, l)
-                moc_worst = max(moc_worst, abs(m - c))
+                moc_errors.append(abs(m - c))
                 res = charfn.pde_residual(
                     family, cfg.alpha,
                     lambda tt, kk, ll, fam=family: charfn.closed_form_char(
                         fam, cfg.alpha, tt, kk, ll),
                     cfg.pde_t, k, l)
-                res_worst = max(res_worst, abs(res))
+                residuals.append(abs(res))
+    fd_worst, moc_worst, res_worst = map(_worst,
+                                         (fd_errors, moc_errors, residuals))
     summary.append(f"moc max abs error: {moc_worst:.6e}")
     summary.append(f"closed-form residual max: {res_worst:.6e}")
     summary.extend(health)
@@ -297,7 +296,6 @@ def cmd_pde(cfg: RunConfig) -> int:
 
 
 def _oracle_config(cfg: RunConfig, alpha: float | None = None,
-                   phase: float | None = None,
                    seed_offset: int = 0) -> fock.OracleConfig:
     return fock.OracleConfig(
         alpha=cfg.alpha if alpha is None else alpha,
@@ -307,8 +305,7 @@ def _oracle_config(cfg: RunConfig, alpha: float | None = None,
         d_anc=cfg.oracle_d_anc,
         n_traj=cfg.oracle_n_traj,
         seed=cfg.oracle_seed + seed_offset,
-        phase=(fock.PHASE_X if cfg.oracle_phase == "x" else fock.PHASE_P)
-        if phase is None else phase,
+        phase=fock.PHASE_X if cfg.oracle_phase == "x" else fock.PHASE_P,
     )
 
 
@@ -381,19 +378,15 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
     checks = [(name, forms[name] == expected, details[name])
               for name, expected in PAPER_FORMS.items()]
 
-    # 4. ODE route vs closed form
-    traj = _moment_trajectory(cfg)
-    worst = 0.0
-    stride = max(1, len(traj) // 100)
-    for i in range(0, len(traj), stride):
-        snap = traj.snapshot(i)
-        closed = gaussian.closed_form_covariances(cfg.alpha, snap.time)
-        for r, c in gaussian.PUBLISHED.values():
-            worst = max(worst, gaussian.relative_error(snap.entry(r, c),
-                                                       closed.entry(r, c)))
+    # 4. ODE route vs closed form, on every row of variances.csv
+    closed, ode = _variance_tables(cfg)
+    worst = _worst([gaussian.relative_error(value, ref)
+                    for col in gaussian.PUBLISHED
+                    for value, ref in zip(ode[col].tolist(),
+                                          closed[col].tolist())])
     checks.append(("ode_vs_closed_form", worst < cfg.tol_ode_rel,
                    f"max rel err {worst:.3e} (tol {cfg.tol_ode_rel:.1e})"))
-    artifacts["variances.csv"] = variances_csv(cfg, traj)
+    artifacts["variances.csv"] = variances_csv(closed, ode)
 
     # 5-7. PDE routes
     pde_cfg = replace(cfg, pde_k_max=2.0, pde_dk=1.0, pde_l_max=10.0)

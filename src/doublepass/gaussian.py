@@ -2,22 +2,25 @@
 
 The modes are ordered (x_at, p_at, X_ph, P_ph) where X_ph and P_ph are the
 accumulated (unnormalized) output field quadratures with [X_ph, P_ph] = i*t.
-First and symmetrized second moments obey a linear system
+The first moments obey d<v>/dt = A <v> and start at 0, so they stay 0; the
+symmetrized second moments obey the linear system
 
-    d<v>/dt = A <v>          dC/dt = A C + C A^T + D
+    dC/dt = A C + C A^T + D
 
 whose drift A and diffusion D are generated from the symbolic engine and
-instantiated numerically.  The module also evaluates the closed-form
-variances of the double-pass model, and :func:`variance_table` turns either
-route (or the oracle's atomic moments) into the one variance table the CLI
-writes: the six published (co)variances, squeezing in dB (reference
-variance 1/2) and the uncertainty products.
+instantiated numerically; the RK4 route integrates the 16 entries of C
+alone.  The module also evaluates the closed-form variances of the
+double-pass model, and :func:`variance_table` turns either route (or the
+oracle's atomic moments) into the one variance table the CLI writes: the
+six published (co)variances, squeezing in dB (reference variance 1/2) and
+the uncertainty products.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +68,12 @@ class LinearOde:
 
 @dataclass(frozen=True)
 class CovSnapshot:
-    """Means and symmetrized covariance of the four modes at one time.
+    """Symmetrized covariance of the four modes at one time.
 
     The closed-form route leaves the entries it does not define (the
     cross-sector ones) NaN.
     """
 
-    time: float
-    mean: np.ndarray
     cov: np.ndarray
 
     def entry(self, row: str, col: str) -> float:
@@ -84,7 +85,6 @@ class CovTrajectory:
     """Uniform-grid sequence of covariance snapshots."""
 
     times: np.ndarray
-    means: np.ndarray       # (n, 4)
     covs: np.ndarray        # (n, 4, 4)
 
     def __post_init__(self):
@@ -94,12 +94,6 @@ class CovTrajectory:
                     and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
                 raise ValueError(
                     "trajectory times must be uniform and increasing")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def snapshot(self, i: int) -> CovSnapshot:
-        return CovSnapshot(float(self.times[i]), self.means[i], self.covs[i])
 
     def series(self, row: str, col: str) -> np.ndarray:
         return self.covs[:, mode_index(row), mode_index(col)]
@@ -198,75 +192,62 @@ def build_moment_odes(alpha: float) -> LinearOde:
 
 
 def initial_snapshot() -> CovSnapshot:
-    """Vacuum/ground initial state: diag(1/2, 1/2, 0, 0), zero means."""
-    return CovSnapshot(0.0, np.zeros(4), np.diag([0.5, 0.5, 0.0, 0.0]))
+    """Vacuum/ground initial state: covariance diag(1/2, 1/2, 0, 0)."""
+    return CovSnapshot(np.diag([0.5, 0.5, 0.0, 0.0]))
 
 
 def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
                          ) -> CovTrajectory:
-    """Classical fixed-step RK4 integration of the moment equations.
+    """Classical fixed-step RK4 integration of the covariance equation.
 
     The system is linear and time-invariant, so the RK4 stage algebra
     collapses to one affine update per step, built once from the drift; the
     result is bit-for-bit the classical RK4 iteration.  Stability requires
-    dt <= 0.1 / alpha^2 (documented bound, enforced).
+    alpha^2 dt <= 0.1 (documented bound, enforced).
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
     if t_max == 0:
-        snap = initial_snapshot()
-        return CovTrajectory(np.array([0.0]), snap.mean[None, :],
-                             snap.cov[None, :, :])
+        return CovTrajectory(np.array([0.0]), initial_snapshot().cov[None])
     if dt > t_max:
         raise ConfigError("dt must not exceed t_max")
-    if ode.alpha > 0 and dt > 0.1 / ode.alpha ** 2 + 1e-15:
+    # dt <= 0.1/alpha^2 + 1e-15 as a product, since alpha^2 may underflow
+    # to 0; the relative slack covers the rounding of either form
+    alpha2 = ode.alpha * ode.alpha
+    if not alpha2 * (dt - 1e-15) <= 0.1 * (1 + 1e-15):
         raise ConfigError(
             f"dt={dt} violates the stability bound 0.1/alpha^2="
-            f"{0.1 / ode.alpha ** 2:.3g}")
+            f"{0.1 / alpha2:.3g}")
     n_steps = step_count(t_max, dt, "solver.dt", "t_max")
 
-    a = ode.drift
-    snap = initial_snapshot()
-
-    # The right-hand side is affine in the stacked 20-vector y = (mean, C):
-    # y' = K y + b with K the linear map (A mean, A C + C A^T) and b = (0, D).
-    # The RK4 stages then collapse to y_{n+1} = R y + r with
+    # The right-hand side is affine in the row-major vec(C), a 16-vector:
+    # vec(C)' = K vec(C) + b with the Kronecker sum K = A (x) 1 + 1 (x) A
+    # and b = vec(D).  The RK4 stages then collapse to c_{n+1} = R c + r with
     # R = sum_{j<=4} (dt K)^j / j!  and  r = sum_{1<=j<=4} dt^j K^{j-1} b / j!.
-    def pack(mean, cov):
-        return np.concatenate([mean, cov.reshape(16)])
+    eye = np.eye(4)
+    k_mat = np.kron(ode.drift, eye) + np.kron(eye, ode.drift)
+    b_vec = ode.diffusion.reshape(16)
 
-    def unpack(y):
-        return y[:4], y[4:].reshape(4, 4)
-
-    k_mat = np.zeros((20, 20))
-    for idx in range(20):
-        basis = np.zeros(20)
-        basis[idx] = 1.0
-        m_b, c_b = unpack(basis)
-        k_mat[:, idx] = pack(a @ m_b, a @ c_b + c_b @ a.T)
-    b_vec = pack(np.zeros(4), ode.diffusion)
-
-    r_mat = np.eye(20)
-    r_vec = np.zeros(20)
-    term = np.eye(20)
+    r_mat = np.eye(16)
+    r_vec = np.zeros(16)
+    term = np.eye(16)
     for j in range(1, 5):
         r_vec = r_vec + (term @ b_vec) * (dt ** j / math.factorial(j))
         term = term @ k_mat
         r_mat = r_mat + term * (dt ** j / math.factorial(j))
 
-    # row k of ys is y after step k; means and covs are views of it
-    ys = np.empty((n_steps + 1, 20))
-    ys[0] = pack(snap.mean, snap.cov)
-    means, covs = ys[:, :4], ys[:, 4:].reshape(n_steps + 1, 4, 4)
+    # row k of flat is vec(C) after step k; covs is a view of it
+    covs = np.empty((n_steps + 1, 4, 4))
+    covs[0] = initial_snapshot().cov
+    flat = covs.reshape(n_steps + 1, 16)
     for step in range(1, n_steps + 1):
-        ys[step] = r_mat @ ys[step - 1] + r_vec
+        flat[step] = r_mat @ flat[step - 1] + r_vec
         cov = covs[step]
         cov[...] = 0.5 * (cov + cov.T)
 
-    times = np.arange(n_steps + 1) * dt
-    traj = CovTrajectory(times, means, covs)
+    traj = CovTrajectory(np.arange(n_steps + 1) * dt, covs)
     _assert_cross_sector_zero(traj)
     return traj
 
@@ -306,13 +287,15 @@ def closed_form_covariances(alpha: float, t: float) -> CovSnapshot:
     put("x_at", "x_at", 0.5 * (1.0 + alpha * alpha * t))
     put("x_at", "P_ph", -0.25 * alpha ** 3 * t * t)
     put("P_ph", "P_ph", 0.5 * t + alpha ** 4 * t ** 3 / 6.0)
-    if alpha == 0.0:
+    # the alpha = 0 limit is exact to double precision wherever alpha^2
+    # is not a normal float, and the general form divides by it
+    if alpha * alpha < sys.float_info.min:
         put("p_at", "X_ph", 0.0)
         put("X_ph", "X_ph", 0.5 * t)
     else:
         put("p_at", "X_ph", -em * em / (4.0 * alpha))
         put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
-    return CovSnapshot(float(t), np.zeros(4), cov)
+    return CovSnapshot(cov)
 
 
 # ---------------------------------------------------------------------------

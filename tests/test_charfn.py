@@ -251,12 +251,14 @@ INFLOW_GRID = GridSpec(l_max=4.0, dl=0.1, k_max=4.0, dk=2.0)
 @pytest.mark.parametrize("alpha", (0.0, 0.7, 1.0))
 @pytest.mark.parametrize("grid, tol", ((REF_GRID, 1e-3), (INFLOW_GRID, 1.0)),
                          ids=("outflow", "inflow"))
-def test_fd_bit_identical_to_two_stencil_step(family, alpha, grid, tol):
+def test_fd_bit_identical_to_two_stencil_step(family, alpha, grid, tol,
+                                             monkeypatch):
+    monkeypatch.setattr(charfn, "BOUNDARY_TOL", tol)
     kv = grid.k_values()
     assert kv.min() < 0 < kv.max() and 0.0 in kv
     dt, n_steps = 0.01, 20
     ref, cfl, edges = _two_stencil_fd(family, alpha, grid, n_steps, dt)
-    surf = fd_solve(family, alpha, grid, n_steps * dt, dt, tol)
+    surf = fd_solve(family, alpha, grid, n_steps * dt, dt)
     assert np.array_equal(surf.values, ref)
     assert np.array_equal(np.signbit(surf.values), np.signbit(ref))
     assert surf.cfl == cfl
@@ -283,15 +285,15 @@ def test_upwind_layout_slots():
 
 def test_fd_boundary_leak_on_same_step():
     grid = GridSpec(l_max=6.0, dl=0.05, k_max=1.0, dk=0.5)
-    dt, tol = 1e-3, 1e-3
+    dt, tol = 1e-3, charfn.BOUNDARY_TOL
     _, _, edges = _two_stencil_fd("F", 1.0, grid, 500, dt)
     leaks = np.maximum.accumulate(edges)
     first = int(np.argmax(leaks > tol)) + 1      # steps taken when it trips
     assert leaks[first - 1] > tol and first > 1
-    before = fd_solve("F", 1.0, grid, (first - 1) * dt, dt, tol)
+    before = fd_solve("F", 1.0, grid, (first - 1) * dt, dt)
     assert before.boundary_max == leaks[first - 2]
     with pytest.raises(BoundaryLeakError) as info:
-        fd_solve("F", 1.0, grid, first * dt, dt, tol)
+        fd_solve("F", 1.0, grid, first * dt, dt)
     assert str(info.value) == (
         f"boundary value {leaks[first - 1]:.3e} exceeds tolerance {tol:.1e};"
         " widen the l grid")
@@ -328,9 +330,10 @@ def test_surface_shape_guard_survives_optimize_flag():
         CharSurface("F", 1.0, 0.0, np.zeros(2), np.zeros(3), np.zeros((3, 2)))
 
 
-def test_surface_csv_matches_per_row_formatting():
+def test_surface_csv_matches_per_row_formatting(monkeypatch):
+    monkeypatch.setattr(charfn, "BOUNDARY_TOL", 1.0)
     grid = GridSpec(l_max=1.0, dl=0.25, k_max=0.5, dk=0.25)
-    surf = fd_solve("G", 0.7, grid, 0.05, 0.01, boundary_tol=1.0)
+    surf = fd_solve("G", 0.7, grid, 0.05, 0.01)
     buf = io.StringIO()
     surf.to_csv(buf)
     rows = [f"{k:.12g},{l:.12g},{surf.values[i, j]:.12g}"
@@ -363,7 +366,7 @@ def test_residual_of_closed_form_small():
             for k in (-2.0, 0.0, 1.0):
                 for l in (-1.0, 0.5, 2.0):
                     worst = max(worst, abs(pde_residual(
-                        family, 1.0, sampler, t, k, l, h=1e-4)))
+                        family, 1.0, sampler, t, k, l)))
     assert worst < 1e-6
 
 

@@ -7,10 +7,9 @@ import sys
 
 import pytest
 
-from doublepass import charfn, fock, gaussian, ito
+from doublepass import charfn, cli, fock, gaussian, ito
 from doublepass.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, load_config,
-                            build_parser, main, parse_config_file,
-                            variances_csv)
+                            build_parser, main, parse_config_file)
 from doublepass.errors import ConfigError
 
 
@@ -160,8 +159,7 @@ def test_oracle_command(tmp_path):
     res = run_cli("oracle", "--config", str(cfg), "--out", str(tmp_path))
     assert res.returncode == EXIT_OK
     lines = (tmp_path / "oracle.csv").read_text().splitlines()
-    assert lines[0].split(",")[:12] == list(
-        variances_csv(RunConfig()).splitlines()[0].split(",")[:12])
+    assert lines[0].split(",")[:12] == list(gaussian.CSV_COLUMNS)
     assert lines[0].split(",")[-1] == "n_traj"
     assert lines[-1].split(",")[-1] == "120"
     assert {len(line.split(",")) for line in lines} == {15}
@@ -294,9 +292,10 @@ def test_pde_summary_appends_fd_health(tmp_path):
 
 
 def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
-    calls = {"build": 0, "integrate": 0}
-    build_fn, integrate_fn = (gaussian.build_moment_odes,
-                              gaussian.integrate_covariance)
+    calls = {"build": 0, "integrate": 0, "closed_form_table": 0}
+    build_fn, integrate_fn, table_fn = (gaussian.build_moment_odes,
+                                        gaussian.integrate_covariance,
+                                        gaussian.closed_form_table)
 
     def count_build(alpha):
         calls["build"] += 1
@@ -306,16 +305,22 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
         calls["integrate"] += 1
         return integrate_fn(ode, t_max, dt)
 
+    def count_table(alpha, times):
+        calls["closed_form_table"] += 1
+        return table_fn(alpha, times)
+
     monkeypatch.setattr(gaussian, "build_moment_odes", count_build)
     monkeypatch.setattr(gaussian, "integrate_covariance", count_integrate)
+    monkeypatch.setattr(gaussian, "closed_form_table", count_table)
     cfg = tmp_path / "small.cfg"
     cfg.write_text("grid_step = 0.05\noracle.t_max = 0.1\noracle.dt = 2e-3\n"
                    "oracle.d_at = 12\noracle.n_traj = 100\n")
-    main(["compare", "--config", str(cfg), "--out", str(tmp_path)])
-    assert calls == {"build": 1, "integrate": 1}
-    standalone = variances_csv(load_config(build_parser().parse_args(
-        ["variances", "--config", str(cfg)])))
-    assert (tmp_path / "variances.csv").read_text() == standalone
+    main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")])
+    assert calls == {"build": 1, "integrate": 1, "closed_form_table": 1}
+    assert main(["variances", "--config", str(cfg),
+                 "--out", str(tmp_path / "var")]) == EXIT_OK
+    assert (tmp_path / "cmp" / "variances.csv").read_text() == (
+        tmp_path / "var" / "variances.csv").read_text()
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -385,3 +390,76 @@ def test_compare_builds_the_derivation_once(tmp_path, monkeypatch):
         ito.double_pass_derivation.cache_clear()
     assert calls == {"series_product": 1, "output_quadrature_relations": 1,
                      "char_fn_generator": 2}
+
+
+#: small sizes at which every route runs in-process in well under a second
+SMALL = {"oracle.n_traj": "100", "oracle.t_max": "0.05", "oracle.d_at": "10",
+         "t_max": "0.1", "grid_step": "0.01", "solver.dt": "1e-3",
+         "pde.k_max": "0.5", "pde.dk": "0.5", "pde.l_max": "8",
+         "pde.dl": "0.1", "pde.t": "0.1", "pde.dt": "1e-3"}
+
+
+def _write_config(path, **overrides):
+    path.write_text("".join(f"{key} = {value}\n" for key, value in
+                            {**SMALL, **overrides}.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("variances", "--alpha", "1e-170"),
+    ("pde", "--alpha", "1e-300"),
+    ("compare", "--alpha", "1e-300"),
+])
+def test_alpha_squared_underflow_is_not_an_internal_error(tmp_path, argv):
+    # alpha^2 is 0 or subnormal: the routes take their alpha = 0 limits
+    cfg = _write_config(tmp_path / "run.cfg")
+    assert main([*argv, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) in (0, 1)
+
+
+@pytest.mark.parametrize("module, name, check", [
+    (charfn, "fd_solve", "fd_vs_closed_form"),
+    (charfn, "moc_solve", "moc_vs_closed_form"),
+    (charfn, "pde_residual", "closed_form_residual"),
+    (gaussian, "relative_error", "ode_vs_closed_form"),
+])
+def test_nan_error_fails_its_check(tmp_path, monkeypatch, module, name,
+                                   check):
+    original, calls = getattr(module, name), []
+
+    def nan_on_second_call(*args):
+        calls.append(name)
+        result = original(*args)
+        if len(calls) != 2:
+            return result
+        if name == "fd_solve":
+            result.values[0, 0] = math.nan
+            return result
+        return math.nan
+
+    monkeypatch.setattr(module, name, nan_on_second_call)
+    cfg = _write_config(tmp_path / "run.cfg")
+    assert main(["compare", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 1
+    report = (tmp_path / "out" / "compare_report.txt").read_text()
+    failing = [ln.split(":")[0] for ln in report.splitlines()
+               if ln.startswith("FAIL")]
+    assert failing == [f"FAIL {check}"]
+    assert "nan" in report
+
+
+#: every config key but the output path, each set to one awkward value
+SWEEP = [(key, value) for key in cli._CONFIG_KEYS if key != "out"
+         for value in ("0", "-1", "1e-300", "1e300", "nan", "abc")]
+
+
+@pytest.mark.parametrize("key, value", SWEEP,
+                         ids=[f"{k}={v}" for k, v in SWEEP])
+def test_config_sweep_never_exits_internal(tmp_path, key, value):
+    """Property-style sweep: no single bad value reaches exit 3."""
+    cfg = _write_config(tmp_path / "run.cfg", **{key: value})
+    # compare overrides the pde grid, so the pde keys also run through pde
+    for command in ("compare", "pde") if key.startswith("pde.") else (
+            "compare",):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) in (0, 1, 2)

@@ -1,6 +1,7 @@
 """Moment ODEs, closed-form covariances, and squeezing metrics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -66,30 +67,28 @@ def test_negative_alpha_rejected():
 
 def test_t_zero_single_snapshot():
     traj = integrate_covariance(build_moment_odes(1.0), 0.0, 1e-3)
-    assert len(traj) == 1
+    assert len(traj.times) == 1
     assert np.allclose(traj.covs[0], np.diag([0.5, 0.5, 0.0, 0.0]))
-    assert np.allclose(traj.means[0], 0.0)
 
 
 def test_rk4_matches_closed_form_at_unit_time():
     traj = integrate_covariance(build_moment_odes(1.0), 1.0, 1e-4)
-    snap = traj.snapshot(len(traj) - 1)
-    assert relative_error(snap.entry("p_at", "p_at"),
-                   0.25 * (1 + math.exp(-2))) < 1e-8
+    i = mode_index("p_at")
+    assert relative_error(traj.covs[-1, i, i],
+                          0.25 * (1 + math.exp(-2))) < 1e-8
 
 
 def test_alpha_zero_vacuum_accumulation():
     traj = integrate_covariance(build_moment_odes(0.0), 1.0, 1e-3)
-    snap = traj.snapshot(len(traj) - 1)
-    assert snap.entry("X_ph", "X_ph") == pytest.approx(0.5, abs=1e-12)
-    assert snap.entry("P_ph", "P_ph") == pytest.approx(0.5, abs=1e-12)
-    assert snap.entry("p_at", "p_at") == pytest.approx(0.5, abs=1e-12)
+    for mode in ("X_ph", "P_ph", "p_at"):
+        assert traj.series(mode, mode)[-1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_step_size_validation():
     ode = build_moment_odes(2.0)
     with pytest.raises(ConfigError):
         integrate_covariance(ode, 1.0, 0.05)   # > 0.1/alpha^2
+    assert len(integrate_covariance(ode, 1.0, 0.025).times) == 41  # at it
     with pytest.raises(ConfigError):
         integrate_covariance(ode, 0.001, 0.01)  # dt > t_max
     with pytest.raises(ConfigError):
@@ -99,12 +98,55 @@ def test_step_size_validation():
 def test_ode_route_matches_all_published_entries():
     for alpha in (0.3, 1.0, 2.0):
         traj = integrate_covariance(build_moment_odes(alpha), 5.0, 1e-3)
-        for i in (0, len(traj) // 3, len(traj) - 1):
-            snap = traj.snapshot(i)
-            closed = closed_form_covariances(alpha, snap.time)
+        for i in (0, len(traj.times) // 3, len(traj.times) - 1):
+            closed = closed_form_covariances(alpha, traj.times[i])
             for r, c in PUBLISHED:
-                assert relative_error(snap.entry(r, c),
+                assert relative_error(traj.series(r, c)[i],
                                       closed.entry(r, c)) < 1e-8
+
+
+def _rk4_with_means(ode, t_max, dt):
+    """Covariances of the RK4 route on the stacked 20-vector (mean, C).
+
+    The reference for :func:`integrate_covariance`, which integrates C
+    alone: the means start at 0 and stay exactly 0.
+    """
+    a = ode.drift
+    n_steps = round(t_max / dt)
+
+    def pack(mean, cov):
+        return np.concatenate([mean, cov.reshape(16)])
+
+    k_mat = np.zeros((20, 20))
+    for idx in range(20):
+        basis = np.zeros(20)
+        basis[idx] = 1.0
+        m_b, c_b = basis[:4], basis[4:].reshape(4, 4)
+        k_mat[:, idx] = pack(a @ m_b, a @ c_b + c_b @ a.T)
+    b_vec = pack(np.zeros(4), ode.diffusion)
+    r_mat, r_vec, term = np.eye(20), np.zeros(20), np.eye(20)
+    for j in range(1, 5):
+        r_vec = r_vec + (term @ b_vec) * (dt ** j / math.factorial(j))
+        term = term @ k_mat
+        r_mat = r_mat + term * (dt ** j / math.factorial(j))
+    ys = np.empty((n_steps + 1, 20))
+    ys[0] = pack(np.zeros(4), np.diag([0.5, 0.5, 0.0, 0.0]))
+    covs = ys[:, 4:].reshape(n_steps + 1, 4, 4)
+    for step in range(1, n_steps + 1):
+        ys[step] = r_mat @ ys[step - 1] + r_vec
+        cov = covs[step]
+        cov[...] = 0.5 * (cov + cov.T)
+    assert not ys[:, :4].any()
+    return covs
+
+
+@pytest.mark.parametrize("alpha, t_max, dt", [
+    (1.0, 1.0, 1e-4), (0.3, 1.0, 1e-4), (2.0, 1.0, 1e-4), (0.0, 1.0, 1e-3),
+    (1.3, 10.0, 1e-3), (5.0, 1.0, 1e-3), (1e-170, 1.0, 1e-3)])
+def test_covariance_rk4_bit_equal_to_mean_carrying_rk4(alpha, t_max, dt):
+    ode = build_moment_odes(alpha)
+    assert np.array_equal(integrate_covariance(ode, t_max, dt).covs,
+                          _rk4_with_means(ode, t_max, dt))
 
 
 def test_cross_sector_stays_zero():
@@ -116,8 +158,7 @@ def test_cross_sector_stays_zero():
 
 def test_covariance_symmetric_psd_and_uncertainty():
     traj = integrate_covariance(build_moment_odes(1.0), 3.0, 1e-3)
-    for i in range(0, len(traj), 300):
-        cov = traj.snapshot(i).cov
+    for cov in traj.covs[::300]:
         assert np.allclose(cov, cov.T, atol=1e-10)
         assert cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 >= 0.25 - 1e-10
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
@@ -168,6 +209,21 @@ def test_closed_form_alpha_zero_limits():
     assert snap.entry("X_ph", "X_ph") == pytest.approx(1.0)
     assert snap.entry("p_at", "X_ph") == 0.0
     assert snap.entry("P_ph", "P_ph") == pytest.approx(1.0)
+
+
+def test_alpha_squared_below_normal_takes_alpha_zero_limit():
+    zero = closed_form_covariances(0.0, 2.0).cov
+    for alpha in (1e-160, 1e-170, 1e-300, 5e-324):
+        cov = closed_form_covariances(alpha, 2.0).cov
+        i, j = mode_index("p_at"), mode_index("X_ph")
+        assert cov[i, j] == 0.0 and cov[j, j] == zero[j, j] == 1.0
+        assert np.allclose(cov, zero, rtol=0, atol=1e-300, equal_nan=True)
+    # just above the switch the general form agrees with the limit
+    alpha = math.sqrt(sys.float_info.min) * (1 + 1e-15)
+    assert alpha * alpha >= sys.float_info.min
+    cov = closed_form_covariances(alpha, 2.0).cov
+    assert cov[mode_index("X_ph"), mode_index("X_ph")] == pytest.approx(
+        1.0, rel=1e-14)
 
 
 # -- variance table ------------------------------------------------------------
