@@ -159,10 +159,18 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_out_dir(out: str) -> None:
-    """Reject an output path that is, or sits under, an existing non-directory."""
+    """Reject an output path that is, or sits under, an existing non-directory.
+
+    A path the system cannot look up (a name too long, say) is rejected too.
+    """
     path = Path(out)
     for part in (path, *path.parents):
-        if part.exists():
+        try:
+            found = part.exists()
+        except OSError as exc:
+            raise ConfigError(
+                f"output path {out}: {exc.strerror or exc}") from exc
+        if found:
             if not part.is_dir():
                 raise ConfigError(
                     f"output path {out}: {part} is not a directory")
@@ -176,9 +184,13 @@ def _fmt(value: float) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

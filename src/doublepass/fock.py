@@ -34,6 +34,31 @@ is the full one; at alpha = 0 (the vacuum control) every block is a
 multiple of the identity, each outcome amplitude is a single product, and
 the loop runs on level 0 alone.  Either way every probability, outcome and
 record keeps its bits.
+
+The homodyne loop runs in real arithmetic, in the atom gauge |n> -> i^n |n>
+(G = diag(i^n), K_e -> G^dagger K_e G).  G^dagger a G = i a, so the gauge
+maps x -> -p and p -> x on the atom.  In the Fock basis x is real symmetric
+and p is i times a real antisymmetric matrix, so the two generators
+p (x) P_anc and x (x) X_anc become x (x) P_anc and -p (x) X_anc: each is i
+times a real antisymmetric matrix, each exponential exp(-i g) is real
+orthogonal, and so is the composite unitary U'.  The stack follows:
+
+* phase x: the X_anc eigenvectors are real, so block e of the gauged stack,
+  K_e[i, j] * i^(j - i), is real.
+* phase p: P_anc = D X_anc D^dagger with D = diag(i^a), and eigh returns
+  each P_anc eigenvector as i^a times a real vector.  K_e[i, j] is then a
+  sum of i^(a + i - j) * (real) over ancilla levels a, and U'[(i, a), (j, 0)]
+  vanishes unless a + i - j is even (every generator term moves the atom
+  and the ancilla by one level each), so K_e itself is real: factor 1.
+
+The factors are +-1 and +-i, and multiplying by them is exact, so the gauge
+adds no rounding; what is left of the imaginary part is the rounding of the
+complex stack (about 2e-15 of its largest entry), and ``_real_gauge``
+raises if it exceeds ``GAUGE_TOL``.  The gauge multiplies each amplitude by
+a unit phase, so the outcome probabilities are unchanged up to that
+rounding; every outcome draw and so every record y, which sums
+sqrt(2 dt) * eigvals[outcome], keeps its bits (checked against the complex
+loop in the tests).  The atom-moment route stays complex.
 """
 
 from __future__ import annotations
@@ -54,8 +79,18 @@ LEAK_TOL = 1e-6
 #: tolerated deviation of the reduced-state trace from 1 after one step
 TRACE_TOL = 1e-8
 
+#: tolerated imaginary part of the gauged homodyne Kraus stack, relative to
+#: its largest entry; rounding leaves about 2e-15
+GAUGE_TOL = 1e-12
+
+#: fewest trajectories a homodyne run accepts
+MIN_TRAJ = 100
+
 PHASE_X = 0.0
 PHASE_P = math.pi / 2.0
+
+#: i^k for k = 0..3, each exact in floating point
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 class TruncationLeakError(ConfigError):
@@ -308,9 +343,40 @@ def _reachable_levels(kraus: np.ndarray) -> np.ndarray:
         reached = grown
 
 
+def _real_gauge(kraus: np.ndarray, measure_p: bool) -> np.ndarray:
+    """The homodyne Kraus stack in the real gauge |n> -> i^n |n>, as float64.
+
+    Phase x multiplies K_e[i, j] by the exact factor i^(j - i); phase p
+    needs factor 1 (see the module docstring).  The imaginary part left is
+    rounding; more than ``GAUGE_TOL`` of the largest entry raises
+    ``ArithmeticError``.  Non-finite entries come out as NaN and are left
+    for the step loop's own guards to report.
+    """
+    rows, d = kraus.shape
+    if not measure_p:
+        n = np.arange(d)
+        phases = _I_POWERS[(n[None, :] - n[:, None]) % 4]
+        kraus = (kraus.reshape(-1, d, d) * phases).reshape(rows, d)
+    real = np.ascontiguousarray(kraus.real)
+    finite = np.isfinite(kraus)
+    if not finite.all():
+        # a NaN in the imaginary part alone must not vanish with it
+        real[~finite] = np.nan
+        return real
+    resid = float(np.abs(kraus.imag).max())
+    scale = float(np.abs(kraus).max())
+    if resid > GAUGE_TOL * scale:
+        raise ArithmeticError(
+            f"gauged Kraus stack is not real: imaginary part {resid:.2e}"
+            f" of largest entry {scale:.2e}")
+    return real
+
+
 def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                       ) -> list[tuple[float, np.ndarray, float]]:
     """(time, record y per trajectory, max leak so far) at each sample step."""
+    if config.n_traj < MIN_TRAJ:
+        raise ConfigError(f"need at least {MIN_TRAJ} trajectories")
     d, da = config.d_at, config.d_anc
     n_steps = config.n_steps
     n = config.n_traj
@@ -318,7 +384,8 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     quad_op = momentum(da) if measure_p else position(da)
     eigvals, eigvecs = np.linalg.eigh(quad_op)
     # block e of K maps the atom state to the amplitude of outcome eigvals[e]
-    kraus = kraus_stack(config.alpha, config.dt, d, da, eigvecs)
+    kraus = _real_gauge(
+        kraus_stack(config.alpha, config.dt, d, da, eigvecs), measure_p)
     # step only the levels reachable from |0>; the rest hold exact zeros
     levels = _reachable_levels(kraus)
     m = levels.size
@@ -326,7 +393,7 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     top = levels >= d - 2
 
     uniforms = _trajectory_uniforms(config.seed, n, n_steps)
-    psi = np.zeros((m, n), dtype=complex)
+    psi = np.zeros((m, n))
     psi[0, :] = 1.0
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
@@ -338,14 +405,14 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     traj = np.arange(n)
     for step in range(1, n_steps + 1):
         comps = (kraus @ psi).reshape(da, m, n)
-        probs = (comps.real ** 2 + comps.imag ** 2).sum(axis=1)
+        probs = (comps * comps).sum(axis=1)
         cum = np.cumsum(probs, axis=0)
         draws = uniforms[:, step - 1] * cum[-1]
         idx = np.clip((draws[None, :] > cum).sum(axis=0), 0, da - 1)
         psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
         y += gain * eigvals[idx]
         if step % check_every == 0 or step == n_steps:
-            leak = float((np.abs(psi[top]) ** 2).sum(axis=0).max())
+            leak = float((psi[top] ** 2).sum(axis=0).max())
             # "not <=" so that NaN trips the guard
             if not leak <= LEAK_TOL:
                 raise TruncationLeakError(
@@ -369,8 +436,6 @@ def homodyne_monte_carlo(config: OracleConfig) -> TrajectoryStats:
     (phase pi/2) and Var(y_t) estimates twice the accumulated-quadrature
     variance.  Fully reproducible from the seed.
     """
-    if config.n_traj < 100:
-        raise ConfigError("need at least 100 trajectories")
     (final,) = _homodyne_records(config, [config.n_steps])
     return _stats(*final)
 
@@ -382,8 +447,6 @@ def homodyne_series(config: OracleConfig,
     Sample k = 1..n_samples is taken at step k * n_steps // n_samples, so the
     spacing is even to within one step; n_samples is capped at n_steps.
     """
-    if config.n_traj < 100:
-        raise ConfigError("need at least 100 trajectories")
     if n_samples < 1:
         raise ConfigError("need at least one sample")
     n_steps = config.n_steps

@@ -226,6 +226,24 @@ def test_bad_file_input_exit_code(tmp_path, case):
                                                           "latin1.cfg"]
 
 
+@pytest.mark.parametrize("command", ["derive", "variances"])
+def test_overlong_out_path_exit_code(tmp_path, command):
+    # a 300-byte name makes the lookup itself fail (ENAMETOOLONG)
+    out = tmp_path / ("a" * 300)
+    res = run_cli(command, "--out", str(out))
+    assert res.returncode == EXIT_CONFIG, res.stderr
+    assert f"configuration error: output path {out}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_failure_is_config_error(tmp_path):
+    target = tmp_path / ("a" * 300) / "derivation.txt"
+    with pytest.raises(ConfigError, match="cannot write"):
+        cli._write_text(target, "text\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_flag_exit_code(tmp_path):
     res = run_cli("frobnicate", "--out", str(tmp_path))
     assert res.returncode == EXIT_CONFIG

@@ -1,6 +1,10 @@
 """Truncated-Fock collision oracle: operators, unitaries, moments, homodyne."""
 
 import math
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +13,9 @@ import scipy.linalg
 from doublepass import fock
 from doublepass.cli import RunConfig, _oracle_config
 from doublepass.errors import ConfigError
-from doublepass.fock import (LEAK_TOL, OracleConfig, PHASE_P, PHASE_X,
-                             TRACE_TOL, TruncationLeakError, annihilation,
+from doublepass.fock import (GAUGE_TOL, LEAK_TOL, MIN_TRAJ, OracleConfig,
+                             PHASE_P, PHASE_X, TRACE_TOL,
+                             TruncationLeakError, annihilation,
                              homodyne_monte_carlo, homodyne_series,
                              kraus_stack, momentum, position,
                              simulate_atom_moments, step_unitaries)
@@ -269,28 +274,35 @@ def test_oracle_health_within_limits_at_compare_config():
 # -- homodyne loop on the reachable atom levels ------------------------------------
 
 
+def _real_stack(alpha, dt, d_at, d_anc, phase):
+    """The real-gauge homodyne stack the loop steps, on every atom level."""
+    basis = _quadrature_basis(phase, d_anc)[1]
+    return fock._real_gauge(fock.kraus_stack(alpha, dt, d_at, d_anc, basis),
+                            phase == PHASE_P)
+
+
 def _full_space_records(config, sample_steps):
-    """Reference: the homodyne loop stepping every atom level."""
+    """Reference: the real-gauge homodyne loop stepping every atom level."""
     d, da = config.d_at, config.d_anc
     n_steps, n = config.n_steps, config.n_traj
-    eigvals, eigvecs = _quadrature_basis(config.phase, da)
-    kraus = fock.kraus_stack(config.alpha, config.dt, d, da, eigvecs)
+    eigvals = _quadrature_basis(config.phase, da)[0]
+    kraus = _real_stack(config.alpha, config.dt, d, da, config.phase)
     uniforms = fock._trajectory_uniforms(config.seed, n, n_steps)
-    psi = np.zeros((d, n), dtype=complex)
+    psi = np.zeros((d, n))
     psi[0, :] = 1.0
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
     out, max_leak, traj = [], 0.0, np.arange(n)
     for step in range(1, n_steps + 1):
         comps = (kraus @ psi).reshape(da, d, n)
-        probs = (comps.real ** 2 + comps.imag ** 2).sum(axis=1)
+        probs = (comps * comps).sum(axis=1)
         cum = np.cumsum(probs, axis=0)
         draws = uniforms[:, step - 1] * cum[-1]
         idx = np.clip((draws[None, :] > cum).sum(axis=0), 0, da - 1)
         psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
         y += gain * eigvals[idx]
         if step % 25 == 0 or step == n_steps:
-            leak = float((np.abs(psi[-2:, :]) ** 2).sum(axis=0).max())
+            leak = float((psi[-2:, :] ** 2).sum(axis=0).max())
             max_leak = max(max_leak, leak)
         if step in sample_steps:
             out.append((step * config.dt, y.copy(), max_leak))
@@ -303,8 +315,7 @@ def _full_space_records(config, sample_steps):
 def test_reachable_level_records_bit_equal_full_space(alpha, phase, d_anc):
     cfg = OracleConfig(alpha=alpha, dt=5e-3, t_max=0.3, d_at=12,
                        d_anc=d_anc, n_traj=100, seed=31, phase=phase)
-    kraus = kraus_stack(alpha, cfg.dt, cfg.d_at, d_anc,
-                        _quadrature_basis(phase, d_anc)[1])
+    kraus = _real_stack(alpha, cfg.dt, cfg.d_at, d_anc, phase)
     levels = fock._reachable_levels(kraus)
     assert levels.tolist() == ([0] if alpha == 0.0 else
                                list(range(cfg.d_at)))
@@ -346,10 +357,142 @@ def test_reachable_levels_partial_set(monkeypatch):
 def test_every_level_reachable_when_coupled(run, phase):
     cfg = (_oracle_config(RunConfig()) if run == "compare" else
            OracleConfig(alpha=0.5, dt=1e-3, t_max=1.0, d_at=40, d_anc=3))
-    kraus = kraus_stack(cfg.alpha, cfg.dt, cfg.d_at, cfg.d_anc,
-                        _quadrature_basis(phase, cfg.d_anc)[1])
+    kraus = _real_stack(cfg.alpha, cfg.dt, cfg.d_at, cfg.d_anc, phase)
     assert fock._reachable_levels(kraus).tolist() == \
         list(range(cfg.d_at))
+
+
+# -- real gauge of the homodyne loop ------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+@pytest.mark.parametrize("d_anc", [2, 3, 4, 5, 6])
+def test_real_gauge_leaves_rounding_only(d_anc, phase, alpha):
+    # i^(j - i) at phase x and 1 at phase p make every block real: the
+    # imaginary part left is rounding of the complex stack
+    d = 30
+    basis = _quadrature_basis(phase, d_anc)[1]
+    k = kraus_stack(alpha, 1e-3, d, d_anc, basis).reshape(d_anc, d, d)
+    n = np.arange(d)
+    gauged = (k * np.array([1, 1j, -1, -1j])[(n[None, :] - n[:, None]) % 4]
+              if phase == PHASE_X else k)
+    scale = np.abs(gauged).max()
+    assert np.abs(gauged.imag).max() <= 16 * np.finfo(float).eps * scale
+    real = fock._real_gauge(k.reshape(d_anc * d, d), phase == PHASE_P)
+    assert real.dtype == np.float64 and real.flags.c_contiguous
+    assert real.tobytes() == gauged.real.reshape(d_anc * d, d).tobytes()
+    if phase == PHASE_X and alpha >= 0.3:
+        # without the factor the phase-x stack is far from real
+        assert np.abs(k.imag).max() > 1e-3 * scale
+
+
+def _complex_records(config, sample_steps):
+    """Reference: the complex homodyne loop on the ungauged Kraus stack."""
+    d, da = config.d_at, config.d_anc
+    n_steps = config.n_steps
+    n = config.n_traj
+    eigvals, eigvecs = _quadrature_basis(config.phase, da)
+    kraus = kraus_stack(config.alpha, config.dt, d, da, eigvecs)
+    levels = fock._reachable_levels(kraus)
+    m = levels.size
+    kraus = kraus.reshape(da, d, d)[:, levels][:, :, levels].reshape(da * m, m)
+    top = levels >= d - 2
+    uniforms = fock._trajectory_uniforms(config.seed, n, n_steps)
+    psi = np.zeros((m, n), dtype=complex)
+    psi[0, :] = 1.0
+    y = np.zeros(n)
+    gain = math.sqrt(config.dt) * math.sqrt(2.0)
+    out, max_leak, traj = [], 0.0, np.arange(n)
+    for step in range(1, n_steps + 1):
+        comps = (kraus @ psi).reshape(da, m, n)
+        probs = (comps.real ** 2 + comps.imag ** 2).sum(axis=1)
+        cum = np.cumsum(probs, axis=0)
+        draws = uniforms[:, step - 1] * cum[-1]
+        idx = np.clip((draws[None, :] > cum).sum(axis=0), 0, da - 1)
+        psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
+        y += gain * eigvals[idx]
+        if step % 25 == 0 or step == n_steps:
+            leak = float((np.abs(psi[top]) ** 2).sum(axis=0).max())
+            max_leak = max(max_leak, leak)
+        if step in sample_steps:
+            out.append((step * config.dt, y.copy(), max_leak))
+    return out
+
+
+@pytest.mark.parametrize("case", ["compare", "vacuum_control", "phase_p",
+                                  "d_anc_2"])
+def test_real_gauge_records_bit_equal_complex_loop(case):
+    # every outcome is drawn as in the complex loop, so y keeps its bits;
+    # the leaks are rounding-level numbers and agree in absolute terms only
+    run = {"compare": RunConfig(), "vacuum_control": RunConfig(),
+           "phase_p": RunConfig(oracle_phase="p"),
+           "d_anc_2": RunConfig(oracle_d_anc=2)}[case]
+    cfg = (_oracle_config(run, alpha=0.0, seed_offset=1)
+           if case == "vacuum_control" else _oracle_config(run))
+    steps = [25, 240, cfg.n_steps]
+    got = fock._homodyne_records(cfg, steps)
+    ref = _complex_records(cfg, steps)
+    assert len(got) == len(ref) == len(steps)
+    for (t, y, leak), (t_ref, y_ref, leak_ref) in zip(got, ref):
+        assert t == t_ref
+        assert y.tobytes() == y_ref.tobytes()
+        assert 0.0 <= leak < LEAK_TOL and 0.0 <= leak_ref < LEAK_TOL
+        assert abs(leak - leak_ref) <= 1e-12
+
+
+def test_gauge_guard_threshold():
+    k = kraus_stack(0.9, 5e-3, 8, 3, _quadrature_basis(PHASE_P, 3)[1])
+    scale = np.abs(k).max()
+    below, above = k.copy(), k.copy()
+    below[5, 2] += 0.5j * GAUGE_TOL * scale
+    above[5, 2] += 2j * GAUGE_TOL * scale
+    assert fock._real_gauge(below, True).tobytes() == k.real.tobytes()
+    with pytest.raises(ArithmeticError, match="not real"):
+        fock._real_gauge(above, True)
+
+
+def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
+    stack = fock.kraus_stack
+
+    def nan_imag(alpha, dt, d_at, d_anc, basis=None):
+        k = stack(alpha, dt, d_at, d_anc, basis)
+        k[3, 2] = complex(k[3, 2].real, np.nan)
+        return k
+
+    monkeypatch.setattr(fock, "kraus_stack", nan_imag)
+    # at phase p the stack is not multiplied, so only the gauge keeps the NaN
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100,
+                       phase=PHASE_P)
+    real = fock._real_gauge(fock.kraus_stack(0.3, 2e-3, 10, 3), True)
+    assert np.isnan(real).sum() == 1
+    with pytest.raises(TruncationLeakError), np.errstate(invalid="ignore"):
+        homodyne_monte_carlo(cfg)
+
+
+def test_gauge_guard_survives_optimize_flag():
+    # one outcome block turned by a phase that is not a power of i: the
+    # gauged stack is complex, and the guard must raise under python -O too
+    code = textwrap.dedent("""
+        import cmath, math
+        from doublepass import fock
+        stack = fock.kraus_stack
+        def turned(alpha, dt, d_at, d_anc, basis=None):
+            k = stack(alpha, dt, d_at, d_anc, basis)
+            k[d_at:2 * d_at] *= cmath.exp(1j * math.pi / 7)
+            return k
+        fock.kraus_stack = turned
+        cfg = fock.OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10,
+                                n_traj=100)
+        try:
+            fock.homodyne_monte_carlo(cfg)
+        except ArithmeticError as exc:
+            print("raised:", exc)
+        """)
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised: gauged Kraus stack is not real")
 
 
 # -- homodyne Monte Carlo -----------------------------------------------------------
@@ -359,6 +502,11 @@ def test_homodyne_requires_enough_trajectories():
     cfg = OracleConfig(alpha=0.3, dt=5e-3, t_max=0.1, d_at=10, n_traj=10)
     with pytest.raises(ConfigError):
         homodyne_monte_carlo(cfg)
+    short = OracleConfig(alpha=0.3, dt=5e-3, t_max=0.1, d_at=10,
+                         n_traj=MIN_TRAJ - 1)
+    with pytest.raises(ConfigError, match=f"at least {MIN_TRAJ} traj"):
+        homodyne_series(short, 4)
+    assert len(homodyne_series(replace(short, n_traj=MIN_TRAJ), 4)) == 4
 
 
 def test_homodyne_deterministic_from_seed():
