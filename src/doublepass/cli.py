@@ -63,7 +63,7 @@ class RunConfig:
     oracle_d_anc: int = 3
     oracle_n_traj: int = 400
     oracle_seed: int = 12345
-    oracle_phase: str = "x"
+    oracle_phase: str = fock.PHASE_X
     tol_ode_rel: float = 1e-8
     tol_pde_abs: float = 5e-4
     tol_moc_abs: float = 1e-10
@@ -85,7 +85,7 @@ class RunConfig:
             raise ConfigError(f"alpha must not exceed {MAX_ALPHA:.0e}")
         if self.oracle_seed < 0:
             raise ConfigError("oracle.seed must be nonnegative")
-        if self.oracle_phase not in ("x", "p"):
+        if self.oracle_phase not in (fock.PHASE_X, fock.PHASE_P):
             raise ConfigError("oracle.phase must be 'x' or 'p'")
 
     def scaled_tolerances(self, scale: float) -> "RunConfig":
@@ -317,7 +317,7 @@ def _oracle_config(cfg: RunConfig, alpha: float | None = None,
         d_anc=cfg.oracle_d_anc,
         n_traj=cfg.oracle_n_traj,
         seed=cfg.oracle_seed + seed_offset,
-        phase=fock.PHASE_X if cfg.oracle_phase == "x" else fock.PHASE_P,
+        phase=cfg.oracle_phase,
     )
 
 
@@ -347,7 +347,7 @@ def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
         i = gaussian.mode_index(mode)
         covs[:, i, i] = series[idx]
     table = gaussian.variance_table([st.time for st in stats], covs)
-    field_col = ("var_x_ph_norm" if cfg.oracle_phase == "x"
+    field_col = ("var_x_ph_norm" if cfg.oracle_phase == fock.PHASE_X
                  else "var_p_ph_norm")
     table[field_col] = [st.variance / 2.0 / st.time for st in stats]
     extra = {

@@ -86,8 +86,9 @@ GAUGE_TOL = 1e-12
 #: fewest trajectories a homodyne run accepts
 MIN_TRAJ = 100
 
-PHASE_X = 0.0
-PHASE_P = math.pi / 2.0
+#: the measured ancilla quadrature, as written in the config (oracle.phase)
+PHASE_X = "x"
+PHASE_P = "p"
 
 #: i^k for k = 0..3, each exact in floating point
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
@@ -111,7 +112,7 @@ class OracleConfig:
     d_anc: int = 3
     n_traj: int = 2000
     seed: int = 12345
-    phase: float = PHASE_X
+    phase: str = PHASE_X
 
     def __post_init__(self):
         for name in ("alpha", "dt", "t_max"):
@@ -130,9 +131,8 @@ class OracleConfig:
         if not alpha2_dt <= MAX_ALPHA2_DT + 1e-15:
             raise ConfigError(
                 f"alpha^2*dt = {alpha2_dt:.2e} exceeds {MAX_ALPHA2_DT:.0e}")
-        if not (math.isclose(self.phase, PHASE_X, abs_tol=1e-12)
-                or math.isclose(self.phase, PHASE_P, abs_tol=1e-12)):
-            raise ConfigError("phase must be 0 or pi/2")
+        if self.phase not in (PHASE_X, PHASE_P):
+            raise ConfigError(f"phase must be {PHASE_X!r} or {PHASE_P!r}")
 
     @property
     def n_steps(self) -> int:
@@ -380,7 +380,7 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     d, da = config.d_at, config.d_anc
     n_steps = config.n_steps
     n = config.n_traj
-    measure_p = math.isclose(config.phase, PHASE_P, abs_tol=1e-12)
+    measure_p = config.phase == PHASE_P
     quad_op = momentum(da) if measure_p else position(da)
     eigvals, eigvecs = np.linalg.eigh(quad_op)
     # block e of K maps the atom state to the amplitude of outcome eigvals[e]
@@ -418,10 +418,12 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                 raise TruncationLeakError(
                     f"top-level atom population {leak:.2e} in a trajectory;"
                     " increase d_at")
-            # the top levels may be unreachable, so test the state itself
-            if not np.isfinite(psi).all():
+            # the top levels may be unreachable, so test the state itself;
+            # a NaN total probability draws outcome 0 and keeps psi finite
+            if not (np.isfinite(psi).all() and np.isfinite(cum[-1]).all()):
                 raise TruncationLeakError(
-                    f"non-finite atom state in a trajectory at step {step}")
+                    "non-finite atom state or outcome probability in a"
+                    f" trajectory at step {step}")
             max_leak = max(max_leak, leak)
         if step in wanted:
             out.append((step * config.dt, y.copy(), max_leak))
@@ -432,8 +434,8 @@ def homodyne_monte_carlo(config: OracleConfig) -> TrajectoryStats:
     """Ensemble statistics of the integrated record at the final time.
 
     The record y accumulates sqrt(dt) * sqrt(2) * (measured quadrature) per
-    step, so it realizes sqrt(2) * x_ph_out (phase 0) or sqrt(2) * p_ph_out
-    (phase pi/2) and Var(y_t) estimates twice the accumulated-quadrature
+    step, so it realizes sqrt(2) * x_ph_out (phase x) or sqrt(2) * p_ph_out
+    (phase p) and Var(y_t) estimates twice the accumulated-quadrature
     variance.  Fully reproducible from the seed.
     """
     (final,) = _homodyne_records(config, [config.n_steps])

@@ -90,13 +90,6 @@ class ItoDifferential:
                                alg_mul(self.castar, op),
                                alg_mul(self.ct, op))
 
-    def scale(self, coeff: FormalScalar | Cyclo) -> "ItoDifferential":
-        return ItoDifferential(self.ca.scale(coeff), self.castar.scale(coeff),
-                               self.ct.scale(coeff))
-
-    def is_zero(self) -> bool:
-        return self.ca.is_zero() and self.castar.is_zero() and self.ct.is_zero()
-
     def __str__(self) -> str:
         return f"dA: {self.ca}; dA*: {self.castar}; dt: {self.ct}"
 

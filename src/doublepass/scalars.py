@@ -8,9 +8,10 @@ tuples, and ``+``, ``-``, ``*`` and the conjugations do int arithmetic only.
 The rational parts ``ra``..``rd`` are read as :class:`~fractions.Fraction`.
 On top of that, :class:`FormalScalar` is a multivariate polynomial over the
 field in the four formal symbols ``a`` (coupling strength), ``k``, ``l``
-(transform variables) and ``t`` (time).  Everything here is exact; floating
-point only enters through :meth:`Cyclo.to_complex` and
-:meth:`FormalScalar.evaluate`.
+(transform variables) and ``t`` (time).  It and the operator polynomial
+:class:`~doublepass.weyl.OpPoly` share one sparse-dictionary core,
+:class:`SparsePoly`.  Everything here is exact; floating point only enters
+through :meth:`Cyclo.to_complex` and :meth:`FormalScalar.evaluate`.
 """
 
 from __future__ import annotations
@@ -125,18 +126,10 @@ class Cyclo:
 
     # -- printing ---------------------------------------------------------
 
-    def _parts(self) -> list[str]:
-        a, b, c, d, _ = self._v
-        out = []
-        if a:
-            out.append(str(self.ra))
-        if b:
-            out.append(_unit_part(self.rb, "i"))
-        if c:
-            out.append(_unit_part(self.rc, "sqrt2"))
-        if d:
-            out.append(_unit_part(self.rd, "i*sqrt2"))
-        return out
+    def _parts(self) -> list[tuple[int, str]]:
+        parts = (self.ra, self.rb, self.rc, self.rd)
+        return [(-1 if r < 0 else 1, _unit_part(abs(r), unit))
+                for r, unit in zip(parts, ("", "i", "sqrt2", "i*sqrt2")) if r]
 
     def is_single_part(self) -> bool:
         return sum(bool(n) for n in self._v[:4]) <= 1
@@ -148,16 +141,7 @@ class Cyclo:
         return 1, self
 
     def __str__(self) -> str:
-        parts = self._parts()
-        if not parts:
-            return "0"
-        text = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
-        return text
+        return _signed_sum(self._parts())
 
     def __repr__(self) -> str:
         return f"Cyclo({self.ra!r}, {self.rb!r}, {self.rc!r}, {self.rd!r})"
@@ -187,11 +171,21 @@ def _reduced(a: int, b: int, c: int, d: int, den: int) -> Cyclo:
 
 
 def _unit_part(r: Fraction, unit: str) -> str:
-    if r == 1:
-        return unit
-    if r == -1:
-        return "-" + unit
-    return f"{r}*{unit}"
+    """``r`` times ``unit`` for ``r > 0``; the bare ``r`` for the unit ``""``."""
+    if not unit:
+        return str(r)
+    return unit if r == 1 else f"{r}*{unit}"
+
+
+def _signed_sum(pieces: list[tuple[int, str]]) -> str:
+    """Join ``(sign, body)`` terms as ``a - b + c``; no terms print as 0."""
+    if not pieces:
+        return "0"
+    sign, body = pieces[0]
+    text = ("-" if sign < 0 else "") + body
+    for sign, body in pieces[1:]:
+        text += (" - " if sign < 0 else " + ") + body
+    return text
 
 
 ZERO = Cyclo()
@@ -204,22 +198,24 @@ INV_SQRT2 = Cyclo(0, 0, Fraction(1, 2))        # 1/sqrt2 == sqrt2/2
 I_INV_SQRT2 = Cyclo(0, 0, 0, Fraction(1, 2))   # i/sqrt2
 
 
-ExpKey = tuple[int, int, int, int]
+class SparsePoly:
+    """A sparse polynomial: a table from exponent keys to nonzero coefficients.
 
-
-class FormalScalar:
-    """Exact polynomial in the symbols (a, k, l, t) over Q(i, sqrt2).
-
-    Canonical form: a mapping from exponent tuples to nonzero
-    :class:`Cyclo` coefficients.  Equality is structural.
+    Zero coefficients are dropped, so two values are equal iff they have the
+    same class and the same table.  Subclasses give the constant key
+    ``_CONST``, the zero coefficient ``_ZERO_COEFF``, the symbol names
+    ``SYMBOLS``, their product, ``scale`` and the one-term printer ``_term``.
+    The class is immutable; arithmetic returns new instances.
     """
-
-    SYMBOLS = ("a", "k", "l", "t")
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[ExpKey, Cyclo] | None = None) -> None:
-        clean: dict[ExpKey, Cyclo] = {}
+    _CONST: tuple[int, ...]
+    _ZERO_COEFF: object
+    SYMBOLS: tuple[str, ...]
+
+    def __init__(self, terms: Mapping | None = None) -> None:
+        clean = {}
         if terms:
             for key, coeff in terms.items():
                 if not coeff.is_zero():
@@ -227,18 +223,82 @@ class FormalScalar:
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("FormalScalar is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def terms(self) -> Iterator[tuple]:
+        return iter(sorted(self._terms.items()))
+
+    def __add__(self, other):
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            cur = out.get(key)
+            out[key] = coeff if cur is None else cur + coeff
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self._terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_constant(self) -> bool:
+        return all(key == self._CONST for key in self._terms)
+
+    def constant_value(self):
+        if not self.is_constant():
+            raise ValueError(f"not a constant: {self}")
+        return self._terms.get(self._CONST, self._ZERO_COEFF)
+
+    def __eq__(self, other: object) -> bool:
+        # type-strict: a zero scalar is not a zero operator
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def _monomial(self, key: tuple[int, ...]) -> str:
+        """``name^exp`` factors of one key joined by ``*``; ``""`` if none."""
+        return "*".join(name if exp == 1 else f"{name}^{exp}"
+                        for name, exp in zip(self.SYMBOLS, key) if exp)
+
+    def __str__(self) -> str:
+        return _signed_sum([self._term(k, c) for k, c in self.terms()])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+ExpKey = tuple[int, int, int, int]
+
+
+class FormalScalar(SparsePoly):
+    """Exact polynomial in the symbols (a, k, l, t) over Q(i, sqrt2).
+
+    The table maps exponent tuples to nonzero :class:`Cyclo` coefficients.
+    """
+
+    SYMBOLS = ("a", "k", "l", "t")
+
+    __slots__ = ()
+
+    _CONST = (0, 0, 0, 0)
+    _ZERO_COEFF = ZERO
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "FormalScalar":
-        return cls()
-
-    @classmethod
     def const(cls, value: Cyclo | RationalLike) -> "FormalScalar":
         coeff = value if isinstance(value, Cyclo) else Cyclo.rational(value)
-        return cls({(0, 0, 0, 0): coeff})
+        return cls({cls._CONST: coeff})
 
     @classmethod
     def one(cls) -> "FormalScalar":
@@ -251,22 +311,6 @@ class FormalScalar:
         return cls({key: ONE})
 
     # -- ring operations --------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[ExpKey, Cyclo]]:
-        return iter(sorted(self._terms.items()))
-
-    def __add__(self, other: "FormalScalar") -> "FormalScalar":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-        return FormalScalar(out)
-
-    def __sub__(self, other: "FormalScalar") -> "FormalScalar":
-        return self + (-other)
-
-    def __neg__(self) -> "FormalScalar":
-        return FormalScalar({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other: "FormalScalar") -> "FormalScalar":
         out: dict[ExpKey, Cyclo] = {}
@@ -296,34 +340,9 @@ class FormalScalar:
         """Complex conjugation; the formal symbols are treated as real."""
         return FormalScalar({k: c.conjugate() for k, c in self._terms.items()})
 
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_constant(self) -> bool:
-        return all(key == (0, 0, 0, 0) for key in self._terms)
-
-    def constant_value(self) -> Cyclo:
-        if not self.is_constant():
-            raise ValueError(f"not a constant scalar: {self}")
-        return self._terms.get((0, 0, 0, 0), ZERO)
-
-    def degree(self, name: str) -> int:
-        idx = self.SYMBOLS.index(name)
-        return max((key[idx] for key in self._terms), default=0)
-
     def degree_kl(self) -> int:
         """Total degree in the (k, l) pair."""
         return max((key[1] + key[2] for key in self._terms), default=0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalScalar):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     # -- numerics ---------------------------------------------------------
 
@@ -338,22 +357,9 @@ class FormalScalar:
 
     # -- printing ---------------------------------------------------------
 
-    def is_simple_symbol(self) -> bool:
-        """True when the value is exactly one symbol with coefficient 1."""
-        if len(self._terms) != 1:
-            return False
-        (key, coeff), = self._terms.items()
-        return coeff == ONE and sum(key) == 1
-
-    def _term_str(self, key: ExpKey, coeff: Cyclo) -> tuple[int, str]:
+    def _term(self, key: ExpKey, coeff: Cyclo) -> tuple[int, str]:
         sign, mag = coeff.sign_split()
-        symbols = []
-        for name, exp in zip(self.SYMBOLS, key):
-            if exp == 1:
-                symbols.append(name)
-            elif exp > 1:
-                symbols.append(f"{name}^{exp}")
-        sym_part = "*".join(symbols)
+        sym_part = self._monomial(key)
         mag_str = str(mag)
         if not mag.is_single_part():
             mag_str = f"({mag_str})"
@@ -364,19 +370,6 @@ class FormalScalar:
         if mag_str not in ("i", "sqrt2", "i*sqrt2") and "/" in mag_str:
             mag_str = f"({mag_str})"
         return sign, f"{mag_str}*{sym_part}"
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = [self._term_str(k, c) for k, c in self.terms()]
-        sign, body = pieces[0]
-        text = ("-" if sign < 0 else "") + body
-        for sign, body in pieces[1:]:
-            text += (" - " if sign < 0 else " + ") + body
-        return text
-
-    def __repr__(self) -> str:
-        return f"FormalScalar({self})"
 
 
 SYM_ALPHA = FormalScalar.symbol("a")

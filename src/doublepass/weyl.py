@@ -16,9 +16,8 @@ All coefficients are exact (:class:`~doublepass.scalars.FormalScalar`).
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Iterator, Mapping
 
-from .scalars import Cyclo, FormalScalar, I, MINUS_I
+from .scalars import Cyclo, FormalScalar, I, MINUS_I, SparsePoly
 
 AXIS_X = "x"
 AXIS_P = "p"
@@ -32,32 +31,21 @@ class FragmentError(ValueError):
     """Raised for expressions outside the supported algebra fragment."""
 
 
-class OpPoly:
+class OpPoly(SparsePoly):
     """Normal-ordered polynomial in x and p with exact coefficients.
 
     The coefficient table maps exponent pairs ``(m, n)`` -- the monomial
-    ``x^m p^n`` -- to :class:`FormalScalar`.  Zero coefficients are dropped,
-    so two polynomials are equal iff their tables are equal.
+    ``x^m p^n`` -- to :class:`FormalScalar`.
     """
 
-    __slots__ = ("_terms",)
+    SYMBOLS = ("x", "p")
 
-    def __init__(self, terms: Mapping[MonoKey, FormalScalar] | None = None):
-        clean: dict[MonoKey, FormalScalar] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero():
-                    clean[tuple(key)] = coeff
-        object.__setattr__(self, "_terms", clean)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("OpPoly is immutable")
+    _CONST = (0, 0)
+    _ZERO_COEFF = FormalScalar.zero()
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "OpPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "OpPoly":
@@ -74,121 +62,41 @@ class OpPoly:
     @classmethod
     def monomial(cls, m: int, n: int,
                  coeff: FormalScalar | Cyclo | int = 1) -> "OpPoly":
-        if isinstance(coeff, FormalScalar):
-            c = coeff
-        elif isinstance(coeff, Cyclo):
-            c = FormalScalar.const(coeff)
-        else:
-            c = FormalScalar.const(coeff)
-        return cls({(m, n): c})
+        if not isinstance(coeff, FormalScalar):
+            coeff = FormalScalar.const(coeff)
+        return cls({(m, n): coeff})
 
     @classmethod
     def const(cls, coeff: FormalScalar | Cyclo | int) -> "OpPoly":
         return cls.monomial(0, 0, coeff)
 
-    # -- linear structure -------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[MonoKey, FormalScalar]]:
-        return iter(sorted(self._terms.items()))
+    # -- structure --------------------------------------------------------
 
     def coefficient(self, m: int, n: int) -> FormalScalar:
-        return self._terms.get((m, n), FormalScalar.zero())
-
-    def __add__(self, other: "OpPoly") -> "OpPoly":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-        return OpPoly(out)
-
-    def __sub__(self, other: "OpPoly") -> "OpPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "OpPoly":
-        return OpPoly({k: -c for k, c in self._terms.items()})
+        return self._terms.get((m, n), self._ZERO_COEFF)
 
     def scale(self, coeff: FormalScalar | Cyclo) -> "OpPoly":
         if isinstance(coeff, Cyclo):
             coeff = FormalScalar.const(coeff)
         return OpPoly({k: c * coeff for k, c in self._terms.items()})
 
-    # -- multiplicative structure ------------------------------------------
-
-    def __mul__(self, other: "OpPoly") -> "OpPoly":
-        return mul(self, other)
-
-    def adjoint(self) -> "OpPoly":
-        return adjoint(self)
-
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_one(self) -> bool:
-        return self == OpPoly.one()
-
-    def is_constant(self) -> bool:
-        return all(key == (0, 0) for key in self._terms)
-
-    def constant_value(self) -> FormalScalar:
-        if not self.is_constant():
-            raise ValueError(f"not a scalar multiple of identity: {self}")
-        return self._terms.get((0, 0), FormalScalar.zero())
-
     def degree(self) -> int:
         return max((m + n for (m, n) in self._terms), default=0)
 
     def is_hermitian(self) -> bool:
-        return self == self.adjoint()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset((k, hash(c)) for k, c in self._terms.items()))
+        return self == adjoint(self)
 
     # -- printing ---------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[tuple[int, str]] = []
-        for (m, n), coeff in self.terms():
-            mono = "*".join(
-                part for part in (_power_str("x", m), _power_str("p", n)) if part
-            )
-            sign, body = _coeff_body(coeff)
-            if mono:
-                body = mono if body == "1" else f"{body}*{mono}"
-            chunks.append((sign, body))
-        sign, body = chunks[0]
-        text = ("-" if sign < 0 else "") + body
-        for sign, body in chunks[1:]:
-            text += (" - " if sign < 0 else " + ") + body
-        return text
-
-    def __repr__(self) -> str:
-        return f"OpPoly({self})"
-
-
-def _power_str(sym: str, exp: int) -> str:
-    if exp == 0:
-        return ""
-    if exp == 1:
-        return sym
-    return f"{sym}^{exp}"
-
-
-def _coeff_body(coeff: FormalScalar) -> tuple[int, str]:
-    """Render a FormalScalar coefficient as (sign, body-without-sign)."""
-    terms = list(coeff.terms())
-    if len(terms) != 1:
-        return 1, f"({coeff})"
-    sign, body = coeff._term_str(*terms[0])
-    return sign, body
+    def _term(self, key: MonoKey, coeff: FormalScalar) -> tuple[int, str]:
+        if len(coeff._terms) == 1:
+            sign, body = coeff._term(*next(iter(coeff._terms.items())))
+        else:
+            sign, body = 1, f"({coeff})"
+        mono = self._monomial(key)
+        if mono:
+            body = mono if body == "1" else f"{body}*{mono}"
+        return sign, body
 
 
 def mul(a: OpPoly, b: OpPoly) -> OpPoly:
@@ -254,27 +162,21 @@ class WeylTerm:
     # -- algebra ----------------------------------------------------------
 
     def _push_through(self, poly: OpPoly) -> OpPoly:
-        """Rewrite poly * exp(i*lam*axis) as exp(i*lam*axis) * result."""
+        """Rewrite poly * exp(i*lam*axis) as exp(i*lam*axis) * result.
+
+        Under exp(i*lam*p), x -> x - lam; under exp(i*lam*x), p -> p + lam.
+        """
+        # index of the shifted exponent in (m, n), and the shift itself
+        own, shift = (0, -self.lam) if self.axis == AXIS_P else (1, self.lam)
         out: dict[MonoKey, FormalScalar] = {}
-        for (m, n), coeff in poly._terms.items():
-            if self.axis == AXIS_P:
-                # x -> x - lam, p unchanged
-                for j in range(m + 1):
-                    shift = ((-self.lam) ** (m - j)).scale(
-                        Cyclo.rational(comb(m, j)))
-                    key = (j, n)
-                    contrib = coeff * shift
-                    cur = out.get(key)
-                    out[key] = contrib if cur is None else cur + contrib
-            else:
-                # p -> p + lam, x unchanged
-                for j in range(n + 1):
-                    shift = (self.lam ** (n - j)).scale(
-                        Cyclo.rational(comb(n, j)))
-                    key = (m, j)
-                    contrib = coeff * shift
-                    cur = out.get(key)
-                    out[key] = contrib if cur is None else cur + contrib
+        for key, coeff in poly._terms.items():
+            e = key[own]
+            for j in range(e + 1):
+                contrib = coeff * (shift ** (e - j)).scale(
+                    Cyclo.rational(comb(e, j)))
+                new = (j, key[1]) if own == 0 else (key[0], j)
+                cur = out.get(new)
+                out[new] = contrib if cur is None else cur + contrib
         return OpPoly(out)
 
     def mul_left(self, poly: OpPoly) -> "WeylTerm":
@@ -298,11 +200,6 @@ class WeylTerm:
     def __neg__(self) -> "WeylTerm":
         return WeylTerm(self.axis, self.lam, -self.post)
 
-    def adjoint(self) -> "WeylTerm":
-        """Adjoint: lam -> -conj(lam), postfactor adjointed and pushed through."""
-        flipped = WeylTerm.exponential(self.axis, -self.lam.conjugate())
-        return flipped.mul_left(self.post.adjoint())
-
     def is_zero(self) -> bool:
         return self.post.is_zero()
 
@@ -316,9 +213,11 @@ class WeylTerm:
         return hash((self.axis, self.lam, self.post))
 
     def __str__(self) -> str:
-        lam_str = str(self.lam) if self.lam.is_simple_symbol() else f"({self.lam})"
+        lam_str = str(self.lam)
+        if lam_str not in FormalScalar.SYMBOLS:
+            lam_str = f"({lam_str})"
         head = f"exp(i*{lam_str}*{self.axis})"
-        if self.post.is_one():
+        if self.post == OpPoly.one():
             return head
         return f"{head}*({self.post})"
 

@@ -470,6 +470,24 @@ def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
         homodyne_monte_carlo(cfg)
 
 
+def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(monkeypatch):
+    # a NaN in block 1 makes the total probability NaN, so every draw
+    # would pick outcome 0 and the state would stay finite: without its own
+    # check the run returns a record of zero variance
+    stack = fock.kraus_stack
+
+    def nan_block_one(alpha, dt, d_at, d_anc, basis=None):
+        k = stack(alpha, dt, d_at, d_anc, basis)
+        k[d_at + 3, 2] = np.nan
+        return k
+
+    monkeypatch.setattr(fock, "kraus_stack", nan_block_one)
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100)
+    with pytest.raises(TruncationLeakError, match="outcome probability"), \
+            np.errstate(invalid="ignore"):
+        homodyne_monte_carlo(cfg)
+
+
 def test_gauge_guard_survives_optimize_flag():
     # one outcome block turned by a phase that is not a power of i: the
     # gauged stack is complex, and the guard must raise under python -O too

@@ -53,10 +53,10 @@ def test_table_zero_entries():
     da = ItoDifferential(ca=ONE_OP)
     dastar = ItoDifferential(castar=ONE_OP)
     dt = ItoDifferential(ct=ONE_OP)
-    assert ito_product(dastar, da).is_zero()
-    assert ito_product(da, da).is_zero()
-    assert ito_product(dt, da).is_zero()
-    assert ito_product(dastar, dt).is_zero()
+    assert ito_product(dastar, da) == ItoDifferential()
+    assert ito_product(da, da) == ItoDifferential()
+    assert ito_product(dt, da) == ItoDifferential()
+    assert ito_product(dastar, dt) == ItoDifferential()
 
 
 def test_table_general_product():
@@ -94,7 +94,7 @@ def test_triple_increment_vanishes():
     rng = random.Random(11)
     factors = [(rand_poly(rng), rand_differential(rng)) for _ in range(3)]
     (_, triple), = [t for t in subset_terms(factors) if t[0] == (0, 1, 2)]
-    assert triple.is_zero()
+    assert triple == ItoDifferential()
 
 
 # -- system construction --------------------------------------------------------
@@ -175,7 +175,7 @@ def test_flow_of_p():
 
 
 def test_flow_of_identity_is_zero():
-    assert flow_differential(double_pass_system(), ONE_OP).is_zero()
+    assert flow_differential(double_pass_system(), ONE_OP) == ItoDifferential()
 
 
 def test_lindblad_values():

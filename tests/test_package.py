@@ -1,6 +1,10 @@
 """Package layout: no public name in ``src/`` is reached by tests alone."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import doublepass
@@ -37,3 +41,66 @@ def test_every_public_method_is_used_in_src():
               if isinstance(cls, ast.ClassDef)
               for name in _unused(path, cls.body)]
     assert unused == []
+
+
+# Runs every command under a profiler installed before the package is
+# imported, then prints the public functions and methods of src/ whose code
+# never ran.  A name shared with a method src/ does call passes the AST
+# tests above; only running the commands tells the two apart.
+_REACH = r"""
+import contextlib, importlib, inspect, io, json, pkgutil, sys, tempfile
+from pathlib import Path
+
+ran = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        ran.add(frame.f_code)
+
+
+sys.setprofile(profile)
+import doublepass
+from doublepass import cli
+
+with tempfile.TemporaryDirectory() as tmp, \
+        contextlib.redirect_stdout(io.StringIO()):
+    pde_cfg = Path(tmp, "pde.cfg")
+    pde_cfg.write_text("pde.k_max = 0.1\n", encoding="utf-8")
+    codes = [cli.main([*argv, "--out", tmp]) for argv in (
+        ["derive"], ["compare", "--tolerance-scale", "1"], ["variances"],
+        ["oracle"], ["pde", "--config", str(pde_cfg)])]
+sys.setprofile(None)
+
+unreached = []
+for info in pkgutil.iter_modules(doublepass.__path__):
+    mod = importlib.import_module(f"doublepass.{info.name}")
+    for name, obj in vars(mod).items():
+        # imported names and module constants carry another module's name
+        # or are neither classes nor callables, and drop out below
+        if name.startswith("_") or (
+                getattr(obj, "__module__", None) != mod.__name__):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members = [(f"{name}.{key}", value)
+                       for key, value in vars(obj).items()
+                       if not key.startswith("_")]
+        for qualname, fn in members:
+            fn = getattr(fn, "__func__", getattr(fn, "fget", fn))
+            fn = inspect.unwrap(fn) if callable(fn) else fn
+            if inspect.isfunction(fn) and fn.__code__ not in ran:
+                unreached.append(f"{info.name}:{qualname}")
+print(json.dumps({"codes": codes, "unreached": unreached}))
+"""
+
+
+def test_every_public_function_runs_in_a_command():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _REACH], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["unreached"] == []

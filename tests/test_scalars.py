@@ -11,6 +11,7 @@ import pytest
 from doublepass.scalars import (Cyclo, FormalScalar, HALF, I, INV_SQRT2,
                                 MINUS_I, ONE, SQRT2, SYM_ALPHA, SYM_K, SYM_L,
                                 SYM_T, ZERO)
+from doublepass.weyl import OpPoly
 
 
 def rand_cyclo(rng, span=3):
@@ -76,9 +77,26 @@ def test_constant_extraction():
 
 def test_degrees():
     expr = SYM_ALPHA * SYM_K * SYM_L + SYM_K * SYM_K
-    assert expr.degree("k") == 2
-    assert expr.degree("l") == 1
     assert expr.degree_kl() == 2
+    assert (SYM_ALPHA * SYM_ALPHA * SYM_ALPHA * SYM_L).degree_kl() == 1
+    assert (SYM_ALPHA * SYM_T).degree_kl() == 0
+    assert FormalScalar.zero().degree_kl() == 0
+
+
+def test_equality_is_type_strict_across_the_sparse_core():
+    # FormalScalar and OpPoly share one table-based core; equal tables of
+    # different classes are still different values
+    for scalar, op in ((FormalScalar.zero(), OpPoly.zero()),
+                       (FormalScalar.one(), OpPoly.one())):
+        assert scalar != op and op != scalar
+    for value in (FormalScalar.zero(), OpPoly.zero()):
+        assert value != Cyclo(0) and Cyclo(0) != value
+    assert FormalScalar.const(1) == FormalScalar.one()
+    assert hash(FormalScalar.const(1)) == hash(FormalScalar.one())
+    assert SYM_K + SYM_L == SYM_L + SYM_K
+    assert hash(SYM_K + SYM_L) == hash(SYM_L + SYM_K)
+    assert OpPoly.x() + OpPoly.p() == OpPoly.p() + OpPoly.x()
+    assert hash(OpPoly.x() + OpPoly.p()) == hash(OpPoly.p() + OpPoly.x())
 
 
 def test_printing_deterministic():

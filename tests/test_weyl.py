@@ -195,14 +195,6 @@ def test_weyl_normalize_idempotent():
     assert once.mul_left(ONE_OP).mul_right(ONE_OP) == once
 
 
-def test_weyl_adjoint_rule():
-    # (exp(ilp) x)^* = exp(-ilp) (x + l)
-    term = WeylTerm(AXIS_P, SYM_L, X)
-    expected = WeylTerm(AXIS_P, -SYM_L, X + OpPoly.const(SYM_L))
-    assert term.adjoint() == expected
-    assert term.adjoint().adjoint() == term
-
-
 def test_weyl_add_mismatched_axes_rejected():
     a = WeylTerm.exponential(AXIS_P, SYM_L)
     b = WeylTerm.exponential(AXIS_X, SYM_L)
@@ -213,6 +205,12 @@ def test_weyl_add_mismatched_axes_rejected():
 def test_printer_forms():
     assert str(WeylTerm(AXIS_P, SYM_L, X - OpPoly.const(SYM_L))) == \
         "exp(i*l*p)*(-l + x)"
+    # only a bare symbol prints without parentheses
+    assert str(WeylTerm.exponential(AXIS_X, SYM_L.scale(HALF))) == \
+        "exp(i*((1/2)*l)*x)"
+    assert str(WeylTerm.exponential(AXIS_P, -SYM_L)) == "exp(i*(-l)*p)"
+    assert str(WeylTerm(AXIS_X, SYM_L, OpPoly.const(2))) == \
+        "exp(i*l*x)*(2)"
     half_a2 = (SYM_ALPHA * SYM_ALPHA).scale(HALF)
     assert str(OpPoly.monomial(2, 0, half_a2)) == "(1/2)*a^2*x^2"
     assert str(OpPoly.zero()) == "0"
