@@ -21,6 +21,11 @@ from doublepass.fock import (GAUGE_TOL, LEAK_TOL, MIN_TRAJ, OracleConfig,
                              simulate_atom_moments, step_unitaries)
 from doublepass.gaussian import closed_form_covariances
 
+# Each phase is shown in test ids by the quadrature angle it measures
+# (x at 0, p at pi/2), so the ids do not depend on how a phase is encoded.
+PHASES = [pytest.param(PHASE_X, id=repr(0.0)),
+          pytest.param(PHASE_P, id=repr(math.pi / 2))]
+
 
 def test_truncated_operators():
     d = 12
@@ -107,7 +112,7 @@ def _quadrature_basis(phase, d_anc):
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
-@pytest.mark.parametrize("phase", [None, PHASE_X, PHASE_P])
+@pytest.mark.parametrize("phase", [None, *PHASES])
 def test_kraus_stack_trace_preserving_on_lower_block(alpha, phase):
     d, da = 12, 3
     basis = None if phase is None else _quadrature_basis(phase, da)[1]
@@ -144,7 +149,7 @@ def test_atom_step_matches_unitary_route():
     assert series.var_x[1] != series.var_x[0]     # the step did act
 
 
-@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+@pytest.mark.parametrize("phase", PHASES)
 def test_homodyne_step_matches_unitary_route(phase):
     # outcome amplitudes: <e| U (psi (x) |0>) in the quadrature eigenbasis
     alpha, dt, d, da, n = 0.9, 5e-3, 12, 3, 4
@@ -161,7 +166,7 @@ def test_homodyne_step_matches_unitary_route(phase):
     assert np.abs(got - ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+@pytest.mark.parametrize("phase", PHASES)
 def test_homodyne_records_match_unitary_route(phase):
     # the whole sampled record, re-run through the joint-vector route with
     # one uniform stream per (seed, trajectory index)
@@ -310,7 +315,7 @@ def _full_space_records(config, sample_steps):
 
 
 @pytest.mark.parametrize("d_anc", [2, 3])
-@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+@pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("alpha", [0.0, 0.9])
 def test_reachable_level_records_bit_equal_full_space(alpha, phase, d_anc):
     cfg = OracleConfig(alpha=alpha, dt=5e-3, t_max=0.3, d_at=12,
@@ -352,7 +357,7 @@ def test_reachable_levels_partial_set(monkeypatch):
         assert np.abs(y - y_ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+@pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("run", ["compare", "criterion_10"])
 def test_every_level_reachable_when_coupled(run, phase):
     cfg = (_oracle_config(RunConfig()) if run == "compare" else
@@ -366,7 +371,7 @@ def test_every_level_reachable_when_coupled(run, phase):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.3, 1.0, 3.0])
-@pytest.mark.parametrize("phase", [PHASE_X, PHASE_P])
+@pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("d_anc", [2, 3, 4, 5, 6])
 def test_real_gauge_leaves_rounding_only(d_anc, phase, alpha):
     # i^(j - i) at phase x and 1 at phase p make every block real: the
