@@ -35,7 +35,7 @@ multiple of the identity, each outcome amplitude is a single product, and
 the loop runs on level 0 alone.  Either way every probability, outcome and
 record keeps its bits.
 
-The homodyne loop runs in real arithmetic, in the atom gauge |n> -> i^n |n>
+Both loops run in real arithmetic, in the atom gauge |n> -> i^n |n>
 (G = diag(i^n), K_e -> G^dagger K_e G).  G^dagger a G = i a, so the gauge
 maps x -> -p and p -> x on the atom.  In the Fock basis x is real symmetric
 and p is i times a real antisymmetric matrix, so the two generators
@@ -58,7 +58,15 @@ raises if it exceeds ``GAUGE_TOL``.  The gauge multiplies each amplitude by
 a unit phase, so the outcome probabilities are unchanged up to that
 rounding; every outcome draw and so every record y, which sums
 sqrt(2 dt) * eigvals[outcome], keeps its bits (checked against the complex
-loop in the tests).  The atom-moment route stays complex.
+loop in the tests).
+
+The atom-moment loop uses the phase-x stack whatever the phase: the channel
+rho <- sum_e K_e rho K_e^dagger does not depend on the basis the ancilla is
+traced in, and the phase-x stack is the gauged one (the phase-p stack is
+real in the Fock frame itself).  The gauged state G^dagger rho G starts at
+the real |0><0| and stays real symmetric under rho <- sum_e K_e rho K_e^T;
+x -> -p and p -> x give Var(x) = Tr(rho p^2) and Var(p) = Tr(rho x^2), with
+x^2 and p^2 real in the Fock basis.  Both means are exactly 0.
 """
 
 from __future__ import annotations
@@ -79,8 +87,8 @@ LEAK_TOL = 1e-6
 #: tolerated deviation of the reduced-state trace from 1 after one step
 TRACE_TOL = 1e-8
 
-#: tolerated imaginary part of the gauged homodyne Kraus stack, relative to
-#: its largest entry; rounding leaves about 2e-15
+#: tolerated imaginary part of the gauged Kraus stack, relative to its
+#: largest entry; rounding leaves about 2e-15
 GAUGE_TOL = 1e-12
 
 #: fewest trajectories a homodyne run accepts
@@ -141,11 +149,8 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class AtomMomentSeries:
-    """Deterministic atomic moments over the step grid."""
+    """Deterministic atomic variances at steps 0..n_steps; both means are 0."""
 
-    times: np.ndarray
-    mean_x: np.ndarray
-    mean_p: np.ndarray
     var_x: np.ndarray
     var_p: np.ndarray
     max_leak: float             # largest top-two-level population seen
@@ -166,7 +171,7 @@ class TrajectoryStats:
 
 
 # ---------------------------------------------------------------------------
-# Truncated operators
+# Truncated operators and the Kraus stack
 # ---------------------------------------------------------------------------
 
 
@@ -211,23 +216,64 @@ def step_unitaries(alpha: float, dt: float, d_at: int, d_anc: int,
 
 
 def kraus_stack(alpha: float, dt: float, d_at: int, d_anc: int,
-                basis: np.ndarray | None = None) -> np.ndarray:
+                basis: np.ndarray) -> np.ndarray:
     """Stacked Kraus operators of one collision with a vacuum ancilla.
 
     Returns K of shape (d_anc * d_at, d_at) whose block e is
     K_e = <e|_anc U_composite |0>_anc, i.e. K[e * d_at + i, j] =
     <i, e| U |j, 0> (atom index first, as in the joint basis).  The outcome
-    states |e> are the columns of ``basis`` (default: the ancilla Fock
-    basis), so passing a quadrature eigenbasis folds the measurement
-    rotation into K.
+    states |e> are the columns of ``basis``, so passing a quadrature
+    eigenbasis folds the measurement rotation into K.
     """
     _, _, u = step_unitaries(alpha, dt, d_at, d_anc)
-    if basis is None:
-        basis = np.eye(d_anc)
     # rows split into (atom i, ancilla a); columns keep the ancilla vacuum
     k = u[:, ::d_anc].reshape(d_at, d_anc, d_at)
     return np.einsum("ae,iaj->eij", basis.conj(), k).reshape(
         d_anc * d_at, d_at)
+
+
+def _real_gauge(kraus: np.ndarray, measure_p: bool) -> np.ndarray:
+    """A quadrature Kraus stack in the real gauge |n> -> i^n |n>, as float64.
+
+    Phase x multiplies K_e[i, j] by the exact factor i^(j - i); phase p
+    needs factor 1 (see the module docstring).  The imaginary part left is
+    rounding; more than ``GAUGE_TOL`` of the largest entry raises
+    ``ArithmeticError``.  Non-finite entries come out as NaN and are left
+    for the step loop's own guards to report.
+    """
+    rows, d = kraus.shape
+    if not measure_p:
+        n = np.arange(d)
+        phases = _I_POWERS[(n[None, :] - n[:, None]) % 4]
+        kraus = (kraus.reshape(-1, d, d) * phases).reshape(rows, d)
+    real = np.ascontiguousarray(kraus.real)
+    finite = np.isfinite(kraus)
+    if not finite.all():
+        # a NaN in the imaginary part alone must not vanish with it
+        real[~finite] = np.nan
+        return real
+    resid = float(np.abs(kraus.imag).max())
+    scale = float(np.abs(kraus).max())
+    if resid > GAUGE_TOL * scale:
+        raise ArithmeticError(
+            f"gauged Kraus stack is not real: imaginary part {resid:.2e}"
+            f" of largest entry {scale:.2e}")
+    return real
+
+
+def _gauged_stack(config: OracleConfig,
+                  phase: str) -> tuple[np.ndarray, np.ndarray]:
+    """(eigvals, real gauged Kraus stack) of ``phase``'s ancilla quadrature.
+
+    Block e of the stack maps the atom state to the amplitude of outcome
+    eigvals[e].
+    """
+    measure_p = phase == PHASE_P
+    quad_op = momentum(config.d_anc) if measure_p else position(config.d_anc)
+    eigvals, eigvecs = np.linalg.eigh(quad_op)
+    kraus = kraus_stack(config.alpha, config.dt, config.d_at, config.d_anc,
+                        eigvecs)
+    return eigvals, _real_gauge(kraus, measure_p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,48 +284,45 @@ def kraus_stack(alpha: float, dt: float, d_at: int, d_anc: int,
 def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
     """Repeated-interaction evolution of the reduced atomic state.
 
-    Per step: apply the collision channel rho <- sum_e K_e rho K_e^dagger
-    (fresh vacuum ancilla, composite unitary, ancilla traced out), check
-    and renormalize the trace.  Raises :class:`TruncationLeakError` when
-    the trace moves by more than ``TRACE_TOL`` or more than ``LEAK_TOL``
-    population reaches the top two atom levels.
+    Per step: apply the collision channel rho <- sum_e K_e rho K_e^T in the
+    real gauge (fresh vacuum ancilla, composite unitary, ancilla traced out;
+    see the module docstring), check and renormalize the trace.  Raises
+    :class:`TruncationLeakError` when the trace moves by more than
+    ``TRACE_TOL`` or more than ``LEAK_TOL`` population reaches the top two
+    atom levels.
     """
     d, da = config.d_at, config.d_anc
-    kraus = kraus_stack(config.alpha, config.dt, d, da).reshape(da, d, d)
-    kraus_dag = kraus.conj().transpose(0, 2, 1)
-    x_op = position(d)
-    p_op = momentum(d)
-    x2 = x_op @ x_op
-    p2 = p_op @ p_op
+    # any ancilla basis traces out the same channel; the phase-x stack is the
+    # one in the gauge, which maps x -> -p and p -> x: Var(x) reads p^2 and
+    # Var(p) reads x^2
+    _, kraus = _gauged_stack(config, PHASE_X)
+    kraus = kraus.reshape(da, d, d)
+    kraus_t = kraus.transpose(0, 2, 1)
+    x_op, p_op = position(d), momentum(d)
+    x2 = (x_op @ x_op).real
+    p2 = (p_op @ p_op).real
 
-    rho = np.zeros((d, d), dtype=complex)
+    rho = np.zeros((d, d))
     rho[0, 0] = 1.0
 
     n_steps = config.n_steps
-    times = np.arange(n_steps + 1) * config.dt
-    mean_x = np.zeros(n_steps + 1)
-    mean_p = np.zeros(n_steps + 1)
     var_x = np.zeros(n_steps + 1)
     var_p = np.zeros(n_steps + 1)
     max_leak = 0.0
     max_deficit = 0.0
 
     def record(idx: int) -> None:
-        mx = np.einsum("ij,ji->", rho, x_op).real
-        mp = np.einsum("ij,ji->", rho, p_op).real
-        mean_x[idx] = mx
-        mean_p[idx] = mp
-        var_x[idx] = np.einsum("ij,ji->", rho, x2).real - mx * mx
-        var_p[idx] = np.einsum("ij,ji->", rho, p2).real - mp * mp
+        var_x[idx] = np.einsum("ij,ji->", rho, p2)
+        var_p[idx] = np.einsum("ij,ji->", rho, x2)
 
-    k_rho = np.empty((da, d, d), dtype=complex)
-    k_rho_k = np.empty((da, d, d), dtype=complex)
+    k_rho = np.empty((da, d, d))
+    k_rho_k = np.empty((da, d, d))
     record(0)
     for step in range(1, n_steps + 1):
         np.matmul(kraus, rho, out=k_rho)
-        np.matmul(k_rho, kraus_dag, out=k_rho_k)
+        np.matmul(k_rho, kraus_t, out=k_rho_k)
         rho = k_rho_k.sum(axis=0)
-        trace = rho.trace().real
+        trace = rho.trace()
         deficit = abs(1.0 - trace)
         # written as "not <=" so that NaN trips the guards
         if not deficit <= TRACE_TOL:
@@ -287,15 +330,14 @@ def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
                 f"trace deficit {deficit:.2e} at step {step}")
         max_deficit = max(max_deficit, deficit)
         rho = rho / trace
-        leak = float(np.diag(rho).real[-2:].sum())
+        leak = float(np.diag(rho)[-2:].sum())
         if not leak <= LEAK_TOL:
             raise TruncationLeakError(
                 f"top-level atom population {leak:.2e} at step {step};"
                 " increase d_at")
         max_leak = max(max_leak, leak)
         record(step)
-    return AtomMomentSeries(times, mean_x, mean_p, var_x, var_p, max_leak,
-                            max_deficit)
+    return AtomMomentSeries(var_x, var_p, max_leak, max_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -343,35 +385,6 @@ def _reachable_levels(kraus: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def _real_gauge(kraus: np.ndarray, measure_p: bool) -> np.ndarray:
-    """The homodyne Kraus stack in the real gauge |n> -> i^n |n>, as float64.
-
-    Phase x multiplies K_e[i, j] by the exact factor i^(j - i); phase p
-    needs factor 1 (see the module docstring).  The imaginary part left is
-    rounding; more than ``GAUGE_TOL`` of the largest entry raises
-    ``ArithmeticError``.  Non-finite entries come out as NaN and are left
-    for the step loop's own guards to report.
-    """
-    rows, d = kraus.shape
-    if not measure_p:
-        n = np.arange(d)
-        phases = _I_POWERS[(n[None, :] - n[:, None]) % 4]
-        kraus = (kraus.reshape(-1, d, d) * phases).reshape(rows, d)
-    real = np.ascontiguousarray(kraus.real)
-    finite = np.isfinite(kraus)
-    if not finite.all():
-        # a NaN in the imaginary part alone must not vanish with it
-        real[~finite] = np.nan
-        return real
-    resid = float(np.abs(kraus.imag).max())
-    scale = float(np.abs(kraus).max())
-    if resid > GAUGE_TOL * scale:
-        raise ArithmeticError(
-            f"gauged Kraus stack is not real: imaginary part {resid:.2e}"
-            f" of largest entry {scale:.2e}")
-    return real
-
-
 def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                       ) -> list[tuple[float, np.ndarray, float]]:
     """(time, record y per trajectory, max leak so far) at each sample step."""
@@ -380,12 +393,7 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     d, da = config.d_at, config.d_anc
     n_steps = config.n_steps
     n = config.n_traj
-    measure_p = config.phase == PHASE_P
-    quad_op = momentum(da) if measure_p else position(da)
-    eigvals, eigvecs = np.linalg.eigh(quad_op)
-    # block e of K maps the atom state to the amplitude of outcome eigvals[e]
-    kraus = _real_gauge(
-        kraus_stack(config.alpha, config.dt, d, da, eigvecs), measure_p)
+    eigvals, kraus = _gauged_stack(config, config.phase)
     # step only the levels reachable from |0>; the rest hold exact zeros
     levels = _reachable_levels(kraus)
     m = levels.size

@@ -20,7 +20,7 @@ double-pass model.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
@@ -66,9 +66,10 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 class ItoDifferential:
     """Coefficient triple (dA, dA*, dt) of a stochastic differential."""
 
-    ca: AlgebraElement = _ZERO
-    castar: AlgebraElement = _ZERO
-    ct: AlgebraElement = _ZERO
+    # a factory: OpPoly is unhashable, so dataclass refuses it as a default
+    ca: AlgebraElement = field(default_factory=OpPoly.zero)
+    castar: AlgebraElement = field(default_factory=OpPoly.zero)
+    ct: AlgebraElement = field(default_factory=OpPoly.zero)
 
     @classmethod
     def zero(cls) -> "ItoDifferential":

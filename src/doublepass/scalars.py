@@ -4,7 +4,7 @@ Coefficients live in the number field Q(i, sqrt(2)).  A :class:`Cyclo` holds
 ``(a + b*i + c*sqrt2 + d*i*sqrt2) / den`` as four Python-int numerators over
 one positive int denominator.  Every result is divided by
 ``gcd(a, b, c, d, den)``, so the form is canonical: equal values have equal
-tuples, and ``+``, ``-``, ``*`` and the conjugations do int arithmetic only.
+tuples, and ``+``, ``*``, negation and conjugation do int arithmetic only.
 The rational parts ``ra``..``rd`` are read as :class:`~fractions.Fraction`.
 On top of that, :class:`FormalScalar` is a multivariate polynomial over the
 field in the four formal symbols ``a`` (coupling strength), ``k``, ``l``
@@ -83,9 +83,6 @@ class Cyclo:
         return _reduced(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1,
                         c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2)
 
-    def __sub__(self, other: "Cyclo") -> "Cyclo":
-        return self + (-other)
-
     def __neg__(self) -> "Cyclo":
         a, b, c, d, e = self._v
         return _make((-a, -b, -c, -d, e))
@@ -115,9 +112,6 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         return self._v == other._v
-
-    def __hash__(self) -> int:
-        return hash(self._v)
 
     def to_complex(self) -> complex:
         # int / int is correctly rounded, so each part is float(Fraction)
@@ -261,9 +255,6 @@ class SparsePoly:
         if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def _monomial(self, key: tuple[int, ...]) -> str:
         """``name^exp`` factors of one key joined by ``*``; ``""`` if none."""

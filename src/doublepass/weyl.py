@@ -197,29 +197,5 @@ class WeylTerm:
                 "cannot add Weyl terms with different exponential factors")
         return WeylTerm(self.axis, self.lam, self.post + other.post)
 
-    def __neg__(self) -> "WeylTerm":
-        return WeylTerm(self.axis, self.lam, -self.post)
-
     def is_zero(self) -> bool:
         return self.post.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylTerm):
-            return NotImplemented
-        return (self.axis == other.axis and self.lam == other.lam
-                and self.post == other.post)
-
-    def __hash__(self) -> int:
-        return hash((self.axis, self.lam, self.post))
-
-    def __str__(self) -> str:
-        lam_str = str(self.lam)
-        if lam_str not in FormalScalar.SYMBOLS:
-            lam_str = f"({lam_str})"
-        head = f"exp(i*{lam_str}*{self.axis})"
-        if self.post == OpPoly.one():
-            return head
-        return f"{head}*({self.post})"
-
-    def __repr__(self) -> str:
-        return f"WeylTerm({self})"

@@ -115,7 +115,7 @@ def _quadrature_basis(phase, d_anc):
 @pytest.mark.parametrize("phase", [None, *PHASES])
 def test_kraus_stack_trace_preserving_on_lower_block(alpha, phase):
     d, da = 12, 3
-    basis = None if phase is None else _quadrature_basis(phase, da)[1]
+    basis = np.eye(da) if phase is None else _quadrature_basis(phase, da)[1]
     k = kraus_stack(alpha, 1e-3, d, da, basis).reshape(da, d, d)
     completeness = np.einsum("eji,ejk->ik", k.conj(), k)
     defect = (completeness - np.eye(d))[:d - 2, :d - 2]
@@ -139,11 +139,10 @@ def test_atom_step_matches_unitary_route():
             rho = np.einsum("iaja->ij", joint.reshape(d, da, d, da))
             rho = rho / rho.trace().real
         mx, mp = np.trace(rho @ x).real, np.trace(rho @ p).real
-        ref.append((mx, mp, np.trace(rho @ x @ x).real - mx * mx,
+        ref.append((np.trace(rho @ x @ x).real - mx * mx,
                     np.trace(rho @ p @ p).real - mp * mp))
     series = simulate_atom_moments(cfg)
-    got = np.stack([series.mean_x, series.mean_p, series.var_x,
-                    series.var_p], axis=1)
+    got = np.stack([series.var_x, series.var_p], axis=1)
     assert cfg.n_steps == 10
     assert np.abs(got - np.array(ref)).max() < 1e-12
     assert series.var_x[1] != series.var_x[0]     # the step did act
@@ -204,7 +203,6 @@ def test_atom_moments_alpha_zero():
     series = simulate_atom_moments(cfg)
     assert np.allclose(series.var_x, 0.5, atol=1e-12)
     assert np.allclose(series.var_p, 0.5, atol=1e-12)
-    assert np.allclose(series.mean_x, 0.0, atol=1e-12)
 
 
 def test_atom_moments_match_closed_forms():
@@ -216,10 +214,18 @@ def test_atom_moments_match_closed_forms():
     assert series.var_x[-1] == pytest.approx(closed.entry("x_at", "x_at"),
                                              rel=0.02)
     assert series.max_leak < LEAK_TOL
-    # unconditional means stay zero and the state stays physical
-    assert np.abs(series.mean_x).max() < 1e-10
-    assert np.abs(series.mean_p).max() < 1e-10
+    # the state stays physical
     assert (series.var_x * series.var_p >= 0.25 - 1e-10).all()
+
+
+def test_atom_moments_do_not_depend_on_measured_phase():
+    # the atom loop traces the ancilla out in one fixed basis
+    kw = dict(alpha=0.9, dt=5e-3, t_max=0.3, d_at=14, d_anc=3)
+    at_x = simulate_atom_moments(OracleConfig(phase=PHASE_X, **kw))
+    at_p = simulate_atom_moments(OracleConfig(phase=PHASE_P, **kw))
+    assert at_x.var_x.tobytes() == at_p.var_x.tobytes()
+    assert at_x.var_p.tobytes() == at_p.var_p.tobytes()
+    assert at_x.var_x[-1] != at_x.var_x[0]
 
 
 def test_atom_moments_truncation_converged():
@@ -239,7 +245,7 @@ def test_atom_moments_leak_detection():
 
 def test_guards_trip_on_nan(monkeypatch):
     # a NaN state must stop both loops, not flow into the statistics
-    def nan_kraus(alpha, dt, d_at, d_anc, basis=None):
+    def nan_kraus(alpha, dt, d_at, d_anc, basis):
         return np.full((d_anc * d_at, d_at), np.nan, dtype=complex)
 
     monkeypatch.setattr(fock, "kraus_stack", nan_kraus)
@@ -254,14 +260,14 @@ def test_guards_trip_on_nan(monkeypatch):
 def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
     # a NaN diagonal links no level to another, so only level 0 is stepped
     # and the top-level leak reads 0: the state itself must trip the guard
-    def nan_diagonal(alpha, dt, d_at, d_anc, basis=None):
+    def nan_diagonal(alpha, dt, d_at, d_anc, basis):
         k = np.zeros((d_anc, d_at, d_at), dtype=complex)
         k[:, np.arange(d_at), np.arange(d_at)] = np.nan
         return k.reshape(d_anc * d_at, d_at)
 
     monkeypatch.setattr(fock, "kraus_stack", nan_diagonal)
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100)
-    nan_stack = fock.kraus_stack(0.3, 2e-3, 10, 3)
+    nan_stack = fock.kraus_stack(0.3, 2e-3, 10, 3, np.eye(3))
     assert fock._reachable_levels(nan_stack).tolist() == [0]
     with pytest.raises(TruncationLeakError), np.errstate(invalid="ignore"):
         homodyne_monte_carlo(cfg)
@@ -339,7 +345,7 @@ def test_reachable_levels_partial_set(monkeypatch):
     # space up to the summation order of the matrix product
     small = kraus_stack(0.9, 5e-3, 3, 3, _quadrature_basis(PHASE_X, 3)[1])
 
-    def embedded(alpha, dt, d_at, d_anc, basis=None):
+    def embedded(alpha, dt, d_at, d_anc, basis):
         k = np.zeros((d_anc, d_at, d_at), dtype=complex)
         k[:, :3, :3] = small.reshape(3, 3, 3)
         return k.reshape(d_anc * d_at, d_at)
@@ -347,7 +353,7 @@ def test_reachable_levels_partial_set(monkeypatch):
     monkeypatch.setattr(fock, "kraus_stack", embedded)
     cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=0.2, d_at=10, d_anc=3,
                        n_traj=100, seed=4)
-    stack = embedded(0.9, 5e-3, 10, 3)
+    stack = embedded(0.9, 5e-3, 10, 3, np.eye(3))
     assert fock._reachable_levels(stack).tolist() == [0, 1, 2]
     steps = [20, cfg.n_steps]
     got = fock._homodyne_records(cfg, steps)
@@ -460,7 +466,7 @@ def test_gauge_guard_threshold():
 def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
     stack = fock.kraus_stack
 
-    def nan_imag(alpha, dt, d_at, d_anc, basis=None):
+    def nan_imag(alpha, dt, d_at, d_anc, basis):
         k = stack(alpha, dt, d_at, d_anc, basis)
         k[3, 2] = complex(k[3, 2].real, np.nan)
         return k
@@ -469,10 +475,16 @@ def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
     # at phase p the stack is not multiplied, so only the gauge keeps the NaN
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100,
                        phase=PHASE_P)
-    real = fock._real_gauge(fock.kraus_stack(0.3, 2e-3, 10, 3), True)
+    real = fock._real_gauge(fock.kraus_stack(0.3, 2e-3, 10, 3, np.eye(3)),
+                            True)
     assert np.isnan(real).sum() == 1
     with pytest.raises(TruncationLeakError), np.errstate(invalid="ignore"):
         homodyne_monte_carlo(cfg)
+    # the atom loop keeps it too: a stack's real part alone would step a
+    # finite, wrong channel and report a finite deficit
+    with pytest.raises(TruncationLeakError, match="trace deficit nan"), \
+            np.errstate(invalid="ignore"):
+        simulate_atom_moments(cfg)
 
 
 def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(monkeypatch):
@@ -481,7 +493,7 @@ def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(monkeypatch):
     # check the run returns a record of zero variance
     stack = fock.kraus_stack
 
-    def nan_block_one(alpha, dt, d_at, d_anc, basis=None):
+    def nan_block_one(alpha, dt, d_at, d_anc, basis):
         k = stack(alpha, dt, d_at, d_anc, basis)
         k[d_at + 3, 2] = np.nan
         return k
@@ -495,27 +507,32 @@ def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(monkeypatch):
 
 def test_gauge_guard_survives_optimize_flag():
     # one outcome block turned by a phase that is not a power of i: the
-    # gauged stack is complex, and the guard must raise under python -O too
+    # gauged stack is complex, and the guard must raise under python -O too,
+    # in both loops (the turn leaves the atom channel itself unchanged)
     code = textwrap.dedent("""
         import cmath, math
         from doublepass import fock
         stack = fock.kraus_stack
-        def turned(alpha, dt, d_at, d_anc, basis=None):
+        def turned(alpha, dt, d_at, d_anc, basis):
             k = stack(alpha, dt, d_at, d_anc, basis)
             k[d_at:2 * d_at] *= cmath.exp(1j * math.pi / 7)
             return k
         fock.kraus_stack = turned
         cfg = fock.OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10,
                                 n_traj=100)
-        try:
-            fock.homodyne_monte_carlo(cfg)
-        except ArithmeticError as exc:
-            print("raised:", exc)
+        for run in (fock.homodyne_monte_carlo, fock.simulate_atom_moments):
+            try:
+                run(cfg)
+            except ArithmeticError as exc:
+                print("raised:", exc)
         """)
     res = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("raised: gauged Kraus stack is not real")
+    lines = res.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("raised: gauged Kraus stack is not real")
+               for line in lines)
 
 
 # -- homodyne Monte Carlo -----------------------------------------------------------
