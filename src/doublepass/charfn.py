@@ -239,41 +239,33 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
 
 
 def _upwind_layout(forward: np.ndarray):
-    """Slots of the FD state, ordered by the side of each point's stencil.
+    """Slots of the FD state: each row in upwind order, with four ghosts.
 
-    ``forward`` marks the points of the ``(nk, nl)`` grid that take the
-    forward stencil; in every row they are a prefix (l below the zero of
-    the drift), the rest take the backward one.  The slots hold, for each
-    row, its forward run followed by two ghost slots; then, for each row,
-    two ghost slots followed by its backward run: ``nk * (nl + 4)`` slots,
-    and one more that always holds zero.  So the neighbours ``f[j+1]``,
-    ``f[j+2]`` of every forward point and ``f[j-1]``, ``f[j-2]`` of every
-    backward point sit in the next or previous slots.  Each ghost slot
-    copies the grid point across its run boundary, or the zero slot beyond
-    the l grid.  Returns the slot of every grid point, the number of
-    forward-region slots, the ghost slots and the slots they copy.
+    ``forward`` marks the points of the ``(nk, nl)`` grid whose drift is
+    negative; in every row they are a prefix of ``m`` columns (l below the
+    zero of the drift).  Row ``r`` takes the contiguous slots
+    ``[r (nl + 4), (r + 1)(nl + 4))`` and holds the columns
+    ``m+1, m, m-1, ..., 0`` then ``m-2, m-1, m, ..., nl-1``: column ``c``
+    sits at offset ``m + 1 - c`` if ``c < m`` and at ``c + 4`` otherwise.
+    So the two upwind neighbours of every grid point sit in the two slots
+    before it.  The four ghost offsets ``0, 1, m+2, m+3`` copy the columns
+    ``m+1, m, m-2, m-1``, or the zero slot ``nk (nl + 4)`` where that
+    column is off the l grid.  Returns the slot of every grid point, the
+    ghost slots and the slots they copy.
     """
     nk, nl = forward.shape
     cols = np.arange(nl)
-    m = forward.sum(axis=1)
-    if not np.array_equal(forward, cols < m[:, None]):
+    m = forward.sum(axis=1)[:, None]
+    if not np.array_equal(forward, cols < m):
         raise RuntimeError(
             "forward-stencil points are not a prefix of each row")
-    fwd_start = np.concatenate(([0], np.cumsum(m + 2)[:-1]))
-    n_fwd = int(m.sum()) + 2 * nk
-    bwd_start = n_fwd + np.concatenate(([0], np.cumsum(nl - m + 2)[:-1]))
-    pos = np.where(forward, fwd_start[:, None] + cols,
-                   bwd_start[:, None] + 2 + cols - m[:, None])
-    zero = nk * (nl + 4)
-    rows, two = np.arange(nk)[:, None], np.arange(2)
-    after = m[:, None] + two            # what the forward run's ghosts copy
-    before = m[:, None] - 2 + two       # what the backward run's ghosts copy
-    ghost = np.concatenate([(fwd_start[:, None] + after).ravel(),
-                            (bwd_start[:, None] + two).ravel()])
-    across = np.concatenate([
-        np.where(after < nl, pos[rows, np.minimum(after, nl - 1)], zero),
-        np.where(before >= 0, pos[rows, np.maximum(before, 0)], zero)])
-    return pos, n_fwd, ghost, across.ravel()
+    start = (nl + 4) * np.arange(nk)[:, None]
+    pos = start + np.where(forward, m + 1 - cols, cols + 4)
+    ghost = start + [0, 1, 2, 3] + m * [0, 0, 1, 1]
+    copied = m + [1, 0, -2, -1]         # on the grid: offsets m+5, m+4, 3, 2
+    source = np.where((copied >= 0) & (copied < nl),
+                      start + [5, 4, 3, 2] + m * [1, 1, 0, 0], nk * (nl + 4))
+    return pos, ghost.ravel(), source.ravel()
 
 
 def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
@@ -281,24 +273,27 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
     """Explicit finite-difference evolution of all k-slices at once.
 
     Per step: half decay (exact pointwise factor), one Heun advection step
-    with a second-order upwind-biased derivative, half decay.  The stencil
-    is backward, ``(3f - 4f[j-1] + f[j-2]) / 2dl``, where the drift is
-    nonnegative and forward, ``((4f[j+1] - 3f) - f[j+2]) / 2dl``, where it
-    is negative (zero beyond the l grid).  The drift does not depend on
-    time, so the side of every point, ``-drift`` and the decay factor are
-    fixed before the loop.
+    with a second-order upwind-biased derivative, half decay.  The drift does
+    not depend on time, so the upwind side of every point, ``-|drift|`` and
+    the decay factor are fixed before the loop.
 
     The state lives in one preallocated flat buffer laid out by
-    :func:`_upwind_layout`: all forward points, then all backward points,
-    each run of a row next to two ghost slots.  Before each Heun stage the
-    ghost slots copy the values across the run boundaries (zero beyond the
-    grid); each stencil then reads its neighbours as contiguous slices of
-    the buffer, one stencil per point, into preallocated arrays.
+    :func:`_upwind_layout`: each k row in upwind order, so every point takes
+    the same backward stencil ``(3f - 4f[j-1] + f[j-2]) / 2dl`` on the slots
+    before it, times ``-|drift|``.  Where the drift is negative this reads
+    the row mirrored and gives, bit for bit, the negative of the forward
+    stencil ``((4f[j+1] - 3f) - f[j+2]) / 2dl`` in l order: IEEE rounding
+    is symmetric under negation.  Before each Heun stage the ghost slots copy
+    the values across the turn of each row (zero beyond the l grid); the
+    stencil then reads contiguous slices into preallocated arrays.
 
-    Requires the CFL condition max|drift| * dt <= dl; boundary values are
-    monitored after every step and an excess over :data:`BOUNDARY_TOL` raises
-    :class:`BoundaryLeakError`.  The CFL number and the largest boundary
-    value are returned on the surface.
+    Requires the CFL condition max|drift| * dt <= dl / 2: above it Heun on
+    this stencil amplifies the highest wavenumber by ``1 - 4 nu + 8 nu^2 > 1``
+    (Hundsdorfer & Verwer, *Numerical Solution of Time-Dependent
+    Advection-Diffusion-Reaction Equations*, 2003).  Boundary values are
+    monitored after every step and an excess over :data:`BOUNDARY_TOL`
+    raises :class:`BoundaryLeakError`.  The CFL number ``nu`` and the
+    largest boundary value are returned on the surface.
     """
     _check_family(family)
     if t < 0 or dt <= 0:
@@ -318,35 +313,35 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
 
     n_steps = step_count(t, dt, "pde.dt", "pde.t")
     cfl = float(np.abs(drift).max()) * dt / grid.dl
-    if cfl > 1.0 + 1e-12:
-        raise ConfigError(f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 1")
+    if cfl > 0.5 + 1e-12:
+        raise ConfigError(f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 0.5")
 
-    pos, n_fwd, ghost, source = _upwind_layout(drift < 0.0)
+    pos, ghost, source = _upwind_layout(drift < 0.0)
     n = pos.size + 4 * len(kv)
     f = np.zeros(n + 1)                 # slot n is the zero slot
     g = np.zeros(n + 1)
     f[pos] = f0
     f_slots, g_slots = f[:n], g[:n]
-    neg_drift = np.zeros(n)
-    neg_drift[pos] = -drift
+    neg_abs_drift = np.zeros(n)
+    neg_abs_drift[pos] = -np.abs(drift)
     half_decay = np.ones(n)
     half_decay[pos] = np.exp(0.5 * dt * decay)
     two_dl, half_dt = 2.0 * grid.dl, 0.5 * dt
-    three_f, four_f, num, k1, k2 = (np.empty(n) for _ in range(5))
-    fw, bw = slice(0, n_fwd), slice(n_fwd, n)
+    three_f, four_f, k1, k2 = (np.empty(n) for _ in range(4))
+    # no stencil writes slots 0 and 1; they are ghosts (factor 0), so they
+    # stay 0 through the loop's reuse of num as well
+    num = np.zeros(n)
 
     def advection(src: np.ndarray, out: np.ndarray) -> None:
-        """out = -drift * d(src)/dl in every slot, one stencil per point."""
+        """out = -|drift| * d(src)/dl in every slot, in upwind order."""
         src[ghost] = src[source]
         s = src[:n]
         np.multiply(s, 3.0, out=three_f)
         np.multiply(s, 4.0, out=four_f)
-        np.subtract(four_f[1:n_fwd + 1], three_f[fw], out=num[fw])
-        np.subtract(num[fw], s[2:n_fwd + 2], out=num[fw])
-        np.subtract(three_f[bw], four_f[n_fwd - 1:n - 1], out=num[bw])
-        np.add(num[bw], s[n_fwd - 2:n - 2], out=num[bw])
+        np.subtract(three_f[2:], four_f[1:-1], out=num[2:])
+        np.add(num[2:], s[:-2], out=num[2:])
         np.divide(num, two_dl, out=num)
-        np.multiply(neg_drift, num, out=out)
+        np.multiply(neg_abs_drift, num, out=out)
 
     edges = pos[:, [0, -1]].ravel()     # first and last l columns
     leak = 0.0

@@ -71,10 +71,6 @@ class ItoDifferential:
     castar: AlgebraElement = field(default_factory=OpPoly.zero)
     ct: AlgebraElement = field(default_factory=OpPoly.zero)
 
-    @classmethod
-    def zero(cls) -> "ItoDifferential":
-        return cls()
-
     def __add__(self, other: "ItoDifferential") -> "ItoDifferential":
         return ItoDifferential(alg_add(self.ca, other.ca),
                                alg_add(self.castar, other.castar),
@@ -144,7 +140,7 @@ def subset_terms(
 
 def subset_differential(factors: Sequence[Factor]) -> ItoDifferential:
     """Differential of an ordered product via the nonempty-subset rule."""
-    total = ItoDifferential.zero()
+    total = ItoDifferential()
     for _, term in subset_terms(factors):
         total = total + term
     return total
@@ -215,7 +211,7 @@ def flow_differential(sys: HPSystem, z: AlgebraElement) -> ItoDifferential:
     """
     factors: list[Factor] = [
         (_ONE, sys.generator_adjoint()),
-        (z, ItoDifferential.zero()),
+        (z, ItoDifferential()),
         (_ONE, sys.generator()),
     ]
     return subset_differential(factors)
@@ -233,11 +229,6 @@ def lindblad(sys: HPSystem, z: AlgebraElement) -> AlgebraElement:
     comm = alg_add(alg_mul(sys.H, z), alg_mul(z, sys.H).scale(Cyclo(-1)))
     sandwich = alg_mul(ls, alg_mul(z, sys.L))
     return alg_add(alg_add(anti.scale(_MINUS_HALF), comm.scale(I)), sandwich)
-
-
-def vacuum_expectation(dx: ItoDifferential) -> AlgebraElement:
-    """Drop the dA and dA* coefficients (they vanish in vacuum expectation)."""
-    return dx.ct
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +429,8 @@ def char_fn_generator(sys: HPSystem, family: str) -> PdeCoefficients:
                            ct=zw.scale(phi_t))
     total = subset_differential([
         (_ONE, sys.generator_adjoint()), (zw, dmid), (_ONE, sys.generator())])
-    drift = vacuum_expectation(total)
+    # the dA and dA* coefficients vanish in vacuum expectation
+    drift = total.ct
     if not isinstance(drift, WeylTerm) or drift.axis != axis or drift.lam != SYM_L:
         raise FragmentError("drift left the single-exponential fragment")
     c0 = FormalScalar.zero()
@@ -532,7 +524,7 @@ PAPER_FORMS: dict[str, dict] = {
 def _transcript_subset(lines: list[str], title: str,
                        factors: Sequence[Factor]) -> ItoDifferential:
     lines.append(title)
-    total = ItoDifferential.zero()
+    total = ItoDifferential()
     for subset, term in subset_terms(factors):
         label = "{" + ",".join(str(i + 1) for i in subset) + "}"
         lines.append(f"  {label}: {term}")
@@ -562,7 +554,7 @@ def derivation_report() -> str:
     for rel, z in ((io.dx_at_out, OpPoly.x()), (io.dp_at_out, OpPoly.p())):
         _transcript_subset(
             lines, f"-- {rel.name}: subset expansion of (U*, {z}, U) --",
-            [(_ONE, sys.generator_adjoint()), (z, ItoDifferential.zero()),
+            [(_ONE, sys.generator_adjoint()), (z, ItoDifferential()),
              (_ONE, sys.generator())])
         lines.append(f"  {rel.pretty()}")
     lines.append(f"commutator rate: [x_ph_out, p_ph_out] = "

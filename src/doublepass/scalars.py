@@ -55,10 +55,6 @@ class Cyclo:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Cyclo is immutable")
 
-    @classmethod
-    def rational(cls, x: RationalLike) -> "Cyclo":
-        return cls(x)
-
     @property
     def ra(self) -> Fraction:
         return Fraction(self._v[0], self._v[4])
@@ -288,7 +284,7 @@ class FormalScalar(SparsePoly):
 
     @classmethod
     def const(cls, value: Cyclo | RationalLike) -> "FormalScalar":
-        coeff = value if isinstance(value, Cyclo) else Cyclo.rational(value)
+        coeff = value if isinstance(value, Cyclo) else Cyclo(value)
         return cls({cls._CONST: coeff})
 
     @classmethod

@@ -173,7 +173,7 @@ class WeylTerm:
             e = key[own]
             for j in range(e + 1):
                 contrib = coeff * (shift ** (e - j)).scale(
-                    Cyclo.rational(comb(e, j)))
+                    Cyclo(comb(e, j)))
                 new = (j, key[1]) if own == 0 else (key[0], j)
                 cur = out.get(new)
                 out[new] = contrib if cur is None else cur + contrib

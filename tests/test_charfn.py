@@ -187,6 +187,13 @@ def test_fd_cfl_violation_rejected():
     grid = GridSpec(l_max=8.0, dl=0.1, k_max=2.0, dk=1.0)
     with pytest.raises(ConfigError):
         fd_solve("F", 1.0, grid, 0.5, 0.05)
+    # CFL 0.605: Heun on the second-order upwind stencil amplifies the
+    # highest wavenumber by 1 - 4 nu + 8 nu^2 > 1.  With the leak monitor
+    # off, this grid at t = 0.15 errs by 1.2e-5 for nu up to 0.605, then by
+    # 4e2 at nu = 0.756 and 4e18 at 0.907, as grid-scale rounding grows
+    grid = GridSpec(l_max=12.0, dl=0.02, k_max=0.1, dk=0.05)
+    with pytest.raises(ConfigError, match="CFL"):
+        fd_solve("F", 1.0, grid, 0.15, 1e-3)
 
 
 def test_fd_boundary_leak_detected():
@@ -245,18 +252,22 @@ REF_GRID = GridSpec(l_max=8.0, dl=0.1, k_max=1.0, dk=0.5)
 # |k| > alpha * l_max: the F drift points into the grid at the outer edges,
 # so the stencils there read the zero ghosts (tolerance 1: no leak error).
 INFLOW_GRID = GridSpec(l_max=4.0, dl=0.1, k_max=4.0, dk=2.0)
+# at alpha = 1 the F rows have 1, 40 and 80 of 81 points in their forward
+# run: a ghost reads a one-point run on one side, the zero slot on the other
+EDGE_RUN_GRID = GridSpec(l_max=4.0, dl=0.1, k_max=3.95, dk=3.95)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("alpha", (0.0, 0.7, 1.0))
-@pytest.mark.parametrize("grid, tol", ((REF_GRID, 1e-3), (INFLOW_GRID, 1.0)),
-                         ids=("outflow", "inflow"))
+@pytest.mark.parametrize("grid, tol", ((REF_GRID, 1e-3), (INFLOW_GRID, 1.0),
+                                       (EDGE_RUN_GRID, 1.0)),
+                         ids=("outflow", "inflow", "edge_run"))
 def test_fd_bit_identical_to_two_stencil_step(family, alpha, grid, tol,
                                              monkeypatch):
     monkeypatch.setattr(charfn, "BOUNDARY_TOL", tol)
     kv = grid.k_values()
     assert kv.min() < 0 < kv.max() and 0.0 in kv
-    dt, n_steps = 0.01, 20
+    dt, n_steps = 0.005, 40
     ref, cfl, edges = _two_stencil_fd(family, alpha, grid, n_steps, dt)
     surf = fd_solve(family, alpha, grid, n_steps * dt, dt)
     assert np.array_equal(surf.values, ref)
@@ -269,16 +280,20 @@ def test_upwind_layout_slots():
     forward = np.array([[True, True, False],
                         [False, False, False],
                         [True, True, True]])
-    pos, n_fwd, ghost, source = _upwind_layout(forward)
-    # forward runs, each with two ghosts after it: slots 0-10; then two
-    # ghosts before each backward run: slots 11-20; slot 21 holds zero
-    assert n_fwd == 11
-    assert pos.tolist() == [[0, 1, 13], [16, 17, 18], [6, 7, 8]]
+    nk, nl = forward.shape
+    pos, ghost, source = _upwind_layout(forward)
+    # each row in upwind order: columns m+1, m, ..., 0, then m-2, ..., nl-1
+    assert pos.tolist() == [[3, 2, 6], [11, 12, 13], [18, 17, 16]]
     assert sorted(pos.ravel().tolist() + ghost.tolist()) == list(range(21))
     zero = 21
     copies = dict(zip(ghost.tolist(), source.tolist()))
-    assert copies == {2: 13, 3: zero, 4: 16, 5: 17, 9: zero, 10: zero,
-                      11: 0, 12: 1, 14: zero, 15: zero, 19: 7, 20: 8}
+    assert copies == {0: zero, 1: 6, 4: 3, 5: 2, 7: 12, 8: 11, 9: zero,
+                      10: zero, 14: zero, 15: zero, 19: 17, 20: 16}
+    # every slot of row r, grid or ghost, lies in one block of nl + 4
+    for r in range(nk):
+        row_ghosts = ghost[4 * r:4 * r + 4]
+        for slot in pos[r].tolist() + row_ghosts.tolist():
+            assert r * (nl + 4) <= slot < (r + 1) * (nl + 4)
     with pytest.raises(RuntimeError):
         _upwind_layout(np.array([[False, True]]))
 
@@ -301,11 +316,11 @@ def test_fd_boundary_leak_on_same_step():
 
 def test_fd_cfl_limit():
     grid = GridSpec(l_max=8.0, dl=0.1, k_max=1.0, dk=0.5)
-    # G drift is alpha * k: |drift| * dt / dl = 1 at alpha = 1, dt = dl
-    at_limit = fd_solve("G", 1.0, grid, 0.2, 0.1)
-    assert at_limit.cfl == 1.0
+    # G drift is alpha * k: |drift| * dt / dl = 1/2 at alpha = 1, dt = dl/2
+    at_limit = fd_solve("G", 1.0, grid, 0.2, 0.05)
+    assert at_limit.cfl == 0.5
     with pytest.raises(ConfigError, match="CFL"):
-        fd_solve("G", 1.0 + 1e-9, grid, 0.2, 0.1)
+        fd_solve("G", 1.0 + 1e-9, grid, 0.2, 0.05)
 
 
 def test_fd_health_only_on_fd_surfaces():

@@ -343,6 +343,9 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, config, message", [
     ("pde", "pde.l_max = 0.01\npde.k_max = 0.1\n", "widen the l grid"),
+    # CFL 0.756 is unstable; it must not surface as a boundary leak
+    ("pde", "pde.l_max = 12\npde.k_max = 0.1\npde.dt = 0.00125\n"
+     "pde.t = 0.3\n", "CFL"),
     ("oracle", "oracle.d_at = 4\n", "increase d_at"),
     ("compare", "tolerance.ode_rel = -1\n", "tol_ode_rel must be positive"),
     ("compare", "tolerance.oracle_sigma = 0\n",
@@ -355,8 +358,8 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
     ("pde", "pde.dt = 1e-320\n", "pde.dt = 1e-320"),
     ("pde", "pde.dl = 1e-300\n", "pde.dl = 1e-300"),
     ("compare", "grid_step = 1e-300\n", "grid_step = 1e-300"),
-], ids=["boundary_leak", "truncation_leak", "negative_tol", "zero_tol",
-        "variances_tiny_grid_step", "variances_tiny_solver_dt",
+], ids=["boundary_leak", "cfl_above_half", "truncation_leak", "negative_tol",
+        "zero_tol", "variances_tiny_grid_step", "variances_tiny_solver_dt",
         "oracle_subnormal_dt", "oracle_tiny_dt", "pde_subnormal_dt",
         "pde_tiny_dl", "compare_tiny_grid_step"])
 def test_fixable_by_config_exit_code(tmp_path, command, config, message):

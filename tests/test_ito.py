@@ -11,7 +11,7 @@ from doublepass.ito import (FAMILY_F, FAMILY_G, HPSystem, ItoDifferential,
                             output_commutator_rate,
                             output_quadrature_relations, series_product,
                             single_pass_systems, subset_differential,
-                            subset_terms, vacuum_expectation)
+                            subset_terms)
 from doublepass.scalars import (Cyclo, FormalScalar, HALF, I, INV_SQRT2,
                                 MINUS_I, SYM_ALPHA, SYM_K, SYM_L)
 from doublepass.weyl import (AXIS_P, FragmentError, OpPoly, WeylTerm,
@@ -224,16 +224,6 @@ def test_lindblad_weyl_exponential():
     for term in (out, ct):
         assert (term.axis, term.lam, term.post) == (
             AXIS_P, SYM_L, expected_post)
-
-
-def test_vacuum_expectation():
-    rng = random.Random(55)
-    da = ItoDifferential(ca=ONE_OP)
-    assert vacuum_expectation(da).is_zero()
-    d = rand_differential(rng)
-    assert vacuum_expectation(d) == d.ct
-    dt_only = ItoDifferential(ct=P)
-    assert vacuum_expectation(dt_only) == P
 
 
 # -- input/output relations -------------------------------------------------------

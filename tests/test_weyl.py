@@ -68,7 +68,7 @@ def _reference_mul(a, b):
     for (m1, n1), c1 in a.terms():
         for (m2, n2), c2 in b.terms():
             for j in range(min(n1, m2) + 1):
-                factor = (ONE, MINUS_I, -ONE, I)[j % 4] * Cyclo.rational(
+                factor = (ONE, MINUS_I, -ONE, I)[j % 4] * Cyclo(
                     factorial(j) * comb(n1, j) * comb(m2, j))
                 out = out + OpPoly.monomial(m1 + m2 - j, n1 + n2 - j,
                                             (c1 * c2).scale(factor))
