@@ -40,18 +40,19 @@ class BoundaryLeakError(ConfigError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform symmetric (k, l) grid."""
+    """Uniform symmetric (k, l) grid: the ``pde.`` keys of its field names."""
 
-    l_max: float = 8.0
-    dl: float = 0.02
-    k_max: float = 8.0
-    dk: float = 0.02
+    l_max: float
+    dl: float
+    k_max: float
+    dk: float
 
     def __post_init__(self):
         for extent, step, axis in ((self.l_max, self.dl, "l"),
                                    (self.k_max, self.dk, "k")):
             if extent <= 0 or step <= 0:
-                raise ConfigError("grid extents and steps must be positive")
+                raise ConfigError(
+                    f"pde.{axis}_max and pde.d{axis} must be positive")
             step_count(2 * extent, step, f"pde.d{axis}",
                        f"2*pde.{axis}_max", atol=1e-9)
 

@@ -83,10 +83,22 @@ class RunConfig:
                 raise ConfigError(f"parameter {f.name} must be positive")
         if self.alpha > MAX_ALPHA:
             raise ConfigError(f"alpha must not exceed {MAX_ALPHA:.0e}")
-        if self.oracle_seed < 0:
-            raise ConfigError("oracle.seed must be nonnegative")
-        if self.oracle_phase not in (fock.PHASE_X, fock.PHASE_P):
-            raise ConfigError("oracle.phase must be 'x' or 'p'")
+        # the route configs check their sections; at alpha = 0 the oracle's
+        # step bound on alpha^2 * oracle.dt waits for its run, as the CFL does
+        self.section(charfn.GridSpec)
+        self.section(fock.OracleConfig, alpha=0.0)
+
+    def section(self, route: type, **given):
+        """``route`` with each field not ``given`` read from its section.
+
+        A field reads the key of its name: ``pde.`` for ``charfn.GridSpec``,
+        ``oracle.`` for ``fock.OracleConfig``, but the top-level ``alpha``.
+        """
+        prefix = _ROUTE_SECTIONS[route]
+        values = {f.name: getattr(self, f.name if f.name == "alpha"
+                                  else prefix + f.name)
+                  for f in fields(route) if f.name not in given}
+        return route(**values, **given)
 
     def scaled_tolerances(self, scale: float) -> "RunConfig":
         updates = {f.name: getattr(self, f.name) * scale
@@ -97,6 +109,9 @@ class RunConfig:
 #: field-name prefix -> config-file section; other fields are top-level keys
 _SECTIONS = {"solver_": "solver.", "pde_": "pde.", "oracle_": "oracle.",
              "tol_": "tolerance."}
+
+#: route config -> field-name prefix of its section
+_ROUTE_SECTIONS = {charfn.GridSpec: "pde_", fock.OracleConfig: "oracle_"}
 
 
 def _config_key(name: str) -> str:
@@ -109,10 +124,6 @@ def _config_key(name: str) -> str:
 # config-file key -> (attribute, parser)
 _CONFIG_KEYS = {_config_key(f.name): (f.name, type(f.default))
                 for f in fields(RunConfig)}
-
-#: command-line flag (argparse dest) -> RunConfig field it overrides
-_FLAG_FIELDS = {"alpha": "alpha", "t_max": "t_max", "dt": "solver_dt",
-                "seed": "oracle_seed", "out": "out"}
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -145,9 +156,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     updates: dict[str, object] = {}
     if args.config:
         updates.update(parse_config_file(args.config))
-    for flag, name in _FLAG_FIELDS.items():
-        if getattr(args, flag) is not None:
-            updates[name] = getattr(args, flag)
+    # each flag's dest is the RunConfig field it overrides
+    updates.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
+                   if getattr(args, f.name, None) is not None)
     cfg = RunConfig(**updates)  # type: ignore[arg-type]
     if args.tolerance_scale is not None:
         if args.tolerance_scale <= 0:
@@ -200,9 +211,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def cmd_derive(cfg: RunConfig) -> int:
     report = derivation_report()
-    out_dir = Path(cfg.out)
-    if cfg.out != "-":
-        _write_text(out_dir / "derivation.txt", report)
+    _write_text(Path(cfg.out) / "derivation.txt", report)
     sys.stdout.write(report)
     return EXIT_OK
 
@@ -258,8 +267,7 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, float, float, floa
     The summary ends with the FD health numbers of each family: the CFL
     number and the largest boundary value the leak monitor saw.
     """
-    grid = charfn.GridSpec(l_max=cfg.pde_l_max, dl=cfg.pde_dl,
-                           k_max=cfg.pde_k_max, dk=cfg.pde_dk)
+    grid = cfg.section(charfn.GridSpec)
     surfaces: dict[str, str] = {}
     fd_errors = []
     summary = [f"pde summary: alpha={_fmt(cfg.alpha)} t={_fmt(cfg.pde_t)}"]
@@ -307,25 +315,11 @@ def cmd_pde(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _oracle_config(cfg: RunConfig, alpha: float | None = None,
-                   seed_offset: int = 0) -> fock.OracleConfig:
-    return fock.OracleConfig(
-        alpha=cfg.alpha if alpha is None else alpha,
-        dt=cfg.oracle_dt,
-        t_max=cfg.oracle_t_max,
-        d_at=cfg.oracle_d_at,
-        d_anc=cfg.oracle_d_anc,
-        n_traj=cfg.oracle_n_traj,
-        seed=cfg.oracle_seed + seed_offset,
-        phase=cfg.oracle_phase,
-    )
-
-
 def _oracle_runs(cfg: RunConfig) -> tuple[fock.OracleConfig,
                                           fock.AtomMomentSeries,
                                           list[fock.TrajectoryStats]]:
     """The configured oracle: one atom-moment run, one homodyne series."""
-    ocfg = _oracle_config(cfg)
+    ocfg = cfg.section(fock.OracleConfig)
     atoms = fock.simulate_atom_moments(ocfg)
     # a grid_step at or below oracle.dt samples every step; the cap keeps a
     # tiny grid_step from overflowing the count
@@ -415,10 +409,10 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
     # 8. oracle, atomic moments (deterministic budget)
     ocfg, atoms, series = _oracle_runs(cfg)
     closed = gaussian.closed_form_covariances(ocfg.alpha, ocfg.t_max)
-    rel_p = abs(atoms.var_p[-1] - closed.entry("p_at", "p_at")) / closed.entry(
-        "p_at", "p_at")
-    rel_x = abs(atoms.var_x[-1] - closed.entry("x_at", "x_at")) / closed.entry(
-        "x_at", "x_at")
+    rel_p = gaussian.relative_error(atoms.var_p[-1],
+                                    closed.entry("p_at", "p_at"))
+    rel_x = gaussian.relative_error(atoms.var_x[-1],
+                                    closed.entry("x_at", "x_at"))
     ok = rel_p < cfg.tol_oracle_rel and rel_x < cfg.tol_oracle_rel
     checks.append(("oracle_atom_moments", ok,
                    f"rel err p {rel_p:.3e}, x {rel_x:.3e} "
@@ -436,7 +430,7 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
     artifacts["oracle.csv"] = oracle_csv(cfg, atoms, series)
 
     # 10. alpha = 0 homodyne control
-    c0 = _oracle_config(cfg, alpha=0.0, seed_offset=1)
+    c0 = cfg.section(fock.OracleConfig, alpha=0.0, seed=cfg.oracle_seed + 1)
     st0 = fock.homodyne_monte_carlo(c0)
     diff0 = abs(st0.variance - c0.t_max)
     budget0 = cfg.tol_oracle_sigma * st0.stderr_var
@@ -479,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coupling strength")
     parser.add_argument("--t-max", type=float, default=None,
                         help="final time for the variance routes")
-    parser.add_argument("--dt", type=float, default=None,
+    parser.add_argument("--dt", type=float, default=None, dest="solver_dt",
                         help="moment-ODE integrator step")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=None, dest="oracle_seed",
                         help="Monte Carlo base seed")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory")

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +92,7 @@ TRACE_TOL = 1e-8
 #: largest entry; rounding leaves about 2e-15
 GAUGE_TOL = 1e-12
 
-#: fewest trajectories a homodyne run accepts
+#: fewest trajectories an oracle run accepts
 MIN_TRAJ = 100
 
 #: the measured ancilla quadrature, as written in the config (oracle.phase)
@@ -111,38 +112,42 @@ class TruncationLeakError(ConfigError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Parameters of one oracle run."""
+    """Parameters of one oracle run: ``alpha`` and the ``oracle.`` keys."""
 
     alpha: float
     dt: float
     t_max: float
-    d_at: int = 40
-    d_anc: int = 3
-    n_traj: int = 2000
-    seed: int = 12345
-    phase: str = PHASE_X
+    d_at: int
+    d_anc: int
+    n_traj: int
+    seed: int
+    phase: str
 
     def __post_init__(self):
-        for name in ("alpha", "dt", "t_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        if not all(map(math.isfinite, (self.alpha, self.dt, self.t_max))):
+            raise ConfigError(
+                "alpha, oracle.dt and oracle.t_max must be finite")
         if self.alpha < 0:
             raise ConfigError("alpha must be nonnegative")
         if self.dt <= 0 or self.t_max < self.dt:
-            raise ConfigError("need 0 < dt <= t_max")
+            raise ConfigError("need 0 < oracle.dt <= oracle.t_max")
         if self.d_at < 4 or self.d_anc < 2:
-            raise ConfigError("need d_at >= 4 and d_anc >= 2")
+            raise ConfigError("need oracle.d_at >= 4 and oracle.d_anc >= 2")
+        if self.n_traj < MIN_TRAJ:
+            raise ConfigError(f"oracle.n_traj must be at least {MIN_TRAJ}")
         if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+            raise ConfigError("oracle.seed must be nonnegative")
+        if self.phase not in (PHASE_X, PHASE_P):
+            raise ConfigError(
+                f"oracle.phase must be {PHASE_X!r} or {PHASE_P!r}")
         # a product, not a power: alpha ** 2 raises OverflowError on 1e200
         alpha2_dt = self.alpha * self.alpha * self.dt
         if not alpha2_dt <= MAX_ALPHA2_DT + 1e-15:
-            raise ConfigError(
-                f"alpha^2*dt = {alpha2_dt:.2e} exceeds {MAX_ALPHA2_DT:.0e}")
-        if self.phase not in (PHASE_X, PHASE_P):
-            raise ConfigError(f"phase must be {PHASE_X!r} or {PHASE_P!r}")
+            raise ConfigError(f"alpha^2*oracle.dt = {alpha2_dt:.2e} exceeds"
+                              f" {MAX_ALPHA2_DT:.0e}")
+        self.n_steps  # counted once, here, so that a bad oracle.dt fails now
 
-    @property
+    @cached_property
     def n_steps(self) -> int:
         return step_count(self.t_max, self.dt, "oracle.dt", "oracle.t_max")
 
@@ -388,8 +393,6 @@ def _reachable_levels(kraus: np.ndarray) -> np.ndarray:
 def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                       ) -> list[tuple[float, np.ndarray, float]]:
     """(time, record y per trajectory, max leak so far) at each sample step."""
-    if config.n_traj < MIN_TRAJ:
-        raise ConfigError(f"need at least {MIN_TRAJ} trajectories")
     d, da = config.d_at, config.d_anc
     n_steps = config.n_steps
     n = config.n_traj

@@ -184,7 +184,8 @@ def test_criterion_09_oracle_atom_moments():
     closed = closed_form_covariances(0.3, 1.0)
     vp_ref = closed.entry("p_at", "p_at")
     vx_ref = closed.entry("x_at", "x_at")
-    kw = dict(alpha=0.3, t_max=1.0, d_at=40, d_anc=3)
+    kw = dict(alpha=0.3, t_max=1.0, d_at=40, d_anc=3, n_traj=2000,
+              seed=12345, phase=PHASE_X)
     coarse = simulate_atom_moments(OracleConfig(dt=1e-3, **kw))
     fine = simulate_atom_moments(OracleConfig(dt=5e-4, **kw))
     rel_p = abs(coarse.var_p[-1] - vp_ref) / vp_ref

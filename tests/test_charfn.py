@@ -177,10 +177,12 @@ def test_fd_origin_stays_normalized():
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ConfigError):
-        GridSpec(l_max=8.0, dl=0.03)       # does not divide the extent
-    with pytest.raises(ConfigError):
-        GridSpec(l_max=-1.0, dl=0.02)
+    with pytest.raises(ConfigError, match="pde.dl"):
+        GridSpec(l_max=8.0, dl=0.03, k_max=8.0, dk=0.02)   # does not divide
+    with pytest.raises(ConfigError, match="pde.l_max"):
+        GridSpec(l_max=-1.0, dl=0.02, k_max=8.0, dk=0.02)
+    with pytest.raises(ConfigError, match="pde.dk"):
+        GridSpec(l_max=8.0, dl=0.02, k_max=8.0, dk=0.03)
 
 
 def test_fd_cfl_violation_rejected():

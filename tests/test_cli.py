@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -48,11 +49,18 @@ def test_flag_overrides(tmp_path):
     new_out = tmp_path / "new" / "deeper"
     args = build_parser().parse_args(
         ["variances", "--config", str(cfg_file), "--alpha", "2.0",
-         "--seed", "99", "--out", str(new_out)])
+         "--t-max", "0.5", "--dt", "1e-3", "--seed", "99",
+         "--out", str(new_out)])
     cfg = load_config(args)
     assert cfg.alpha == 2.0
+    assert cfg.t_max == 0.5
+    assert cfg.solver_dt == 1e-3
     assert cfg.oracle_seed == 99
     assert cfg.out == str(new_out)
+    # each override flag stores under the RunConfig field it sets
+    dests = {action.dest for action in build_parser()._actions}
+    assert dests - {f.name for f in fields(RunConfig)} == {
+        "help", "command", "config", "tolerance_scale"}
 
 
 def test_tolerance_scale():
@@ -370,6 +378,48 @@ def test_fixable_by_config_exit_code(tmp_path, command, config, message):
     assert "configuration error" in res.stderr and message in res.stderr
     assert "Traceback" not in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("config, key", [
+    ("oracle.d_at = 2\n", "oracle.d_at"),
+    ("oracle.n_traj = 10\n", "oracle.n_traj"),
+    ("oracle.dt = 0.3\n", "oracle.dt"),
+    ("pde.dk = 0.03\n", "pde.dk"),
+], ids=["oracle_d_at", "oracle_n_traj", "oracle_dt", "pde_dk"])
+@pytest.mark.parametrize("command",
+                         ["derive", "variances", "pde", "oracle", "compare"])
+def test_every_command_checks_route_keys_at_load(tmp_path, capsys, command,
+                                                 config, key):
+    # commands that never run the route reject its bad keys too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+    assert not out.exists()
+
+
+def test_route_configs_are_sections_of_run_config():
+    run = {f.name for f in fields(RunConfig)}
+    oracle = fields(fock.OracleConfig)
+    grid = fields(charfn.GridSpec)
+    assert {f.name for f in oracle} - {"alpha"} == {
+        name.removeprefix("oracle_") for name in run
+        if name.startswith("oracle_")}
+    assert {f"pde_{f.name}" for f in grid} == {
+        "pde_l_max", "pde_dl", "pde_k_max", "pde_dk"}
+    # RunConfig declares every default; the route configs declare none
+    assert all(f.default is MISSING and f.default_factory is MISSING
+               for f in oracle + grid)
+    default = RunConfig()
+    assert default.section(charfn.GridSpec) == charfn.GridSpec(
+        default.pde_l_max, default.pde_dl, default.pde_k_max, default.pde_dk)
+    assert default.section(fock.OracleConfig, alpha=0.0, seed=7) == \
+        fock.OracleConfig(0.0, default.oracle_dt, default.oracle_t_max,
+                          default.oracle_d_at, default.oracle_d_anc,
+                          default.oracle_n_traj, 7, default.oracle_phase)
 
 
 def test_import_loads_no_scipy_and_derives_nothing():

@@ -1,17 +1,17 @@
 """Truncated-Fock collision oracle: operators, unitaries, moments, homodyne."""
 
 import math
+import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from doublepass import fock
-from doublepass.cli import RunConfig, _oracle_config
+from doublepass.cli import RunConfig
 from doublepass.errors import ConfigError
 from doublepass.fock import (GAUGE_TOL, LEAK_TOL, MIN_TRAJ, OracleConfig,
                              PHASE_P, PHASE_X, TRACE_TOL,
@@ -78,16 +78,21 @@ def test_composite_log_recovers_coupling_and_hamiltonian():
         1e-4 * np.linalg.norm(l_expected[sl])
 
 
+#: a valid oracle run; the validation tests change one field of it
+VALID = dict(alpha=0.5, dt=1e-3, t_max=1.0, d_at=40, d_anc=3, n_traj=2000,
+             seed=12345, phase=PHASE_X)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
-        OracleConfig(alpha=-1.0, dt=1e-3, t_max=1.0)
+        OracleConfig(**{**VALID, "alpha": -1.0})
     with pytest.raises(ConfigError):
-        OracleConfig(alpha=0.5, dt=0.1, t_max=0.05)
+        OracleConfig(**{**VALID, "dt": 0.1, "t_max": 0.05})
+    with pytest.raises(ConfigError):   # alpha^2 dt too big
+        OracleConfig(**{**VALID, "alpha": 4.0, "dt": 1e-2})
     with pytest.raises(ConfigError):
-        OracleConfig(alpha=4.0, dt=1e-2, t_max=1.0)   # alpha^2 dt too big
-    with pytest.raises(ConfigError):
-        OracleConfig(alpha=0.5, dt=1e-3, t_max=1.0, phase=0.3)
-    cfg = OracleConfig(alpha=0.5, dt=1e-3, t_max=1.0)
+        OracleConfig(**{**VALID, "phase": 0.3})
+    cfg = OracleConfig(**VALID)
     assert cfg.n_steps == 1000
 
 
@@ -96,11 +101,15 @@ def test_config_validation():
     dict(t_max=math.nan), dict(phase=math.nan),
     dict(alpha=1e200),          # alpha ** 2 would raise OverflowError
     dict(seed=-1),
+    dict(d_at=3), dict(d_anc=1), dict(n_traj=MIN_TRAJ - 1),
+    dict(dt=3e-3),              # does not divide t_max
 ])
 def test_config_rejects_nonfinite_and_out_of_range(bad):
-    kw = dict(alpha=0.5, dt=1e-3, t_max=1.0)
-    with pytest.raises(ConfigError):
-        OracleConfig(**{**kw, **bad})
+    # the message names the config key: oracle.<field>, or the top-level alpha
+    (name,) = bad
+    key = name if name == "alpha" else f"oracle.{name}"
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        OracleConfig(**{**VALID, **bad})
 
 
 # -- stacked Kraus map against the unitary route -------------------------------
@@ -124,7 +133,8 @@ def test_kraus_stack_trace_preserving_on_lower_block(alpha, phase):
 
 def test_atom_step_matches_unitary_route():
     # reference: Tr_anc[U (rho (x) |0><0|) U^dagger], renormalized per step
-    cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=0.05, d_at=12, d_anc=3)
+    cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=0.05, d_at=12, d_anc=3,
+                       n_traj=2000, seed=12345, phase=PHASE_X)
     d, da = cfg.d_at, cfg.d_anc
     _, _, u = step_unitaries(cfg.alpha, cfg.dt, d, da)
     anc_vac = np.zeros((da, da))
@@ -199,14 +209,16 @@ def test_homodyne_records_match_unitary_route(phase):
 
 
 def test_atom_moments_alpha_zero():
-    cfg = OracleConfig(alpha=0.0, dt=5e-3, t_max=0.5, d_at=10, d_anc=2)
+    cfg = OracleConfig(alpha=0.0, dt=5e-3, t_max=0.5, d_at=10, d_anc=2,
+                       n_traj=2000, seed=12345, phase=PHASE_X)
     series = simulate_atom_moments(cfg)
     assert np.allclose(series.var_x, 0.5, atol=1e-12)
     assert np.allclose(series.var_p, 0.5, atol=1e-12)
 
 
 def test_atom_moments_match_closed_forms():
-    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.5, d_at=25, d_anc=3)
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.5, d_at=25, d_anc=3,
+                       n_traj=2000, seed=12345, phase=PHASE_X)
     series = simulate_atom_moments(cfg)
     closed = closed_form_covariances(0.3, 0.5)
     assert series.var_p[-1] == pytest.approx(closed.entry("p_at", "p_at"),
@@ -220,7 +232,8 @@ def test_atom_moments_match_closed_forms():
 
 def test_atom_moments_do_not_depend_on_measured_phase():
     # the atom loop traces the ancilla out in one fixed basis
-    kw = dict(alpha=0.9, dt=5e-3, t_max=0.3, d_at=14, d_anc=3)
+    kw = dict(alpha=0.9, dt=5e-3, t_max=0.3, d_at=14, d_anc=3, n_traj=2000,
+              seed=12345)
     at_x = simulate_atom_moments(OracleConfig(phase=PHASE_X, **kw))
     at_p = simulate_atom_moments(OracleConfig(phase=PHASE_P, **kw))
     assert at_x.var_x.tobytes() == at_p.var_x.tobytes()
@@ -230,7 +243,8 @@ def test_atom_moments_do_not_depend_on_measured_phase():
 
 def test_atom_moments_truncation_converged():
     # growing the atom space does not move the answer
-    kw = dict(alpha=0.3, dt=2e-3, t_max=0.5, d_anc=3)
+    kw = dict(alpha=0.3, dt=2e-3, t_max=0.5, d_anc=3, n_traj=2000,
+              seed=12345, phase=PHASE_X)
     v30 = simulate_atom_moments(OracleConfig(d_at=30, **kw)).var_p[-1]
     v40 = simulate_atom_moments(OracleConfig(d_at=40, **kw)).var_p[-1]
     assert abs(v30 - v40) / v40 < 1e-3
@@ -238,7 +252,8 @@ def test_atom_moments_truncation_converged():
 
 def test_atom_moments_leak_detection():
     # a tiny atom space cannot hold the x-quadrature growth
-    cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=2.0, d_at=4, d_anc=3)
+    cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=2.0, d_at=4, d_anc=3,
+                       n_traj=2000, seed=12345, phase=PHASE_X)
     with pytest.raises(TruncationLeakError):
         simulate_atom_moments(cfg)
 
@@ -249,7 +264,8 @@ def test_guards_trip_on_nan(monkeypatch):
         return np.full((d_anc * d_at, d_at), np.nan, dtype=complex)
 
     monkeypatch.setattr(fock, "kraus_stack", nan_kraus)
-    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100)
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
+                       n_traj=100, seed=12345, phase=PHASE_X)
     with pytest.raises(TruncationLeakError, match="trace deficit"):
         simulate_atom_moments(cfg)
     with pytest.raises(TruncationLeakError, match="top-level"), \
@@ -266,7 +282,8 @@ def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
         return k.reshape(d_anc * d_at, d_at)
 
     monkeypatch.setattr(fock, "kraus_stack", nan_diagonal)
-    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100)
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
+                       n_traj=100, seed=12345, phase=PHASE_X)
     nan_stack = fock.kraus_stack(0.3, 2e-3, 10, 3, np.eye(3))
     assert fock._reachable_levels(nan_stack).tolist() == [0]
     with pytest.raises(TruncationLeakError), np.errstate(invalid="ignore"):
@@ -274,7 +291,7 @@ def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
 
 
 def test_oracle_health_within_limits_at_compare_config():
-    ocfg = _oracle_config(RunConfig())
+    ocfg = RunConfig().section(OracleConfig)
     atoms = simulate_atom_moments(ocfg)
     st = homodyne_monte_carlo(ocfg)
     assert 0.0 <= atoms.max_trace_deficit < TRACE_TOL
@@ -352,7 +369,7 @@ def test_reachable_levels_partial_set(monkeypatch):
 
     monkeypatch.setattr(fock, "kraus_stack", embedded)
     cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=0.2, d_at=10, d_anc=3,
-                       n_traj=100, seed=4)
+                       n_traj=100, seed=4, phase=PHASE_X)
     stack = embedded(0.9, 5e-3, 10, 3, np.eye(3))
     assert fock._reachable_levels(stack).tolist() == [0, 1, 2]
     steps = [20, cfg.n_steps]
@@ -366,8 +383,9 @@ def test_reachable_levels_partial_set(monkeypatch):
 @pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("run", ["compare", "criterion_10"])
 def test_every_level_reachable_when_coupled(run, phase):
-    cfg = (_oracle_config(RunConfig()) if run == "compare" else
-           OracleConfig(alpha=0.5, dt=1e-3, t_max=1.0, d_at=40, d_anc=3))
+    cfg = (RunConfig().section(OracleConfig) if run == "compare" else
+           OracleConfig(alpha=0.5, dt=1e-3, t_max=1.0, d_at=40, d_anc=3,
+                        n_traj=2000, seed=12345, phase=phase))
     kraus = _real_stack(cfg.alpha, cfg.dt, cfg.d_at, cfg.d_anc, phase)
     assert fock._reachable_levels(kraus).tolist() == \
         list(range(cfg.d_at))
@@ -439,8 +457,8 @@ def test_real_gauge_records_bit_equal_complex_loop(case):
     run = {"compare": RunConfig(), "vacuum_control": RunConfig(),
            "phase_p": RunConfig(oracle_phase="p"),
            "d_anc_2": RunConfig(oracle_d_anc=2)}[case]
-    cfg = (_oracle_config(run, alpha=0.0, seed_offset=1)
-           if case == "vacuum_control" else _oracle_config(run))
+    cfg = (run.section(OracleConfig, alpha=0.0, seed=run.oracle_seed + 1)
+           if case == "vacuum_control" else run.section(OracleConfig))
     steps = [25, 240, cfg.n_steps]
     got = fock._homodyne_records(cfg, steps)
     ref = _complex_records(cfg, steps)
@@ -473,8 +491,8 @@ def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
 
     monkeypatch.setattr(fock, "kraus_stack", nan_imag)
     # at phase p the stack is not multiplied, so only the gauge keeps the NaN
-    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100,
-                       phase=PHASE_P)
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
+                       n_traj=100, seed=12345, phase=PHASE_P)
     real = fock._real_gauge(fock.kraus_stack(0.3, 2e-3, 10, 3, np.eye(3)),
                             True)
     assert np.isnan(real).sum() == 1
@@ -499,7 +517,8 @@ def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(monkeypatch):
         return k
 
     monkeypatch.setattr(fock, "kraus_stack", nan_block_one)
-    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, n_traj=100)
+    cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
+                       n_traj=100, seed=12345, phase=PHASE_X)
     with pytest.raises(TruncationLeakError, match="outcome probability"), \
             np.errstate(invalid="ignore"):
         homodyne_monte_carlo(cfg)
@@ -519,7 +538,7 @@ def test_gauge_guard_survives_optimize_flag():
             return k
         fock.kraus_stack = turned
         cfg = fock.OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10,
-                                n_traj=100)
+                                d_anc=3, n_traj=100, seed=12345, phase="x")
         for run in (fock.homodyne_monte_carlo, fock.simulate_atom_moments):
             try:
                 run(cfg)
@@ -539,26 +558,28 @@ def test_gauge_guard_survives_optimize_flag():
 
 
 def test_homodyne_requires_enough_trajectories():
-    cfg = OracleConfig(alpha=0.3, dt=5e-3, t_max=0.1, d_at=10, n_traj=10)
-    with pytest.raises(ConfigError):
-        homodyne_monte_carlo(cfg)
-    short = OracleConfig(alpha=0.3, dt=5e-3, t_max=0.1, d_at=10,
-                         n_traj=MIN_TRAJ - 1)
-    with pytest.raises(ConfigError, match=f"at least {MIN_TRAJ} traj"):
-        homodyne_series(short, 4)
-    assert len(homodyne_series(replace(short, n_traj=MIN_TRAJ), 4)) == 4
+    # the config is rejected before any loop runs
+    kw = dict(alpha=0.3, dt=5e-3, t_max=0.1, d_at=10, d_anc=3, seed=12345,
+              phase=PHASE_X)
+    for n_traj in (10, MIN_TRAJ - 1):
+        with pytest.raises(ConfigError,
+                           match=f"oracle.n_traj must be at least {MIN_TRAJ}"):
+            OracleConfig(n_traj=n_traj, **kw)
+    enough = OracleConfig(n_traj=MIN_TRAJ, **kw)
+    assert len(homodyne_series(enough, 4)) == 4
 
 
 def test_homodyne_deterministic_from_seed():
     kw = dict(alpha=0.5, dt=2e-3, t_max=0.2, d_at=16, d_anc=3, n_traj=120,
-              seed=42)
+              seed=42, phase=PHASE_X)
     a = homodyne_monte_carlo(OracleConfig(**kw))
     b = homodyne_monte_carlo(OracleConfig(**kw))
     assert a == b
 
 
 def test_homodyne_seed_changes_samples():
-    kw = dict(alpha=0.5, dt=2e-3, t_max=0.2, d_at=16, d_anc=3, n_traj=120)
+    kw = dict(alpha=0.5, dt=2e-3, t_max=0.2, d_at=16, d_anc=3, n_traj=120,
+              phase=PHASE_X)
     a = homodyne_monte_carlo(OracleConfig(seed=1, **kw))
     b = homodyne_monte_carlo(OracleConfig(seed=2, **kw))
     assert a.variance != b.variance
@@ -566,7 +587,7 @@ def test_homodyne_seed_changes_samples():
 
 def test_homodyne_vacuum_statistics():
     cfg = OracleConfig(alpha=0.0, dt=2e-3, t_max=0.5, d_at=8, d_anc=3,
-                       n_traj=600, seed=5)
+                       n_traj=600, seed=5, phase=PHASE_X)
     st = homodyne_monte_carlo(cfg)
     assert st.time == pytest.approx(0.5)
     assert abs(st.mean) < 5 * st.stderr_mean
@@ -592,7 +613,8 @@ def test_homodyne_phase_p_tracks_output_variance():
 
 
 def test_homodyne_disjoint_seed_batches_consistent():
-    kw = dict(alpha=0.5, dt=2e-3, t_max=0.3, d_at=20, d_anc=3, n_traj=400)
+    kw = dict(alpha=0.5, dt=2e-3, t_max=0.3, d_at=20, d_anc=3, n_traj=400,
+              phase=PHASE_X)
     a = homodyne_monte_carlo(OracleConfig(seed=100, **kw))
     b = homodyne_monte_carlo(OracleConfig(seed=200, **kw))
     combined = math.hypot(a.stderr_var, b.stderr_var)
@@ -601,7 +623,7 @@ def test_homodyne_disjoint_seed_batches_consistent():
 
 def test_homodyne_series_sampling():
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.2, d_at=16, d_anc=3,
-                       n_traj=120, seed=3)
+                       n_traj=120, seed=3, phase=PHASE_X)
     series = homodyne_series(cfg, 4)
     times = [st.time for st in series]
     assert times[-1] == pytest.approx(0.2)
@@ -613,7 +635,7 @@ def test_homodyne_series_sampling():
 
 def test_homodyne_series_count_not_dividing_steps():
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.2, d_at=16, d_anc=3,
-                       n_traj=120, seed=3)
+                       n_traj=120, seed=3, phase=PHASE_X)
     series = homodyne_series(cfg, 3)
     assert len(series) == 3
     assert [st.time for st in series] == [k * cfg.dt for k in (33, 66, 100)]
