@@ -11,8 +11,7 @@ from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, Derivation, HPSystem,
                   char_fn_generator, derivation_report, double_pass_derivation,
                   double_pass_system, flow_differential, ito_product, lindblad,
                   output_commutator_rate, output_quadrature_relations,
-                  series_product, single_pass_systems, subset_differential,
-                  subset_terms)
+                  series_product, single_pass_systems, subset_terms)
 from .gaussian import (CovSnapshot, CovTrajectory, LinearOde,
                        build_moment_odes, closed_form_covariances,
                        closed_form_table, integrate_covariance,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -157,14 +157,20 @@ _GL_FINE = np.polynomial.legendre.leggauss(20)
 
 
 def _gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a: float,
-                    b: float) -> tuple[float, float]:
+                    b: float, breaks: Sequence[float] = ()
+                    ) -> tuple[float, float]:
     """Integral of a vectorized ``fn`` on [a, b] and its error estimate.
 
-    A panel whose 10- and 20-point values differ by more than 1e-12 of its
-    value and by more than its share of 1e-13 is bisected, up to 200 panels.
-    Returns the sum of the 20-point values and the sum of the differences.
+    The rule starts from the panels between the increasing ``breaks``
+    inside (a, b).  A panel whose 10- and 20-point values differ by more
+    than 1e-12 of its value and by more than its share of 1e-13 is bisected,
+    up to 200 panels.  Returns the sum of the 20-point values and the sum of
+    the differences.
     """
-    todo, n_panels, value, err = [(a, b)], 1, 0.0, 0.0
+    edges = [a, *breaks, b]
+    # popped from the end, so the panels run from a to b
+    todo = list(zip(edges[:-1], edges[1:]))[::-1]
+    n_panels, value, err = len(todo), 0.0, 0.0
     while todo:
         lo, hi = todo.pop()
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -190,7 +196,9 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
     Gauss-Legendre quadrature (Davis & Rabinowitz, *Methods of Numerical
     Integration*, 2nd ed., 1984, ch. 2 and 6): each panel is bisected until
     its 10- and 20-point rules agree to 1e-12 relative or 1e-13 absolute, up
-    to 200 panels.  An error estimate above 1e-9 raises ``RuntimeError``,
+    to 200 panels.  For family F the first panels are graded toward the
+    boundary layer at s = t, of width ~1/(2 alpha^2), where 1/alpha^2 < t.
+    An error estimate above 1e-9 raises ``RuntimeError``,
     unless the value is 0 even with the error added to the exponent.
     This route never touches the covariance formulas.
     """
@@ -200,6 +208,7 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
     if t == 0:
         return math.exp(-l * l / 4.0)
 
+    breaks: list[float] = []
     if family == FAMILY_F:
         if alpha == 0.0:
             l0 = l
@@ -215,6 +224,13 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
             def rate(s: np.ndarray) -> np.ndarray:
                 ls = center + dev * np.exp(alpha * alpha * (s - t))
                 return -0.25 * (alpha * ls - k) ** 2
+
+            # the rate has a layer of width ~1/(2 alpha^2) at s = t: grade
+            # the first panels toward it, at t - 2^j/alpha^2 inside (0, t)
+            scale = 1.0
+            while scale < alpha * alpha * t:
+                breaks.insert(0, t - scale / (alpha * alpha))
+                scale *= 2.0
     else:
         # dl/ds = a*k: straight characteristic
         l0 = l - alpha * k * t
@@ -223,7 +239,7 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
             ls = l - alpha * k * (t - s)
             return -0.25 * (alpha * ls + k) ** 2
 
-    decay, err = _gauss_legendre(rate, 0.0, t)
+    decay, err = _gauss_legendre(rate, 0.0, t, breaks)
     if err > 1e-9:
         # decay + err bounds the exponent from above; when even that bound
         # underflows, the value is 0 to double precision whatever the error

@@ -9,8 +9,8 @@ Commands:
 * ``compare``   -- run every route at shared parameters and cross-check
 
 Configuration is a flat ``section.key = value`` text file with CLI-flag
-overrides; unknown keys are rejected.  Exit codes: 0 success, 1 tolerance
-failure, 2 configuration error, 3 internal error.
+overrides; unknown and repeated keys are rejected.  Exit codes: 0 success,
+1 tolerance failure, 2 configuration error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ class RunConfig:
                 continue
             value = getattr(self, f.name)
             if not math.isfinite(value):
-                raise ConfigError(f"parameter {f.name} must be finite")
+                raise ConfigError(
+                    f"parameter {_config_key(f.name)} must be finite")
             if value < 0 or (f.name != "alpha" and value == 0):
-                raise ConfigError(f"parameter {f.name} must be positive")
+                raise ConfigError(
+                    f"parameter {_config_key(f.name)} must be positive")
         if self.alpha > MAX_ALPHA:
             raise ConfigError(f"alpha must not exceed {MAX_ALPHA:.0e}")
         # the route configs check their sections; at alpha = 0 the oracle's
@@ -127,8 +129,12 @@ _CONFIG_KEYS = {_config_key(f.name): (f.name, type(f.default))
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Parse a flat ``section.key = value`` file; unknown keys are rejected."""
+    """Parse a flat ``section.key = value`` file.
+
+    Unknown keys and keys given twice are rejected.
+    """
     updates: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -144,6 +150,10 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already given"
+                              f" on line {first_line[key]}")
+        first_line[key] = lineno
         attr, cast = _CONFIG_KEYS[key]
         try:
             updates[attr] = cast(value)

@@ -104,47 +104,29 @@ class CovTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _const(scalar: FormalScalar, alpha: float) -> float:
-    value = scalar.evaluate(a=alpha)
-    if not abs(value.imag) < 1e-14 * (1 + abs(value.real)):
-        raise ValueError(f"moment coefficient {scalar} is not real"
-                         f" at alpha={alpha}: {value}")
-    return value.real
-
-
 @functools.lru_cache(maxsize=1)
 def _symbolic_moment_structure() -> tuple:
     """Exact (A, D) entries plus the quadratic-flow consistency check.
 
-    The atomic 2x2 block of the second-moment dynamics is generated from the
-    Lindblad drift of the quadratic monomials; the remaining entries follow
-    from the pairwise Ito rule on the mode differentials.  The overlap of the
-    two constructions must agree exactly.
+    Each mode's drift row is its I/O relation's ``x_at_out``/``p_at_out``
+    terms, which the derivation checked to be linear; D follows from the
+    pairwise Ito rule on the (dA, dA*) coefficients of the modes.  The
+    atomic 2x2 block of the second-moment dynamics is generated again from
+    the Lindblad drift of the quadratic monomials; the overlap of the two
+    constructions must agree exactly.
     """
     derived = double_pass_derivation()
     io = derived.io
-    # (cA, cA*, drift) of each mode, in the order of MODES
-    modes = [(d.ca.constant_value(), d.castar.constant_value(), d.ct)
-             for d in (io.dx_at_out.differential, io.dp_at_out.differential,
-                       io.x_ph_out.differential, io.p_ph_out.differential)]
-    a_rows: list[list[FormalScalar]] = []
-    for _, _, drift in modes:
-        if drift.degree() > 1:
-            raise AssertionError("mode drift is not linear")
-        row = [drift.coefficient(1, 0), drift.coefficient(0, 1),
-               FormalScalar.zero(), FormalScalar.zero()]
-        if not drift.coefficient(0, 0).is_zero():
-            raise AssertionError("mode drift has a constant part")
-        a_rows.append(row)
-
-    d_entries: list[list[FormalScalar]] = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            ca_i, castar_i, _ = modes[i]
-            ca_j, castar_j, _ = modes[j]
-            row.append((ca_i * castar_j + ca_j * castar_i).scale(HALF))
-        d_entries.append(row)
+    zero = FormalScalar.zero()
+    relations = (io.dx_at_out, io.dp_at_out, io.x_ph_out, io.p_ph_out)
+    a_rows = [[rel.terms.get("x_at_out", zero),
+               rel.terms.get("p_at_out", zero), zero, zero]
+              for rel in relations]
+    # (cA, cA*) of each mode, in the order of MODES
+    noise = [(rel.differential.ca.constant_value(),
+              rel.differential.castar.constant_value()) for rel in relations]
+    d_entries = [[(ca_i * castar_j + ca_j * castar_i).scale(HALF)
+                  for ca_j, castar_j in noise] for ca_i, castar_i in noise]
 
     # Independent atomic-block route: Lindblad drift of quadratic monomials.
     x, p = OpPoly.x(), OpPoly.p()
@@ -181,8 +163,10 @@ def build_moment_odes(alpha: float) -> LinearOde:
     if alpha < 0:
         raise ConfigError("coupling alpha must be nonnegative")
     a_rows, d_entries = _symbolic_moment_structure()
-    drift = np.array([[_const(c, alpha) for c in row] for row in a_rows])
-    diffusion = np.array([[_const(c, alpha) for c in row] for row in d_entries])
+    drift = np.array([[c.evaluate_real(a=alpha) for c in row]
+                      for row in a_rows])
+    diffusion = np.array([[c.evaluate_real(a=alpha) for c in row]
+                          for row in d_entries])
     if not np.allclose(diffusion, diffusion.T):
         raise ArithmeticError("moment diffusion matrix is not symmetric")
     if not np.linalg.eigvalsh(diffusion).min() > -1e-12:

@@ -14,7 +14,11 @@ The module derives, rather than hard-codes, the standard results: the
 Lindblad drift of a flow, the series product of two cascaded systems, the
 input/output relations of the accumulated field quadratures, and the
 transport equations satisfied by the joint characteristic functions of the
-double-pass model.
+double-pass model.  Every I/O relation and transport equation is one
+expansion of the triple (U*, Z, U) by the subset rule
+(:func:`flow_differential`).  :func:`double_pass_derivation` derives them
+once per process; the moment equations, the transport solvers, ``compare``
+and the transcript (:func:`derivation_report`) read what it recorded.
 """
 
 from __future__ import annotations
@@ -101,11 +105,11 @@ def ito_product(dx: ItoDifferential, dy: ItoDifferential) -> ItoDifferential:
 
 
 Factor = tuple[AlgebraElement, ItoDifferential]
+#: one subset term of an expansion: (factor indices, differential)
+Term = tuple[tuple[int, ...], ItoDifferential]
 
 
-def subset_terms(
-    factors: Sequence[Factor],
-) -> list[tuple[tuple[int, ...], ItoDifferential]]:
+def subset_terms(factors: Sequence[Factor]) -> list[Term]:
     """All nonempty-subset terms of d(Z_1 ... Z_p), in (size, lex) order.
 
     For a subset nu, the term keeps factor order, replacing each factor in nu
@@ -136,14 +140,6 @@ def subset_terms(
                                 f"{type(acc).__name__}")
             out.append((subset, acc))
     return out
-
-
-def subset_differential(factors: Sequence[Factor]) -> ItoDifferential:
-    """Differential of an ordered product via the nonempty-subset rule."""
-    total = ItoDifferential()
-    for _, term in subset_terms(factors):
-        total = total + term
-    return total
 
 
 @dataclass(frozen=True)
@@ -201,20 +197,34 @@ def double_pass_system() -> HPSystem:
     return series_product(first, second)
 
 
-def flow_differential(sys: HPSystem, z: AlgebraElement) -> ItoDifferential:
+_NO_INCREMENT = ItoDifferential()
+
+
+def _flow_expansion(sys: HPSystem, z: AlgebraElement, dz: ItoDifferential,
+                    ) -> tuple[tuple[Term, ...], ItoDifferential]:
+    """Subset terms of d(U* Z U) and their sum.
+
+    The triple (U*, Z, U) is expanded against the QSDE generators, with
+    ``dz`` the increment of Z itself (zero for an atomic operator).  This is
+    the one place a flow is expanded.
+    """
+    terms = tuple(subset_terms([(_ONE, sys.generator_adjoint()), (z, dz),
+                                (_ONE, sys.generator())]))
+    total = _NO_INCREMENT
+    for _, term in terms:
+        total = total + term
+    return terms, total
+
+
+def flow_differential(sys: HPSystem, z: AlgebraElement,
+                      dz: ItoDifferential = _NO_INCREMENT) -> ItoDifferential:
     """Differential of the Heisenberg flow U* Z U, by the subset rule.
 
-    The triple (U*, Z, U) is expanded against the QSDE generators; the
-    resulting coefficients are in argument form.  The closed forms
-    cA = [L*, Z], cA* = [Z, L], ct = Lindblad(Z) are checked in tests, not
-    assumed here.
+    The resulting coefficients are in argument form.  The closed forms
+    cA = [L*, Z], cA* = [Z, L], ct = Lindblad(Z) of an atomic Z (``dz``
+    zero) are checked in tests, not assumed here.
     """
-    factors: list[Factor] = [
-        (_ONE, sys.generator_adjoint()),
-        (z, ItoDifferential()),
-        (_ONE, sys.generator()),
-    ]
-    return subset_differential(factors)
+    return _flow_expansion(sys, z, dz)[1]
 
 
 def lindblad(sys: HPSystem, z: AlgebraElement) -> AlgebraElement:
@@ -248,14 +258,17 @@ RELATION_KEYS = ("x_ph_in", "p_ph_in", "x_at_out", "p_at_out", "const")
 
 @dataclass(frozen=True)
 class IORelation:
-    """One derived relation: raw differential plus its algebraic reading.
+    """One derived relation: its subset expansion, their sum and its reading.
 
-    ``terms`` maps the names in :data:`RELATION_KEYS` to exact coefficients;
-    e.g. ``{"x_ph_in": 1, "p_at_out": a}`` reads "x_ph_out(t) = x_ph_in(t) +
-    a * p_at_out(t)".  Zero coefficients are omitted.
+    ``expansion`` holds the subset terms of d(U* Z U) that sum to
+    ``differential``.  ``terms`` maps the names in :data:`RELATION_KEYS` to
+    exact coefficients; e.g. ``{"x_ph_in": 1, "p_at_out": a}`` reads
+    "x_ph_out(t) = x_ph_in(t) + a * p_at_out(t)".  Zero coefficients are
+    omitted.
     """
 
     name: str
+    expansion: tuple[Term, ...]
     differential: ItoDifferential
     terms: dict[str, FormalScalar]
 
@@ -319,10 +332,12 @@ def _decompose_drift(drift: OpPoly) -> dict[str, FormalScalar]:
     return out
 
 
-def _relation(name: str, d: ItoDifferential) -> IORelation:
+def _relation(name: str, sys: HPSystem, z: AlgebraElement,
+              dz: ItoDifferential) -> IORelation:
+    expansion, d = _flow_expansion(sys, z, dz)
     terms = _decompose_increments(d)
     terms.update(_decompose_drift(d.ct))
-    return IORelation(name, d, terms)
+    return IORelation(name, expansion, d, terms)
 
 
 def output_quadrature_relations(sys: HPSystem) -> IORelations:
@@ -334,18 +349,12 @@ def output_quadrature_relations(sys: HPSystem) -> IORelations:
     d(U*U) and cancel (unitarity), which the expansion reproduces because the
     quadrature commutes with every coefficient.
     """
-    dx_out = subset_differential([
-        (_ONE, sys.generator_adjoint()), (_ONE, _DX_IN), (_ONE, sys.generator())])
-    dp_out = subset_differential([
-        (_ONE, sys.generator_adjoint()), (_ONE, _DP_IN), (_ONE, sys.generator())])
-    datom_x = flow_differential(sys, OpPoly.x())
-    datom_p = flow_differential(sys, OpPoly.p())
     return IORelations(
         system=sys,
-        x_ph_out=_relation("x_ph_out", dx_out),
-        p_ph_out=_relation("p_ph_out", dp_out),
-        dx_at_out=_relation("dx_at_out/dt", datom_x),
-        dp_at_out=_relation("dp_at_out/dt", datom_p),
+        x_ph_out=_relation("x_ph_out", sys, _ONE, _DX_IN),
+        p_ph_out=_relation("p_ph_out", sys, _ONE, _DP_IN),
+        dx_at_out=_relation("dx_at_out/dt", sys, OpPoly.x(), _NO_INCREMENT),
+        dp_at_out=_relation("dp_at_out/dt", sys, OpPoly.p(), _NO_INCREMENT),
     )
 
 
@@ -383,14 +392,8 @@ class PdeCoefficients:
             raise FragmentError("transport coefficients exceed degree 2 in (k,l)")
 
     def evaluate(self, alpha: float, k: float, l: float) -> tuple[float, float]:
-        c0 = self.c0.evaluate(a=alpha, k=k, l=l)
-        c1 = self.c1.evaluate(a=alpha, k=k, l=l)
-        if not (abs(c0.imag) < 1e-15 * (1 + abs(c0))
-                and abs(c1.imag) < 1e-15 * (1 + abs(c1))):
-            raise ValueError(
-                f"transport coefficients are not real at alpha={alpha},"
-                f" k={k}, l={l}: c0={c0}, c1={c1}")
-        return c0.real, c1.real
+        return (self.c0.evaluate_real(a=alpha, k=k, l=l),
+                self.c1.evaluate_real(a=alpha, k=k, l=l))
 
 
 def _field_exponential_differential(family: str) -> tuple[FormalScalar, ...]:
@@ -427,10 +430,8 @@ def char_fn_generator(sys: HPSystem, family: str) -> PdeCoefficients:
     phi_a, phi_astar, phi_t = _field_exponential_differential(family)
     dmid = ItoDifferential(ca=zw.scale(phi_a), castar=zw.scale(phi_astar),
                            ct=zw.scale(phi_t))
-    total = subset_differential([
-        (_ONE, sys.generator_adjoint()), (zw, dmid), (_ONE, sys.generator())])
     # the dA and dA* coefficients vanish in vacuum expectation
-    drift = total.ct
+    drift = flow_differential(sys, zw, dmid).ct
     if not isinstance(drift, WeylTerm) or drift.axis != axis or drift.lam != SYM_L:
         raise FragmentError("drift left the single-exponential fragment")
     c0 = FormalScalar.zero()
@@ -521,20 +522,12 @@ PAPER_FORMS: dict[str, dict] = {
 # ---------------------------------------------------------------------------
 
 
-def _transcript_subset(lines: list[str], title: str,
-                       factors: Sequence[Factor]) -> ItoDifferential:
-    lines.append(title)
-    total = ItoDifferential()
-    for subset, term in subset_terms(factors):
-        label = "{" + ",".join(str(i + 1) for i in subset) + "}"
-        lines.append(f"  {label}: {term}")
-        total = total + term
-    lines.append(f"  total: {total}")
-    return total
-
-
 def derivation_report() -> str:
-    """Deterministic plain-text transcript of the symbolic derivations."""
+    """Deterministic plain-text transcript of the symbolic derivations.
+
+    It formats :func:`double_pass_derivation`, including the subset
+    expansion each I/O relation recorded, and expands nothing itself.
+    """
     lines: list[str] = []
     first, second = single_pass_systems()
     derived = double_pass_derivation()
@@ -546,16 +539,13 @@ def derivation_report() -> str:
     lines.append(f"L = {sys.L}")
     lines.append(f"H = {sys.H}")
     lines.append("== output quadrature relations ==")
-    for rel, mid in ((io.x_ph_out, _DX_IN), (io.p_ph_out, _DP_IN)):
-        _transcript_subset(
-            lines, f"-- {rel.name}: subset expansion of (U*, quadrature, U) --",
-            [(_ONE, sys.generator_adjoint()), (_ONE, mid), (_ONE, sys.generator())])
-        lines.append(f"  {rel.pretty()}")
-    for rel, z in ((io.dx_at_out, OpPoly.x()), (io.dp_at_out, OpPoly.p())):
-        _transcript_subset(
-            lines, f"-- {rel.name}: subset expansion of (U*, {z}, U) --",
-            [(_ONE, sys.generator_adjoint()), (z, ItoDifferential()),
-             (_ONE, sys.generator())])
+    for rel, z in ((io.x_ph_out, "quadrature"), (io.p_ph_out, "quadrature"),
+                   (io.dx_at_out, "x"), (io.dp_at_out, "p")):
+        lines.append(f"-- {rel.name}: subset expansion of (U*, {z}, U) --")
+        for subset, term in rel.expansion:
+            label = "{" + ",".join(str(i + 1) for i in subset) + "}"
+            lines.append(f"  {label}: {term}")
+        lines.append(f"  total: {rel.differential}")
         lines.append(f"  {rel.pretty()}")
     lines.append(f"commutator rate: [x_ph_out, p_ph_out] = "
                  f"({output_commutator_rate(io)})*t")

@@ -342,6 +342,18 @@ class FormalScalar(SparsePoly):
             total += coeff.to_complex() * mono
         return total
 
+    def evaluate_real(self, a: float = 0.0, k: float = 0.0,
+                      l: float = 0.0, t: float = 0.0) -> float:
+        """:meth:`evaluate`, insisting that the value is real.
+
+        ``ValueError`` unless |imag| < 1e-15 (1 + |value|); NaN fails.
+        """
+        value = self.evaluate(a=a, k=k, l=l, t=t)
+        if not abs(value.imag) < 1e-15 * (1 + abs(value)):
+            raise ValueError(f"{self} is not real at a={a}, k={k}, l={l},"
+                             f" t={t}: {value}")
+        return value.real
+
     # -- printing ---------------------------------------------------------
 
     def _term(self, key: ExpKey, coeff: Cyclo) -> tuple[int, str]:

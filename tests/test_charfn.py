@@ -94,9 +94,22 @@ def test_moc_matches_closed_form_grid():
 
 def test_moc_sharp_characteristic_matches_closed_form():
     # F at alpha = 5, t = 3: the decay rate grows like exp(2 a^2 (s - t)),
-    # by e every 0.02 towards s = t; only bisected panels resolve it
+    # by e every 0.02 towards s = t; only graded panels resolve it
     worst = max(abs(moc_solve("F", 5.0, 3.0, k, l)
                     - closed_form_char("F", 5.0, 3.0, k, l))
+                for k in np.linspace(-3.0, 3.0, 7).tolist()
+                for l in np.linspace(-3.0, 3.0, 7).tolist())
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize("alpha, t", [(30.0, 0.5), (30.0, 5.0), (100.0, 0.5),
+                                      (100.0, 5.0)])
+def test_moc_resolves_the_f_boundary_layer(alpha, t):
+    # the layer at s = t is ~1/(2 alpha^2) wide, far below one panel of
+    # [0, t]: from alpha^2 t ~ 4000 on, an ungraded rule misses it and its
+    # 10- and 20-point values still agree
+    worst = max(abs(moc_solve("F", alpha, t, k, l)
+                    - closed_form_char("F", alpha, t, k, l))
                 for k in np.linspace(-3.0, 3.0, 7).tolist()
                 for l in np.linspace(-3.0, 3.0, 7).tolist())
     assert worst < 1e-10
@@ -111,7 +124,8 @@ def test_moc_quadrature_guard_raises(monkeypatch):
     # at a moderate decay the same error estimate still raises
     quadrature = charfn._gauss_legendre
     monkeypatch.setattr(charfn, "_gauss_legendre",
-                        lambda fn, a, b: (quadrature(fn, a, b)[0], 2e-9))
+                        lambda fn, a, b, breaks: (
+                            quadrature(fn, a, b, breaks)[0], 2e-9))
     with pytest.raises(RuntimeError, match="error estimate 2.00e-09"):
         moc_solve("F", 1.0, 1.0, 1.0, 1.0)
 

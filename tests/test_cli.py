@@ -194,6 +194,31 @@ def test_config_error_exit_code(tmp_path):
     assert "unknown key" in res.stderr
 
 
+def test_duplicate_config_key_is_config_error(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("alpha = 0.5\n# a comment\nt_max = 1\nalpha = 2\n")
+    with pytest.raises(ConfigError, match=r"twice.cfg:4: key 'alpha' already"
+                                          r" given on line 1"):
+        parse_config_file(cfg)
+    res = run_cli("variances", "--config", str(cfg), "--out",
+                  str(tmp_path / "out"))
+    assert res.returncode == EXIT_CONFIG, res.stderr
+    assert "key 'alpha' already given on line 1" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_names_the_config_key():
+    with pytest.raises(ConfigError, match=r"parameter pde\.dt must be finite"):
+        RunConfig(pde_dt=math.inf).validate()
+    with pytest.raises(ConfigError,
+                       match=r"parameter tolerance\.oracle_sigma must be finite"):
+        RunConfig(tol_oracle_sigma=math.nan).validate()
+    with pytest.raises(ConfigError, match=r"parameter solver\.dt must be positive"):
+        RunConfig(solver_dt=0.0).validate()
+    with pytest.raises(ConfigError, match=r"parameter alpha must be positive"):
+        RunConfig(alpha=-1.0).validate()
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle", "--alpha", "nan"),
     ("oracle", "--t-max", "nan"),
@@ -355,9 +380,10 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
     ("pde", "pde.l_max = 12\npde.k_max = 0.1\npde.dt = 0.00125\n"
      "pde.t = 0.3\n", "CFL"),
     ("oracle", "oracle.d_at = 4\n", "increase d_at"),
-    ("compare", "tolerance.ode_rel = -1\n", "tol_ode_rel must be positive"),
+    ("compare", "tolerance.ode_rel = -1\n",
+     "parameter tolerance.ode_rel must be positive"),
     ("compare", "tolerance.oracle_sigma = 0\n",
-     "tol_oracle_sigma must be positive"),
+     "parameter tolerance.oracle_sigma must be positive"),
     # steps so small that the step count overflows
     ("variances", "grid_step = 1e-300\n", "grid_step = 1e-300"),
     ("variances", "solver.dt = 1e-320\n", "solver.dt = 1e-320"),
@@ -461,6 +487,35 @@ def test_compare_builds_the_derivation_once(tmp_path, monkeypatch):
         ito.double_pass_derivation.cache_clear()
     assert calls == {"series_product": 1, "output_quadrature_relations": 1,
                      "char_fn_generator": 2}
+
+
+@pytest.mark.parametrize("command", ["derive", "compare"])
+def test_one_expansion_per_flow(tmp_path, monkeypatch, command):
+    """Four I/O relations and two transport equations: six expansions.
+
+    The transcript formats the recorded expansions and the moment equations
+    read the recorded drifts, so neither expands again.
+    """
+    calls = []
+    original = ito.subset_terms
+
+    def counted(factors):
+        calls.append(len(factors))
+        return original(factors)
+
+    monkeypatch.setattr(ito, "subset_terms", counted)
+    ito.double_pass_derivation.cache_clear()
+    gaussian._symbolic_moment_structure.cache_clear()
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid_step = 0.05\noracle.t_max = 0.1\noracle.dt = 2e-3\n"
+                   "oracle.d_at = 12\noracle.n_traj = 100\n")
+    try:
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+    finally:
+        ito.double_pass_derivation.cache_clear()
+        gaussian._symbolic_moment_structure.cache_clear()
+    assert calls == [3] * 6
 
 
 #: small sizes at which every route runs in-process in well under a second

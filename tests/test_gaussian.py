@@ -312,9 +312,12 @@ def test_csv_row_schema():
 
 
 def test_moment_coefficient_guard_is_an_exception():
-    from doublepass.gaussian import _const
-    from doublepass.scalars import FormalScalar, I
+    from doublepass.scalars import FormalScalar, I, SYM_ALPHA
+    # build_moment_odes evaluates every coefficient by evaluate_real
+    assert SYM_ALPHA.evaluate_real(a=2.0) == 2.0
     with pytest.raises(ValueError, match="not real"):
-        _const(FormalScalar.const(I), 1.0)
+        FormalScalar.const(I).evaluate_real(a=1.0)
+    with pytest.raises(ValueError, match="not real"):
+        SYM_ALPHA.evaluate_real(a=math.nan)
     with pytest.raises(ValueError, match="not real"):
         build_moment_odes(math.nan)

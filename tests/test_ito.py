@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from doublepass.ito import (FAMILY_F, FAMILY_G, HPSystem, ItoDifferential,
+                            PdeCoefficients,
                             char_fn_generator, double_pass_system,
                             flow_differential, ito_product, lindblad,
                             output_commutator_rate,
                             output_quadrature_relations, series_product,
-                            single_pass_systems, subset_differential,
-                            subset_terms)
+                            single_pass_systems, subset_terms)
 from doublepass.scalars import (Cyclo, FormalScalar, HALF, I, INV_SQRT2,
                                 MINUS_I, SYM_ALPHA, SYM_K, SYM_L)
 from doublepass.weyl import (AXIS_P, FragmentError, OpPoly, WeylTerm,
@@ -75,7 +75,8 @@ def test_subset_pair_matches_product_rule():
     rng = random.Random(9)
     xv, yv = rand_poly(rng), rand_poly(rng)
     dx, dy = rand_differential(rng), rand_differential(rng)
-    total = subset_differential([(xv, dx), (yv, dy)])
+    total = sum((term for _, term in subset_terms([(xv, dx), (yv, dy)])),
+                ItoDifferential())
     manual = dy.left_mul(xv) + dx.right_mul(yv) + ito_product(dx, dy)
     assert total.ca == manual.ca
     assert total.castar == manual.castar
@@ -308,3 +309,23 @@ def test_transport_coefficient_guard_is_an_exception():
     assert pde.evaluate(1.0, 0.5, -0.25) == (-0.140625, 0.75)
     with pytest.raises(ValueError, match="not real"):
         pde.evaluate(float("nan"), 0.5, -0.25)
+    # the check is FormalScalar.evaluate_real, shared with the moment ODEs
+    imaginary = PdeCoefficients(FAMILY_F, pde.c0, pde.c1.scale(I))
+    with pytest.raises(ValueError, match="not real"):
+        imaginary.evaluate(1.0, 0.5, -0.25)
+    with pytest.raises(ValueError, match="not real"):
+        SYM_K.scale(I).evaluate_real(k=1.0)
+    with pytest.raises(ValueError, match="not real"):
+        SYM_K.evaluate_real(k=float("nan"))
+
+
+def test_relations_record_the_expansion_they_sum():
+    sysd = double_pass_system()
+    io = output_quadrature_relations(sysd)
+    for rel in io.all():
+        assert [subset for subset, _ in rel.expansion] == [
+            (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+        assert sum((term for _, term in rel.expansion),
+                   ItoDifferential()) == rel.differential
+    assert io.dx_at_out.differential == flow_differential(sysd, X)
+    assert io.dp_at_out.differential == flow_differential(sysd, P)
