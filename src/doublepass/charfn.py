@@ -192,12 +192,13 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
     """Integrate backward along the characteristic through (t, l).
 
     The advection fields are linear, so the characteristic path is written
-    exactly; the accumulated decay exponent is integrated by panel-adaptive
+    exactly, in the reversed time tau = t - s; the accumulated decay
+    exponent is integrated over tau in [0, t] by panel-adaptive
     Gauss-Legendre quadrature (Davis & Rabinowitz, *Methods of Numerical
     Integration*, 2nd ed., 1984, ch. 2 and 6): each panel is bisected until
     its 10- and 20-point rules agree to 1e-12 relative or 1e-13 absolute, up
     to 200 panels.  For family F the first panels are graded toward the
-    boundary layer at s = t, of width ~1/(2 alpha^2), where 1/alpha^2 < t.
+    boundary layer at tau = 0, of width ~1/(2 alpha^2), where 1/alpha^2 < t.
     An error estimate above 1e-9 raises ``RuntimeError``,
     unless the value is 0 even with the error added to the exponent.
     This route never touches the covariance formulas.
@@ -210,34 +211,28 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
 
     breaks: list[float] = []
     if family == FAMILY_F:
-        if alpha == 0.0:
-            l0 = l
+        # dl/ds = a*(a*l - k), so a*l(tau) - k = (a*l - k) exp(-a^2 tau) and
+        # the foot is l e^-x + k*a*t*phi(x), x = a^2 t, phi(x) = (1 - e^-x)/x
+        x = alpha * alpha * t
+        l0 = l * math.exp(-x) + k * alpha * t * (-math.expm1(-x) / x if x
+                                                 else 1.0)
+        dev = alpha * l - k
 
-            def rate(s: np.ndarray) -> np.ndarray:
-                return np.full_like(s, -0.25 * k * k)
-        else:
-            # dl/ds = a*(a*l - k): l(s) = k/a + (l - k/a) exp(a^2 (s - t))
-            center = k / alpha
-            dev = l - center
-            l0 = center + dev * math.exp(-alpha * alpha * t)
+        def rate(tau: np.ndarray) -> np.ndarray:
+            return -0.25 * (dev * np.exp(-alpha * alpha * tau)) ** 2
 
-            def rate(s: np.ndarray) -> np.ndarray:
-                ls = center + dev * np.exp(alpha * alpha * (s - t))
-                return -0.25 * (alpha * ls - k) ** 2
-
-            # the rate has a layer of width ~1/(2 alpha^2) at s = t: grade
-            # the first panels toward it, at t - 2^j/alpha^2 inside (0, t)
-            scale = 1.0
-            while scale < alpha * alpha * t:
-                breaks.insert(0, t - scale / (alpha * alpha))
-                scale *= 2.0
+        # the rate has a layer of width ~1/(2 alpha^2) at tau = 0: grade
+        # the first panels toward it, at tau = 2^j/alpha^2 inside (0, t)
+        scale = 1.0
+        while scale < x:
+            breaks.append(scale / (alpha * alpha))
+            scale *= 2.0
     else:
         # dl/ds = a*k: straight characteristic
         l0 = l - alpha * k * t
 
-        def rate(s: np.ndarray) -> np.ndarray:
-            ls = l - alpha * k * (t - s)
-            return -0.25 * (alpha * ls + k) ** 2
+        def rate(tau: np.ndarray) -> np.ndarray:
+            return -0.25 * (alpha * l + k - alpha * alpha * k * tau) ** 2
 
     decay, err = _gauss_legendre(rate, 0.0, t, breaks)
     if err > 1e-9:

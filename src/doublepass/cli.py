@@ -4,7 +4,8 @@ Commands:
 
 * ``derive``    -- print the symbolic derivation transcript
 * ``variances`` -- write the variance CSV (closed-form and ODE columns)
-* ``pde``       -- write characteristic-function surfaces and a summary
+* ``pde``       -- write characteristic-function surfaces and a summary, and
+  check the FD and MOC routes against the closed form
 * ``oracle``    -- run the truncated-Fock oracle and write its CSV
 * ``compare``   -- run every route at shared parameters and cross-check
 
@@ -250,9 +251,27 @@ def _csv_lines(columns: list) -> list[str]:
             for row in zip(*(np.asarray(col).tolist() for col in columns))]
 
 
-def _worst(errors) -> float:
-    """Largest of ``errors``, NaN if any is NaN: ``worst < tol`` fails on it."""
-    return float(np.max(errors))
+def _check(name: str, what: str, value: float,
+           limit: float | None = None) -> tuple[bool, str]:
+    """The one gate: ``(passed, line)``; passes when ``value < limit``, so
+    NaN fails, and the line shows value, limit and margin value/limit.
+    Exact without a limit: passes when ``value``, the differences, is 0.
+    """
+    if limit is None:
+        ok, detail = value == 0, what
+    else:
+        ok = value < limit
+        margin = value / limit if limit else math.nan
+        detail = f"{what} {value:.3e} (limit {limit:.3e}, margin {margin:.3g})"
+    return ok, f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+
+
+def _report(checks: list[tuple[bool, str]]) -> tuple[str, int]:
+    """The check lines and the ``result:`` line; exit 1 if a check failed."""
+    all_ok = all(ok for ok, _ in checks)
+    lines = [line for _, line in checks]
+    lines.append(f"result: {'OK' if all_ok else 'TOLERANCE FAILURE'}")
+    return "\n".join(lines) + "\n", EXIT_OK if all_ok else EXIT_TOLERANCE
 
 
 def variances_csv(closed: dict[str, np.ndarray],
@@ -271,8 +290,8 @@ def cmd_variances(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, float, float, float]:
-    """Surface CSVs plus a deterministic summary; returns worst errors too.
+def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, list]:
+    """Surface CSVs, a deterministic summary and the MOC, FD, residual checks.
 
     The summary ends with the FD health numbers of each family: the CFL
     number and the largest boundary value the leak monitor saw.
@@ -307,22 +326,27 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, float, float, floa
                         fam, cfg.alpha, tt, kk, ll),
                     cfg.pde_t, k, l)
                 residuals.append(abs(res))
-    fd_worst, moc_worst, res_worst = map(_worst,
+    fd_worst, moc_worst, res_worst = map(np.max,
                                          (fd_errors, moc_errors, residuals))
     summary.append(f"moc max abs error: {moc_worst:.6e}")
     summary.append(f"closed-form residual max: {res_worst:.6e}")
     summary.extend(health)
-    return surfaces, "\n".join(summary) + "\n", fd_worst, moc_worst, res_worst
+    checks = [
+        _check("moc_vs_closed_form", "max abs err", moc_worst, cfg.tol_moc_abs),
+        _check("fd_vs_closed_form", "max abs err", fd_worst, cfg.tol_pde_abs),
+        _check("closed_form_residual", "max residual", res_worst,
+               cfg.tol_residual)]
+    return surfaces, "\n".join(summary) + "\n", checks
 
 
 def cmd_pde(cfg: RunConfig) -> int:
-    surfaces, summary, *_ = pde_outputs(cfg)
+    surfaces, summary, checks = pde_outputs(cfg)
     out = Path(cfg.out)
-    for name, text in surfaces.items():
+    for name, text in {**surfaces, "pde_summary.txt": summary}.items():
         _write_text(out / name, text)
-    _write_text(out / "pde_summary.txt", summary)
-    sys.stdout.write(summary)
-    return EXIT_OK
+    report, code = _report(checks)
+    sys.stdout.write(summary + report)
+    return code
 
 
 def _oracle_runs(cfg: RunConfig) -> tuple[fock.OracleConfig,
@@ -377,7 +401,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
+def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[bool, str]],
                                              dict[str, str]]:
     artifacts: dict[str, str] = {}
 
@@ -391,30 +415,25 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
                              f"G: c0={pde_g.c0}; c1={pde_g.c1}",
     }
     forms = derived.forms()
-    checks = [(name, forms[name] == expected, details[name])
+    checks = [_check(name, details[name], int(forms[name] != expected))
               for name, expected in PAPER_FORMS.items()]
 
     # 4. ODE route vs closed form, on every row of variances.csv
     closed, ode = _variance_tables(cfg)
-    worst = _worst([gaussian.relative_error(value, ref)
+    worst = np.max([gaussian.relative_error(value, ref)
                     for col in gaussian.PUBLISHED
                     for value, ref in zip(ode[col].tolist(),
                                           closed[col].tolist())])
-    checks.append(("ode_vs_closed_form", worst < cfg.tol_ode_rel,
-                   f"max rel err {worst:.3e} (tol {cfg.tol_ode_rel:.1e})"))
+    checks.append(_check("ode_vs_closed_form", "max rel err", worst,
+                         cfg.tol_ode_rel))
     artifacts["variances.csv"] = variances_csv(closed, ode)
 
     # 5-7. PDE routes
     pde_cfg = replace(cfg, pde_k_max=2.0, pde_dk=1.0, pde_l_max=10.0)
-    surfaces, summary, fd_worst, moc_worst, res_worst = pde_outputs(pde_cfg)
+    surfaces, summary, pde_checks = pde_outputs(pde_cfg)
     artifacts.update(surfaces)
     artifacts["pde_summary.txt"] = summary
-    checks.append(("moc_vs_closed_form", moc_worst < cfg.tol_moc_abs,
-                   f"max abs err {moc_worst:.3e} (tol {cfg.tol_moc_abs:.1e})"))
-    checks.append(("fd_vs_closed_form", fd_worst < cfg.tol_pde_abs,
-                   f"max abs err {fd_worst:.3e} (tol {cfg.tol_pde_abs:.1e})"))
-    checks.append(("closed_form_residual", res_worst < cfg.tol_residual,
-                   f"max residual {res_worst:.3e} (tol {cfg.tol_residual:.1e})"))
+    checks.extend(pde_checks)
 
     # 8. oracle, atomic moments (deterministic budget)
     ocfg, atoms, series = _oracle_runs(cfg)
@@ -423,47 +442,39 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]],
                                     closed.entry("p_at", "p_at"))
     rel_x = gaussian.relative_error(atoms.var_x[-1],
                                     closed.entry("x_at", "x_at"))
-    ok = rel_p < cfg.tol_oracle_rel and rel_x < cfg.tol_oracle_rel
-    checks.append(("oracle_atom_moments", ok,
-                   f"rel err p {rel_p:.3e}, x {rel_x:.3e} "
-                   f"(tol {cfg.tol_oracle_rel:.1e})"))
+    checks.append(_check("oracle_atom_moments",
+                         f"rel err p {rel_p:.3e}, x {rel_x:.3e}, max",
+                         np.max([rel_p, rel_x]), cfg.tol_oracle_rel))
 
     # 9. oracle, homodyne variance (statistical budget), at the final time
     st = series[-1]
     field = ("X_ph" if ocfg.phase == fock.PHASE_X else "P_ph")
     ref = closed.entry(field, field)
-    diff = abs(st.variance / 2.0 - ref)
-    budget = cfg.tol_oracle_sigma * st.stderr_var / 2.0
-    checks.append(("oracle_homodyne", diff < budget,
-                   f"|Var(y)/2 - sigma2| = {diff:.4f} "
-                   f"(budget {budget:.4f}, n={st.n})"))
+    checks.append(_check("oracle_homodyne",
+                         f"|Var(y)/2 - sigma2| (n={st.n})",
+                         abs(st.variance / 2.0 - ref),
+                         cfg.tol_oracle_sigma * st.stderr_var / 2.0))
     artifacts["oracle.csv"] = oracle_csv(cfg, atoms, series)
 
     # 10. alpha = 0 homodyne control
     c0 = cfg.section(fock.OracleConfig, alpha=0.0, seed=cfg.oracle_seed + 1)
     st0 = fock.homodyne_monte_carlo(c0)
-    diff0 = abs(st0.variance - c0.t_max)
-    budget0 = cfg.tol_oracle_sigma * st0.stderr_var
-    checks.append(("oracle_vacuum_control", diff0 < budget0,
-                   f"|Var(y) - t| = {diff0:.4f} (budget {budget0:.4f})"))
+    checks.append(_check("oracle_vacuum_control", "|Var(y) - t|",
+                         abs(st0.variance - c0.t_max),
+                         cfg.tol_oracle_sigma * st0.stderr_var))
     return checks, artifacts
 
 
 def cmd_compare(cfg: RunConfig) -> int:
     checks, artifacts = _compare_checks(cfg)
+    report, code = _report(checks)
     artifacts["derivation.txt"] = derivation_report()
-    lines = []
-    for name, ok, detail in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    all_ok = all(ok for _, ok, _ in checks)
-    lines.append(f"result: {'OK' if all_ok else 'TOLERANCE FAILURE'}")
-    report = "\n".join(lines) + "\n"
+    artifacts["compare_report.txt"] = report
     out = Path(cfg.out)
     for name, text in artifacts.items():
         _write_text(out / name, text)
-    _write_text(out / "compare_report.txt", report)
     sys.stdout.write(report)
-    return EXIT_OK if all_ok else EXIT_TOLERANCE
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ symmetrized second moments obey the linear system
     dC/dt = A C + C A^T + D
 
 whose drift A and diffusion D are generated from the symbolic engine and
-instantiated numerically; the RK4 route integrates the 16 entries of C
-alone.  The module also evaluates the closed-form variances of the
-double-pass model, and :func:`variance_table` turns either route (or the
-oracle's atomic moments) into the one variance table the CLI writes: the
-six published (co)variances, squeezing in dB (reference variance 1/2) and
-the uncertainty products.
+instantiated numerically; the RK4 route integrates the 16 entries of
+C - diag(1/2, 1/2, 0, 0) alone.  The module also evaluates the closed-form
+variances of the double-pass model, and :func:`variance_table` turns either
+route (or the oracle's atomic moments) into the one variance table the CLI
+writes: the six published (co)variances, squeezing in dB (reference
+variance 1/2) and the uncertainty products.
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
 
     The system is linear and time-invariant, so the RK4 stage algebra
     collapses to one affine update per step, built once from the drift; the
-    result is bit-for-bit the classical RK4 iteration.  Stability requires
-    alpha^2 dt <= 0.1 (documented bound, enforced).
+    result is bit-for-bit the classical RK4 iteration on C - C0.  Stability
+    requires alpha^2 dt <= 0.1 (documented bound, enforced).
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -206,13 +206,15 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
             f"{0.1 / alpha2:.3g}")
     n_steps = step_count(t_max, dt, "solver.dt", "t_max")
 
-    # The right-hand side is affine in the row-major vec(C), a 16-vector:
-    # vec(C)' = K vec(C) + b with the Kronecker sum K = A (x) 1 + 1 (x) A
-    # and b = vec(D).  The RK4 stages then collapse to c_{n+1} = R c + r with
+    # RK4 runs on Delta = C - C0, the deviation from the vacuum:
+    # Delta' = A Delta + Delta A^T + S with S = A C0 + C0 A^T + D, whose
+    # cross-covariance entries cancel exactly.  This is affine in the
+    # row-major vec(Delta): K vec(Delta) + b with K = A (x) 1 + 1 (x) A and
+    # b = vec(S).  The RK4 stages then collapse to c_{n+1} = R c + r with
     # R = sum_{j<=4} (dt K)^j / j!  and  r = sum_{1<=j<=4} dt^j K^{j-1} b / j!.
-    eye = np.eye(4)
+    eye, c0 = np.eye(4), initial_snapshot().cov
     k_mat = np.kron(ode.drift, eye) + np.kron(eye, ode.drift)
-    b_vec = ode.diffusion.reshape(16)
+    b_vec = (ode.drift @ c0 + c0 @ ode.drift.T + ode.diffusion).reshape(16)
 
     r_mat = np.eye(16)
     r_vec = np.zeros(16)
@@ -222,14 +224,14 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
         term = term @ k_mat
         r_mat = r_mat + term * (dt ** j / math.factorial(j))
 
-    # row k of flat is vec(C) after step k; covs is a view of it
-    covs = np.empty((n_steps + 1, 4, 4))
-    covs[0] = initial_snapshot().cov
+    # row k of flat is vec(Delta) after step k; covs is a view of it
+    covs = np.zeros((n_steps + 1, 4, 4))
     flat = covs.reshape(n_steps + 1, 16)
     for step in range(1, n_steps + 1):
         flat[step] = r_mat @ flat[step - 1] + r_vec
         cov = covs[step]
         cov[...] = 0.5 * (cov + cov.T)
+    covs += c0
 
     traj = CovTrajectory(np.arange(n_steps + 1) * dt, covs)
     _assert_cross_sector_zero(traj)

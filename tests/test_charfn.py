@@ -105,7 +105,7 @@ def test_moc_sharp_characteristic_matches_closed_form():
 @pytest.mark.parametrize("alpha, t", [(30.0, 0.5), (30.0, 5.0), (100.0, 0.5),
                                       (100.0, 5.0)])
 def test_moc_resolves_the_f_boundary_layer(alpha, t):
-    # the layer at s = t is ~1/(2 alpha^2) wide, far below one panel of
+    # the layer at tau = 0 is ~1/(2 alpha^2) wide, far below one panel of
     # [0, t]: from alpha^2 t ~ 4000 on, an ungraded rule misses it and its
     # 10- and 20-point values still agree
     worst = max(abs(moc_solve("F", alpha, t, k, l)
@@ -113,6 +113,20 @@ def test_moc_resolves_the_f_boundary_layer(alpha, t):
                 for k in np.linspace(-3.0, 3.0, 7).tolist()
                 for l in np.linspace(-3.0, 3.0, 7).tolist())
     assert worst < 1e-10
+
+
+def test_moc_holds_at_every_alpha():
+    # in reversed time tau = t - s the characteristic has no k/alpha term and
+    # no node near s = t whose rounding alpha^2 amplifies, so both families
+    # hold from alpha = 0 through the smallest subnormal up to alpha^2 t = 1e8
+    probe = np.linspace(-3.0, 3.0, 7).tolist()
+    for alpha, t in ((0.0, 0.5), (1e-3, 0.5), (1e-9, 0.5), (1e-160, 0.5),
+                     (5e-324, 0.5), (1000.0, 5.0), (1e4, 1.0)):
+        for family in FAMILIES:
+            worst = max(abs(moc_solve(family, alpha, t, k, l)
+                            - closed_form_char(family, alpha, t, k, l))
+                        for k in probe for l in probe)
+            assert worst < 1e-10, (family, alpha, t, worst)
 
 
 def test_moc_quadrature_guard_raises(monkeypatch):

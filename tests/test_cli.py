@@ -540,7 +540,17 @@ def test_alpha_squared_underflow_is_not_an_internal_error(tmp_path, argv):
     # alpha^2 is 0 or subnormal: the routes take their alpha = 0 limits
     cfg = _write_config(tmp_path / "run.cfg")
     assert main([*argv, "--config", cfg,
-                 "--out", str(tmp_path / "out")]) in (0, 1)
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("alpha", ["1e-3", "1e-9"])
+def test_compare_passes_at_small_alpha(tmp_path, alpha):
+    # RK4 on C - C0 has no cross-covariance source to cancel, and MOC in
+    # reversed time no k/alpha: every check holds as alpha goes to 0 (the
+    # test above runs compare at 1e-300)
+    cfg = _write_config(tmp_path / "run.cfg")
+    assert main(["compare", "--alpha", alpha, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("module, name, check", [
@@ -549,8 +559,8 @@ def test_alpha_squared_underflow_is_not_an_internal_error(tmp_path, argv):
     (charfn, "pde_residual", "closed_form_residual"),
     (gaussian, "relative_error", "ode_vs_closed_form"),
 ])
-def test_nan_error_fails_its_check(tmp_path, monkeypatch, module, name,
-                                   check):
+def test_nan_error_fails_its_check(tmp_path, monkeypatch, capsys, module,
+                                   name, check):
     original, calls = getattr(module, name), []
 
     def nan_on_second_call(*args):
@@ -565,13 +575,93 @@ def test_nan_error_fails_its_check(tmp_path, monkeypatch, module, name,
 
     monkeypatch.setattr(module, name, nan_on_second_call)
     cfg = _write_config(tmp_path / "run.cfg")
+    # pde gates the FD, MOC and residual routes on its own
+    for command in ("compare", "pde") if module is charfn else ("compare",):
+        calls.clear()
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 1
+        report = capsys.readouterr().out
+        if command == "compare":
+            assert report == (tmp_path / command
+                              / "compare_report.txt").read_text()
+        failing = [ln.split(":")[0] for ln in report.splitlines()
+                   if ln.startswith("FAIL")]
+        assert failing == [f"FAIL {check}"]
+        assert f"FAIL {check}: max" in report and "nan (limit" in report
+
+
+def test_one_gate_decides_every_check():
+    assert cli._check("c", "err", 0.5, 2.0) == (
+        True, "PASS c: err 5.000e-01 (limit 2.000e+00, margin 0.25)")
+    # the rule is value < limit: a value at its limit and NaN fail
+    assert not cli._check("c", "err", 2.0, 2.0)[0]
+    assert cli._check("c", "err", math.nan, 2.0) == (
+        False, "FAIL c: err nan (limit 2.000e+00, margin nan)")
+    # a budget that underflows to 0 (tolerance.oracle_sigma = 5e-324) fails,
+    # with no division by zero
+    assert cli._check("c", "diff", 0.0, 0.0) == (
+        False, "FAIL c: diff 0.000e+00 (limit 0.000e+00, margin nan)")
+    # an exact check passes when nothing differs and shows its detail alone
+    assert cli._check("c", "L=a*p", 0) == (True, "PASS c: L=a*p")
+    assert cli._check("c", "L=a*p", 1) == (False, "FAIL c: L=a*p")
+    assert cli._report([(True, "PASS a: x"), (False, "FAIL b: y")]) == (
+        "PASS a: x\nFAIL b: y\nresult: TOLERANCE FAILURE\n", 1)
+    assert cli._report([(True, "PASS a: x")]) == ("PASS a: x\nresult: OK\n",
+                                                  EXIT_OK)
+
+
+def test_report_lines_show_limit_and_margin(tmp_path):
+    cfg = _write_config(tmp_path / "run.cfg")
     assert main(["compare", "--config", cfg,
-                 "--out", str(tmp_path / "out")]) == 1
-    report = (tmp_path / "out" / "compare_report.txt").read_text()
-    failing = [ln.split(":")[0] for ln in report.splitlines()
-               if ln.startswith("FAIL")]
-    assert failing == [f"FAIL {check}"]
-    assert "nan" in report
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    lines = (tmp_path / "out" / "compare_report.txt").read_text().splitlines()
+    names = [ln.split(":")[0] for ln in lines[3:10]]
+    assert names == ["PASS " + name for name in (
+        "ode_vs_closed_form", "moc_vs_closed_form", "fd_vs_closed_form",
+        "closed_form_residual", "oracle_atom_moments", "oracle_homodyne",
+        "oracle_vacuum_control")]
+    for line in lines[3:10]:
+        value, limit, margin = re.search(
+            r" (\S+) \(limit (\S+), margin (\S+)\)$", line).groups()
+        assert float(value) < float(limit)
+        assert math.isclose(float(margin), float(value) / float(limit),
+                            rel_tol=1e-2)
+    assert lines[-1] == "result: OK"
+
+
+#: pde at alpha 100 on a grid that does not resolve the centre k/alpha of
+#: the F characteristics: FD is 0.5 off the closed form, the residual 5e-6
+ALPHA_100 = {"alpha": "100", "pde.t": "0.5", "pde.l_max": "8",
+             "pde.dl": "0.5", "pde.k_max": "2", "pde.dk": "1",
+             "pde.dt": "2.5e-6"}
+
+
+def test_pde_exits_1_on_a_failed_check(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path / "a100.cfg", **ALPHA_100)
+    surfaces, fd_solve = [], charfn.fd_solve
+
+    def recorded(*args):
+        surfaces.append(fd_solve(*args))
+        return surfaces[-1]
+
+    monkeypatch.setattr(charfn, "fd_solve", recorded)
+    out = tmp_path / "out"
+    assert main(["pde", "--config", cfg, "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "pde_summary.txt", "surface_F.csv", "surface_G.csv"]
+    stdout = capsys.readouterr().out
+    assert stdout.startswith((out / "pde_summary.txt").read_text())
+    assert [ln.split(":")[0] for ln in stdout.splitlines()
+            if ln.startswith(("PASS", "FAIL"))] == [
+        "PASS moc_vs_closed_form", "FAIL fd_vs_closed_form",
+        "FAIL closed_form_residual"]
+    assert stdout.endswith("result: TOLERANCE FAILURE\n")
+    # --tolerance-scale reaches pde's limits too; the FD surfaces, 2e5 steps
+    # per family, are replayed rather than recomputed
+    monkeypatch.setattr(charfn, "fd_solve", lambda *args: surfaces.pop(0))
+    assert main(["pde", "--config", cfg, "--tolerance-scale", "1e4",
+                 "--out", str(out)]) == EXIT_OK
+    assert surfaces == []
 
 
 #: every config key but the output path, each set to one awkward value

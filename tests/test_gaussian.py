@@ -106,12 +106,12 @@ def test_ode_route_matches_all_published_entries():
 
 
 def _rk4_with_means(ode, t_max, dt):
-    """Covariances of the RK4 route on the stacked 20-vector (mean, C).
+    """Covariances of the RK4 route on the stacked 20-vector (mean, Delta).
 
-    The reference for :func:`integrate_covariance`, which integrates C
-    alone: the means start at 0 and stay exactly 0.
+    The reference for :func:`integrate_covariance`, which integrates
+    Delta = C - C0 alone: the means start at 0 and stay exactly 0.
     """
-    a = ode.drift
+    a, c0 = ode.drift, np.diag([0.5, 0.5, 0.0, 0.0])
     n_steps = round(t_max / dt)
 
     def pack(mean, cov):
@@ -123,21 +123,20 @@ def _rk4_with_means(ode, t_max, dt):
         basis[idx] = 1.0
         m_b, c_b = basis[:4], basis[4:].reshape(4, 4)
         k_mat[:, idx] = pack(a @ m_b, a @ c_b + c_b @ a.T)
-    b_vec = pack(np.zeros(4), ode.diffusion)
+    b_vec = pack(np.zeros(4), a @ c0 + c0 @ a.T + ode.diffusion)
     r_mat, r_vec, term = np.eye(20), np.zeros(20), np.eye(20)
     for j in range(1, 5):
         r_vec = r_vec + (term @ b_vec) * (dt ** j / math.factorial(j))
         term = term @ k_mat
         r_mat = r_mat + term * (dt ** j / math.factorial(j))
-    ys = np.empty((n_steps + 1, 20))
-    ys[0] = pack(np.zeros(4), np.diag([0.5, 0.5, 0.0, 0.0]))
+    ys = np.zeros((n_steps + 1, 20))
     covs = ys[:, 4:].reshape(n_steps + 1, 4, 4)
     for step in range(1, n_steps + 1):
         ys[step] = r_mat @ ys[step - 1] + r_vec
         cov = covs[step]
         cov[...] = 0.5 * (cov + cov.T)
     assert not ys[:, :4].any()
-    return covs
+    return covs + c0
 
 
 @pytest.mark.parametrize("alpha, t_max, dt", [
