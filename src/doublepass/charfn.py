@@ -3,14 +3,14 @@
 Both families satisfy a 1-D advection-reaction equation in l with k as a
 parameter, so every k-slice is independent:
 
-    family F:  df/dt = -1/4 (a*l - k)^2 f - a*(a*l - k) df/dl
-    family G:  dg/dt = -1/4 (a*l + k)^2 g - a*k       dg/dl
+    df/dt = c0(a, k, l) f + c1(a, k, l) df/dl,    f(0) = exp(-l^2/4),
 
-with initial condition exp(-l^2/4).  Three routes are provided: the
-closed-form Gaussian built from the covariance formulas, integration along
-characteristics (independent of those formulas), and an explicit upwind
-finite-difference solver with an exact pointwise decay factor per step.
-A finite-difference residual check ties any sampler back to the equations.
+with (c0, c1) as :func:`~doublepass.ito.double_pass_derivation` derives
+them (F: c0 = -(a*l - k)^2/4, c1 = -a*(a*l - k); G: c0 = -(a*l + k)^2/4,
+c1 = -a*k).  Characteristics, an explicit upwind finite-difference solver
+(exact pointwise decay factor per step) and the residual check of any
+sampler read them; the closed-form Gaussian, built from the covariance
+formulas, is the solvers' independent reference.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class BoundaryLeakError(ConfigError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform symmetric (k, l) grid: the ``pde.`` keys of its field names."""
+    """Exactly symmetric uniform (k, l) grid: the ``pde.`` keys of its fields."""
 
     l_max: float
     dl: float
@@ -57,12 +57,12 @@ class GridSpec:
                        f"2*pde.{axis}_max", atol=1e-9)
 
     def l_values(self) -> np.ndarray:
-        n = round(2 * self.l_max / self.dl) + 1
-        return np.linspace(-self.l_max, self.l_max, n)
+        n = round(2 * self.l_max / self.dl)
+        return self.dl * (np.arange(n + 1) - n / 2)
 
     def k_values(self) -> np.ndarray:
-        n = round(2 * self.k_max / self.dk) + 1
-        return np.linspace(-self.k_max, self.k_max, n)
+        n = round(2 * self.k_max / self.dk)
+        return self.dk * (np.arange(n + 1) - n / 2)
 
 
 @dataclass(frozen=True)
@@ -191,14 +191,16 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
               ) -> float:
     """Integrate backward along the characteristic through (t, l).
 
-    The advection fields are linear, so the characteristic path is written
-    exactly, in the reversed time tau = t - s; the accumulated decay
-    exponent is integrated over tau in [0, t] by panel-adaptive
+    Solves the derived ``df/dt = c0 f + c1 df/dl``.  The velocity
+    ``-c1 = beta*l + gamma`` is affine in l, so the characteristic is exact
+    in the reversed time tau = t - s: ``l(tau) = l e^-x - gamma*tau*phi(x)``,
+    x = beta*tau, phi(x) = (1 - e^-x)/x.  The decay exponent, the integral
+    of ``c0(l(tau))`` over tau in [0, t], is taken by panel-adaptive
     Gauss-Legendre quadrature (Davis & Rabinowitz, *Methods of Numerical
     Integration*, 2nd ed., 1984, ch. 2 and 6): each panel is bisected until
     its 10- and 20-point rules agree to 1e-12 relative or 1e-13 absolute, up
-    to 200 panels.  For family F the first panels are graded toward the
-    boundary layer at tau = 0, of width ~1/(2 alpha^2), where 1/alpha^2 < t.
+    to 200 panels.  For beta > 0 the first panels are graded toward the
+    boundary layer at tau = 0, of width ~1/(2 beta), where 1/beta < t.
     An error estimate above 1e-9 raises ``RuntimeError``,
     unless the value is 0 even with the error added to the exponent.
     This route never touches the covariance formulas.
@@ -209,32 +211,26 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
     if t == 0:
         return math.exp(-l * l / 4.0)
 
+    pde = double_pass_derivation().transport[family]
+    beta, gamma = (-pde.c1.l_coefficient(n).evaluate_real(a=alpha, k=k)
+                   for n in (1, 0))
+
+    def foot(tau):
+        x = np.multiply(beta, tau)
+        phi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
+        return l * np.exp(-x) - gamma * tau * phi
+
+    # the layer of width ~1/(2 beta) at tau = 0: grade the first panels
+    # toward it, at tau = 2^j/beta inside (0, t)
     breaks: list[float] = []
-    if family == FAMILY_F:
-        # dl/ds = a*(a*l - k), so a*l(tau) - k = (a*l - k) exp(-a^2 tau) and
-        # the foot is l e^-x + k*a*t*phi(x), x = a^2 t, phi(x) = (1 - e^-x)/x
-        x = alpha * alpha * t
-        l0 = l * math.exp(-x) + k * alpha * t * (-math.expm1(-x) / x if x
-                                                 else 1.0)
-        dev = alpha * l - k
-
-        def rate(tau: np.ndarray) -> np.ndarray:
-            return -0.25 * (dev * np.exp(-alpha * alpha * tau)) ** 2
-
-        # the rate has a layer of width ~1/(2 alpha^2) at tau = 0: grade
-        # the first panels toward it, at tau = 2^j/alpha^2 inside (0, t)
-        scale = 1.0
-        while scale < x:
-            breaks.append(scale / (alpha * alpha))
-            scale *= 2.0
-    else:
-        # dl/ds = a*k: straight characteristic
-        l0 = l - alpha * k * t
-
-        def rate(tau: np.ndarray) -> np.ndarray:
-            return -0.25 * (alpha * l + k - alpha * alpha * k * tau) ** 2
-
-    decay, err = _gauss_legendre(rate, 0.0, t, breaks)
+    scale = 1.0
+    while scale < beta * t:
+        breaks.append(scale / beta)
+        scale *= 2.0
+    l0 = float(foot(t))
+    decay, err = _gauss_legendre(
+        lambda tau: pde.c0.evaluate_real(a=alpha, k=k, l=foot(tau)),
+        0.0, t, breaks)
     if err > 1e-9:
         # decay + err bounds the exponent from above; when even that bound
         # underflows, the value is 0 to double precision whatever the error
@@ -284,10 +280,10 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
              ) -> CharSurface:
     """Explicit finite-difference evolution of all k-slices at once.
 
-    Per step: half decay (exact pointwise factor), one Heun advection step
-    with a second-order upwind-biased derivative, half decay.  The drift does
-    not depend on time, so the upwind side of every point, ``-|drift|`` and
-    the decay factor are fixed before the loop.
+    Per step: half decay (exact pointwise factor of the derived c0), one Heun
+    step along the drift ``-c1`` with a second-order upwind derivative, half
+    decay.  The drift does not depend on time, so the upwind side of every
+    point, ``-|drift|`` and the decay factor are fixed before the loop.
 
     The state lives in one preallocated flat buffer laid out by
     :func:`_upwind_layout`: each k row in upwind order, so every point takes
@@ -312,20 +308,20 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
         raise ConfigError("need t >= 0 and dt > 0")
     kv, lv = grid.k_values(), grid.l_values()
     kk, ll = np.meshgrid(kv, lv, indexing="ij")
-    if family == FAMILY_F:
-        drift = alpha * (alpha * ll - kk)
-        decay = -0.25 * (alpha * ll - kk) ** 2
-    else:
-        drift = alpha * kk * np.ones_like(ll)
-        decay = -0.25 * (alpha * ll + kk) ** 2
-
+    try:
+        decay, c1 = double_pass_derivation().transport[family].evaluate(
+            alpha, kk, ll)
+    except ValueError as exc:  # the derived c0, c1 are real: an overflow
+        raise ConfigError("transport coefficients are not finite on the grid;"
+                          " reduce pde.l_max and pde.k_max") from exc
+    decay, drift = np.broadcast_arrays(decay, -c1, kk)[:2]
     f0 = np.exp(-lv * lv / 4.0)[None, :] * np.ones((len(kv), 1))
     if t == 0:
         return CharSurface(family, alpha, 0.0, kv, lv, f0)
 
     n_steps = step_count(t, dt, "pde.dt", "pde.t")
     cfl = float(np.abs(drift).max()) * dt / grid.dl
-    if cfl > 0.5 + 1e-12:
+    if not cfl <= 0.5 + 1e-12:
         raise ConfigError(f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 0.5")
 
     pos, ghost, source = _upwind_layout(drift < 0.0)

@@ -390,6 +390,8 @@ class PdeCoefficients:
     def __post_init__(self):
         if self.c0.degree_kl() > 2 or self.c1.degree_kl() > 2:
             raise FragmentError("transport coefficients exceed degree 2 in (k,l)")
+        if not self.c1.l_coefficient(2).is_zero():  # MOC's exact paths
+            raise FragmentError(f"advection {self.c1} is not affine in l")
 
     def evaluate(self, alpha: float, k: float, l: float) -> tuple[float, float]:
         return (self.c0.evaluate_real(a=alpha, k=k, l=l),

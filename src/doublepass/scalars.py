@@ -11,7 +11,7 @@ field in the four formal symbols ``a`` (coupling strength), ``k``, ``l``
 (transform variables) and ``t`` (time).  It and the operator polynomial
 :class:`~doublepass.weyl.OpPoly` share one sparse-dictionary core,
 :class:`SparsePoly`.  Everything here is exact; floating point only enters
-through :meth:`Cyclo.to_complex` and :meth:`FormalScalar.evaluate`.
+through :meth:`FormalScalar.evaluate_real`, in real arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from math import sqrt as _float_sqrt
 from typing import Iterator, Mapping, Union
+
+import numpy as np
 
 RationalLike = Union[int, Fraction]
 
@@ -109,10 +111,11 @@ class Cyclo:
             return NotImplemented
         return self._v == other._v
 
-    def to_complex(self) -> complex:
-        # int / int is correctly rounded, so each part is float(Fraction)
+    def __float__(self) -> float:
         a, b, c, d, e = self._v
-        return complex(a / e + _SQRT2 * (c / e), b / e + _SQRT2 * (d / e))
+        if b or d:
+            raise ValueError(f"{self} is not real")
+        return a / e + _SQRT2 * (c / e)     # int / int is correctly rounded
 
     # -- printing ---------------------------------------------------------
 
@@ -333,26 +336,26 @@ class FormalScalar(SparsePoly):
 
     # -- numerics ---------------------------------------------------------
 
-    def evaluate(self, a: float = 0.0, k: float = 0.0,
-                 l: float = 0.0, t: float = 0.0) -> complex:
-        """Substitute numeric values for all four symbols."""
-        total = 0.0 + 0.0j
-        for (ea, ek, el, et), coeff in self._terms.items():
-            mono = (a ** ea) * (k ** ek) * (l ** el) * (t ** et)
-            total += coeff.to_complex() * mono
-        return total
+    def l_coefficient(self, n: int) -> "FormalScalar":
+        """The exact coefficient of ``l^n``, a polynomial in a, k and t."""
+        return FormalScalar({(ea, ek, 0, et): c for (ea, ek, el, et), c
+                             in self._terms.items() if el == n})
 
-    def evaluate_real(self, a: float = 0.0, k: float = 0.0,
-                      l: float = 0.0, t: float = 0.0) -> float:
-        """:meth:`evaluate`, insisting that the value is real.
+    def evaluate_real(self, a=0.0, k=0.0, l=0.0, t=0.0):
+        """Substitute floats or NumPy arrays for the symbols; real arithmetic.
 
-        ``ValueError`` unless |imag| < 1e-15 (1 + |value|); NaN fails.
+        ``ValueError`` if a coefficient has an imaginary part (checked
+        exactly, whatever the point) or if the value is not finite anywhere.
         """
-        value = self.evaluate(a=a, k=k, l=l, t=t)
-        if not abs(value.imag) < 1e-15 * (1 + abs(value)):
-            raise ValueError(f"{self} is not real at a={a}, k={k}, l={l},"
-                             f" t={t}: {value}")
-        return value.real
+        total = 0.0
+        with np.errstate(all="ignore"):     # an overflow raises below
+            for (ea, ek, el, et), coeff in self._terms.items():
+                total += float(coeff) * ((a ** ea) * (k ** ek) * (l ** el)
+                                         * (t ** et))
+        if not np.isfinite(total).all():
+            raise ValueError(f"{self} is not real and finite at a={a}, k={k},"
+                             f" l={l}, t={t}: {total}")
+        return total
 
     # -- printing ---------------------------------------------------------
 

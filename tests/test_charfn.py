@@ -4,6 +4,8 @@ import io
 import math
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from doublepass.charfn import (BoundaryLeakError, CharSurface, GridSpec,
                                pde_residual)
 from doublepass.errors import ConfigError
 from doublepass.gaussian import closed_form_covariances
+from doublepass.ito import PdeCoefficients, double_pass_derivation
+from doublepass.scalars import SYM_K, Cyclo, FormalScalar
 
 FAMILIES = ("F", "G")
 
@@ -118,10 +122,10 @@ def test_moc_resolves_the_f_boundary_layer(alpha, t):
 def test_moc_holds_at_every_alpha():
     # in reversed time tau = t - s the characteristic has no k/alpha term and
     # no node near s = t whose rounding alpha^2 amplifies, so both families
-    # hold from alpha = 0 through the smallest subnormal up to alpha^2 t = 1e8
+    # hold from alpha = 0 through the smallest subnormal up to alpha^2 t = 1e12
     probe = np.linspace(-3.0, 3.0, 7).tolist()
     for alpha, t in ((0.0, 0.5), (1e-3, 0.5), (1e-9, 0.5), (1e-160, 0.5),
-                     (5e-324, 0.5), (1000.0, 5.0), (1e4, 1.0)):
+                     (5e-324, 0.5), (1000.0, 5.0), (1e4, 1.0), (1e6, 1.0)):
         for family in FAMILIES:
             worst = max(abs(moc_solve(family, alpha, t, k, l)
                             - closed_form_char(family, alpha, t, k, l))
@@ -226,6 +230,46 @@ def test_fd_cfl_violation_rejected():
         fd_solve("F", 1.0, grid, 0.15, 1e-3)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("alpha", (0.0, 0.7, 1.0))
+@pytest.mark.parametrize("grid", (
+    GridSpec(l_max=10.0, dl=0.02, k_max=2.0, dk=1.0),     # compare's grid
+    GridSpec(l_max=8.0, dl=0.02, k_max=0.1, dk=0.02)),    # 11 x 801
+    ids=("compare", "k_slices"))
+def test_fd_surface_exactly_even(family, alpha, grid):
+    # the grid is exactly symmetric, c0 even and c1 odd under
+    # (k, l) -> (-k, -l), and IEEE rounding is symmetric under negation
+    assert np.array_equal(grid.l_values(), -grid.l_values()[::-1])
+    assert np.array_equal(grid.k_values(), -grid.k_values()[::-1])
+    v = fd_solve(family, alpha, grid, 0.05, 4e-4).values
+    assert np.array_equal(v, v[::-1, ::-1])
+
+
+def test_solvers_read_the_derived_equation(monkeypatch):
+    # replace the derived F equation by pure decay, df/dt = -k^2/4 f: both
+    # solvers must then follow it, whatever alpha the real equation has
+    decay = PdeCoefficients("F", (SYM_K * SYM_K).scale(Cyclo(Fraction(-1, 4))),
+                            FormalScalar.zero())
+    monkeypatch.setattr(charfn, "double_pass_derivation",
+                        lambda: SimpleNamespace(transport={"F": decay}))
+    grid, t = GridSpec(l_max=8.0, dl=0.05, k_max=2.0, dk=1.0), 0.3
+    kk, ll = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
+    exact = np.exp(-ll ** 2 / 4 - kk ** 2 * t / 4)
+    assert np.abs(fd_solve("F", 1.0, grid, t, 1e-3).values - exact).max() \
+        < 1e-12
+    for k, l in ((0.0, 0.0), (1.5, -0.5), (-2.0, 2.5)):
+        assert moc_solve("F", 1.0, t, k, l) == pytest.approx(
+            math.exp(-l * l / 4 - k * k * t / 4), rel=1e-12, abs=1e-12)
+
+
+def test_fd_rejects_overflowing_coefficients():
+    # l^2 = 1e320 overflows: a configuration error that names the keys
+    grid = GridSpec(l_max=1e160, dl=1e158, k_max=1e160, dk=1e158)
+    for family in FAMILIES:
+        with pytest.raises(ConfigError, match="pde.l_max and pde.k_max"):
+            fd_solve(family, 1.0, grid, 0.5, 1e-3)
+
+
 def test_fd_boundary_leak_detected():
     grid = GridSpec(l_max=2.0, dl=0.05, k_max=1.0, dk=0.5)
     with pytest.raises(BoundaryLeakError):
@@ -254,12 +298,10 @@ def _two_stencil_gradient(f, a, dl):
 def _two_stencil_fd(family, alpha, grid, n_steps, dt):
     """(values, cfl, boundary values after each step) of the old loop."""
     kk, ll = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
-    if family == "F":
-        drift = alpha * (alpha * ll - kk)
-        decay = -0.25 * (alpha * ll - kk) ** 2
-    else:
-        drift = alpha * kk * np.ones_like(ll)
-        decay = -0.25 * (alpha * ll + kk) ** 2
+    # the same derived evaluation fd_solve reads
+    decay, c1 = double_pass_derivation().transport[family].evaluate(
+        alpha, kk, ll)
+    drift = -c1
     lv = grid.l_values()
     f = np.exp(-lv * lv / 4.0)[None, :] * np.ones((len(grid.k_values()), 1))
     half_decay = np.exp(0.5 * dt * decay)

@@ -392,10 +392,13 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
     ("pde", "pde.dt = 1e-320\n", "pde.dt = 1e-320"),
     ("pde", "pde.dl = 1e-300\n", "pde.dl = 1e-300"),
     ("compare", "grid_step = 1e-300\n", "grid_step = 1e-300"),
+    # l^2 = 1e320 overflows the transport coefficients on the grid
+    ("pde", "pde.l_max = 1e160\npde.k_max = 1e160\npde.dl = 1e158\n"
+     "pde.dk = 1e158\n", "reduce pde.l_max and pde.k_max"),
 ], ids=["boundary_leak", "cfl_above_half", "truncation_leak", "negative_tol",
         "zero_tol", "variances_tiny_grid_step", "variances_tiny_solver_dt",
         "oracle_subnormal_dt", "oracle_tiny_dt", "pde_subnormal_dt",
-        "pde_tiny_dl", "compare_tiny_grid_step"])
+        "pde_tiny_dl", "compare_tiny_grid_step", "pde_overflowing_grid"])
 def test_fixable_by_config_exit_code(tmp_path, command, config, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
@@ -630,8 +633,9 @@ def test_report_lines_show_limit_and_margin(tmp_path):
 
 
 #: pde at alpha 100 on a grid that does not resolve the centre k/alpha of
-#: the F characteristics: FD is 0.5 off the closed form, the residual 5e-6
-ALPHA_100 = {"alpha": "100", "pde.t": "0.5", "pde.l_max": "8",
+#: the F characteristics: FD is 0.067 off the closed form, the residual 5e-6;
+#: t = 0.05 shows both failures in 2e4 FD steps per family
+ALPHA_100 = {"alpha": "100", "pde.t": "0.05", "pde.l_max": "8",
              "pde.dl": "0.5", "pde.k_max": "2", "pde.dk": "1",
              "pde.dt": "2.5e-6"}
 
@@ -656,7 +660,7 @@ def test_pde_exits_1_on_a_failed_check(tmp_path, monkeypatch, capsys):
         "PASS moc_vs_closed_form", "FAIL fd_vs_closed_form",
         "FAIL closed_form_residual"]
     assert stdout.endswith("result: TOLERANCE FAILURE\n")
-    # --tolerance-scale reaches pde's limits too; the FD surfaces, 2e5 steps
+    # --tolerance-scale reaches pde's limits too; the FD surfaces, 2e4 steps
     # per family, are replayed rather than recomputed
     monkeypatch.setattr(charfn, "fd_solve", lambda *args: surfaces.pop(0))
     assert main(["pde", "--config", cfg, "--tolerance-scale", "1e4",

@@ -319,6 +319,26 @@ def test_transport_coefficient_guard_is_an_exception():
         SYM_K.evaluate_real(k=float("nan"))
 
 
+def test_transport_parity_under_k_l_reflection():
+    # c0 even and c1 odd under (k, l) -> (-k, -l): the FD surfaces are then
+    # even bit for bit on the exactly symmetric grid
+    for family in (FAMILY_F, FAMILY_G):
+        pde = char_fn_generator(double_pass_system(), family)
+        for coeff, parity in ((pde.c0, 0), (pde.c1, 1)):
+            assert not coeff.is_zero()
+            assert {(ek + el) % 2 for (_, ek, el, _), _ in coeff.terms()} \
+                == {parity}
+
+
+def test_transport_advection_must_be_affine_in_l():
+    # the method of characteristics writes its paths exactly only then
+    pde = char_fn_generator(double_pass_system(), FAMILY_F)
+    with pytest.raises(FragmentError, match="not affine in l"):
+        PdeCoefficients(FAMILY_F, pde.c0, pde.c1 + SYM_L * SYM_L)
+    assert PdeCoefficients(FAMILY_F, pde.c0, pde.c1 + SYM_K * SYM_K).c1 \
+        == pde.c1 + SYM_K * SYM_K
+
+
 def test_relations_record_the_expansion_they_sum():
     sysd = double_pass_system()
     io = output_quadrature_relations(sysd)

@@ -1,11 +1,13 @@
 """Exact arithmetic in Q(i, sqrt2) and the formal polynomial layer."""
 
+import math
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import sqrt
 
+import numpy as np
 import pytest
 
 from doublepass.scalars import (Cyclo, FormalScalar, HALF, I, INV_SQRT2,
@@ -43,9 +45,13 @@ def test_conjugation():
     assert (q * q.conjugate()).rd == 0
 
 
-def test_to_complex():
-    assert Cyclo(1, 1).to_complex() == 1 + 1j
-    assert abs(INV_SQRT2.to_complex() - 2 ** -0.5) < 1e-15
+def test_float_conversion():
+    assert float(Cyclo(Fraction(-3, 4))) == -0.75
+    assert abs(float(INV_SQRT2) - 2 ** -0.5) < 1e-15
+    # the imaginary parts are checked exactly: any nonzero one raises
+    for value in (I, Cyclo(1, Fraction(1, 10 ** 30)), Cyclo(0, 0, 1, -1)):
+        with pytest.raises(ValueError, match="not real"):
+            float(value)
 
 
 def test_formal_scalar_ring():
@@ -57,9 +63,43 @@ def test_formal_scalar_ring():
 
 
 def test_formal_scalar_evaluate():
-    expr = SYM_ALPHA * SYM_ALPHA * SYM_L + SYM_K.scale(I) - SYM_T.scale(HALF)
-    val = expr.evaluate(a=2.0, k=3.0, l=0.5, t=4.0)
-    assert val == pytest.approx(2.0 + 3.0j - 2.0)
+    expr = SYM_ALPHA * SYM_ALPHA * SYM_L + SYM_K.scale(SQRT2) - SYM_T.scale(HALF)
+    val = expr.evaluate_real(a=2.0, k=3.0, l=0.5, t=4.0)
+    assert val == pytest.approx(2.0 + 3.0 * sqrt(2.0) - 2.0)
+    assert FormalScalar.zero().evaluate_real(a=1.0) == 0.0
+    # an imaginary coefficient raises wherever it is evaluated, at k = 0 too
+    for k in (1.0, 0.0, np.zeros(3)):
+        with pytest.raises(ValueError, match="not real"):
+            SYM_K.scale(I).evaluate_real(k=k)
+        with pytest.raises(ValueError, match="not real"):
+            (expr + SYM_K.scale(I)).evaluate_real(a=2.0, k=k, l=0.5, t=4.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not real"):
+            expr.evaluate_real(a=2.0, k=bad, l=0.5, t=4.0)
+    with pytest.raises(ValueError, match="not real"):
+        expr.evaluate_real(a=2.0, k=np.array([0.0, math.inf]), l=0.5, t=4.0)
+
+
+def test_array_evaluation_matches_scalar_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    expr = (SYM_ALPHA * SYM_L - SYM_K).scale(Cyclo(Fraction(-1, 3), 0, 2)) \
+        * (SYM_K * SYM_L + SYM_T.scale(INV_SQRT2) - SYM_ALPHA * SYM_ALPHA)
+    k, l = rng.normal(scale=5.0, size=(2, 40, 30))
+    values = expr.evaluate_real(a=1.7, k=k, l=l, t=0.3)
+    scalar = [[expr.evaluate_real(a=1.7, k=kv, l=lv, t=0.3)
+               for kv, lv in zip(krow, lrow)]
+              for krow, lrow in zip(k.tolist(), l.tolist())]
+    assert values.shape == k.shape
+    assert np.array_equal(values, np.array(scalar))
+
+
+def test_l_coefficient():
+    expr = SYM_ALPHA * SYM_K - (SYM_ALPHA * SYM_ALPHA) * SYM_L \
+        + SYM_T * SYM_L * SYM_L
+    assert expr.l_coefficient(0) == SYM_ALPHA * SYM_K
+    assert expr.l_coefficient(1) == -(SYM_ALPHA * SYM_ALPHA)
+    assert expr.l_coefficient(2) == SYM_T
+    assert expr.l_coefficient(3).is_zero()
 
 
 def test_formal_scalar_conjugate():
@@ -138,9 +178,8 @@ class RefCyclo:
     def __eq__(self, other):
         return self.parts() == other.parts()
 
-    def to_complex(self):
-        return complex(float(self.ra) + sqrt(2.0) * float(self.rc),
-                       float(self.rb) + sqrt(2.0) * float(self.rd))
+    def real(self):
+        return float(self.ra) + sqrt(2.0) * float(self.rc)
 
     def is_single_part(self):
         return sum(bool(r) for r in self.parts()) <= 1
@@ -243,7 +282,11 @@ def test_printing_and_queries_match_reference():
         ref_sign, ref_mag = xr.sign_split()
         assert sign == ref_sign
         _same(mag, ref_mag)
-        assert x.to_complex() == xr.to_complex()
+        if xr.rb or xr.rd:
+            with pytest.raises(ValueError, match="not real"):
+                float(x)
+        else:
+            assert float(x) == xr.real()
     single = [Cyclo(0, 0, Fraction(-3, 7)), Cyclo(0, -1), Cyclo(-2)]
     for x in single:
         ref = RefCyclo(x.ra, x.rb, x.rc, x.rd)
