@@ -11,6 +11,11 @@ c1 = -a*k).  Characteristics, an explicit upwind finite-difference solver
 (exact pointwise decay factor per step) and the residual check of any
 sampler read them; the closed-form Gaussian, built from the covariance
 formulas, is the solvers' independent reference.
+
+``PdeCoefficients`` accepts only a c0 even and a c1 odd under
+(k, l) -> (-k, -l), so every solution is even.  The finite-difference
+solver uses that derived symmetry: it steps the k >= 0 rows of all the
+families it is given in one shared state and mirrors them onto k < 0.
 """
 
 from __future__ import annotations
@@ -276,9 +281,18 @@ def _upwind_layout(forward: np.ndarray):
     return pos, ghost.ravel(), source.ravel()
 
 
-def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
-             ) -> CharSurface:
-    """Explicit finite-difference evolution of all k-slices at once.
+def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
+             t: float, dt: float) -> tuple[CharSurface, ...]:
+    """Explicit finite-difference evolution of every family's k-slices at once.
+
+    The derived ``c0`` is even and ``c1`` odd under ``(k, l) -> (-k, -l)``
+    (:class:`~doublepass.ito.PdeCoefficients` raises otherwise), the initial
+    value is even and the grid exactly symmetric, so every k < 0 row is, bit
+    for bit, a k > 0 row read backwards: IEEE rounding is symmetric under
+    negation.  Only the rows with k >= 0, ``k_values()[nk // 2:]`` (k = 0
+    among them when nk is odd), are stepped; the rows of all ``families``
+    are stacked into one state and one loop, and each full surface is
+    rebuilt by mirroring.  Returns one surface per family, in order.
 
     Per step: half decay (exact pointwise factor of the derived c0), one Heun
     step along the drift ``-c1`` with a second-order upwind derivative, half
@@ -286,49 +300,61 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
     point, ``-|drift|`` and the decay factor are fixed before the loop.
 
     The state lives in one preallocated flat buffer laid out by
-    :func:`_upwind_layout`: each k row in upwind order, so every point takes
+    :func:`_upwind_layout`: each row in upwind order, so every point takes
     the same backward stencil ``(3f - 4f[j-1] + f[j-2]) / 2dl`` on the slots
     before it, times ``-|drift|``.  Where the drift is negative this reads
     the row mirrored and gives, bit for bit, the negative of the forward
-    stencil ``((4f[j+1] - 3f) - f[j+2]) / 2dl`` in l order: IEEE rounding
-    is symmetric under negation.  Before each Heun stage the ghost slots copy
-    the values across the turn of each row (zero beyond the l grid); the
-    stencil then reads contiguous slices into preallocated arrays.
+    stencil ``((4f[j+1] - 3f) - f[j+2]) / 2dl`` in l order.  Before each
+    Heun stage the ghost slots copy the values across the turn of each row
+    (zero beyond the l grid); the stencil then reads contiguous slices into
+    preallocated arrays.
 
-    Requires the CFL condition max|drift| * dt <= dl / 2: above it Heun on
-    this stencil amplifies the highest wavenumber by ``1 - 4 nu + 8 nu^2 > 1``
-    (Hundsdorfer & Verwer, *Numerical Solution of Time-Dependent
-    Advection-Diffusion-Reaction Equations*, 2003).  Boundary values are
-    monitored after every step and an excess over :data:`BOUNDARY_TOL`
-    raises :class:`BoundaryLeakError`.  The CFL number ``nu`` and the
-    largest boundary value are returned on the surface.
+    Requires the CFL condition max|drift| * dt <= dl / 2 for every family:
+    above it Heun on this stencil amplifies the highest wavenumber by
+    ``1 - 4 nu + 8 nu^2 > 1`` (Hundsdorfer & Verwer, *Numerical Solution of
+    Time-Dependent Advection-Diffusion-Reaction Equations*, 2003).  Boundary
+    values are monitored after every step, and an excess over
+    :data:`BOUNDARY_TOL` in any row raises :class:`BoundaryLeakError`.  Each
+    surface carries its family's CFL number ``nu`` and largest boundary
+    value.
     """
-    _check_family(family)
+    for family in families:
+        _check_family(family)
     if t < 0 or dt <= 0:
         raise ConfigError("need t >= 0 and dt > 0")
     kv, lv = grid.k_values(), grid.l_values()
-    kk, ll = np.meshgrid(kv, lv, indexing="ij")
+    half = len(kv) // 2                 # kv[half:] >= 0
+    kk, ll = np.meshgrid(kv[half:], lv, indexing="ij")
+    transport = double_pass_derivation().transport
     try:
-        decay, c1 = double_pass_derivation().transport[family].evaluate(
-            alpha, kk, ll)
+        coeffs = [transport[family].evaluate(alpha, kk, ll)
+                  for family in families]
     except ValueError as exc:  # the derived c0, c1 are real: an overflow
         raise ConfigError("transport coefficients are not finite on the grid;"
                           " reduce pde.l_max and pde.k_max") from exc
-    decay, drift = np.broadcast_arrays(decay, -c1, kk)[:2]
-    f0 = np.exp(-lv * lv / 4.0)[None, :] * np.ones((len(kv), 1))
     if t == 0:
-        return CharSurface(family, alpha, 0.0, kv, lv, f0)
+        return tuple(
+            CharSurface(family, alpha, 0.0, kv, lv,
+                        np.exp(-lv * lv / 4.0)[None, :] * np.ones((len(kv), 1)))
+            for family in families)
 
     n_steps = step_count(t, dt, "pde.dt", "pde.t")
-    cfl = float(np.abs(drift).max()) * dt / grid.dl
-    if not cfl <= 0.5 + 1e-12:
-        raise ConfigError(f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 0.5")
+    decay = np.concatenate([np.broadcast_to(c0, kk.shape) for c0, _ in coeffs])
+    drift = np.concatenate([np.broadcast_to(-c1, kk.shape)
+                            for _, c1 in coeffs])
+    rows = len(kv) - half               # per family
+    cfls = [float(np.abs(drift[i * rows:(i + 1) * rows]).max()) * dt / grid.dl
+            for i in range(len(families))]
+    for cfl in cfls:
+        if not cfl <= 0.5 + 1e-12:
+            raise ConfigError(
+                f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 0.5")
 
     pos, ghost, source = _upwind_layout(drift < 0.0)
-    n = pos.size + 4 * len(kv)
+    n = pos.size + 4 * len(drift)
     f = np.zeros(n + 1)                 # slot n is the zero slot
     g = np.zeros(n + 1)
-    f[pos] = f0
+    f[pos] = np.exp(-lv * lv / 4.0)
     f_slots, g_slots = f[:n], g[:n]
     neg_abs_drift = np.zeros(n)
     neg_abs_drift[pos] = -np.abs(drift)
@@ -352,7 +378,7 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
         np.multiply(neg_abs_drift, num, out=out)
 
     edges = pos[:, [0, -1]].ravel()     # first and last l columns
-    leak = 0.0
+    edge_max = np.zeros(edges.size)     # running maximum per edge
     for _ in range(n_steps):
         f_slots *= half_decay
         advection(f, k1)
@@ -363,13 +389,19 @@ def fd_solve(family: str, alpha: float, grid: GridSpec, t: float, dt: float,
         num *= half_dt
         f_slots += num
         f_slots *= half_decay
-        leak = max(leak, float(np.abs(f[edges]).max()))
+        np.maximum(edge_max, np.abs(f[edges]), out=edge_max)
+        leak = float(edge_max.max())
         if leak > BOUNDARY_TOL:
             raise BoundaryLeakError(
                 f"boundary value {leak:.3e} exceeds tolerance {BOUNDARY_TOL:.1e};"
                 " widen the l grid")
-    return CharSurface(family, alpha, float(t), kv, lv, f[pos],
-                       cfl=cfl, boundary_max=leak)
+    leaks = edge_max.reshape(len(families), -1).max(axis=1)
+    values = f[pos].reshape(len(families), rows, -1)
+    return tuple(
+        CharSurface(family, alpha, float(t), kv, lv,
+                    np.vstack((h[::-1, ::-1][:half], h)),
+                    cfl=cfl, boundary_max=float(leak))
+        for family, h, cfl, leak in zip(families, values, cfls, leaks))
 
 
 # ---------------------------------------------------------------------------

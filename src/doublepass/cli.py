@@ -301,8 +301,10 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, list]:
     fd_errors = []
     summary = [f"pde summary: alpha={_fmt(cfg.alpha)} t={_fmt(cfg.pde_t)}"]
     health = []
-    for family in (charfn.FAMILY_F, charfn.FAMILY_G):
-        surf = charfn.fd_solve(family, cfg.alpha, grid, cfg.pde_t, cfg.pde_dt)
+    families = (charfn.FAMILY_F, charfn.FAMILY_G)
+    for surf in charfn.fd_solve(families, cfg.alpha, grid, cfg.pde_t,
+                                cfg.pde_dt):
+        family = surf.family
         health.append(f"fd cfl {family}: {surf.cfl:.6e}")
         health.append(f"fd boundary max {family}: {surf.boundary_max:.6e}")
         ref = charfn.closed_form_surface(family, cfg.alpha, cfg.pde_t, grid)
@@ -314,7 +316,7 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, list]:
         summary.append(f"fd max abs error {family}: {err:.6e}")
     moc_errors, residuals = [], []
     probe = [-2.0, -0.5, 0.0, 1.0, 2.5]
-    for family in (charfn.FAMILY_F, charfn.FAMILY_G):
+    for family in families:
         for k in probe:
             for l in probe:
                 m = charfn.moc_solve(family, cfg.alpha, cfg.pde_t, k, l)

@@ -392,6 +392,14 @@ class PdeCoefficients:
             raise FragmentError("transport coefficients exceed degree 2 in (k,l)")
         if not self.c1.l_coefficient(2).is_zero():  # MOC's exact paths
             raise FragmentError(f"advection {self.c1} is not affine in l")
+        # c0 even and c1 odd under (k, l) -> (-k, -l): the solution is then
+        # even, and FD steps only the rows with k >= 0
+        for name, coeff, parity in (("c0", self.c0, 0), ("c1", self.c1, 1)):
+            if any((ek + el) % 2 != parity
+                   for (_, ek, el, _), _ in coeff.terms()):
+                raise FragmentError(
+                    f"{name} = {coeff} is not {('even', 'odd')[parity]}"
+                    " under (k, l) -> (-k, -l)")
 
     def evaluate(self, alpha: float, k: float, l: float) -> tuple[float, float]:
         return (self.c0.evaluate_real(a=alpha, k=k, l=l),

@@ -348,10 +348,13 @@ class FormalScalar(SparsePoly):
         exactly, whatever the point) or if the value is not finite anywhere.
         """
         total = 0.0
-        with np.errstate(all="ignore"):     # an overflow raises below
-            for (ea, ek, el, et), coeff in self._terms.items():
-                total += float(coeff) * ((a ** ea) * (k ** ek) * (l ** el)
-                                         * (t ** et))
+        try:
+            with np.errstate(all="ignore"):     # an overflow raises below
+                for (ea, ek, el, et), coeff in self._terms.items():
+                    total += float(coeff) * ((a ** ea) * (k ** ek)
+                                             * (l ** el) * (t ** et))
+        except OverflowError:   # float ** int raises where NumPy gives inf
+            total = np.inf
         if not np.isfinite(total).all():
             raise ValueError(f"{self} is not real and finite at a={a}, k={k},"
                              f" l={l}, t={t}: {total}")

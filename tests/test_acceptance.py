@@ -152,7 +152,7 @@ def test_criterion_08_pde_routes():
         grid = GridSpec(l_max=12.0, dl=dl, k_max=3.0, dk=1.0)
         dt = dl * dl / 4.0
         n = math.ceil(0.5 / dt)
-        surf = fd_solve(FAMILY_F, 1.0, grid, 0.5, 0.5 / n)
+        (surf,) = fd_solve((FAMILY_F,), 1.0, grid, 0.5, 0.5 / n)
         ref = closed_form_surface(FAMILY_F, 1.0, 0.5, grid)
         errors[dl] = float(np.abs(surf.values - ref.values).max())
     orders = [math.log2(errors[0.08] / errors[0.04]),

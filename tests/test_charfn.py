@@ -172,7 +172,7 @@ def test_moc_f_slice_at_k_zero():
 
 def test_fd_alpha_zero_is_exact():
     grid = GridSpec(l_max=8.0, dl=0.05, k_max=2.0, dk=1.0)
-    surf = fd_solve("F", 0.0, grid, 0.3, 1e-3)
+    (surf,) = fd_solve(("F",), 0.0, grid, 0.3, 1e-3)
     kk, ll = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
     exact = np.exp(-ll ** 2 / 4) * np.exp(-kk ** 2 * 0.3 / 4)
     assert np.abs(surf.values - exact).max() < 1e-12
@@ -181,7 +181,7 @@ def test_fd_alpha_zero_is_exact():
 def test_fd_matches_closed_form():
     grid = GridSpec(l_max=12.0, dl=0.02, k_max=3.0, dk=1.0)
     for family in FAMILIES:
-        surf = fd_solve(family, 1.0, grid, 0.5, 4e-4)
+        (surf,) = fd_solve((family,), 1.0, grid, 0.5, 4e-4)
         ref = closed_form_surface(family, 1.0, 0.5, grid)
         assert np.abs(surf.values - ref.values).max() < 5e-4
         assert abs(origin_value(surf) - 1.0) <= 1e-5
@@ -195,7 +195,7 @@ def test_fd_convergence_order_two():
         grid = GridSpec(l_max=12.0, dl=dl, k_max=2.0, dk=1.0)
         dt = dl * dl / 4.0
         n = math.ceil(0.4 / dt)
-        surf = fd_solve("F", 1.0, grid, 0.4, 0.4 / n)
+        (surf,) = fd_solve(("F",), 1.0, grid, 0.4, 0.4 / n)
         ref = closed_form_surface("F", 1.0, 0.4, grid)
         errs.append(np.abs(surf.values - ref.values).max())
     order = math.log2(errs[0] / errs[1])
@@ -204,7 +204,7 @@ def test_fd_convergence_order_two():
 
 def test_fd_origin_stays_normalized():
     grid = GridSpec(l_max=10.0, dl=0.05, k_max=1.0, dk=0.5)
-    surf = fd_solve("G", 1.0, grid, 0.5, 1e-3)
+    (surf,) = fd_solve(("G",), 1.0, grid, 0.5, 1e-3)
     assert origin_value(surf) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -220,14 +220,14 @@ def test_grid_spec_validation():
 def test_fd_cfl_violation_rejected():
     grid = GridSpec(l_max=8.0, dl=0.1, k_max=2.0, dk=1.0)
     with pytest.raises(ConfigError):
-        fd_solve("F", 1.0, grid, 0.5, 0.05)
+        fd_solve(("F",), 1.0, grid, 0.5, 0.05)
     # CFL 0.605: Heun on the second-order upwind stencil amplifies the
     # highest wavenumber by 1 - 4 nu + 8 nu^2 > 1.  With the leak monitor
     # off, this grid at t = 0.15 errs by 1.2e-5 for nu up to 0.605, then by
     # 4e2 at nu = 0.756 and 4e18 at 0.907, as grid-scale rounding grows
     grid = GridSpec(l_max=12.0, dl=0.02, k_max=0.1, dk=0.05)
     with pytest.raises(ConfigError, match="CFL"):
-        fd_solve("F", 1.0, grid, 0.15, 1e-3)
+        fd_solve(("F",), 1.0, grid, 0.15, 1e-3)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -241,7 +241,8 @@ def test_fd_surface_exactly_even(family, alpha, grid):
     # (k, l) -> (-k, -l), and IEEE rounding is symmetric under negation
     assert np.array_equal(grid.l_values(), -grid.l_values()[::-1])
     assert np.array_equal(grid.k_values(), -grid.k_values()[::-1])
-    v = fd_solve(family, alpha, grid, 0.05, 4e-4).values
+    (surf,) = fd_solve((family,), alpha, grid, 0.05, 4e-4)
+    v = surf.values
     assert np.array_equal(v, v[::-1, ::-1])
 
 
@@ -255,8 +256,8 @@ def test_solvers_read_the_derived_equation(monkeypatch):
     grid, t = GridSpec(l_max=8.0, dl=0.05, k_max=2.0, dk=1.0), 0.3
     kk, ll = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
     exact = np.exp(-ll ** 2 / 4 - kk ** 2 * t / 4)
-    assert np.abs(fd_solve("F", 1.0, grid, t, 1e-3).values - exact).max() \
-        < 1e-12
+    (surf,) = fd_solve(("F",), 1.0, grid, t, 1e-3)
+    assert np.abs(surf.values - exact).max() < 1e-12
     for k, l in ((0.0, 0.0), (1.5, -0.5), (-2.0, 2.5)):
         assert moc_solve("F", 1.0, t, k, l) == pytest.approx(
             math.exp(-l * l / 4 - k * k * t / 4), rel=1e-12, abs=1e-12)
@@ -267,13 +268,13 @@ def test_fd_rejects_overflowing_coefficients():
     grid = GridSpec(l_max=1e160, dl=1e158, k_max=1e160, dk=1e158)
     for family in FAMILIES:
         with pytest.raises(ConfigError, match="pde.l_max and pde.k_max"):
-            fd_solve(family, 1.0, grid, 0.5, 1e-3)
+            fd_solve((family,), 1.0, grid, 0.5, 1e-3)
 
 
 def test_fd_boundary_leak_detected():
     grid = GridSpec(l_max=2.0, dl=0.05, k_max=1.0, dk=0.5)
     with pytest.raises(BoundaryLeakError):
-        fd_solve("F", 1.0, grid, 0.5, 1e-3)
+        fd_solve(("F",), 1.0, grid, 0.5, 1e-3)
 
 
 # Reference: the two-stencil step (zero-padded shifted copies, both upwind
@@ -327,25 +328,85 @@ INFLOW_GRID = GridSpec(l_max=4.0, dl=0.1, k_max=4.0, dk=2.0)
 # at alpha = 1 the F rows have 1, 40 and 80 of 81 points in their forward
 # run: a ghost reads a one-point run on one side, the zero slot on the other
 EDGE_RUN_GRID = GridSpec(l_max=4.0, dl=0.1, k_max=3.95, dk=3.95)
+# an even number of k rows, none at k = 0: FD steps k = 0.25 and 0.75 only
+EVEN_GRID = GridSpec(l_max=8.0, dl=0.1, k_max=0.75, dk=0.5)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("alpha", (0.0, 0.7, 1.0))
 @pytest.mark.parametrize("grid, tol", ((REF_GRID, 1e-3), (INFLOW_GRID, 1.0),
-                                       (EDGE_RUN_GRID, 1.0)),
-                         ids=("outflow", "inflow", "edge_run"))
+                                       (EDGE_RUN_GRID, 1.0),
+                                       (EVEN_GRID, 1e-3)),
+                         ids=("outflow", "inflow", "edge_run", "even_rows"))
 def test_fd_bit_identical_to_two_stencil_step(family, alpha, grid, tol,
                                              monkeypatch):
+    # the reference steps every row; fd_solve steps k >= 0 and mirrors
     monkeypatch.setattr(charfn, "BOUNDARY_TOL", tol)
     kv = grid.k_values()
-    assert kv.min() < 0 < kv.max() and 0.0 in kv
+    assert kv.min() < 0 < kv.max() and (0.0 in kv) == (len(kv) % 2 == 1)
     dt, n_steps = 0.005, 40
     ref, cfl, edges = _two_stencil_fd(family, alpha, grid, n_steps, dt)
-    surf = fd_solve(family, alpha, grid, n_steps * dt, dt)
+    (surf,) = fd_solve((family,), alpha, grid, n_steps * dt, dt)
     assert np.array_equal(surf.values, ref)
     assert np.array_equal(np.signbit(surf.values), np.signbit(ref))
     assert surf.cfl == cfl
     assert surf.boundary_max == max(edges)
+
+
+@pytest.mark.parametrize("grid, tol", ((REF_GRID, 1e-3), (INFLOW_GRID, 1.0),
+                                       (EVEN_GRID, 1e-3)),
+                         ids=("outflow", "inflow", "even_rows"))
+def test_fd_joint_call_matches_single_family_calls(grid, tol, monkeypatch):
+    # the families share one state but no row: each surface and its health
+    # numbers are those of its own call, in either order
+    monkeypatch.setattr(charfn, "BOUNDARY_TOL", tol)
+    dt, t = 0.005, 0.2
+    singles = {family: fd_solve((family,), 0.7, grid, t, dt)[0]
+               for family in FAMILIES}
+    assert singles["F"].cfl != singles["G"].cfl
+    for families in (FAMILIES, FAMILIES[::-1]):
+        joint = fd_solve(families, 0.7, grid, t, dt)
+        assert [surf.family for surf in joint] == list(families)
+        for surf in joint:
+            single = singles[surf.family]
+            assert np.array_equal(surf.values, single.values)
+            assert surf.cfl == single.cfl
+            assert surf.boundary_max == single.boundary_max
+
+
+def test_fd_joint_call_raises_at_the_earlier_leak(monkeypatch):
+    # G here is F's equation with twice its drift (still odd in (k, l)), so
+    # it reaches the boundary first
+    f_pde = double_pass_derivation().transport["F"]
+    fast = PdeCoefficients("G", f_pde.c0, f_pde.c1.scale(Cyclo(2)))
+    monkeypatch.setattr(charfn, "double_pass_derivation", lambda:
+                        SimpleNamespace(transport={"F": f_pde, "G": fast}))
+    grid, dt = GridSpec(l_max=6.0, dl=0.05, k_max=1.0, dk=0.5), 1e-3
+
+    def first_leak(families):
+        """Steps taken when the monitor trips (the running max only grows)."""
+        clean, leaky = 0, 512
+        while leaky - clean > 1:
+            mid = (clean + leaky) // 2
+            try:
+                fd_solve(families, 1.0, grid, mid * dt, dt)
+                clean = mid
+            except BoundaryLeakError:
+                leaky = mid
+        return leaky
+
+    step_f, step_g = first_leak(("F",)), first_leak(("G",))
+    assert 1 < step_g < step_f < 512
+    assert first_leak(FAMILIES) == first_leak(FAMILIES[::-1]) == step_g
+    with pytest.raises(BoundaryLeakError) as single:
+        fd_solve(("G",), 1.0, grid, step_g * dt, dt)
+    with pytest.raises(BoundaryLeakError) as joint:
+        fd_solve(FAMILIES, 1.0, grid, step_g * dt, dt)
+    assert str(joint.value) == str(single.value)
+    before = fd_solve(FAMILIES, 1.0, grid, (step_g - 1) * dt, dt)
+    for surf in before:
+        (alone,) = fd_solve((surf.family,), 1.0, grid, (step_g - 1) * dt, dt)
+        assert surf.boundary_max == alone.boundary_max
 
 
 def test_upwind_layout_slots():
@@ -377,10 +438,10 @@ def test_fd_boundary_leak_on_same_step():
     leaks = np.maximum.accumulate(edges)
     first = int(np.argmax(leaks > tol)) + 1      # steps taken when it trips
     assert leaks[first - 1] > tol and first > 1
-    before = fd_solve("F", 1.0, grid, (first - 1) * dt, dt)
+    (before,) = fd_solve(("F",), 1.0, grid, (first - 1) * dt, dt)
     assert before.boundary_max == leaks[first - 2]
     with pytest.raises(BoundaryLeakError) as info:
-        fd_solve("F", 1.0, grid, first * dt, dt)
+        fd_solve(("F",), 1.0, grid, first * dt, dt)
     assert str(info.value) == (
         f"boundary value {leaks[first - 1]:.3e} exceeds tolerance {tol:.1e};"
         " widen the l grid")
@@ -389,15 +450,15 @@ def test_fd_boundary_leak_on_same_step():
 def test_fd_cfl_limit():
     grid = GridSpec(l_max=8.0, dl=0.1, k_max=1.0, dk=0.5)
     # G drift is alpha * k: |drift| * dt / dl = 1/2 at alpha = 1, dt = dl/2
-    at_limit = fd_solve("G", 1.0, grid, 0.2, 0.05)
+    (at_limit,) = fd_solve(("G",), 1.0, grid, 0.2, 0.05)
     assert at_limit.cfl == 0.5
     with pytest.raises(ConfigError, match="CFL"):
-        fd_solve("G", 1.0 + 1e-9, grid, 0.2, 0.05)
+        fd_solve(("G",), 1.0 + 1e-9, grid, 0.2, 0.05)
 
 
 def test_fd_health_only_on_fd_surfaces():
     grid = GridSpec(l_max=8.0, dl=0.1, k_max=1.0, dk=0.5)
-    assert fd_solve("F", 1.0, grid, 0.0, 0.01).cfl is None
+    assert fd_solve(("F",), 1.0, grid, 0.0, 0.01)[0].cfl is None
     assert closed_form_surface("F", 1.0, 0.5, grid).boundary_max is None
 
 
@@ -420,7 +481,7 @@ def test_surface_shape_guard_survives_optimize_flag():
 def test_surface_csv_matches_per_row_formatting(monkeypatch):
     monkeypatch.setattr(charfn, "BOUNDARY_TOL", 1.0)
     grid = GridSpec(l_max=1.0, dl=0.25, k_max=0.5, dk=0.25)
-    surf = fd_solve("G", 0.7, grid, 0.05, 0.01)
+    (surf,) = fd_solve(("G",), 0.7, grid, 0.05, 0.01)
     buf = io.StringIO()
     surf.to_csv(buf)
     rows = [f"{k:.12g},{l:.12g},{surf.values[i, j]:.12g}"
@@ -474,6 +535,12 @@ def test_residual_negative_control():
                 for k in (-1.0, 0.0, 1.0)
                 for l in (-1.0, 0.5, 1.5))
     assert worst > 1e-2
+
+
+def test_residual_overflow_is_a_value_error():
+    # k^2 = 1e400 overflows in the derived c0
+    with pytest.raises(ValueError, match="not real and finite"):
+        pde_residual("G", 1.0, closed_sampler("G", 1.0), 0.5, 1e200, 0.0)
 
 
 def test_residual_zero_at_origin():

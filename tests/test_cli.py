@@ -336,7 +336,7 @@ def test_pde_summary_appends_fd_health(tmp_path):
         "moc max abs error", "closed-form residual max",
         "fd cfl F", "fd boundary max F", "fd cfl G", "fd boundary max G"]
     grid = charfn.GridSpec(l_max=10.0, dl=0.05, k_max=1.0, dk=0.5)
-    surf = charfn.fd_solve("G", 1.0, grid, 0.2, 5e-4)
+    (surf,) = charfn.fd_solve(("G",), 1.0, grid, 0.2, 5e-4)
     assert lines[-2] == f"fd cfl G: {surf.cfl:.6e}"
     assert lines[-1] == f"fd boundary max G: {surf.boundary_max:.6e}"
     assert surf.cfl == 1.0 * 5e-4 / 0.05
@@ -566,17 +566,18 @@ def test_nan_error_fails_its_check(tmp_path, monkeypatch, capsys, module,
                                    name, check):
     original, calls = getattr(module, name), []
 
-    def nan_on_second_call(*args):
+    def nan_in_second_result(*args):
         calls.append(name)
         result = original(*args)
-        if len(calls) != 2:
+        if name == "fd_solve":  # one joint call: NaN into the G surface
+            assert len(calls) == 1 and len(result) == 2
+            result[1].values[0, 0] = math.nan
             return result
-        if name == "fd_solve":
-            result.values[0, 0] = math.nan
+        if len(calls) != 2:
             return result
         return math.nan
 
-    monkeypatch.setattr(module, name, nan_on_second_call)
+    monkeypatch.setattr(module, name, nan_in_second_result)
     cfg = _write_config(tmp_path / "run.cfg")
     # pde gates the FD, MOC and residual routes on its own
     for command in ("compare", "pde") if module is charfn else ("compare",):
@@ -662,6 +663,7 @@ def test_pde_exits_1_on_a_failed_check(tmp_path, monkeypatch, capsys):
     assert stdout.endswith("result: TOLERANCE FAILURE\n")
     # --tolerance-scale reaches pde's limits too; the FD surfaces, 2e4 steps
     # per family, are replayed rather than recomputed
+    assert len(surfaces) == 1               # one joint call: F and G
     monkeypatch.setattr(charfn, "fd_solve", lambda *args: surfaces.pop(0))
     assert main(["pde", "--config", cfg, "--tolerance-scale", "1e4",
                  "--out", str(out)]) == EXIT_OK

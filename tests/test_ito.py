@@ -320,14 +320,24 @@ def test_transport_coefficient_guard_is_an_exception():
 
 
 def test_transport_parity_under_k_l_reflection():
-    # c0 even and c1 odd under (k, l) -> (-k, -l): the FD surfaces are then
-    # even bit for bit on the exactly symmetric grid
+    # FD steps only k >= 0 and mirrors: PdeCoefficients refuses a c0 that is
+    # not even or a c1 that is not odd under (k, l) -> (-k, -l)
+    pde = char_fn_generator(double_pass_system(), FAMILY_F)
+    for c0, c1, name in ((SYM_K, pde.c1, "c0"), (pde.c0 + SYM_L, pde.c1, "c0"),
+                         (pde.c0, SYM_K * SYM_L, "c1"),
+                         (pde.c0, pde.c1 + FormalScalar.const(HALF), "c1")):
+        with pytest.raises(FragmentError,
+                           match=rf"^{name} = .* under \(k, l\)"):
+            PdeCoefficients(FAMILY_F, c0, c1)
+    # the derived equations pass the guard, with both coefficients nonzero
     for family in (FAMILY_F, FAMILY_G):
         pde = char_fn_generator(double_pass_system(), family)
-        for coeff, parity in ((pde.c0, 0), (pde.c1, 1)):
-            assert not coeff.is_zero()
-            assert {(ek + el) % 2 for (_, ek, el, _), _ in coeff.terms()} \
-                == {parity}
+        assert not pde.c0.is_zero() and not pde.c1.is_zero()
+    # so does the pure-decay equation of
+    # test_charfn.test_solvers_read_the_derived_equation: a zero c1 is odd
+    decay = PdeCoefficients(FAMILY_F, (SYM_K * SYM_K).scale(-QUARTER),
+                            FormalScalar.zero())
+    assert decay.c1.is_zero()
 
 
 def test_transport_advection_must_be_affine_in_l():
@@ -335,8 +345,8 @@ def test_transport_advection_must_be_affine_in_l():
     pde = char_fn_generator(double_pass_system(), FAMILY_F)
     with pytest.raises(FragmentError, match="not affine in l"):
         PdeCoefficients(FAMILY_F, pde.c0, pde.c1 + SYM_L * SYM_L)
-    assert PdeCoefficients(FAMILY_F, pde.c0, pde.c1 + SYM_K * SYM_K).c1 \
-        == pde.c1 + SYM_K * SYM_K
+    assert PdeCoefficients(FAMILY_F, pde.c0, pde.c1 + SYM_K).c1 \
+        == pde.c1 + SYM_K
 
 
 def test_relations_record_the_expansion_they_sum():

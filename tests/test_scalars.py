@@ -80,6 +80,14 @@ def test_formal_scalar_evaluate():
         expr.evaluate_real(a=2.0, k=np.array([0.0, math.inf]), l=0.5, t=4.0)
 
 
+def test_evaluate_real_overflow_is_its_value_error():
+    # a Python float ** int raises OverflowError where NumPy gives inf
+    square = SYM_L * SYM_L
+    for l in (1e200, np.array([0.0, 1e200])):
+        with pytest.raises(ValueError, match="not real and finite"):
+            square.evaluate_real(l=l)
+
+
 def test_array_evaluation_matches_scalar_bit_for_bit():
     rng = np.random.default_rng(20261019)
     expr = (SYM_ALPHA * SYM_L - SYM_K).scale(Cyclo(Fraction(-1, 3), 0, 2)) \
