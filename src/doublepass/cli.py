@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 import traceback
 from dataclasses import dataclass, fields, replace
@@ -89,7 +90,24 @@ class RunConfig:
         # the route configs check their sections; at alpha = 0 the oracle's
         # step bound on alpha^2 * oracle.dt waits for its run, as the CFL does
         self.section(charfn.GridSpec)
-        self.section(fock.OracleConfig, alpha=0.0)
+        oracle = self.section(fock.OracleConfig, alpha=0.0)
+        # pre-flight: no one array of a route may exceed physical memory.
+        # Bytes in Python ints, which cannot overflow: the RK4 covariance
+        # stack, the oracle's uniforms and each of its two moment series
+        rk4_rows = step_count(self.t_max, self.solver_dt, "solver.dt",
+                              "t_max") + 1
+        memory = _physical_memory()
+        for keys, array, size in (
+                ("solver.dt", "RK4 covariance stack", rk4_rows * 16 * 8),
+                ("oracle.dt, oracle.n_traj", "oracle's uniform draws",
+                 oracle.n_traj * oracle.n_steps * 8),
+                ("oracle.dt", "oracle's moment series",
+                 (oracle.n_steps + 1) * 8)):
+            if size > memory:
+                raise ConfigError(
+                    f"{keys}: the {array} would take {size / 2 ** 30:.3g}"
+                    f" GiB, more than the {memory / 2 ** 30:.3g} GiB of"
+                    " physical memory")
 
     def section(self, route: type, **given):
         """``route`` with each field not ``given`` read from its section.
@@ -115,6 +133,11 @@ _SECTIONS = {"solver_": "solver.", "pde_": "pde.", "oracle_": "oracle.",
 
 #: route config -> field-name prefix of its section
 _ROUTE_SECTIONS = {charfn.GridSpec: "pde_", fock.OracleConfig: "oracle_"}
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _config_key(name: str) -> str:
@@ -233,8 +256,9 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def _variance_tables(cfg: RunConfig) -> tuple[dict[str, np.ndarray],
-                                                dict[str, np.ndarray]]:
-    """The closed-form and the RK4 variance tables on the grid_step grid."""
+                                                dict[str, np.ndarray], float]:
+    """The closed-form and the RK4 variance tables on the grid_step grid,
+    and RK4's cross-sector maximum."""
     ode = gaussian.build_moment_odes(cfg.alpha)
     traj = gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt)
     times = _time_grid(cfg)
@@ -242,7 +266,8 @@ def _variance_tables(cfg: RunConfig) -> tuple[dict[str, np.ndarray],
                         atol=1e-9 * cfg.grid_step)
     return (gaussian.closed_form_table(cfg.alpha, times),
             gaussian.variance_table(
-                times, traj.covs[np.arange(len(times)) * stride]))
+                times, traj.covs[np.arange(len(times)) * stride]),
+            traj.cross_sector)
 
 
 def _csv_lines(columns: list) -> list[str]:
@@ -285,8 +310,8 @@ def variances_csv(closed: dict[str, np.ndarray],
 
 
 def cmd_variances(cfg: RunConfig) -> int:
-    _write_text(Path(cfg.out) / "variances.csv",
-                variances_csv(*_variance_tables(cfg)))
+    closed, ode, _ = _variance_tables(cfg)
+    _write_text(Path(cfg.out) / "variances.csv", variances_csv(closed, ode))
     return EXIT_OK
 
 
@@ -421,12 +446,13 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[bool, str]],
               for name, expected in PAPER_FORMS.items()]
 
     # 4. ODE route vs closed form, on every row of variances.csv
-    closed, ode = _variance_tables(cfg)
+    closed, ode, cross = _variance_tables(cfg)
     worst = np.max([gaussian.relative_error(value, ref)
                     for col in gaussian.PUBLISHED
                     for value, ref in zip(ode[col].tolist(),
                                           closed[col].tolist())])
-    checks.append(_check("ode_vs_closed_form", "max rel err", worst,
+    checks.append(_check("ode_vs_closed_form",
+                         f"cross-sector {cross:.3e}, max rel err", worst,
                          cfg.tol_ode_rel))
     artifacts["variances.csv"] = variances_csv(closed, ode)
 

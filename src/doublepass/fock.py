@@ -414,12 +414,17 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     check_every = 25
     max_leak = 0.0
     traj = np.arange(n)
+    cum = np.empty((da, n))
     for step in range(1, n_steps + 1):
         comps = (kraus @ psi).reshape(da, m, n)
         probs = (comps * comps).sum(axis=1)
-        cum = np.cumsum(probs, axis=0)
+        # the running sum over outcomes in cumsum's order, into one buffer
+        cum[0] = probs[0]
+        for e in range(1, da):
+            np.add(cum[e - 1], probs[e], out=cum[e])
         draws = uniforms[:, step - 1] * cum[-1]
-        idx = np.clip((draws[None, :] > cum).sum(axis=0), 0, da - 1)
+        # a count of booleans is never negative, so only the top is capped
+        idx = np.minimum((draws[None, :] > cum).sum(axis=0), da - 1)
         psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
         y += gain * eigvals[idx]
         if step % check_every == 0 or step == n_steps:

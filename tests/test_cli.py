@@ -219,12 +219,53 @@ def test_validate_names_the_config_key():
         RunConfig(alpha=-1.0).validate()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    # 1e11 rows of 16 floats, 12 TB
+    (("variances", "--dt", "1e-11"), "",
+     r"solver\.dt: the RK4 covariance stack"),
+    # 400 x 5e8 uniforms, 1.6 TB
+    (("oracle",), "oracle.dt = 1e-9\n",
+     r"oracle\.dt, oracle\.n_traj: the oracle's uniform draws"),
+    # a modest step over a long extent: 400 x 1e9 uniforms
+    (("derive",), "oracle.t_max = 1e6\n",
+     r"oracle\.dt, oracle\.n_traj: the oracle's uniform draws"),
+])
+def test_arrays_larger_than_memory_rejected_at_load(tmp_path, argv, config,
+                                                    message):
+    # only the estimate runs: load_config raises before any route allocates
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config)
+    args = build_parser().parse_args(
+        [*argv, "--config", str(cfg_file), "--out", str(tmp_path)])
+    with pytest.raises(ConfigError, match=message + r" would take .* GiB,"
+                       r" more than the .* GiB of physical memory"):
+        load_config(args)
+
+
+def test_array_estimate_is_exact_bytes(monkeypatch):
+    # the default RK4 stack is 10 001 rows x 16 x 8 B; at n_traj 100 the
+    # oracle's uniforms are 100 x 500 x 8 B and its series 501 x 8 B
+    cfg = RunConfig(oracle_n_traj=100)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * 128)
+    cfg.validate()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * 128 - 1)
+    with pytest.raises(ConfigError, match=r"^solver\.dt: "):
+        cfg.validate()
+    cfg = RunConfig(t_max=0.001, oracle_n_traj=100)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 500 * 8)
+    cfg.validate()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 500 * 8 - 1)
+    with pytest.raises(ConfigError, match=r"^oracle\.dt, oracle\.n_traj: "):
+        cfg.validate()
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle", "--alpha", "nan"),
     ("oracle", "--t-max", "nan"),
     ("oracle", "--alpha", "1e200"),
     ("oracle", "--seed", "-1"),
     ("compare", "--alpha", "nan"),
+    ("variances", "--dt", "1e-11"),
 ])
 def test_bad_number_exit_code(tmp_path, argv):
     res = run_cli(*argv, "--out", str(tmp_path))
@@ -591,7 +632,11 @@ def test_nan_error_fails_its_check(tmp_path, monkeypatch, capsys, module,
         failing = [ln.split(":")[0] for ln in report.splitlines()
                    if ln.startswith("FAIL")]
         assert failing == [f"FAIL {check}"]
-        assert f"FAIL {check}: max" in report and "nan (limit" in report
+        # check 4 leads with RK4's cross-sector maximum, as check 8 leads
+        # with its two errors
+        lead = ("cross-sector 0.000e+00, " if check == "ode_vs_closed_form"
+                else "")
+        assert f"FAIL {check}: {lead}max" in report and "nan (limit" in report
 
 
 def test_one_gate_decides_every_check():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from doublepass.errors import ConfigError
-from doublepass.gaussian import (CSV_COLUMNS, build_moment_odes,
+from doublepass.gaussian import (CSV_COLUMNS, CovTrajectory,
+                                 _cross_sector_max, build_moment_odes,
                                  closed_form_covariances, closed_form_table,
                                  initial_snapshot, integrate_covariance,
                                  mode_index, relative_error, variance_table)
@@ -139,20 +140,50 @@ def _rk4_with_means(ode, t_max, dt):
     return covs + c0
 
 
+def _assert_scan_matches_stepwise(ode, t_max, dt):
+    """The doubling scan against stepwise RK4, the same iterate in exact
+    arithmetic: a bound on the rounding drift, exact structure and row 1."""
+    covs = integrate_covariance(ode, t_max, dt).covs
+    ref = _rk4_with_means(ode, t_max, dt)
+    assert covs.shape == ref.shape
+    # about 5x the largest drift measured over the seven cases below
+    assert np.abs(covs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(covs == 0, ref == 0)
+    assert np.array_equal(covs, covs.transpose(0, 2, 1))
+    assert np.array_equal(covs[1], ref[1])
+
+
 @pytest.mark.parametrize("alpha, t_max, dt", [
     (1.0, 1.0, 1e-4), (0.3, 1.0, 1e-4), (2.0, 1.0, 1e-4), (0.0, 1.0, 1e-3),
     (1.3, 10.0, 1e-3), (5.0, 1.0, 1e-3), (1e-170, 1.0, 1e-3)])
-def test_covariance_rk4_bit_equal_to_mean_carrying_rk4(alpha, t_max, dt):
-    ode = build_moment_odes(alpha)
-    assert np.array_equal(integrate_covariance(ode, t_max, dt).covs,
-                          _rk4_with_means(ode, t_max, dt))
+def test_covariance_rk4_scan_matches_mean_carrying_rk4(alpha, t_max, dt):
+    _assert_scan_matches_stepwise(build_moment_odes(alpha), t_max, dt)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 7, 8, 9, 10001])
+def test_covariance_rk4_scan_at_every_block_split(n_steps):
+    # powers of two and their neighbours end the scan on a full or a
+    # partial last pass; one step runs no pass at all
+    _assert_scan_matches_stepwise(build_moment_odes(1.3), n_steps * 1e-3,
+                                  1e-3)
 
 
 def test_cross_sector_stays_zero():
     traj = integrate_covariance(build_moment_odes(1.5), 2.0, 1e-3)
+    worst = 0.0
     for r, c in (("x_at", "p_at"), ("x_at", "X_ph"), ("p_at", "P_ph"),
                  ("X_ph", "P_ph")):
         assert np.abs(traj.series(r, c)).max() < 1e-12
+        worst = max(worst, np.abs(traj.series(r, c)).max())
+    # the trajectory reports the maximum as its health number
+    assert traj.cross_sector == worst
+    assert integrate_covariance(build_moment_odes(1.5), 0.0,
+                                1e-3).cross_sector == 0.0
+    # and the guard raises above 1e-10
+    covs = np.array([initial_snapshot().cov] * 2)
+    covs[1, mode_index("x_at"), mode_index("X_ph")] = 2e-10
+    with pytest.raises(AssertionError, match="cross-sector covariance grew"):
+        _cross_sector_max(CovTrajectory(np.array([0.0, 1.0]), covs))
 
 
 def test_covariance_symmetric_psd_and_uncertainty():
