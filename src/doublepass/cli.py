@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charfn, fock, gaussian
-from .errors import ConfigError, step_count
+from .errors import ConfigError
 from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, derivation_report,
                   double_pass_derivation)
 
@@ -92,13 +92,15 @@ class RunConfig:
         self.section(charfn.GridSpec)
         oracle = self.section(fock.OracleConfig, alpha=0.0)
         # pre-flight: no one array of a route may exceed physical memory.
-        # Bytes in Python ints, which cannot overflow: the RK4 covariance
-        # stack, the oracle's uniforms and each of its two moment series
-        rk4_rows = step_count(self.t_max, self.solver_dt, "solver.dt",
-                              "t_max") + 1
+        # Bytes in Python numbers, which cannot overflow: RK4's sampled
+        # covariance rows, at most one per solver.dt, the oracle's uniforms
+        # and each of its two moment series
+        rk4_rows = min(self.t_max / self.solver_dt,
+                       self.t_max / self.grid_step) + 1
         memory = _physical_memory()
         for keys, array, size in (
-                ("solver.dt", "RK4 covariance stack", rk4_rows * 16 * 8),
+                ("solver.dt, grid_step", "RK4 covariance rows",
+                 rk4_rows * 16 * 8),
                 ("oracle.dt, oracle.n_traj", "oracle's uniform draws",
                  oracle.n_traj * oracle.n_steps * 8),
                 ("oracle.dt", "oracle's moment series",
@@ -250,23 +252,15 @@ def cmd_derive(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _time_grid(cfg: RunConfig) -> np.ndarray:
-    n = step_count(cfg.t_max, cfg.grid_step, "grid_step", "t_max")
-    return np.arange(n + 1) * cfg.grid_step
-
-
 def _variance_tables(cfg: RunConfig) -> tuple[dict[str, np.ndarray],
                                                 dict[str, np.ndarray], float]:
     """The closed-form and the RK4 variance tables on the grid_step grid,
     and RK4's cross-sector maximum."""
     ode = gaussian.build_moment_odes(cfg.alpha)
-    traj = gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt)
-    times = _time_grid(cfg)
-    stride = step_count(cfg.grid_step, cfg.solver_dt, "solver.dt", "grid_step",
-                        atol=1e-9 * cfg.grid_step)
-    return (gaussian.closed_form_table(cfg.alpha, times),
-            gaussian.variance_table(
-                times, traj.covs[np.arange(len(times)) * stride]),
+    traj = gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt,
+                                         cfg.grid_step)
+    return (gaussian.closed_form_table(cfg.alpha, traj.times),
+            gaussian.variance_table(traj.times, traj.covs),
             traj.cross_sector)
 
 

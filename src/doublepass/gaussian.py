@@ -9,7 +9,9 @@ symmetrized second moments obey the linear system
 
 whose drift A and diffusion D are generated from the symbolic engine and
 instantiated numerically; the RK4 route integrates the 16 entries of
-C - diag(1/2, 1/2, 0, 0) alone, by a doubling scan over the RK4 step map.
+C - diag(1/2, 1/2, 0, 0) alone and keeps only the rows at the sample
+times: binary powering raises the RK4 step map to the sampling stride, and
+a doubling scan over the powered map fills the sampled rows.
 The module also evaluates the closed-form variances of the double-pass
 model, and :func:`variance_table` turns either route (or the oracle's
 atomic moments) into the one variance table the CLI writes: the six
@@ -188,25 +190,26 @@ def initial_snapshot() -> CovSnapshot:
 
 
 def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
-                         ) -> CovTrajectory:
-    """Classical fixed-step RK4 integration of the covariance equation.
+                         sample_dt: float) -> CovTrajectory:
+    """Classical fixed-step RK4 of the covariance equation, every sample_dt.
 
     The system is linear and time-invariant, so the RK4 stage algebra
-    collapses to one affine update per step, built once from the drift.  A
-    doubling scan applies it to whole blocks of rows, so every row is the
-    classical RK4 iterate on C - C0 in exact arithmetic, and only the
-    rounding differs from stepping.  Stability requires alpha^2 dt <= 0.1
-    (documented bound, enforced).
+    collapses to one affine step map, built once from the drift.  Binary
+    powering raises it to the stride sample_dt / dt and a doubling scan
+    fills the sampled rows: each the RK4 iterate on C - C0 in exact
+    arithmetic.  dt must divide sample_dt (checked before any allocation),
+    sample_dt must divide t_max, and alpha^2 dt <= 0.1 (stability).
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    if dt <= 0 or sample_dt <= 0:
+        raise ConfigError("dt and sample_dt must be positive")
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
     if t_max == 0:
         return CovTrajectory(np.array([0.0]), initial_snapshot().cov[None],
                              cross_sector=0.0)
-    if dt > t_max:
-        raise ConfigError("dt must not exceed t_max")
+    if sample_dt > t_max:
+        raise ConfigError(f"grid_step = {sample_dt:.3g} must not exceed"
+                          f" t_max = {t_max:.3g}")
     # dt <= 0.1/alpha^2 + 1e-15 as a product, since alpha^2 may underflow
     # to 0; the relative slack covers the rounding of either form
     alpha2 = ode.alpha * ode.alpha
@@ -214,50 +217,52 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
         raise ConfigError(
             f"dt={dt} violates the stability bound 0.1/alpha^2="
             f"{0.1 / alpha2:.3g}")
-    n_steps = step_count(t_max, dt, "solver.dt", "t_max")
+    stride = step_count(sample_dt, dt, "solver.dt", "grid_step",
+                        atol=1e-9 * sample_dt)
+    n_rows = step_count(t_max, sample_dt, "grid_step", "t_max")
 
     # RK4 runs on Delta = C - C0, the deviation from the vacuum:
     # Delta' = A Delta + Delta A^T + S with S = A C0 + C0 A^T + D, whose
     # cross-covariance entries cancel exactly.  This is affine in the
     # row-major vec(Delta): K vec(Delta) + b with K = A (x) 1 + 1 (x) A and
-    # b = vec(S).  The RK4 stages then collapse to c_{n+1} = R c + r with
-    # R = sum_{j<=4} (dt K)^j / j!  and  r = sum_{1<=j<=4} dt^j K^{j-1} b / j!.
+    # b = vec(S).  The RK4 stages then collapse to c_{n+1} = c + E c + r with
+    # E = sum_{1<=j<=4} (dt K)^j / j!  and  r = sum_{1<=j<=4} dt^j K^{j-1} b / j!;
+    # E = R - I is kept apart from I, which would round off its low bits
     eye, c0 = np.eye(4), initial_snapshot().cov
     k_mat = np.kron(ode.drift, eye) + np.kron(eye, ode.drift)
     b_vec = (ode.drift @ c0 + c0 @ ode.drift.T + ode.diffusion).reshape(16)
-
-    r_mat = np.eye(16)
-    r_vec = np.zeros(16)
-    term = np.eye(16)
+    e_mat, r_vec, term = np.zeros((16, 16)), np.zeros(16), np.eye(16)
     for j in range(1, 5):
         r_vec = r_vec + (term @ b_vec) * (dt ** j / math.factorial(j))
         term = term @ k_mat
-        r_mat = r_mat + term * (dt ** j / math.factorial(j))
+        e_mat = e_mat + term * (dt ** j / math.factorial(j))
 
-    # row k of flat is vec(Delta) after step k; covs is a view of it.
-    # Delta_0 = 0, so Delta_{s+j} = R^s Delta_j + Delta_s: a doubling scan
-    # fills rows s+1..s+b from rows 1..b (b <= s, so they never overlap)
-    # with P = R^s, in ceil(log2 n) batched passes
-    covs = np.zeros((n_steps + 1, 4, 4))
-    flat = covs.reshape(n_steps + 1, 16)
-    flat[1] = r_vec
-    power, s = r_mat, 1
-    while s < n_steps:
-        b = min(s, n_steps - s)
-        block = flat[s + 1:s + 1 + b]
-        np.matmul(flat[1:1 + b], power.T, out=block)
-        block += flat[s]
-        power = power @ power
+    # (E_a, r_a) after (E_b, r_b) is (E_a + E_b + E_a E_b, r_b + E_a r_b + r_a);
+    # binary powering from the identity map (0, 0) raises the step to the stride
+    def compose(a, b):
+        return a[0] + b[0] + a[0] @ b[0], b[1] + a[0] @ b[1] + a[1]
+
+    power, step = (np.zeros((16, 16)), np.zeros(16)), (e_mat, r_vec)
+    while stride:
+        if stride & 1:
+            power = compose(step, power)
+        step, stride = compose(step, step), stride >> 1
+
+    # row k of flat is vec(Delta) at sample k; Delta_0 = 0, so rows s+1..s+b
+    # are Delta_j + E_s Delta_j + Delta_s of rows j = 1..b (b <= s), and
+    # E_{2s} = 2 E_s + E_s E_s: ceil(log2 n) batched passes
+    e_s, flat = power[0], np.zeros((n_rows + 1, 16))
+    flat[1], s = power[1], 1
+    while s < n_rows:
+        b = min(s, n_rows - s)
+        block = flat[1:1 + b]
+        flat[s + 1:s + 1 + b] = block @ e_s.T + block + flat[s]
+        e_s = 2.0 * e_s + e_s @ e_s
         s += b
-    # symmetrize each off-diagonal pair in place, with no (n, 4, 4) temporary
-    for i in range(4):
-        for j in range(i + 1, 4):
-            mean = 0.5 * (covs[:, i, j] + covs[:, j, i])
-            covs[:, i, j] = mean
-            covs[:, j, i] = mean
-    covs += c0
+    covs = flat.reshape(n_rows + 1, 4, 4)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1)) + c0
 
-    traj = CovTrajectory(np.arange(n_steps + 1) * dt, covs)
+    traj = CovTrajectory(np.arange(n_rows + 1) * sample_dt, covs)
     return replace(traj, cross_sector=_cross_sector_max(traj))
 
 

@@ -70,8 +70,10 @@ def test_criterion_04_ode_vs_closed_form():
     start = time.perf_counter()
     worst = 0.0
     for alpha in (0.3, 1.0, 2.0):
-        traj = integrate_covariance(build_moment_odes(alpha), 5.0, 1e-4)
-        for i in range(0, len(traj.times), 250):
+        # every 250th RK4 step, t = 0, 0.025, ..., 5
+        traj = integrate_covariance(build_moment_odes(alpha), 5.0, 1e-4,
+                                    0.025)
+        for i in range(len(traj.times)):
             closed = closed_form_covariances(alpha, traj.times[i])
             for r, c in PUBLISHED.values():
                 worst = max(worst, relative_error(traj.series(r, c)[i],
@@ -91,8 +93,8 @@ def test_criterion_05_three_db_bound():
         t_max = 20.0 / alpha ** 2
         atom_db = closed_form_table(alpha, np.linspace(0.0, t_max, 4001))[
             "sq_db_atom"]
-        traj = integrate_covariance(build_moment_odes(alpha), t_max,
-                                    min(1e-2, 0.05 / alpha ** 2))
+        dt = min(1e-2, 0.05 / alpha ** 2)
+        traj = integrate_covariance(build_moment_odes(alpha), t_max, dt, dt)
         ode_db = variance_table(traj.times, traj.covs)["sq_db_atom"]
         exceeded |= (atom_db > bound + 1e-12).any()
         exceeded |= (ode_db > bound + 1e-9).any()
@@ -108,7 +110,7 @@ def test_criterion_06_arbitrary_field_squeezing():
     closed = closed_form_table(alpha, np.array([t]))
     sq_db = closed["sq_db_field_x"][0]
     vx_closed = closed["var_x_ph_norm"][0]
-    traj = integrate_covariance(build_moment_odes(alpha), t, 2e-3)
+    traj = integrate_covariance(build_moment_odes(alpha), t, 2e-3, t)
     vx_ode = variance_table(traj.times[-1:], traj.covs[-1:])[
         "var_x_ph_norm"][0]
     rel = abs(vx_ode - vx_closed) / vx_closed

@@ -184,6 +184,13 @@ def test_oracle_command(tmp_path):
                  "--out", str(tmp_path / "fine")]) == EXIT_OK
     fine = (tmp_path / "fine" / "oracle.csv").read_text().splitlines()
     assert len(fine) == 1 + 50
+    # the oracle reads no RK4 rows, so a grid_step that divides neither
+    # t_max nor oracle.t_max is no error of its run
+    cfg.write_text(cfg.read_text().replace("1e-320", "0.03"))
+    assert main(["oracle", "--config", str(cfg),
+                 "--out", str(tmp_path / "coarse")]) == EXIT_OK
+    coarse = (tmp_path / "coarse" / "oracle.csv").read_text().splitlines()
+    assert len(coarse) == 1 + 3
 
 
 def test_config_error_exit_code(tmp_path):
@@ -220,9 +227,9 @@ def test_validate_names_the_config_key():
 
 
 @pytest.mark.parametrize("argv, config, message", [
-    # 1e11 rows of 16 floats, 12 TB
-    (("variances", "--dt", "1e-11"), "",
-     r"solver\.dt: the RK4 covariance stack"),
+    # 1e12 sampled rows of 16 floats, 128 TB
+    (("variances",), "grid_step = 1e-12\nsolver.dt = 1e-12\n",
+     r"solver\.dt, grid_step: the RK4 covariance rows"),
     # 400 x 5e8 uniforms, 1.6 TB
     (("oracle",), "oracle.dt = 1e-9\n",
      r"oracle\.dt, oracle\.n_traj: the oracle's uniform draws"),
@@ -243,13 +250,21 @@ def test_arrays_larger_than_memory_rejected_at_load(tmp_path, argv, config,
 
 
 def test_array_estimate_is_exact_bytes(monkeypatch):
-    # the default RK4 stack is 10 001 rows x 16 x 8 B; at n_traj 100 the
-    # oracle's uniforms are 100 x 500 x 8 B and its series 501 x 8 B
-    cfg = RunConfig(oracle_n_traj=100)
+    # the default RK4 rows are 101 samples x 16 x 8 B, more than the
+    # oracle's 100 x 10 x 8 B uniforms at n_traj 100 and t_max 0.01
+    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * 128)
+    cfg.validate()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * 128 - 1)
+    with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
+        cfg.validate()
+    # below solver.dt a grid_step counts one row per step, 10 001, and
+    # t_max / 1e-320 overflows to inf without an error
+    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, grid_step=1e-320)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * 128)
     cfg.validate()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * 128 - 1)
-    with pytest.raises(ConfigError, match=r"^solver\.dt: "):
+    with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
         cfg.validate()
     cfg = RunConfig(t_max=0.001, oracle_n_traj=100)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 500 * 8)
@@ -265,14 +280,41 @@ def test_array_estimate_is_exact_bytes(monkeypatch):
     ("oracle", "--alpha", "1e200"),
     ("oracle", "--seed", "-1"),
     ("compare", "--alpha", "nan"),
-    ("variances", "--dt", "1e-11"),
+    # solver.dt does not divide grid_step; nothing may be allocated first
+    ("variances", "--config", "{tiny_grid}"),
+    ("compare", "--config", "{tiny_grid}"),
 ])
 def test_bad_number_exit_code(tmp_path, argv):
+    tiny_grid = tmp_path / "tiny_grid.cfg"
+    tiny_grid.write_text("grid_step = 1e-12\n")
+    argv = [arg.format(tiny_grid=tiny_grid) for arg in argv]
     res = run_cli(*argv, "--out", str(tmp_path))
     assert res.returncode == EXIT_CONFIG
     assert "configuration error" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "oracle.csv").exists()
+
+
+def test_fine_solver_dt_runs(tmp_path):
+    # RK4 keeps only the 101 sampled rows, so 1e11 steps fit in memory
+    assert main(["variances", "--dt", "1e-11",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert len((tmp_path / "variances.csv").read_text().splitlines()) == 102
+
+
+@pytest.mark.parametrize("alpha, solver_dt", [
+    (1.0, 1e-4), (0.3, 1e-4), (1e-3, 1e-4), (1e-9, 1e-4),
+    (1.0, 1e-6), (1.0, 1e-9), (1.0, 1e-13)])
+def test_rk4_rounding_does_not_grow_as_solver_dt_shrinks(alpha, solver_dt):
+    # check 4's error on the grid_step rows: the step map's powers keep
+    # E = R - I apart from I, so E's O(dt) entries keep their low bits
+    cfg = RunConfig(alpha=alpha, solver_dt=solver_dt)
+    cfg.validate()
+    closed, ode, _ = cli._variance_tables(cfg)
+    worst = max(gaussian.relative_error(value, ref)
+                for col in gaussian.PUBLISHED
+                for value, ref in zip(ode[col].tolist(), closed[col].tolist()))
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("case", [
@@ -393,9 +435,9 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
         calls["build"] += 1
         return build_fn(alpha)
 
-    def count_integrate(ode, t_max, dt):
+    def count_integrate(ode, t_max, dt, sample_dt):
         calls["integrate"] += 1
-        return integrate_fn(ode, t_max, dt)
+        return integrate_fn(ode, t_max, dt, sample_dt)
 
     def count_table(alpha, times):
         calls["closed_form_table"] += 1

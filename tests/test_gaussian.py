@@ -67,20 +67,20 @@ def test_negative_alpha_rejected():
 
 
 def test_t_zero_single_snapshot():
-    traj = integrate_covariance(build_moment_odes(1.0), 0.0, 1e-3)
+    traj = integrate_covariance(build_moment_odes(1.0), 0.0, 1e-3, 1e-3)
     assert len(traj.times) == 1
     assert np.allclose(traj.covs[0], np.diag([0.5, 0.5, 0.0, 0.0]))
 
 
 def test_rk4_matches_closed_form_at_unit_time():
-    traj = integrate_covariance(build_moment_odes(1.0), 1.0, 1e-4)
+    traj = integrate_covariance(build_moment_odes(1.0), 1.0, 1e-4, 1.0)
     i = mode_index("p_at")
     assert relative_error(traj.covs[-1, i, i],
                           0.25 * (1 + math.exp(-2))) < 1e-8
 
 
 def test_alpha_zero_vacuum_accumulation():
-    traj = integrate_covariance(build_moment_odes(0.0), 1.0, 1e-3)
+    traj = integrate_covariance(build_moment_odes(0.0), 1.0, 1e-3, 1e-3)
     for mode in ("X_ph", "P_ph", "p_at"):
         assert traj.series(mode, mode)[-1] == pytest.approx(0.5, abs=1e-12)
 
@@ -88,17 +88,22 @@ def test_alpha_zero_vacuum_accumulation():
 def test_step_size_validation():
     ode = build_moment_odes(2.0)
     with pytest.raises(ConfigError):
-        integrate_covariance(ode, 1.0, 0.05)   # > 0.1/alpha^2
-    assert len(integrate_covariance(ode, 1.0, 0.025).times) == 41  # at it
+        integrate_covariance(ode, 1.0, 0.05, 0.05)   # > 0.1/alpha^2
+    assert len(integrate_covariance(ode, 1.0, 0.025, 0.025).times) == 41
     with pytest.raises(ConfigError):
-        integrate_covariance(ode, 0.001, 0.01)  # dt > t_max
+        integrate_covariance(ode, 0.001, 0.01, 0.01)  # dt > t_max
     with pytest.raises(ConfigError):
-        integrate_covariance(ode, 1.0, 3e-4)    # does not divide t_max
+        integrate_covariance(ode, 1.0, 3e-4, 3e-4)    # does not divide t_max
+    with pytest.raises(ConfigError, match="solver.dt must divide grid_step"):
+        integrate_covariance(ode, 1.0, 1e-4, 1e-12)
+    with pytest.raises(ConfigError, match="grid_step must divide t_max"):
+        integrate_covariance(ode, 1.0, 1e-4, 0.3)
 
 
 def test_ode_route_matches_all_published_entries():
     for alpha in (0.3, 1.0, 2.0):
-        traj = integrate_covariance(build_moment_odes(alpha), 5.0, 1e-3)
+        traj = integrate_covariance(build_moment_odes(alpha), 5.0, 1e-3,
+                                    1e-3)
         for i in (0, len(traj.times) // 3, len(traj.times) - 1):
             closed = closed_form_covariances(alpha, traj.times[i])
             for r, c in PUBLISHED:
@@ -140,36 +145,44 @@ def _rk4_with_means(ode, t_max, dt):
     return covs + c0
 
 
-def _assert_scan_matches_stepwise(ode, t_max, dt):
-    """The doubling scan against stepwise RK4, the same iterate in exact
-    arithmetic: a bound on the rounding drift, exact structure and row 1."""
-    covs = integrate_covariance(ode, t_max, dt).covs
-    ref = _rk4_with_means(ode, t_max, dt)
-    assert covs.shape == ref.shape
-    # about 5x the largest drift measured over the seven cases below
-    assert np.abs(covs - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.array_equal(covs == 0, ref == 0)
-    assert np.array_equal(covs, covs.transpose(0, 2, 1))
-    assert np.array_equal(covs[1], ref[1])
-
-
 @pytest.mark.parametrize("alpha, t_max, dt", [
     (1.0, 1.0, 1e-4), (0.3, 1.0, 1e-4), (2.0, 1.0, 1e-4), (0.0, 1.0, 1e-3),
     (1.3, 10.0, 1e-3), (5.0, 1.0, 1e-3), (1e-170, 1.0, 1e-3)])
 def test_covariance_rk4_scan_matches_mean_carrying_rk4(alpha, t_max, dt):
-    _assert_scan_matches_stepwise(build_moment_odes(alpha), t_max, dt)
+    """The powered step map and the doubling scan against stepwise RK4,
+    the same iterates in exact arithmetic: a bound on the rounding drift,
+    exact structure and, at stride 1, row 1.
 
-
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 7, 8, 9, 10001])
-def test_covariance_rk4_scan_at_every_block_split(n_steps):
-    # powers of two and their neighbours end the scan on a full or a
-    # partial last pass; one step runs no pass at all
-    _assert_scan_matches_stepwise(build_moment_odes(1.3), n_steps * 1e-3,
-                                  1e-3)
+    Powers of two and their neighbours end the binary powering and the
+    scan on a full or a partial last pass; one sample runs no scan pass.
+    The longest run, 101 samples at stride 100, spans ``t_max / dt``.
+    """
+    strides = [1, 2, 3, 4, 5, 7, 8, 9, 100]
+    samples = [1, 2, 3, 4, 5, 7, 8, 9, 101]
+    n_steps = max(strides) * max(samples)
+    assert n_steps * dt >= t_max
+    ode = build_moment_odes(alpha)
+    stepwise = _rk4_with_means(ode, n_steps * dt, dt)
+    for stride in strides:
+        for n in samples:
+            case = f"stride {stride}, {n} samples"
+            ref = stepwise[:n * stride + 1:stride]
+            sample_dt = stride * dt
+            traj = integrate_covariance(ode, n * sample_dt, dt, sample_dt)
+            covs = traj.covs
+            assert covs.shape == ref.shape == (n + 1, 4, 4), case
+            assert np.array_equal(traj.times,
+                                  np.arange(n + 1) * sample_dt), case
+            # about 5x the largest drift measured over these cases, 1.9e-13
+            assert np.abs(covs - ref).max() <= 1e-12 * np.abs(ref).max(), case
+            assert np.array_equal(covs == 0, ref == 0), case
+            assert np.array_equal(covs, covs.transpose(0, 2, 1)), case
+            if stride == 1:
+                assert np.array_equal(covs[1], ref[1]), case
 
 
 def test_cross_sector_stays_zero():
-    traj = integrate_covariance(build_moment_odes(1.5), 2.0, 1e-3)
+    traj = integrate_covariance(build_moment_odes(1.5), 2.0, 1e-3, 1e-3)
     worst = 0.0
     for r, c in (("x_at", "p_at"), ("x_at", "X_ph"), ("p_at", "P_ph"),
                  ("X_ph", "P_ph")):
@@ -177,7 +190,7 @@ def test_cross_sector_stays_zero():
         worst = max(worst, np.abs(traj.series(r, c)).max())
     # the trajectory reports the maximum as its health number
     assert traj.cross_sector == worst
-    assert integrate_covariance(build_moment_odes(1.5), 0.0,
+    assert integrate_covariance(build_moment_odes(1.5), 0.0, 1e-3,
                                 1e-3).cross_sector == 0.0
     # and the guard raises above 1e-10
     covs = np.array([initial_snapshot().cov] * 2)
@@ -187,8 +200,8 @@ def test_cross_sector_stays_zero():
 
 
 def test_covariance_symmetric_psd_and_uncertainty():
-    traj = integrate_covariance(build_moment_odes(1.0), 3.0, 1e-3)
-    for cov in traj.covs[::300]:
+    traj = integrate_covariance(build_moment_odes(1.0), 3.0, 1e-3, 0.3)
+    for cov in traj.covs:
         assert np.allclose(cov, cov.T, atol=1e-10)
         assert cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 >= 0.25 - 1e-10
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
@@ -196,13 +209,13 @@ def test_covariance_symmetric_psd_and_uncertainty():
 
 def test_var_x_at_exactly_linear():
     alpha = 1.2
-    traj = integrate_covariance(build_moment_odes(alpha), 2.0, 1e-3)
+    traj = integrate_covariance(build_moment_odes(alpha), 2.0, 1e-3, 1e-3)
     expected = 0.5 * (1 + alpha ** 2 * traj.times)
     assert np.abs(traj.series("x_at", "x_at") - expected).max() < 1e-10
 
 
 def test_var_p_at_nonincreasing():
-    traj = integrate_covariance(build_moment_odes(1.0), 4.0, 1e-3)
+    traj = integrate_covariance(build_moment_odes(1.0), 4.0, 1e-3, 1e-3)
     vp = traj.series("p_at", "p_at")
     assert (np.diff(vp) <= 1e-14).all()
 
