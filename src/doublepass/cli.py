@@ -89,22 +89,27 @@ class RunConfig:
             raise ConfigError(f"alpha must not exceed {MAX_ALPHA:.0e}")
         # the route configs check their sections; at alpha = 0 the oracle's
         # step bound on alpha^2 * oracle.dt waits for its run, as the CFL does
-        self.section(charfn.GridSpec)
+        grid = self.section(charfn.GridSpec)
         oracle = self.section(fock.OracleConfig, alpha=0.0)
         # pre-flight: no one array of a route may exceed physical memory.
         # Bytes in Python numbers, which cannot overflow: RK4's sampled
-        # covariance rows, at most one per solver.dt, the oracle's uniforms
-        # and each of its two moment series
+        # covariance rows, at most one per solver.dt, the oracle's uniforms,
+        # one FD surface and the oracle's joint-space operator
         rk4_rows = min(self.t_max / self.solver_dt,
                        self.t_max / self.grid_step) + 1
+        nk = round(2 * grid.k_max / grid.dk) + 1
+        nl = round(2 * grid.l_max / grid.dl) + 1
+        joint = oracle.d_at * oracle.d_anc
         memory = _physical_memory()
         for keys, array, size in (
                 ("solver.dt, grid_step", "RK4 covariance rows",
                  rk4_rows * 16 * 8),
                 ("oracle.dt, oracle.n_traj", "oracle's uniform draws",
                  oracle.n_traj * oracle.n_steps * 8),
-                ("oracle.dt", "oracle's moment series",
-                 (oracle.n_steps + 1) * 8)):
+                ("pde.l_max, pde.dl, pde.k_max, pde.dk", "FD surface",
+                 nk * nl * 8),
+                ("oracle.d_at, oracle.d_anc", "oracle's joint-space operator",
+                 joint * joint * 16)):
             if size > memory:
                 raise ConfigError(
                     f"{keys}: the {array} would take {size / 2 ** 30:.3g}"

@@ -422,9 +422,10 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
         cum[0] = probs[0]
         for e in range(1, da):
             np.add(cum[e - 1], probs[e], out=cum[e])
+        # u in [0, 1) times the total never rounds above it, and NaN and inf
+        # compare False: the last comparison never holds, so idx <= da - 1
         draws = uniforms[:, step - 1] * cum[-1]
-        # a count of booleans is never negative, so only the top is capped
-        idx = np.minimum((draws[None, :] > cum).sum(axis=0), da - 1)
+        idx = (draws[None, :] > cum).sum(axis=0)
         psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
         y += gain * eigvals[idx]
         if step % check_every == 0 or step == n_steps:

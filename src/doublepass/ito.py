@@ -291,7 +291,6 @@ class IORelation:
 class IORelations:
     """The four input/output relations of one system, engine-derived."""
 
-    system: HPSystem
     x_ph_out: IORelation
     p_ph_out: IORelation
     dx_at_out: IORelation
@@ -350,7 +349,6 @@ def output_quadrature_relations(sys: HPSystem) -> IORelations:
     quadrature commutes with every coefficient.
     """
     return IORelations(
-        system=sys,
         x_ph_out=_relation("x_ph_out", sys, _ONE, _DX_IN),
         p_ph_out=_relation("p_ph_out", sys, _ONE, _DP_IN),
         dx_at_out=_relation("dx_at_out/dt", sys, OpPoly.x(), _NO_INCREMENT),
@@ -396,7 +394,7 @@ class PdeCoefficients:
         # even, and FD steps only the rows with k >= 0
         for name, coeff, parity in (("c0", self.c0, 0), ("c1", self.c1, 1)):
             if any((ek + el) % 2 != parity
-                   for (_, ek, el, _), _ in coeff.terms()):
+                   for (_, ek, el), _ in coeff.terms()):
                 raise FragmentError(
                     f"{name} = {coeff} is not {('even', 'odd')[parity]}"
                     " under (k, l) -> (-k, -l)")

@@ -7,8 +7,8 @@ one positive int denominator.  Every result is divided by
 tuples, and ``+``, ``*``, negation and conjugation do int arithmetic only.
 The rational parts ``ra``..``rd`` are read as :class:`~fractions.Fraction`.
 On top of that, :class:`FormalScalar` is a multivariate polynomial over the
-field in the four formal symbols ``a`` (coupling strength), ``k``, ``l``
-(transform variables) and ``t`` (time).  It and the operator polynomial
+field in the three formal symbols ``a`` (coupling strength), ``k`` and
+``l`` (transform variables).  It and the operator polynomial
 :class:`~doublepass.weyl.OpPoly` share one sparse-dictionary core,
 :class:`SparsePoly`.  Everything here is exact; floating point only enters
 through :meth:`FormalScalar.evaluate_real`, in real arithmetic.
@@ -185,7 +185,6 @@ ZERO = Cyclo()
 ONE = Cyclo(1)
 I = Cyclo(0, 1)
 MINUS_I = Cyclo(0, -1)
-SQRT2 = Cyclo(0, 0, 1)
 HALF = Cyclo(Fraction(1, 2))
 INV_SQRT2 = Cyclo(0, 0, Fraction(1, 2))        # 1/sqrt2 == sqrt2/2
 I_INV_SQRT2 = Cyclo(0, 0, 0, Fraction(1, 2))   # i/sqrt2
@@ -267,20 +266,20 @@ class SparsePoly:
         return f"{type(self).__name__}({self})"
 
 
-ExpKey = tuple[int, int, int, int]
+ExpKey = tuple[int, int, int]
 
 
 class FormalScalar(SparsePoly):
-    """Exact polynomial in the symbols (a, k, l, t) over Q(i, sqrt2).
+    """Exact polynomial in the symbols (a, k, l) over Q(i, sqrt2).
 
     The table maps exponent tuples to nonzero :class:`Cyclo` coefficients.
     """
 
-    SYMBOLS = ("a", "k", "l", "t")
+    SYMBOLS = ("a", "k", "l")
 
     __slots__ = ()
 
-    _CONST = (0, 0, 0, 0)
+    _CONST = (0, 0, 0)
     _ZERO_COEFF = ZERO
 
     # -- constructors -----------------------------------------------------
@@ -297,7 +296,7 @@ class FormalScalar(SparsePoly):
     @classmethod
     def symbol(cls, name: str) -> "FormalScalar":
         idx = cls.SYMBOLS.index(name)
-        key = tuple(1 if j == idx else 0 for j in range(4))
+        key = tuple(int(j == idx) for j in range(len(cls.SYMBOLS)))
         return cls({key: ONE})
 
     # -- ring operations --------------------------------------------------
@@ -306,8 +305,7 @@ class FormalScalar(SparsePoly):
         out: dict[ExpKey, Cyclo] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1],
-                       k1[2] + k2[2], k1[3] + k2[3])
+                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
                 prod = c1 * c2
                 cur = out.get(key)
                 out[key] = prod if cur is None else cur + prod
@@ -337,11 +335,11 @@ class FormalScalar(SparsePoly):
     # -- numerics ---------------------------------------------------------
 
     def l_coefficient(self, n: int) -> "FormalScalar":
-        """The exact coefficient of ``l^n``, a polynomial in a, k and t."""
-        return FormalScalar({(ea, ek, 0, et): c for (ea, ek, el, et), c
+        """The exact coefficient of ``l^n``, a polynomial in a and k."""
+        return FormalScalar({(ea, ek, 0): c for (ea, ek, el), c
                              in self._terms.items() if el == n})
 
-    def evaluate_real(self, a=0.0, k=0.0, l=0.0, t=0.0):
+    def evaluate_real(self, a=0.0, k=0.0, l=0.0):
         """Substitute floats or NumPy arrays for the symbols; real arithmetic.
 
         ``ValueError`` if a coefficient has an imaginary part (checked
@@ -350,14 +348,13 @@ class FormalScalar(SparsePoly):
         total = 0.0
         try:
             with np.errstate(all="ignore"):     # an overflow raises below
-                for (ea, ek, el, et), coeff in self._terms.items():
-                    total += float(coeff) * ((a ** ea) * (k ** ek)
-                                             * (l ** el) * (t ** et))
+                for (ea, ek, el), coeff in self._terms.items():
+                    total += float(coeff) * ((a ** ea) * (k ** ek) * (l ** el))
         except OverflowError:   # float ** int raises where NumPy gives inf
             total = np.inf
         if not np.isfinite(total).all():
             raise ValueError(f"{self} is not real and finite at a={a}, k={k},"
-                             f" l={l}, t={t}: {total}")
+                             f" l={l}: {total}")
         return total
 
     # -- printing ---------------------------------------------------------
@@ -380,4 +377,3 @@ class FormalScalar(SparsePoly):
 SYM_ALPHA = FormalScalar.symbol("a")
 SYM_K = FormalScalar.symbol("k")
 SYM_L = FormalScalar.symbol("l")
-SYM_T = FormalScalar.symbol("t")

@@ -106,19 +106,13 @@ def mul(a: OpPoly, b: OpPoly) -> OpPoly:
     ``p^n x^m = sum_j (-i)^j j! C(n,j) C(m,j) x^(m-j) p^(n-j)``.
     """
     out: dict[MonoKey, FormalScalar] = {}
-    # reordering factors (j >= 1) of each (n1, m2) pair met in this product
-    factors: dict[MonoKey, list[Cyclo]] = {}
     for (m1, n1), c1 in a._terms.items():
         for (m2, n2), c2 in b._terms.items():
             base = c1 * c2
-            reorder = factors.get((n1, m2))
-            if reorder is None:
-                reorder = factors[(n1, m2)] = [
-                    _MINUS_I_POWERS[j % 4]
-                    * Cyclo(factorial(j) * comb(n1, j) * comb(m2, j))
-                    for j in range(1, min(n1, m2) + 1)]
             for j in range(min(n1, m2) + 1):
-                contrib = base if j == 0 else base.scale(reorder[j - 1])
+                contrib = base if j == 0 else base.scale(
+                    _MINUS_I_POWERS[j % 4]
+                    * Cyclo(factorial(j) * comb(n1, j) * comb(m2, j)))
                 key = (m1 + m2 - j, n1 + n2 - j)
                 cur = out.get(key)
                 out[key] = contrib if cur is None else cur + contrib

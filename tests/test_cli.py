@@ -236,6 +236,12 @@ def test_validate_names_the_config_key():
     # a modest step over a long extent: 400 x 1e9 uniforms
     (("derive",), "oracle.t_max = 1e6\n",
      r"oracle\.dt, oracle\.n_traj: the oracle's uniform draws"),
+    # 801 x 16 000 001 surface values, 103 GB
+    (("pde",), "pde.dl = 1e-6\n",
+     r"pde\.l_max, pde\.dl, pde\.k_max, pde\.dk: the FD surface"),
+    # a (60 000, 60 000) complex operator, 57.6 GB
+    (("oracle",), "oracle.d_at = 20000\n",
+     r"oracle\.d_at, oracle\.d_anc: the oracle's joint-space operator"),
 ])
 def test_arrays_larger_than_memory_rejected_at_load(tmp_path, argv, config,
                                                     message):
@@ -250,9 +256,13 @@ def test_arrays_larger_than_memory_rejected_at_load(tmp_path, argv, config,
 
 
 def test_array_estimate_is_exact_bytes(monkeypatch):
+    # a 3 x 3 FD surface (72 B) and an 8 x 8 joint-space operator (1 024 B)
+    # leave each of the first two rows the largest array in turn
+    small = dict(pde_l_max=0.02, pde_dl=0.02, pde_k_max=0.02, pde_dk=0.02,
+                 oracle_d_at=4, oracle_d_anc=2)
     # the default RK4 rows are 101 samples x 16 x 8 B, more than the
     # oracle's 100 x 10 x 8 B uniforms at n_traj 100 and t_max 0.01
-    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01)
+    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, **small)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * 128)
     cfg.validate()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * 128 - 1)
@@ -260,17 +270,35 @@ def test_array_estimate_is_exact_bytes(monkeypatch):
         cfg.validate()
     # below solver.dt a grid_step counts one row per step, 10 001, and
     # t_max / 1e-320 overflows to inf without an error
-    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, grid_step=1e-320)
+    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, grid_step=1e-320,
+                    **small)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * 128)
     cfg.validate()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * 128 - 1)
     with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
         cfg.validate()
-    cfg = RunConfig(t_max=0.001, oracle_n_traj=100)
+    cfg = RunConfig(t_max=0.001, oracle_n_traj=100, **small)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 500 * 8)
     cfg.validate()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 500 * 8 - 1)
     with pytest.raises(ConfigError, match=r"^oracle\.dt, oracle\.n_traj: "):
+        cfg.validate()
+    # the defaults: an 801 x 801 FD surface, 5 132 808 B, is the largest;
+    # then the 90 x 90 complex joint-space operator, 129 600 B, over the
+    # RK4 rows (12 928 B) and the uniforms at oracle.t_max 0.01 (8 000 B)
+    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 801 * 801 * 8)
+    cfg.validate()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 801 * 801 * 8 - 1)
+    with pytest.raises(ConfigError, match=r"^pde\.l_max, pde\.dl, pde\.k_max,"
+                                          r" pde\.dk: "):
+        cfg.validate()
+    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01,
+                    **{**small, "oracle_d_at": 30, "oracle_d_anc": 3})
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 90 * 90 * 16)
+    cfg.validate()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 90 * 90 * 16 - 1)
+    with pytest.raises(ConfigError, match=r"^oracle\.d_at, oracle\.d_anc: "):
         cfg.validate()
 
 
@@ -283,11 +311,18 @@ def test_array_estimate_is_exact_bytes(monkeypatch):
     # solver.dt does not divide grid_step; nothing may be allocated first
     ("variances", "--config", "{tiny_grid}"),
     ("compare", "--config", "{tiny_grid}"),
+    # an FD surface and an oracle operator larger than memory, at load
+    ("pde", "--config", "{fine_dl}"),
+    ("oracle", "--config", "{big_d_at}"),
 ])
 def test_bad_number_exit_code(tmp_path, argv):
-    tiny_grid = tmp_path / "tiny_grid.cfg"
-    tiny_grid.write_text("grid_step = 1e-12\n")
-    argv = [arg.format(tiny_grid=tiny_grid) for arg in argv]
+    paths = {}
+    for name, text in (("tiny_grid", "grid_step = 1e-12\n"),
+                       ("fine_dl", "pde.dl = 1e-6\n"),
+                       ("big_d_at", "oracle.d_at = 20000\n")):
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
     res = run_cli(*argv, "--out", str(tmp_path))
     assert res.returncode == EXIT_CONFIG
     assert "configuration error" in res.stderr

@@ -20,19 +20,30 @@ USED = {(path, node.lineno, node.id if isinstance(node, ast.Name)
         if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def _unused(path, definitions) -> list[str]:
-    """Public definitions whose name src/ reads nowhere but where defined."""
-    return [node.name for node in definitions
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and not any(name == node.name
-                        and (where, line) != (path, node.lineno)
-                        for where, line, name in USED)]
+def _unused(path, defined) -> list[str]:
+    """Public ``(name, line)`` definitions src/ reads nowhere but there."""
+    return [name for name, at in defined if not name.startswith("_")
+            and not any(used == name and (where, line) != (path, at)
+                        for where, line, used in USED)]
+
+
+def _functions(body) -> list[tuple[str, int]]:
+    return [(node.name, node.lineno) for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _assigned(body) -> list[tuple[str, int]]:
+    """Each name a module-level assignment binds, at its line."""
+    return [(target.id, target.lineno) for node in body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name)]
 
 
 def test_every_public_name_is_used_in_src():
     unused = [f"{path.name}:{name}" for path, tree in MODULES.items()
-              for name in _unused(path, tree.body)]
+              for name in _unused(path, _functions(tree.body))]
     assert unused == []
 
 
@@ -40,7 +51,13 @@ def test_every_public_method_is_used_in_src():
     unused = [f"{path.name}:{cls.name}.{name}"
               for path, tree in MODULES.items() for cls in tree.body
               if isinstance(cls, ast.ClassDef)
-              for name in _unused(path, cls.body)]
+              for name in _unused(path, _functions(cls.body))]
+    assert unused == []
+
+
+def test_every_public_module_constant_is_used_in_src():
+    unused = [f"{path.name}:{name}" for path, tree in MODULES.items()
+              for name in _unused(path, _assigned(tree.body))]
     assert unused == []
 
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from doublepass.scalars import (Cyclo, FormalScalar, HALF, I, INV_SQRT2,
-                                MINUS_I, ONE, SQRT2, SYM_ALPHA, SYM_K, SYM_L,
-                                SYM_T, ZERO)
+                                MINUS_I, ONE, SYM_ALPHA, SYM_K, SYM_L, ZERO)
 from doublepass.weyl import OpPoly
+
+SQRT2 = Cyclo(0, 0, 1)
 
 
 def rand_cyclo(rng, span=3):
@@ -63,21 +64,22 @@ def test_formal_scalar_ring():
 
 
 def test_formal_scalar_evaluate():
-    expr = SYM_ALPHA * SYM_ALPHA * SYM_L + SYM_K.scale(SQRT2) - SYM_T.scale(HALF)
-    val = expr.evaluate_real(a=2.0, k=3.0, l=0.5, t=4.0)
-    assert val == pytest.approx(2.0 + 3.0 * sqrt(2.0) - 2.0)
+    expr = (SYM_ALPHA * SYM_ALPHA * SYM_L + SYM_K.scale(SQRT2)
+            - (SYM_ALPHA * SYM_K).scale(HALF))
+    val = expr.evaluate_real(a=2.0, k=3.0, l=0.5)
+    assert val == pytest.approx(2.0 + 3.0 * sqrt(2.0) - 3.0)
     assert FormalScalar.zero().evaluate_real(a=1.0) == 0.0
     # an imaginary coefficient raises wherever it is evaluated, at k = 0 too
     for k in (1.0, 0.0, np.zeros(3)):
         with pytest.raises(ValueError, match="not real"):
             SYM_K.scale(I).evaluate_real(k=k)
         with pytest.raises(ValueError, match="not real"):
-            (expr + SYM_K.scale(I)).evaluate_real(a=2.0, k=k, l=0.5, t=4.0)
+            (expr + SYM_K.scale(I)).evaluate_real(a=2.0, k=k, l=0.5)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="not real"):
-            expr.evaluate_real(a=2.0, k=bad, l=0.5, t=4.0)
+            expr.evaluate_real(a=2.0, k=bad, l=0.5)
     with pytest.raises(ValueError, match="not real"):
-        expr.evaluate_real(a=2.0, k=np.array([0.0, math.inf]), l=0.5, t=4.0)
+        expr.evaluate_real(a=2.0, k=np.array([0.0, math.inf]), l=0.5)
 
 
 def test_evaluate_real_overflow_is_its_value_error():
@@ -91,10 +93,10 @@ def test_evaluate_real_overflow_is_its_value_error():
 def test_array_evaluation_matches_scalar_bit_for_bit():
     rng = np.random.default_rng(20261019)
     expr = (SYM_ALPHA * SYM_L - SYM_K).scale(Cyclo(Fraction(-1, 3), 0, 2)) \
-        * (SYM_K * SYM_L + SYM_T.scale(INV_SQRT2) - SYM_ALPHA * SYM_ALPHA)
+        * (SYM_K * SYM_L + SYM_L.scale(INV_SQRT2) - SYM_ALPHA * SYM_ALPHA)
     k, l = rng.normal(scale=5.0, size=(2, 40, 30))
-    values = expr.evaluate_real(a=1.7, k=k, l=l, t=0.3)
-    scalar = [[expr.evaluate_real(a=1.7, k=kv, l=lv, t=0.3)
+    values = expr.evaluate_real(a=1.7, k=k, l=l)
+    scalar = [[expr.evaluate_real(a=1.7, k=kv, l=lv)
                for kv, lv in zip(krow, lrow)]
               for krow, lrow in zip(k.tolist(), l.tolist())]
     assert values.shape == k.shape
@@ -103,10 +105,10 @@ def test_array_evaluation_matches_scalar_bit_for_bit():
 
 def test_l_coefficient():
     expr = SYM_ALPHA * SYM_K - (SYM_ALPHA * SYM_ALPHA) * SYM_L \
-        + SYM_T * SYM_L * SYM_L
+        + SYM_K * SYM_K * SYM_L * SYM_L
     assert expr.l_coefficient(0) == SYM_ALPHA * SYM_K
     assert expr.l_coefficient(1) == -(SYM_ALPHA * SYM_ALPHA)
-    assert expr.l_coefficient(2) == SYM_T
+    assert expr.l_coefficient(2) == SYM_K * SYM_K
     assert expr.l_coefficient(3).is_zero()
 
 
@@ -127,7 +129,7 @@ def test_degrees():
     expr = SYM_ALPHA * SYM_K * SYM_L + SYM_K * SYM_K
     assert expr.degree_kl() == 2
     assert (SYM_ALPHA * SYM_ALPHA * SYM_ALPHA * SYM_L).degree_kl() == 1
-    assert (SYM_ALPHA * SYM_T).degree_kl() == 0
+    assert (SYM_ALPHA * SYM_ALPHA).degree_kl() == 0
     assert FormalScalar.zero().degree_kl() == 0
 
 
