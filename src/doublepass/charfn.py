@@ -15,13 +15,13 @@ formulas, is the solvers' independent reference.
 ``PdeCoefficients`` accepts only a c0 even and a c1 odd under
 (k, l) -> (-k, -l), so every solution is even.  The finite-difference
 solver uses that derived symmetry: it steps the k >= 0 rows of all the
-families it is given in one shared state and mirrors them onto k < 0.
+families it is given, in cache-sized blocks of rows, and mirrors them onto
+k < 0.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
@@ -34,6 +34,13 @@ from .ito import FAMILY_F, FAMILY_G, double_pass_derivation
 
 #: largest boundary value the FD leak monitor accepts
 BOUNDARY_TOL = 1e-3
+
+#: bytes of one FD state array per row block: 40 rows at nl 801, so the
+#: nine arrays of a block stay in a 2 MiB L2 through the whole time loop
+FD_BLOCK_BYTES = 2 ** 18
+
+#: steps between two folds of the FD boundary history
+_LEAK_CHECK_STEPS = 32
 
 
 class BoundaryLeakError(ConfigError):
@@ -103,12 +110,23 @@ class CharSurface:
             f" k_min={self.k_values[0]:.12g} k_max={self.k_values[-1]:.12g}"
             f" nk={nk}\n")
         stream.write("k,l,value\n")
-        # one str.format pass per k row keeps the transient lists small
-        line = "{:.12g},{:.12g},{:.12g}\n".format
-        l_list = self.l_values.tolist()
-        for k, row in zip(self.k_values.tolist(), self.values):
-            stream.write("".join(map(line, repeat(k, nl), l_list,
-                                     row.tolist())))
+        # each k and l string is formatted once; an even surface (every FD
+        # surface) formats each value once per mirrored pair, as row
+        # nk - 1 - i is row i reversed.  Bits, not ==, decide it: -0.0 and
+        # 0.0 are equal but print differently
+        fmt = "{:.12g}".format
+        l_strs = list(map(fmt, self.l_values.tolist()))
+        v, mirrored = self.values, self.values[::-1, ::-1]
+        even = (np.array_equal(v, mirrored)
+                and np.array_equal(np.signbit(v), np.signbit(mirrored)))
+        top = nk - nk // 2 if even else nk
+        rows = [list(map(fmt, row)) for row in v[:top].tolist()]
+        rows += [row[::-1] for row in rows[:nk - top][::-1]]
+        for k, row in zip(map(fmt, self.k_values.tolist()), rows):
+            # the lines "k,l,value" of one row: its "l,value" pairs joined
+            # by a newline and the next line's "k,"
+            sep = f"\n{k},"
+            stream.write(f"{k},{sep.join(map(','.join, zip(l_strs, row)))}\n")
 
 
 def _check_family(family: str) -> None:
@@ -281,6 +299,77 @@ def _upwind_layout(forward: np.ndarray):
     return pos, ghost.ravel(), source.ravel()
 
 
+def _fd_block(drift: np.ndarray, decay: np.ndarray, f0: np.ndarray,
+              dt: float, dl: float, n_steps: int) -> tuple:
+    """All ``n_steps`` steps of :func:`fd_solve` on one block of rows.
+
+    ``drift`` and ``decay`` hold the block's rows, ``f0`` the initial row.
+    The block has its own :func:`_upwind_layout` and zero slot, and every
+    slice the loop reads is built once, before it.  After each step the
+    edge values go into a history of :data:`_LEAK_CHECK_STEPS` rows; every
+    that many steps, and after the last, the history is folded into the
+    running maximum of each edge, and its steps are checked in order.
+    Returns the values and each row's largest boundary value, or, at the
+    first step whose largest boundary value exceeds :data:`BOUNDARY_TOL`,
+    ``(None, None, (step, value))``.
+    """
+    pos, ghost, source = _upwind_layout(drift < 0.0)
+    n = pos.size + 4 * len(drift)
+    f = np.zeros(n + 1)                 # slot n is the zero slot
+    g = np.zeros(n + 1)
+    f[pos] = f0
+    f_slots, g_slots = f[:n], g[:n]
+    neg_abs_drift = np.zeros(n)
+    neg_abs_drift[pos] = -np.abs(drift)
+    half_decay = np.ones(n)
+    half_decay[pos] = np.exp(0.5 * dt * decay)
+    two_dl, half_dt = 2.0 * dl, 0.5 * dt
+    three_f, four_f, k1, k2 = (np.empty(n) for _ in range(4))
+    # no stencil writes slots 0 and 1; they are ghosts (factor 0), so they
+    # stay 0 through the loop's reuse of num as well
+    num = np.zeros(n)
+    num_2, three_f_2, four_f_1 = num[2:], three_f[2:], four_f[1:-1]
+    mul, add, subtract = np.multiply, np.add, np.subtract
+
+    def advection(src: np.ndarray, s: np.ndarray, s_2: np.ndarray,
+                  out: np.ndarray) -> None:
+        """out = -|drift| * d(src)/dl in every slot, in upwind order."""
+        src[ghost] = src[source]
+        mul(s, 3.0, out=three_f)
+        mul(s, 4.0, out=four_f)
+        subtract(three_f_2, four_f_1, out=num_2)
+        add(num_2, s_2, out=num_2)
+        np.divide(num, two_dl, out=num)
+        mul(neg_abs_drift, num, out=out)
+
+    f_2, g_2 = f[:n - 2], g[:n - 2]
+    edges = pos[:, [0, -1]].ravel()     # first and last l columns
+    batch = np.empty((_LEAK_CHECK_STEPS, edges.size))
+    edge_max = np.zeros(edges.size)     # running maximum per edge
+    for done in range(0, n_steps, _LEAK_CHECK_STEPS):
+        history = batch[:n_steps - done]
+        for row in history:
+            f_slots *= half_decay
+            advection(f, f_slots, f_2, k1)
+            mul(k1, dt, out=num)
+            add(f_slots, num, out=g_slots)
+            advection(g, g_slots, g_2, k2)
+            add(k1, k2, out=num)
+            num *= half_dt
+            f_slots += num
+            f_slots *= half_decay
+            # the edges are in range; "raise" would copy through a buffer
+            f.take(edges, out=row, mode="clip")
+        seen = np.abs(history)
+        np.maximum(edge_max, seen.max(axis=0), out=edge_max)
+        step_max = seen.max(axis=1)
+        over = step_max > BOUNDARY_TOL
+        if over.any():
+            i = int(over.argmax())
+            return None, None, (done + i + 1, float(step_max[i]))
+    return f[pos], edge_max.reshape(-1, 2).max(axis=1), None
+
+
 def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
              t: float, dt: float) -> tuple[CharSurface, ...]:
     """Explicit finite-difference evolution of every family's k-slices at once.
@@ -291,30 +380,36 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
     for bit, a k > 0 row read backwards: IEEE rounding is symmetric under
     negation.  Only the rows with k >= 0, ``k_values()[nk // 2:]`` (k = 0
     among them when nk is odd), are stepped; the rows of all ``families``
-    are stacked into one state and one loop, and each full surface is
-    rebuilt by mirroring.  Returns one surface per family, in order.
+    are stacked, and each full surface is rebuilt by mirroring.  Returns one
+    surface per family, in order.
 
     Per step: half decay (exact pointwise factor of the derived c0), one Heun
     step along the drift ``-c1`` with a second-order upwind derivative, half
     decay.  The drift does not depend on time, so the upwind side of every
     point, ``-|drift|`` and the decay factor are fixed before the loop.
 
-    The state lives in one preallocated flat buffer laid out by
-    :func:`_upwind_layout`: each row in upwind order, so every point takes
-    the same backward stencil ``(3f - 4f[j-1] + f[j-2]) / 2dl`` on the slots
-    before it, times ``-|drift|``.  Where the drift is negative this reads
-    the row mirrored and gives, bit for bit, the negative of the forward
-    stencil ``((4f[j+1] - 3f) - f[j+2]) / 2dl`` in l order.  Before each
-    Heun stage the ghost slots copy the values across the turn of each row
-    (zero beyond the l grid); the stencil then reads contiguous slices into
-    preallocated arrays.
+    The rows never couple, so the stack is cut into blocks of contiguous
+    rows of at most :data:`FD_BLOCK_BYTES` per state array (rows of both
+    families may share one), and :func:`_fd_block` runs every step on one
+    block before the next starts; a block's state stays in cache through
+    the whole loop.  A block holds its rows in one preallocated flat buffer
+    laid out by :func:`_upwind_layout`: each row in upwind order, so every
+    point takes the same backward stencil ``(3f - 4f[j-1] + f[j-2]) / 2dl``
+    on the slots before it, times ``-|drift|``.  Where the drift is negative
+    this reads the row mirrored and gives, bit for bit, the negative of the
+    forward stencil ``((4f[j+1] - 3f) - f[j+2]) / 2dl`` in l order.  Before
+    each Heun stage the ghost slots copy the values across the turn of each
+    row (zero beyond the l grid); the stencil then reads contiguous slices
+    into preallocated arrays.
 
     Requires the CFL condition max|drift| * dt <= dl / 2 for every family:
     above it Heun on this stencil amplifies the highest wavenumber by
     ``1 - 4 nu + 8 nu^2 > 1`` (Hundsdorfer & Verwer, *Numerical Solution of
     Time-Dependent Advection-Diffusion-Reaction Equations*, 2003).  Boundary
-    values are monitored after every step, and an excess over
-    :data:`BOUNDARY_TOL` in any row raises :class:`BoundaryLeakError`.  Each
+    values are monitored after every step; at the first step where one in
+    any row exceeds :data:`BOUNDARY_TOL`, :class:`BoundaryLeakError` reports
+    the largest boundary value of all rows up to that step.  A block runs no
+    further than the earliest such step of the blocks before it.  Each
     surface carries its family's CFL number ``nu`` and largest boundary
     value.
     """
@@ -332,10 +427,11 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
     except ValueError as exc:  # the derived c0, c1 are real: an overflow
         raise ConfigError("transport coefficients are not finite on the grid;"
                           " reduce pde.l_max and pde.k_max") from exc
+    f0 = np.exp(-lv * lv / 4.0)
     if t == 0:
         return tuple(
             CharSurface(family, alpha, 0.0, kv, lv,
-                        np.exp(-lv * lv / 4.0)[None, :] * np.ones((len(kv), 1)))
+                        f0[None, :] * np.ones((len(kv), 1)))
             for family in families)
 
     n_steps = step_count(t, dt, "pde.dt", "pde.t")
@@ -350,53 +446,28 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
             raise ConfigError(
                 f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 0.5")
 
-    pos, ghost, source = _upwind_layout(drift < 0.0)
-    n = pos.size + 4 * len(drift)
-    f = np.zeros(n + 1)                 # slot n is the zero slot
-    g = np.zeros(n + 1)
-    f[pos] = np.exp(-lv * lv / 4.0)
-    f_slots, g_slots = f[:n], g[:n]
-    neg_abs_drift = np.zeros(n)
-    neg_abs_drift[pos] = -np.abs(drift)
-    half_decay = np.ones(n)
-    half_decay[pos] = np.exp(0.5 * dt * decay)
-    two_dl, half_dt = 2.0 * grid.dl, 0.5 * dt
-    three_f, four_f, k1, k2 = (np.empty(n) for _ in range(4))
-    # no stencil writes slots 0 and 1; they are ghosts (factor 0), so they
-    # stay 0 through the loop's reuse of num as well
-    num = np.zeros(n)
-
-    def advection(src: np.ndarray, out: np.ndarray) -> None:
-        """out = -|drift| * d(src)/dl in every slot, in upwind order."""
-        src[ghost] = src[source]
-        s = src[:n]
-        np.multiply(s, 3.0, out=three_f)
-        np.multiply(s, 4.0, out=four_f)
-        np.subtract(three_f[2:], four_f[1:-1], out=num[2:])
-        np.add(num[2:], s[:-2], out=num[2:])
-        np.divide(num, two_dl, out=num)
-        np.multiply(neg_abs_drift, num, out=out)
-
-    edges = pos[:, [0, -1]].ravel()     # first and last l columns
-    edge_max = np.zeros(edges.size)     # running maximum per edge
-    for _ in range(n_steps):
-        f_slots *= half_decay
-        advection(f, k1)
-        np.multiply(k1, dt, out=num)
-        np.add(f_slots, num, out=g_slots)
-        advection(g, k2)
-        np.add(k1, k2, out=num)
-        num *= half_dt
-        f_slots += num
-        f_slots *= half_decay
-        np.maximum(edge_max, np.abs(f[edges]), out=edge_max)
-        leak = float(edge_max.max())
-        if leak > BOUNDARY_TOL:
-            raise BoundaryLeakError(
-                f"boundary value {leak:.3e} exceeds tolerance {BOUNDARY_TOL:.1e};"
-                " widen the l grid")
-    leaks = edge_max.reshape(len(families), -1).max(axis=1)
-    values = f[pos].reshape(len(families), rows, -1)
+    block = max(1, FD_BLOCK_BYTES // (8 * (len(lv) + 4)))
+    values = np.empty(drift.shape)
+    leaks = np.empty(len(drift))
+    stop, trips = n_steps, []
+    for r in range(0, len(drift), block):
+        b = slice(r, r + block)
+        out, leak, trip = _fd_block(drift[b], decay[b], f0, dt, grid.dl,
+                                    stop)
+        if trip is None:
+            values[b], leaks[b] = out, leak
+        else:                           # later blocks stop at this step
+            trips.append(trip)
+            stop = trip[0]
+    if trips:
+        # every boundary value before the earliest trip step is within the
+        # limit, so the largest up to it is the largest at it
+        leak = max(value for step, value in trips if step == stop)
+        raise BoundaryLeakError(
+            f"boundary value {leak:.3e} exceeds tolerance {BOUNDARY_TOL:.1e};"
+            " widen the l grid")
+    values = values.reshape(len(families), rows, -1)
+    leaks = leaks.reshape(len(families), -1).max(axis=1)
     return tuple(
         CharSurface(family, alpha, float(t), kv, lv,
                     np.vstack((h[::-1, ::-1][:half], h)),
@@ -412,11 +483,12 @@ Sampler = Callable[[float, float, float], float]
 
 
 def pde_residual(family: str, alpha: float, sampler: Sampler,
-                 t: float, k: float, l: float) -> float:
-    """d/dt - c0*f - c1*d/dl at one point, by central differences.
+                 t: float, k, l):
+    """d/dt - c0*f - c1*d/dl at a point, by central differences.
 
     Near zero for true solutions; the differences take steps h = 1e-4, and
     t >= h is required so the centered time stencil stays in the domain.
+    Accepts scalars or numpy arrays for k and l, if the sampler does.
     """
     _check_family(family)
     h = 1e-4

@@ -23,6 +23,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,15 @@ EXIT_INTERNAL = 3
 #: smaller values at practical steps; the cap keeps the powers of alpha in
 #: the symbolic-coefficient evaluation finite (1e200 ** 2 overflows).
 MAX_ALPHA = 1e6
+
+#: k and l of the points where ``pde`` checks MOC and the residual
+PROBE = (-2.0, -0.5, 0.0, 1.0, 2.5)
+
+#: memory of one sampled row of the variance path: RK4's 16 covariance
+#: floats, the closed form's Python-level (4, 4) array and both tables'
+#: formatted CSV strings.  Peak RSS of ``variances`` grew by 1.46 kB per row
+#: from 2e5 to 4e5 rows (``grid_step = solver.dt``); rounded up
+VARIANCE_ROW_BYTES = 1536
 
 
 @dataclass(frozen=True)
@@ -92,18 +102,19 @@ class RunConfig:
         grid = self.section(charfn.GridSpec)
         oracle = self.section(fock.OracleConfig, alpha=0.0)
         # pre-flight: no one array of a route may exceed physical memory.
-        # Bytes in Python numbers, which cannot overflow: RK4's sampled
-        # covariance rows, at most one per solver.dt, the oracle's uniforms,
-        # one FD surface and the oracle's joint-space operator
-        rk4_rows = min(self.t_max / self.solver_dt,
-                       self.t_max / self.grid_step) + 1
+        # Bytes in Python numbers, which cannot overflow: the variance
+        # tables, one row per sample and at most one per solver.dt, the
+        # oracle's uniforms, one FD surface and the oracle's joint-space
+        # operator
+        variance_rows = min(self.t_max / self.solver_dt,
+                            self.t_max / self.grid_step) + 1
         nk = round(2 * grid.k_max / grid.dk) + 1
         nl = round(2 * grid.l_max / grid.dl) + 1
         joint = oracle.d_at * oracle.d_anc
         memory = _physical_memory()
         for keys, array, size in (
-                ("solver.dt, grid_step", "RK4 covariance rows",
-                 rk4_rows * 16 * 8),
+                ("solver.dt, grid_step", "variance tables",
+                 variance_rows * VARIANCE_ROW_BYTES),
                 ("oracle.dt, oracle.n_traj", "oracle's uniform draws",
                  oracle.n_traj * oracle.n_steps * 8),
                 ("pde.l_max, pde.dl, pde.k_max, pde.dk", "FD surface",
@@ -338,22 +349,19 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, list]:
         surf.to_csv(buf)
         surfaces[f"surface_{family}.csv"] = buf.getvalue()
         summary.append(f"fd max abs error {family}: {err:.6e}")
+    # MOC is the scalar route, one point at a time; the closed form and
+    # the residual take the probe points as arrays
+    kk, ll = (a.ravel() for a in np.meshgrid(PROBE, PROBE, indexing="ij"))
     moc_errors, residuals = [], []
-    probe = [-2.0, -0.5, 0.0, 1.0, 2.5]
     for family in families:
-        for k in probe:
-            for l in probe:
-                m = charfn.moc_solve(family, cfg.alpha, cfg.pde_t, k, l)
-                c = charfn.closed_form_char(family, cfg.alpha, cfg.pde_t, k, l)
-                moc_errors.append(abs(m - c))
-                res = charfn.pde_residual(
-                    family, cfg.alpha,
-                    lambda tt, kk, ll, fam=family: charfn.closed_form_char(
-                        fam, cfg.alpha, tt, kk, ll),
-                    cfg.pde_t, k, l)
-                residuals.append(abs(res))
-    fd_worst, moc_worst, res_worst = map(np.max,
-                                         (fd_errors, moc_errors, residuals))
+        closed = partial(charfn.closed_form_char, family, cfg.alpha)
+        moc = [charfn.moc_solve(family, cfg.alpha, cfg.pde_t, k, l)
+               for k, l in zip(kk.tolist(), ll.tolist())]
+        moc_errors.append(np.abs(np.subtract(moc, closed(cfg.pde_t, kk, ll))))
+        residuals.append(np.abs(charfn.pde_residual(
+            family, cfg.alpha, closed, cfg.pde_t, kk, ll)))
+    fd_worst, moc_worst, res_worst = (np.max(np.hstack(errors)) for errors in
+                                      (fd_errors, moc_errors, residuals))
     summary.append(f"moc max abs error: {moc_worst:.6e}")
     summary.append(f"closed-form residual max: {res_worst:.6e}")
     summary.extend(health)

@@ -395,18 +395,107 @@ def test_fd_joint_call_raises_at_the_earlier_leak(monkeypatch):
                 leaky = mid
         return leaky
 
-    step_f, step_g = first_leak(("F",)), first_leak(("G",))
-    assert 1 < step_g < step_f < 512
-    assert first_leak(FAMILIES) == first_leak(FAMILIES[::-1]) == step_g
-    with pytest.raises(BoundaryLeakError) as single:
-        fd_solve(("G",), 1.0, grid, step_g * dt, dt)
-    with pytest.raises(BoundaryLeakError) as joint:
-        fd_solve(FAMILIES, 1.0, grid, step_g * dt, dt)
-    assert str(joint.value) == str(single.value)
-    before = fd_solve(FAMILIES, 1.0, grid, (step_g - 1) * dt, dt)
-    for surf in before:
-        (alone,) = fd_solve((surf.family,), 1.0, grid, (step_g - 1) * dt, dt)
-        assert surf.boundary_max == alone.boundary_max
+    # row blocks of one row (of 245 slots), of two rows (a block of F and G
+    # rows between blocks of one family) and the default (one block): a
+    # later block may trip before the blocks run ahead of it
+    for budget in (8 * 245, 8 * 2 * 245, charfn.FD_BLOCK_BYTES):
+        monkeypatch.setattr(charfn, "FD_BLOCK_BYTES", budget)
+        step_f, step_g = first_leak(("F",)), first_leak(("G",))
+        assert (step_g, step_f) == (86, 309)
+        assert first_leak(FAMILIES) == first_leak(FAMILIES[::-1]) == step_g
+        with pytest.raises(BoundaryLeakError) as single:
+            fd_solve(("G",), 1.0, grid, step_g * dt, dt)
+        with pytest.raises(BoundaryLeakError) as joint:
+            fd_solve(FAMILIES, 1.0, grid, step_g * dt, dt)
+        assert str(joint.value) == str(single.value) == (
+            "boundary value 1.019e-03 exceeds tolerance 1.0e-03;"
+            " widen the l grid")
+        # past F's trip too: in F, G order F's blocks trip first, at 309,
+        # and G's blocks then trip earlier; the error is still G's at 86
+        for families in (FAMILIES, FAMILIES[::-1]):
+            with pytest.raises(BoundaryLeakError) as longer:
+                fd_solve(families, 1.0, grid, 400 * dt, dt)
+            assert str(longer.value) == str(single.value)
+        before = fd_solve(FAMILIES, 1.0, grid, (step_g - 1) * dt, dt)
+        for surf in before:
+            (alone,) = fd_solve((surf.family,), 1.0, grid,
+                                (step_g - 1) * dt, dt)
+            assert surf.boundary_max == alone.boundary_max
+
+
+def _record_blocks(monkeypatch):
+    """(rows, trip) of every ``_fd_block`` call from now on."""
+    blocks, block = [], charfn._fd_block
+
+    def recorded(drift, *args):
+        result = block(drift, *args)
+        blocks.append((len(drift), result[2]))
+        return result
+
+    monkeypatch.setattr(charfn, "_fd_block", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("batch", (1, 5, 32, 1000))
+def test_fd_leak_found_in_a_partial_last_batch(batch, monkeypatch):
+    # F trips at step 309 of this grid (test_fd_boundary_leak_on_same_step).
+    # A run of 309 steps trips at its last step, in a last batch that is
+    # not full for every batch size but 1 (at 1000 the run is one partial
+    # batch); a run of 311 steps trips two steps before its end
+    monkeypatch.setattr(charfn, "_LEAK_CHECK_STEPS", batch)
+    monkeypatch.setattr(charfn, "FD_BLOCK_BYTES", 8 * 245)
+    blocks = _record_blocks(monkeypatch)
+    grid, dt = GridSpec(l_max=6.0, dl=0.05, k_max=1.0, dk=0.5), 1e-3
+    messages = set()
+    for n_steps in (309, 311):
+        with pytest.raises(BoundaryLeakError) as info:
+            fd_solve(FAMILIES, 1.0, grid, n_steps * dt, dt)
+        messages.add(str(info.value))
+    assert messages == {
+        "boundary value 1.005e-03 exceeds tolerance 1.0e-03; widen the l grid"}
+    assert {trip[0] for _, trip in blocks if trip is not None} == {309}
+    # one step before the trip, the surfaces are those of the defaults
+    batched = fd_solve(FAMILIES, 1.0, grid, 308 * dt, dt)
+    monkeypatch.undo()
+    for surf, ref in zip(batched, fd_solve(FAMILIES, 1.0, grid, 308 * dt, dt)):
+        assert np.array_equal(surf.values, ref.values)
+        assert surf.boundary_max == ref.boundary_max
+
+
+# nine k rows, |k| up to 4 > alpha * l_max: rows with inflow, outflow and
+# k = 0; 5 rows of 85 slots per family
+BLOCK_GRID = GridSpec(l_max=4.0, dl=0.1, k_max=4.0, dk=1.0)
+
+
+@pytest.mark.parametrize("rows, sizes", ((1, [1] * 10), (3, [3, 3, 3, 1]),
+                                         (4, [4, 4, 2]), (10, [10])))
+def test_fd_row_blocks_match_one_block(rows, sizes, monkeypatch):
+    # the rows never couple: any cut into blocks, across the families too,
+    # steps every row exactly as one block does
+    monkeypatch.setattr(charfn, "BOUNDARY_TOL", 1.0)
+    whole = fd_solve(FAMILIES, 0.7, BLOCK_GRID, 0.2, 0.005)
+    blocks = _record_blocks(monkeypatch)
+    monkeypatch.setattr(charfn, "FD_BLOCK_BYTES", rows * 85 * 8 + 7)
+    cut = fd_solve(FAMILIES, 0.7, BLOCK_GRID, 0.2, 0.005)
+    assert [n_rows for n_rows, _ in blocks] == sizes
+    for surf, ref in zip(cut, whole):
+        assert np.array_equal(surf.values, ref.values)
+        assert np.array_equal(np.signbit(surf.values), np.signbit(ref.values))
+        assert surf.cfl == ref.cfl
+        assert surf.boundary_max == ref.boundary_max
+
+
+@pytest.mark.parametrize("grid, sizes", (
+    # compare's grid and the pde_grid benchmark's: one block each
+    (GridSpec(l_max=10.0, dl=0.02, k_max=2.0, dk=1.0), [6]),
+    (GridSpec(l_max=8.0, dl=0.02, k_max=0.1, dk=0.02), [12]),
+    # the default pde grid: 802 rows in blocks of 40
+    (GridSpec(l_max=8.0, dl=0.02, k_max=8.0, dk=0.02), [40] * 20 + [2]),
+), ids=("compare", "pde_grid", "default"))
+def test_fd_block_sizes(grid, sizes, monkeypatch):
+    blocks = _record_blocks(monkeypatch)
+    fd_solve(FAMILIES, 1.0, grid, 4e-4, 4e-4)
+    assert [n_rows for n_rows, _ in blocks] == sizes
 
 
 def test_upwind_layout_slots():
@@ -490,6 +579,48 @@ def test_surface_csv_matches_per_row_formatting(monkeypatch):
     lines = buf.getvalue().split("\n")
     assert lines[2:] == rows + [""]
     assert buf.tell() == len(buf.getvalue())
+
+
+def _reference_csv_body(surf):
+    """The lines after the header, each number formatted on its own line."""
+    return "".join("{:.12g},{:.12g},{:.12g}\n".format(k, l, surf.values[i, j])
+                   for i, k in enumerate(surf.k_values)
+                   for j, l in enumerate(surf.l_values))
+
+
+def _hand_built(values):
+    nk, nl = values.shape
+    return CharSurface("F", 1.0, 0.1, np.linspace(-1.0, 1.0, nk),
+                       np.linspace(-2.0, 2.0, nl), values)
+
+
+# odd nk (k = 0 among the rows) and even nk (k_max 0.5, dk 0.2: six rows)
+CSV_GRIDS = (GridSpec(l_max=8.0, dl=0.1, k_max=0.5, dk=0.25),
+             GridSpec(l_max=8.0, dl=0.1, k_max=0.5, dk=0.2))
+ODD = np.random.default_rng(7).normal(size=(3, 4))
+# -0.0 and 0.0 are == but print differently: only the bits make it even
+SIGNED_ZEROS = np.array([[-0.0, 0.5, 0.0], [1.0, 2.0, 1.0], [0.0, 0.5, 0.0]])
+
+
+@pytest.mark.parametrize("surf", [
+    *(s for grid in CSV_GRIDS for s in fd_solve(FAMILIES, 0.7, grid, 0.1,
+                                                0.01)),
+    closed_form_surface("G", 0.3, 0.5, CSV_GRIDS[1]),
+    _hand_built(ODD),
+    _hand_built(SIGNED_ZEROS),
+    _hand_built(np.where(SIGNED_ZEROS == 0, -0.0, SIGNED_ZEROS)),
+    _hand_built(np.array([[1.0, 3.0, 1.0]])),
+], ids=("odd_nk_F", "odd_nk_G", "even_nk_F", "even_nk_G", "closed_form",
+        "not_even", "signed_zeros", "negative_zeros", "one_row"))
+def test_surface_csv_bytes_match_a_per_line_writer(surf):
+    # even surfaces format each value once per mirrored pair, the others
+    # every value; both must write what one format call per line writes
+    buf = io.StringIO()
+    surf.to_csv(buf)
+    header, columns, body = buf.getvalue().split("\n", 2)
+    assert header.startswith(f"# family={surf.family} ")
+    assert columns == "k,l,value"
+    assert body == _reference_csv_body(surf)
 
 
 def test_surface_csv_dump():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 from doublepass import charfn, cli, fock, gaussian, ito
@@ -227,9 +228,9 @@ def test_validate_names_the_config_key():
 
 
 @pytest.mark.parametrize("argv, config, message", [
-    # 1e12 sampled rows of 16 floats, 128 TB
+    # 1e12 sampled rows of 1 536 B, 1.5 PB
     (("variances",), "grid_step = 1e-12\nsolver.dt = 1e-12\n",
-     r"solver\.dt, grid_step: the RK4 covariance rows"),
+     r"solver\.dt, grid_step: the variance tables"),
     # 400 x 5e8 uniforms, 1.6 TB
     (("oracle",), "oracle.dt = 1e-9\n",
      r"oracle\.dt, oracle\.n_traj: the oracle's uniform draws"),
@@ -260,21 +261,22 @@ def test_array_estimate_is_exact_bytes(monkeypatch):
     # leave each of the first two rows the largest array in turn
     small = dict(pde_l_max=0.02, pde_dl=0.02, pde_k_max=0.02, pde_dk=0.02,
                  oracle_d_at=4, oracle_d_anc=2)
-    # the default RK4 rows are 101 samples x 16 x 8 B, more than the
-    # oracle's 100 x 10 x 8 B uniforms at n_traj 100 and t_max 0.01
+    # the default variance tables are 101 rows x VARIANCE_ROW_BYTES, more
+    # than the oracle's 100 x 10 x 8 B uniforms at n_traj 100, t_max 0.01
+    row = cli.VARIANCE_ROW_BYTES
     cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, **small)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * 128)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * row)
     cfg.validate()
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * 128 - 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * row - 1)
     with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
         cfg.validate()
     # below solver.dt a grid_step counts one row per step, 10 001, and
     # t_max / 1e-320 overflows to inf without an error
     cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, grid_step=1e-320,
                     **small)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * 128)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * row)
     cfg.validate()
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * 128 - 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * row - 1)
     with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
         cfg.validate()
     cfg = RunConfig(t_max=0.001, oracle_n_traj=100, **small)
@@ -283,9 +285,11 @@ def test_array_estimate_is_exact_bytes(monkeypatch):
     monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 500 * 8 - 1)
     with pytest.raises(ConfigError, match=r"^oracle\.dt, oracle\.n_traj: "):
         cfg.validate()
-    # the defaults: an 801 x 801 FD surface, 5 132 808 B, is the largest;
-    # then the 90 x 90 complex joint-space operator, 129 600 B, over the
-    # RK4 rows (12 928 B) and the uniforms at oracle.t_max 0.01 (8 000 B)
+    # the defaults: an 801 x 801 FD surface, 5 132 808 B, is the largest,
+    # over the variance tables (155 136 B); at grid_step 0.1 the 90 x 90
+    # complex joint-space operator, 129 600 B, is the largest, over the
+    # variance tables (16 896 B) and the uniforms at oracle.t_max 0.01
+    # (8 000 B)
     cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 801 * 801 * 8)
     cfg.validate()
@@ -293,13 +297,32 @@ def test_array_estimate_is_exact_bytes(monkeypatch):
     with pytest.raises(ConfigError, match=r"^pde\.l_max, pde\.dl, pde\.k_max,"
                                           r" pde\.dk: "):
         cfg.validate()
-    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01,
+    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, grid_step=0.1,
                     **{**small, "oracle_d_at": 30, "oracle_d_anc": 3})
     monkeypatch.setattr(cli, "_physical_memory", lambda: 90 * 90 * 16)
     cfg.validate()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 90 * 90 * 16 - 1)
     with pytest.raises(ConfigError, match=r"^oracle\.d_at, oracle\.d_anc: "):
         cfg.validate()
+
+
+def test_variance_path_that_cannot_fit_exits_2(tmp_path, monkeypatch, capsys):
+    # grid_step = solver.dt = 1e-7: 10^7 + 1 rows, about 15 GB of variance
+    # tables (10^6 rows peaked at 1.43 GB), more than an 8 GiB machine has;
+    # 10^6 rows pass.  Only the estimate runs: nothing is allocated
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2 ** 30)
+    RunConfig(grid_step=1e-6, solver_dt=1e-6).validate()
+    # checked before main, which would run the tables if load let them by
+    with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
+        RunConfig(grid_step=1e-7, solver_dt=1e-7).validate()
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("grid_step = 1e-7\nsolver.dt = 1e-7\n")
+    for command in ("variances", "compare"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]) == EXIT_CONFIG
+        assert "solver.dt, grid_step: the variance tables would take" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / command).exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,6 +481,28 @@ def test_pde_summary_appends_fd_health(tmp_path):
     assert lines[-2] == f"fd cfl G: {surf.cfl:.6e}"
     assert lines[-1] == f"fd boundary max G: {surf.boundary_max:.6e}"
     assert surf.cfl == 1.0 * 5e-4 / 0.05
+
+
+@pytest.mark.parametrize("alpha", (0.0, 1e-3, 1.0, 100.0))
+@pytest.mark.parametrize("family", ("F", "G"))
+def test_probe_checks_on_arrays_match_point_calls(family, alpha):
+    # pde_outputs takes the closed form and the residual on the probe
+    # arrays at once: each entry must be the point call's value, bit for bit
+    kk, ll = np.meshgrid(cli.PROBE, cli.PROBE, indexing="ij")
+    kk, ll = kk.ravel(), ll.ravel()
+    points = list(zip(kk.tolist(), ll.tolist()))
+
+    def closed(tt, k, l):
+        return charfn.closed_form_char(family, alpha, tt, k, l)
+
+    for t in (0.05, 0.5):
+        at_once = closed(t, kk, ll)
+        residual = charfn.pde_residual(family, alpha, closed, t, kk, ll)
+        assert at_once.tobytes() == np.array(
+            [closed(t, k, l) for k, l in points]).tobytes()
+        assert residual.tobytes() == np.array(
+            [charfn.pde_residual(family, alpha, closed, t, k, l)
+             for k, l in points]).tobytes()
 
 
 def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
