@@ -83,7 +83,8 @@ class CharSurface:
 
     Surfaces from :func:`fd_solve` also carry the solver's health numbers:
     the CFL number ``max|drift| dt / dl`` and the largest boundary value
-    the leak monitor saw; both are ``None`` for other routes.
+    the leak monitor saw (0.0 when no step ran); both are ``None`` only for
+    the closed form.
     """
 
     family: str
@@ -231,8 +232,6 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
     _check_family(family)
     if t < 0:
         raise ConfigError("t must be nonnegative")
-    if t == 0:
-        return math.exp(-l * l / 4.0)
 
     pde = double_pass_derivation().transport[family]
     beta, gamma = (-pde.c1.l_coefficient(n).evaluate_real(a=alpha, k=k)
@@ -428,12 +427,6 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
         raise ConfigError("transport coefficients are not finite on the grid;"
                           " reduce pde.l_max and pde.k_max") from exc
     f0 = np.exp(-lv * lv / 4.0)
-    if t == 0:
-        return tuple(
-            CharSurface(family, alpha, 0.0, kv, lv,
-                        f0[None, :] * np.ones((len(kv), 1)))
-            for family in families)
-
     n_steps = step_count(t, dt, "pde.dt", "pde.t")
     decay = np.concatenate([np.broadcast_to(c0, kk.shape) for c0, _ in coeffs])
     drift = np.concatenate([np.broadcast_to(-c1, kk.shape)

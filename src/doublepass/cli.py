@@ -9,6 +9,11 @@ Commands:
 * ``oracle``    -- run the truncated-Fock oracle and write its CSV
 * ``compare``   -- run every route at shared parameters and cross-check
 
+Each command computes its outputs and does no I/O: it returns its
+artifacts (file name -> text), its stdout text and its exit code, and
+:func:`main` alone writes the files, then stdout.  A command that fails
+(exit 2 or 3) writes nothing.
+
 Configuration is a flat ``section.key = value`` text file with CLI-flag
 overrides; unknown and repeated keys are rejected.  Exit codes: 0 success,
 1 tolerance failure, 2 configuration error, 3 internal error.
@@ -46,6 +51,10 @@ MAX_ALPHA = 1e6
 
 #: k and l of the points where ``pde`` checks MOC and the residual
 PROBE = (-2.0, -0.5, 0.0, 1.0, 2.5)
+
+#: what a command returns: its artifacts (file name -> text), its stdout
+#: text and its exit code
+Outputs = tuple[dict[str, str], str, int]
 
 #: memory of one sampled row of the variance path: RK4's 16 covariance
 #: floats, the closed form's Python-level (4, 4) array and both tables'
@@ -261,11 +270,9 @@ def _write_text(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_derive(cfg: RunConfig) -> int:
+def cmd_derive(cfg: RunConfig) -> Outputs:
     report = derivation_report()
-    _write_text(Path(cfg.out) / "derivation.txt", report)
-    sys.stdout.write(report)
-    return EXIT_OK
+    return {"derivation.txt": report}, report, EXIT_OK
 
 
 def _variance_tables(cfg: RunConfig) -> tuple[dict[str, np.ndarray],
@@ -319,20 +326,20 @@ def variances_csv(closed: dict[str, np.ndarray],
     return "\n".join([header, *lines]) + "\n"
 
 
-def cmd_variances(cfg: RunConfig) -> int:
+def cmd_variances(cfg: RunConfig) -> Outputs:
     closed, ode, _ = _variance_tables(cfg)
-    _write_text(Path(cfg.out) / "variances.csv", variances_csv(closed, ode))
-    return EXIT_OK
+    return {"variances.csv": variances_csv(closed, ode)}, "", EXIT_OK
 
 
-def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, list]:
-    """Surface CSVs, a deterministic summary and the MOC, FD, residual checks.
+def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], list]:
+    """Artifacts and the MOC, FD, residual checks: the surface CSVs, then a
+    deterministic summary as ``pde_summary.txt``.
 
     The summary ends with the FD health numbers of each family: the CFL
     number and the largest boundary value the leak monitor saw.
     """
     grid = cfg.section(charfn.GridSpec)
-    surfaces: dict[str, str] = {}
+    artifacts: dict[str, str] = {}
     fd_errors = []
     summary = [f"pde summary: alpha={_fmt(cfg.alpha)} t={_fmt(cfg.pde_t)}"]
     health = []
@@ -347,7 +354,7 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, list]:
         fd_errors.append(err)
         buf = io.StringIO()
         surf.to_csv(buf)
-        surfaces[f"surface_{family}.csv"] = buf.getvalue()
+        artifacts[f"surface_{family}.csv"] = buf.getvalue()
         summary.append(f"fd max abs error {family}: {err:.6e}")
     # MOC is the scalar route, one point at a time; the closed form and
     # the residual take the probe points as arrays
@@ -365,26 +372,22 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], str, list]:
     summary.append(f"moc max abs error: {moc_worst:.6e}")
     summary.append(f"closed-form residual max: {res_worst:.6e}")
     summary.extend(health)
+    artifacts["pde_summary.txt"] = "\n".join(summary) + "\n"
     checks = [
         _check("moc_vs_closed_form", "max abs err", moc_worst, cfg.tol_moc_abs),
         _check("fd_vs_closed_form", "max abs err", fd_worst, cfg.tol_pde_abs),
         _check("closed_form_residual", "max residual", res_worst,
                cfg.tol_residual)]
-    return surfaces, "\n".join(summary) + "\n", checks
+    return artifacts, checks
 
 
-def cmd_pde(cfg: RunConfig) -> int:
-    surfaces, summary, checks = pde_outputs(cfg)
-    out = Path(cfg.out)
-    for name, text in {**surfaces, "pde_summary.txt": summary}.items():
-        _write_text(out / name, text)
+def cmd_pde(cfg: RunConfig) -> Outputs:
+    artifacts, checks = pde_outputs(cfg)
     report, code = _report(checks)
-    sys.stdout.write(summary + report)
-    return code
+    return artifacts, artifacts["pde_summary.txt"] + report, code
 
 
-def _oracle_runs(cfg: RunConfig) -> tuple[fock.OracleConfig,
-                                          fock.AtomMomentSeries,
+def _oracle_runs(cfg: RunConfig) -> tuple[fock.AtomMomentSeries,
                                           list[fock.TrajectoryStats]]:
     """The configured oracle: one atom-moment run, one homodyne series."""
     ocfg = cfg.section(fock.OracleConfig)
@@ -392,7 +395,7 @@ def _oracle_runs(cfg: RunConfig) -> tuple[fock.OracleConfig,
     # a grid_step at or below oracle.dt samples every step; the cap keeps a
     # tiny grid_step from overflowing the count
     n_samples = max(1, round(min(ocfg.t_max / cfg.grid_step, ocfg.n_steps)))
-    return ocfg, atoms, fock.homodyne_series(ocfg, n_samples)
+    return atoms, fock.homodyne_series(ocfg, n_samples)
 
 
 def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
@@ -424,10 +427,9 @@ def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
     return "\n".join([header, *lines]) + "\n"
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    _, atoms, stats = _oracle_runs(cfg)
-    _write_text(Path(cfg.out) / "oracle.csv", oracle_csv(cfg, atoms, stats))
-    return EXIT_OK
+def cmd_oracle(cfg: RunConfig) -> Outputs:
+    atoms, stats = _oracle_runs(cfg)
+    return {"oracle.csv": oracle_csv(cfg, atoms, stats)}, "", EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +437,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[bool, str]],
-                                             dict[str, str]]:
+def cmd_compare(cfg: RunConfig) -> Outputs:
     artifacts: dict[str, str] = {}
 
     # 1-3. series product, I/O relations, transport coefficients, exact
@@ -465,14 +466,13 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[bool, str]],
 
     # 5-7. PDE routes
     pde_cfg = replace(cfg, pde_k_max=2.0, pde_dk=1.0, pde_l_max=10.0)
-    surfaces, summary, pde_checks = pde_outputs(pde_cfg)
-    artifacts.update(surfaces)
-    artifacts["pde_summary.txt"] = summary
+    pde_artifacts, pde_checks = pde_outputs(pde_cfg)
+    artifacts.update(pde_artifacts)
     checks.extend(pde_checks)
 
     # 8. oracle, atomic moments (deterministic budget)
-    ocfg, atoms, series = _oracle_runs(cfg)
-    closed = gaussian.closed_form_covariances(ocfg.alpha, ocfg.t_max)
+    atoms, series = _oracle_runs(cfg)
+    closed = gaussian.closed_form_covariances(cfg.alpha, cfg.oracle_t_max)
     rel_p = gaussian.relative_error(atoms.var_p[-1],
                                     closed.entry("p_at", "p_at"))
     rel_x = gaussian.relative_error(atoms.var_x[-1],
@@ -483,7 +483,7 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[bool, str]],
 
     # 9. oracle, homodyne variance (statistical budget), at the final time
     st = series[-1]
-    field = ("X_ph" if ocfg.phase == fock.PHASE_X else "P_ph")
+    field = ("X_ph" if cfg.oracle_phase == fock.PHASE_X else "P_ph")
     ref = closed.entry(field, field)
     checks.append(_check("oracle_homodyne",
                          f"|Var(y)/2 - sigma2| (n={st.n})",
@@ -497,19 +497,10 @@ def _compare_checks(cfg: RunConfig) -> tuple[list[tuple[bool, str]],
     checks.append(_check("oracle_vacuum_control", "|Var(y) - t|",
                          abs(st0.variance - c0.t_max),
                          cfg.tol_oracle_sigma * st0.stderr_var))
-    return checks, artifacts
-
-
-def cmd_compare(cfg: RunConfig) -> int:
-    checks, artifacts = _compare_checks(cfg)
     report, code = _report(checks)
     artifacts["derivation.txt"] = derivation_report()
     artifacts["compare_report.txt"] = report
-    out = Path(cfg.out)
-    for name, text in artifacts.items():
-        _write_text(out / name, text)
-    sys.stdout.write(report)
-    return code
+    return artifacts, report, code
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +550,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = load_config(args)
-        return _COMMANDS[args.command](cfg)
+        artifacts, stdout, code = _COMMANDS[args.command](cfg)
+        for name, text in artifacts.items():
+            _write_text(Path(cfg.out) / name, text)
+        sys.stdout.write(stdout)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

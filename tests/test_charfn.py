@@ -547,8 +547,18 @@ def test_fd_cfl_limit():
 
 def test_fd_health_only_on_fd_surfaces():
     grid = GridSpec(l_max=8.0, dl=0.1, k_max=1.0, dk=0.5)
-    assert fd_solve(("F",), 1.0, grid, 0.0, 0.01)[0].cfl is None
-    assert closed_form_surface("F", 1.0, 0.5, grid).boundary_max is None
+    # at t = 0 no step runs: every row is the initial value, bit for bit,
+    # and the surface still carries its health (F drift 9 at l = 8, k = -1:
+    # CFL 0.45 at dt 0.005, 0.9 at dt 0.01)
+    (surf,) = fd_solve(("F",), 1.0, grid, 0.0, 0.005)
+    lv = grid.l_values()
+    for row in surf.values:
+        assert np.array_equal(row, np.exp(-lv * lv / 4.0))
+    assert surf.cfl == pytest.approx(0.45) and surf.boundary_max == 0.0
+    with pytest.raises(ConfigError, match="CFL"):
+        fd_solve(("F",), 1.0, grid, 0.0, 0.01)
+    closed = closed_form_surface("F", 1.0, 0.5, grid)
+    assert closed.cfl is None and closed.boundary_max is None
 
 
 def test_surface_shape_guard_survives_optimize_flag():

@@ -572,6 +572,56 @@ def test_fixable_by_config_exit_code(tmp_path, command, config, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+def test_internal_error_exits_3_and_writes_nothing(tmp_path, monkeypatch,
+                                                  capsys):
+    # the alpha = 0 homodyne control is the last thing compare computes
+    def fail(config):
+        raise RuntimeError("control failed")
+
+    monkeypatch.setattr(fock, "homodyne_monte_carlo", fail)
+    out = tmp_path / "out"
+    assert main(["compare", "--out", str(out)]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err
+    assert "RuntimeError: control failed" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+#: the check lines ``pde`` prints after its summary
+PDE_CHECKS = ("PASS moc_vs_closed_form: ", "PASS fd_vs_closed_form: ",
+              "PASS closed_form_residual: ", "result: OK")
+
+
+@pytest.mark.parametrize("command, files, echoed", [
+    ("derive", ["derivation.txt"], "derivation.txt"),
+    ("variances", ["variances.csv"], None),
+    ("oracle", ["oracle.csv"], None),
+    ("pde", ["pde_summary.txt", "surface_F.csv", "surface_G.csv"],
+     "pde_summary.txt"),
+    ("compare", ["compare_report.txt", "derivation.txt", "oracle.csv",
+                 "pde_summary.txt", "surface_F.csv", "surface_G.csv",
+                 "variances.csv"], "compare_report.txt"),
+], ids=["derive", "variances", "oracle", "pde", "compare"])
+def test_each_command_writes_its_files_and_stdout(tmp_path, capsys, command,
+                                                   files, echoed):
+    # stdout is the text of the file ``echoed`` (empty without one); pde
+    # adds its check lines
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pde.k_max = 0.1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == files
+    printed = capsys.readouterr().out
+    echo = "" if echoed is None else (out / echoed).read_text()
+    assert printed.startswith(echo)
+    checks = printed[len(echo):].splitlines()
+    expected = PDE_CHECKS if command == "pde" else ()
+    assert len(checks) == len(expected)
+    assert all(map(str.startswith, checks, expected))
+
+
 @pytest.mark.parametrize("config, key", [
     ("oracle.d_at = 2\n", "oracle.d_at"),
     ("oracle.n_traj = 10\n", "oracle.n_traj"),

@@ -61,6 +61,30 @@ def test_every_public_module_constant_is_used_in_src():
     assert unused == []
 
 
+def _stdout_or_file_writes(tree) -> list[ast.Call]:
+    """Calls of ``_write_text``, ``sys.stdout.write`` and a ``print`` to
+    stdout (no ``file=``) in ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (ast.unparse(node.func) in ("_write_text", "sys.stdout.write")
+                 or (ast.unparse(node.func) == "print"
+                     and all(kw.arg != "file" for kw in node.keywords)))]
+
+
+def test_only_main_writes_files_and_stdout():
+    # commands return their artifacts, stdout and exit code; cli.main alone
+    # writes them, so a run that fails writes nothing
+    main = next(node for node in MODULES[SRC / "cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = _stdout_or_file_writes(main)
+    elsewhere = [f"{path.name}:{call.lineno}"
+                 for path, tree in MODULES.items()
+                 for call in _stdout_or_file_writes(tree)
+                 if all(call is not own for own in in_main)]
+    assert elsewhere == []
+    assert sorted(ast.unparse(call.func) for call in in_main) == [
+        "_write_text", "sys.stdout.write"]
+
+
 def test_no_assert_statement_in_src():
     # runtime guards must be real exceptions: python -O strips asserts
     found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
