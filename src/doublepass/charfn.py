@@ -28,12 +28,15 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, step_count
-from .gaussian import closed_form_covariances
+from .gaussian import SECTORS, closed_form_covariances
 from .ito import FAMILY_F, FAMILY_G, double_pass_derivation
 
 
 #: largest boundary value the FD leak monitor accepts
 BOUNDARY_TOL = 1e-3
+
+#: step of the residual check's central differences; it needs t >= the step
+RESIDUAL_H = 1e-4
 
 #: bytes of one FD state array per row block: 40 rows at nl 801, so the
 #: nine arrays of a block stay in a 2 MiB L2 through the whole time loop
@@ -142,20 +145,16 @@ def _check_family(family: str) -> None:
 
 def closed_form_char(family: str, alpha: float, t: float,
                      k, l):
-    """Gaussian closed form, built from the covariance formulas.
+    """Gaussian closed form, built from the covariances of the family's sector.
 
     Accepts scalars or numpy arrays for k and l.
     """
     _check_family(family)
     snap = closed_form_covariances(alpha, t)
-    if family == FAMILY_F:
-        s_ll = snap.entry("p_at", "p_at")
-        s_kl = snap.entry("p_at", "X_ph")
-        s_kk = snap.entry("X_ph", "X_ph")
-    else:
-        s_ll = snap.entry("x_at", "x_at")
-        s_kl = snap.entry("x_at", "P_ph")
-        s_kk = snap.entry("P_ph", "P_ph")
+    atom, field = SECTORS[family]
+    s_ll = snap.entry(atom, atom)
+    s_kl = snap.entry(atom, field)
+    s_kk = snap.entry(field, field)
     k = np.asarray(k, dtype=float)
     l = np.asarray(l, dtype=float)
     out = np.exp(-0.5 * (s_ll * l * l + 2.0 * s_kl * k * l + s_kk * k * k))
@@ -479,14 +478,15 @@ def pde_residual(family: str, alpha: float, sampler: Sampler,
                  t: float, k, l):
     """d/dt - c0*f - c1*d/dl at a point, by central differences.
 
-    Near zero for true solutions; the differences take steps h = 1e-4, and
-    t >= h is required so the centered time stencil stays in the domain.
+    Near zero for true solutions; the differences take steps h = RESIDUAL_H,
+    and t >= h is required so the centered time stencil stays in the domain.
     Accepts scalars or numpy arrays for k and l, if the sampler does.
     """
     _check_family(family)
-    h = 1e-4
+    h = RESIDUAL_H
     if t < h:
-        raise ConfigError("need t >= h for the centered time stencil")
+        raise ConfigError(f"need t >= h for the centered time stencil:"
+                          f" t = {t:.3g}, h = {h:.3g}")
     c0, c1 = double_pass_derivation().transport[family].evaluate(
         alpha, k, l)
     df_dt = (sampler(t + h, k, l) - sampler(t - h, k, l)) / (2.0 * h)

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import charfn, fock, gaussian
 from .errors import ConfigError
-from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, derivation_report,
-                  double_pass_derivation)
+from .ito import PAPER_FORMS, derivation_report, double_pass_derivation
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -106,6 +105,10 @@ class RunConfig:
                     f"parameter {_config_key(f.name)} must be positive")
         if self.alpha > MAX_ALPHA:
             raise ConfigError(f"alpha must not exceed {MAX_ALPHA:.0e}")
+        if self.pde_t < charfn.RESIDUAL_H:
+            raise ConfigError(
+                f"parameter pde.t must be at least {charfn.RESIDUAL_H:.0e},"
+                " the step of the residual check's time stencil")
         # the route configs check their sections; at alpha = 0 the oracle's
         # step bound on alpha^2 * oracle.dt waits for its run, as the CFL does
         grid = self.section(charfn.GridSpec)
@@ -287,10 +290,13 @@ def _variance_tables(cfg: RunConfig) -> tuple[dict[str, np.ndarray],
             traj.cross_sector)
 
 
-def _csv_lines(columns: list) -> list[str]:
-    """One formatted CSV line per row of equally long columns."""
-    return [",".join(map(_fmt, row))
-            for row in zip(*(np.asarray(col).tolist() for col in columns))]
+def _table_csv(table: dict[str, np.ndarray], extra: dict[str, list]) -> str:
+    """CSV of the :data:`gaussian.CSV_COLUMNS` of ``table``, then each
+    ``extra`` column under its own name: a header, one line per row."""
+    columns = {**{c: table[c] for c in gaussian.CSV_COLUMNS}, **extra}
+    lines = [",".join(map(_fmt, row)) for row in
+             zip(*(np.asarray(col).tolist() for col in columns.values()))]
+    return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 def _check(name: str, what: str, value: float,
@@ -319,11 +325,7 @@ def _report(checks: list[tuple[bool, str]]) -> tuple[str, int]:
 def variances_csv(closed: dict[str, np.ndarray],
                   ode: dict[str, np.ndarray]) -> str:
     """The closed-form variance table plus ode_* columns from the RK4 one."""
-    header = ",".join(gaussian.CSV_COLUMNS
-                      + tuple(f"ode_{c}" for c in gaussian.PUBLISHED))
-    lines = _csv_lines([closed[c] for c in gaussian.CSV_COLUMNS]
-                       + [ode[c] for c in gaussian.PUBLISHED])
-    return "\n".join([header, *lines]) + "\n"
+    return _table_csv(closed, {f"ode_{c}": ode[c] for c in gaussian.PUBLISHED})
 
 
 def cmd_variances(cfg: RunConfig) -> Outputs:
@@ -415,16 +417,12 @@ def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
     field_col = ("var_x_ph_norm" if cfg.oracle_phase == fock.PHASE_X
                  else "var_p_ph_norm")
     table[field_col] = [st.variance / 2.0 / st.time for st in stats]
-    extra = {
+    return _table_csv(table, {
         "stderr_var_field_norm": [st.stderr_var / 2.0 / st.time
                                   for st in stats],
         "stderr_mean_record": [st.stderr_mean for st in stats],
         "n_traj": [st.n for st in stats],
-    }
-    header = ",".join(gaussian.CSV_COLUMNS + tuple(extra))
-    lines = _csv_lines([table[c] for c in gaussian.CSV_COLUMNS]
-                       + list(extra.values()))
-    return "\n".join([header, *lines]) + "\n"
+    })
 
 
 def cmd_oracle(cfg: RunConfig) -> Outputs:
@@ -442,12 +440,12 @@ def cmd_compare(cfg: RunConfig) -> Outputs:
 
     # 1-3. series product, I/O relations, transport coefficients, exact
     derived = double_pass_derivation()
-    pde_f, pde_g = derived.transport[FAMILY_F], derived.transport[FAMILY_G]
     details = {
         "series_product": f"L={derived.system.L}; H={derived.system.H}",
         "io_relations": "; ".join(rel.pretty() for rel in derived.io.all()),
-        "char_fn_generator": f"F: c0={pde_f.c0}; c1={pde_f.c1} | "
-                             f"G: c0={pde_g.c0}; c1={pde_g.c1}",
+        "char_fn_generator": " | ".join(
+            f"{family}: c0={pde.c0}; c1={pde.c1}"
+            for family, pde in derived.transport.items()),
     }
     forms = derived.forms()
     checks = [_check(name, details[name], int(forms[name] != expected))

@@ -414,10 +414,14 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     check_every = 25
     max_leak = 0.0
     traj = np.arange(n)
-    cum = np.empty((da, n))
+    # the step's arrays, allocated once, so no step faults in fresh pages
+    comps, squares = np.empty((da, m, n)), np.empty((da, m, n))
+    comps_flat = comps.reshape(da * m, n)
+    probs, cum = np.empty((da, n)), np.empty((da, n))
     for step in range(1, n_steps + 1):
-        comps = (kraus @ psi).reshape(da, m, n)
-        probs = (comps * comps).sum(axis=1)
+        np.matmul(kraus, psi, out=comps_flat)
+        np.multiply(comps, comps, out=squares)
+        squares.sum(axis=1, out=probs)
         # the running sum over outcomes in cumsum's order, into one buffer
         cum[0] = probs[0]
         for e in range(1, da):

@@ -1,9 +1,10 @@
 """Gaussian moment dynamics of the extended mode set.
 
 The modes are ordered (x_at, p_at, X_ph, P_ph) where X_ph and P_ph are the
-accumulated (unnormalized) output field quadratures with [X_ph, P_ph] = i*t.
-The first moments obey d<v>/dt = A <v> and start at 0, so they stay 0; the
-symmetrized second moments obey the linear system
+accumulated (unnormalized) output field quadratures with [X_ph, P_ph] = i*t;
+the coupling never mixes the two :data:`SECTORS`.  The first moments obey
+d<v>/dt = A <v> and start at 0, so they stay 0; the symmetrized second
+moments obey the linear system
 
     dC/dt = A C + C A^T + D
 
@@ -24,16 +25,19 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, step_count
-from .ito import double_pass_derivation, lindblad
+from .ito import FAMILY_F, FAMILY_G, double_pass_derivation, lindblad
 from .scalars import HALF, FormalScalar
 from .weyl import OpPoly, mul
 
 MODES = ("x_at", "p_at", "X_ph", "P_ph")
+
+#: family -> (atom mode, field mode) of its sector; the sectors never mix
+SECTORS = {FAMILY_F: ("p_at", "X_ph"), FAMILY_G: ("x_at", "P_ph")}
 
 #: CSV schema shared by the closed-form/ODE route and the oracle route.
 CSV_COLUMNS = (
@@ -85,27 +89,11 @@ class CovSnapshot:
 
 @dataclass(frozen=True)
 class CovTrajectory:
-    """Uniform-grid sequence of covariance snapshots.
-
-    Trajectories from :func:`integrate_covariance` also carry RK4's health
-    number ``cross_sector``, the largest |covariance| between the two
-    sectors that do not mix; it is ``None`` for other routes.
-    """
+    """RK4's covariances at its sample times and its cross-sector maximum."""
 
     times: np.ndarray
     covs: np.ndarray        # (n, 4, 4)
-    cross_sector: float | None = None
-
-    def __post_init__(self):
-        if len(self.times) > 1:
-            steps = np.diff(self.times)
-            if not ((steps > 0).all()
-                    and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
-                raise ValueError(
-                    "trajectory times must be uniform and increasing")
-
-    def series(self, row: str, col: str) -> np.ndarray:
-        return self.covs[:, mode_index(row), mode_index(col)]
+    cross_sector: float
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +194,7 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
         raise ConfigError("t_max must be nonnegative")
     if t_max == 0:
         return CovTrajectory(np.array([0.0]), initial_snapshot().cov[None],
-                             cross_sector=0.0)
+                             0.0)
     if sample_dt > t_max:
         raise ConfigError(f"grid_step = {sample_dt:.3g} must not exceed"
                           f" t_max = {t_max:.3g}")
@@ -262,19 +250,17 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     covs = flat.reshape(n_rows + 1, 4, 4)
     covs = 0.5 * (covs + covs.transpose(0, 2, 1)) + c0
 
-    traj = CovTrajectory(np.arange(n_rows + 1) * sample_dt, covs)
-    return replace(traj, cross_sector=_cross_sector_max(traj))
+    return CovTrajectory(np.arange(n_rows + 1) * sample_dt, covs,
+                         _cross_sector_max(covs))
 
 
-def _cross_sector_max(traj: CovTrajectory) -> float:
-    """Largest |entry| of the (x_at, P_ph)-(p_at, X_ph) cross sector.
-
-    The two sectors do not mix, so this is RK4's drift from 0; it raises
-    above 1e-10.
+def _cross_sector_max(covs: np.ndarray) -> float:
+    """Largest |entry| of an ``(n, 4, 4)`` stack in both off-diagonal
+    blocks of :data:`SECTORS`: RK4's drift from 0; it raises above 1e-10.
     """
-    cross = [("x_at", "p_at"), ("x_at", "X_ph"), ("p_at", "P_ph"),
-             ("X_ph", "P_ph")]
-    worst = max(float(np.abs(traj.series(r, c)).max()) for r, c in cross)
+    f, g = ([mode_index(m) for m in pair] for pair in SECTORS.values())
+    worst = max(float(np.abs(covs[:, rows][:, :, cols]).max())
+                for rows, cols in ((f, g), (g, f)))
     if worst > 1e-10:
         raise AssertionError(
             f"cross-sector covariance grew to {worst:.3e} along the ODE route")

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from doublepass import charfn
-from doublepass.charfn import (BoundaryLeakError, CharSurface, GridSpec,
-                               _upwind_layout, closed_form_char,
+from doublepass.charfn import (RESIDUAL_H, BoundaryLeakError, CharSurface,
+                               GridSpec, _upwind_layout, closed_form_char,
                                closed_form_surface, fd_solve, moc_solve,
                                pde_residual)
 from doublepass.errors import ConfigError
@@ -682,6 +682,13 @@ def test_residual_overflow_is_a_value_error():
     # k^2 = 1e400 overflows in the derived c0
     with pytest.raises(ValueError, match="not real and finite"):
         pde_residual("G", 1.0, closed_sampler("G", 1.0), 0.5, 1e200, 0.0)
+
+
+def test_residual_needs_t_of_one_step():
+    sampler = closed_sampler("F", 1.0)
+    assert abs(pde_residual("F", 1.0, sampler, RESIDUAL_H, 0.0, 0.0)) < 1e-12
+    with pytest.raises(ConfigError, match=r"t = 5e-05, h = 0\.0001$"):
+        pde_residual("F", 1.0, sampler, 5e-5, 0.0, 0.0)
 
 
 def test_residual_zero_at_origin():

@@ -337,20 +337,32 @@ def test_variance_path_that_cannot_fit_exits_2(tmp_path, monkeypatch, capsys):
     # an FD surface and an oracle operator larger than memory, at load
     ("pde", "--config", "{fine_dl}"),
     ("oracle", "--config", "{big_d_at}"),
+    # pde.t below the residual check's time step, at load: before RK4 and
+    # FD run, so the message names the key and not the stencil
+    ("pde", "--config", "{short_t}"),
+    ("compare", "--config", "{short_t}"),
 ])
 def test_bad_number_exit_code(tmp_path, argv):
-    paths = {}
-    for name, text in (("tiny_grid", "grid_step = 1e-12\n"),
-                       ("fine_dl", "pde.dl = 1e-6\n"),
-                       ("big_d_at", "oracle.d_at = 20000\n")):
+    paths, keys = {}, {}
+    # config file -> its text and the key the error must name
+    for name, text, key in (
+            ("tiny_grid", "grid_step = 1e-12\n", "grid_step"),
+            ("fine_dl", "pde.dl = 1e-6\n", "pde.dl"),
+            ("big_d_at", "oracle.d_at = 20000\n", "oracle.d_at"),
+            ("short_t", "pde.t = 5e-5\npde.dt = 5e-5\n", "pde.t")):
         paths[name] = tmp_path / f"{name}.cfg"
         paths[name].write_text(text)
+        keys[str(paths[name])] = key
     argv = [arg.format(**paths) for arg in argv]
     res = run_cli(*argv, "--out", str(tmp_path))
     assert res.returncode == EXIT_CONFIG
     assert "configuration error" in res.stderr
     assert "Traceback" not in res.stderr
-    assert not (tmp_path / "oracle.csv").exists()
+    for arg in argv:
+        if arg in keys:
+            assert keys[arg] in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in paths.values())
 
 
 def test_fine_solver_dt_runs(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from doublepass.errors import ConfigError
-from doublepass.gaussian import (CSV_COLUMNS, CovTrajectory,
+from doublepass.gaussian import (CSV_COLUMNS, MODES, SECTORS,
                                  _cross_sector_max, build_moment_odes,
                                  closed_form_covariances, closed_form_table,
                                  initial_snapshot, integrate_covariance,
@@ -82,7 +82,8 @@ def test_rk4_matches_closed_form_at_unit_time():
 def test_alpha_zero_vacuum_accumulation():
     traj = integrate_covariance(build_moment_odes(0.0), 1.0, 1e-3, 1e-3)
     for mode in ("X_ph", "P_ph", "p_at"):
-        assert traj.series(mode, mode)[-1] == pytest.approx(0.5, abs=1e-12)
+        i = mode_index(mode)
+        assert traj.covs[-1, i, i] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_step_size_validation():
@@ -107,8 +108,8 @@ def test_ode_route_matches_all_published_entries():
         for i in (0, len(traj.times) // 3, len(traj.times) - 1):
             closed = closed_form_covariances(alpha, traj.times[i])
             for r, c in PUBLISHED:
-                assert relative_error(traj.series(r, c)[i],
-                                      closed.entry(r, c)) < 1e-8
+                value = traj.covs[i, mode_index(r), mode_index(c)]
+                assert relative_error(value, closed.entry(r, c)) < 1e-8
 
 
 def _rk4_with_means(ode, t_max, dt):
@@ -186,17 +187,37 @@ def test_cross_sector_stays_zero():
     worst = 0.0
     for r, c in (("x_at", "p_at"), ("x_at", "X_ph"), ("p_at", "P_ph"),
                  ("X_ph", "P_ph")):
-        assert np.abs(traj.series(r, c)).max() < 1e-12
-        worst = max(worst, np.abs(traj.series(r, c)).max())
+        series = traj.covs[:, mode_index(r), mode_index(c)]
+        assert np.abs(series).max() < 1e-12
+        worst = max(worst, np.abs(series).max())
     # the trajectory reports the maximum as its health number
     assert traj.cross_sector == worst
     assert integrate_covariance(build_moment_odes(1.5), 0.0, 1e-3,
                                 1e-3).cross_sector == 0.0
-    # and the guard raises above 1e-10
-    covs = np.array([initial_snapshot().cov] * 2)
-    covs[1, mode_index("x_at"), mode_index("X_ph")] = 2e-10
-    with pytest.raises(AssertionError, match="cross-sector covariance grew"):
-        _cross_sector_max(CovTrajectory(np.array([0.0, 1.0]), covs))
+    # and the guard raises above 1e-10, in either off-diagonal block: one
+    # triangle of one pair alone trips it
+    for r, c in (("x_at", "X_ph"), ("X_ph", "x_at")):
+        covs = np.array([initial_snapshot().cov] * 2)
+        covs[1, mode_index(r), mode_index(c)] = 2e-10
+        with pytest.raises(AssertionError,
+                           match="cross-sector covariance grew"):
+            _cross_sector_max(covs)
+        covs[1, mode_index(r), mode_index(c)] = 0.9e-10
+        assert _cross_sector_max(covs) == 0.9e-10
+
+
+def test_sectors_split_the_modes():
+    pairs = list(SECTORS.values())
+    assert len(pairs) == 2 and sorted(sum(pairs, ())) == sorted(MODES)
+    # the closed form defines each sector's entries and leaves NaN exactly
+    # at the entries between the sectors
+    inside = np.zeros((4, 4), dtype=bool)
+    for pair in pairs:
+        idx = [mode_index(m) for m in pair]
+        inside[np.ix_(idx, idx)] = True
+    for alpha, t in ((0.0, 0.5), (1.0, 0.0), (1.3, 2.0)):
+        cov = closed_form_covariances(alpha, t).cov
+        assert np.array_equal(np.isnan(cov), ~inside)
 
 
 def test_covariance_symmetric_psd_and_uncertainty():
@@ -211,12 +232,14 @@ def test_var_x_at_exactly_linear():
     alpha = 1.2
     traj = integrate_covariance(build_moment_odes(alpha), 2.0, 1e-3, 1e-3)
     expected = 0.5 * (1 + alpha ** 2 * traj.times)
-    assert np.abs(traj.series("x_at", "x_at") - expected).max() < 1e-10
+    i = mode_index("x_at")
+    assert np.abs(traj.covs[:, i, i] - expected).max() < 1e-10
 
 
 def test_var_p_at_nonincreasing():
     traj = integrate_covariance(build_moment_odes(1.0), 4.0, 1e-3, 1e-3)
-    vp = traj.series("p_at", "p_at")
+    i = mode_index("p_at")
+    vp = traj.covs[:, i, i]
     assert (np.diff(vp) <= 1e-14).all()
 
 
