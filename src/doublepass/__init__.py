@@ -12,9 +12,8 @@ from .ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, Derivation, HPSystem,
                   double_pass_system, flow_differential, ito_product, lindblad,
                   output_commutator_rate, output_quadrature_relations,
                   series_product, single_pass_systems, subset_terms)
-from .gaussian import (CovSnapshot, CovTrajectory, LinearOde,
-                       build_moment_odes, closed_form_covariances,
-                       closed_form_table, integrate_covariance,
+from .gaussian import (CovTrajectory, LinearOde, build_moment_odes,
+                       closed_form_covariances, integrate_covariance,
                        variance_table)
 from .charfn import (BoundaryLeakError, CharSurface, GridSpec,
                      closed_form_char, closed_form_surface, fd_solve,

@@ -28,7 +28,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, step_count
-from .gaussian import SECTORS, closed_form_covariances
+from .gaussian import SECTORS, closed_form_covariances, mode_index
 from .ito import FAMILY_F, FAMILY_G, double_pass_derivation
 
 
@@ -71,13 +71,21 @@ class GridSpec:
             step_count(2 * extent, step, f"pde.d{axis}",
                        f"2*pde.{axis}_max", atol=1e-9)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(nk, nl): the points on each axis, 2 extent / step + 1, as
+        Python ints, so sizing a grid allocates nothing."""
+        nk, nl = (round(2 * extent / step) + 1 for extent, step in
+                  ((self.k_max, self.dk), (self.l_max, self.dl)))
+        return nk, nl
+
     def l_values(self) -> np.ndarray:
-        n = round(2 * self.l_max / self.dl)
-        return self.dl * (np.arange(n + 1) - n / 2)
+        nl = self.shape[1]
+        return self.dl * (np.arange(nl) - (nl - 1) / 2)
 
     def k_values(self) -> np.ndarray:
-        n = round(2 * self.k_max / self.dk)
-        return self.dk * (np.arange(n + 1) - n / 2)
+        nk = self.shape[0]
+        return self.dk * (np.arange(nk) - (nk - 1) / 2)
 
 
 @dataclass(frozen=True)
@@ -150,11 +158,9 @@ def closed_form_char(family: str, alpha: float, t: float,
     Accepts scalars or numpy arrays for k and l.
     """
     _check_family(family)
-    snap = closed_form_covariances(alpha, t)
-    atom, field = SECTORS[family]
-    s_ll = snap.entry(atom, atom)
-    s_kl = snap.entry(atom, field)
-    s_kk = snap.entry(field, field)
+    cov = closed_form_covariances(alpha, t)
+    atom, field = (mode_index(m) for m in SECTORS[family])
+    s_ll, s_kl, s_kk = cov[atom, atom], cov[atom, field], cov[field, field]
     k = np.asarray(k, dtype=float)
     l = np.asarray(l, dtype=float)
     out = np.exp(-0.5 * (s_ll * l * l + 2.0 * s_kl * k * l + s_kk * k * k))

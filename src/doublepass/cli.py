@@ -55,10 +55,11 @@ PROBE = (-2.0, -0.5, 0.0, 1.0, 2.5)
 #: text and its exit code
 Outputs = tuple[dict[str, str], str, int]
 
-#: memory of one sampled row of the variance path: RK4's 16 covariance
-#: floats, the closed form's Python-level (4, 4) array and both tables'
-#: formatted CSV strings.  Peak RSS of ``variances`` grew by 1.46 kB per row
-#: from 2e5 to 4e5 rows (``grid_step = solver.dt``); rounded up
+#: memory of one sampled row of the variance path at its peak: RK4's and
+#: the closed form's (n, 4, 4) stacks, the two variance tables and, most of
+#: it, the Python floats and strings ``_table_csv`` makes for each row.
+#: Peak RSS of ``variances`` grew by 1.43 kB per row from 2e5 to 4e5 rows
+#: (``grid_step = solver.dt``); rounded up
 VARIANCE_ROW_BYTES = 1536
 
 
@@ -120,8 +121,7 @@ class RunConfig:
         # operator
         variance_rows = min(self.t_max / self.solver_dt,
                             self.t_max / self.grid_step) + 1
-        nk = round(2 * grid.k_max / grid.dk) + 1
-        nl = round(2 * grid.l_max / grid.dl) + 1
+        nk, nl = grid.shape
         joint = oracle.d_at * oracle.d_anc
         memory = _physical_memory()
         for keys, array, size in (
@@ -285,7 +285,8 @@ def _variance_tables(cfg: RunConfig) -> tuple[dict[str, np.ndarray],
     ode = gaussian.build_moment_odes(cfg.alpha)
     traj = gaussian.integrate_covariance(ode, cfg.t_max, cfg.solver_dt,
                                          cfg.grid_step)
-    return (gaussian.closed_form_table(cfg.alpha, traj.times),
+    closed = gaussian.closed_form_covariances(cfg.alpha, traj.times)
+    return (gaussian.variance_table(traj.times, closed),
             gaussian.variance_table(traj.times, traj.covs),
             traj.cross_sector)
 
@@ -453,10 +454,9 @@ def cmd_compare(cfg: RunConfig) -> Outputs:
 
     # 4. ODE route vs closed form, on every row of variances.csv
     closed, ode, cross = _variance_tables(cfg)
-    worst = np.max([gaussian.relative_error(value, ref)
-                    for col in gaussian.PUBLISHED
-                    for value, ref in zip(ode[col].tolist(),
-                                          closed[col].tolist())])
+    worst = np.max(gaussian.relative_error(
+        [ode[col] for col in gaussian.PUBLISHED],
+        [closed[col] for col in gaussian.PUBLISHED]))
     checks.append(_check("ode_vs_closed_form",
                          f"cross-sector {cross:.3e}, max rel err", worst,
                          cfg.tol_ode_rel))
@@ -470,19 +470,19 @@ def cmd_compare(cfg: RunConfig) -> Outputs:
 
     # 8. oracle, atomic moments (deterministic budget)
     atoms, series = _oracle_runs(cfg)
-    closed = gaussian.closed_form_covariances(cfg.alpha, cfg.oracle_t_max)
-    rel_p = gaussian.relative_error(atoms.var_p[-1],
-                                    closed.entry("p_at", "p_at"))
-    rel_x = gaussian.relative_error(atoms.var_x[-1],
-                                    closed.entry("x_at", "x_at"))
+    cov = gaussian.closed_form_covariances(cfg.alpha, cfg.oracle_t_max)
+    p, x = (gaussian.mode_index(m) for m in ("p_at", "x_at"))
+    rel_p = gaussian.relative_error(atoms.var_p[-1], cov[p, p])
+    rel_x = gaussian.relative_error(atoms.var_x[-1], cov[x, x])
     checks.append(_check("oracle_atom_moments",
                          f"rel err p {rel_p:.3e}, x {rel_x:.3e}, max",
                          np.max([rel_p, rel_x]), cfg.tol_oracle_rel))
 
     # 9. oracle, homodyne variance (statistical budget), at the final time
     st = series[-1]
-    field = ("X_ph" if cfg.oracle_phase == fock.PHASE_X else "P_ph")
-    ref = closed.entry(field, field)
+    field = gaussian.mode_index("X_ph" if cfg.oracle_phase == fock.PHASE_X
+                                else "P_ph")
+    ref = cov[field, field]
     checks.append(_check("oracle_homodyne",
                          f"|Var(y)/2 - sigma2| (n={st.n})",
                          abs(st.variance / 2.0 - ref),

@@ -10,14 +10,16 @@ moments obey the linear system
 
 whose drift A and diffusion D are generated from the symbolic engine and
 instantiated numerically; the RK4 route integrates the 16 entries of
-C - diag(1/2, 1/2, 0, 0) alone and keeps only the rows at the sample
-times: binary powering raises the RK4 step map to the sampling stride, and
-a doubling scan over the powered map fills the sampled rows.
-The module also evaluates the closed-form variances of the double-pass
-model, and :func:`variance_table` turns either route (or the oracle's
-atomic moments) into the one variance table the CLI writes: the six
-published (co)variances, squeezing in dB (reference variance 1/2) and the
-uncertainty products.
+C - :data:`VACUUM` alone and keeps only the rows at the sample times:
+binary powering raises the RK4 step map to the sampling stride, and a
+doubling scan over the powered map fills the sampled rows.
+:func:`closed_form_covariances` evaluates the closed-form covariances of
+the double-pass model on a whole array of times at once, as one
+``(..., 4, 4)`` stack, and :func:`variance_table` turns either route's
+stack (or the oracle's atomic moments) into the one variance table the CLI
+writes: the six published (co)variances, squeezing in dB (reference
+variance 1/2) and the uncertainty products.  :func:`relative_error`
+compares two routes elementwise.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ PUBLISHED = {
 
 _REFERENCE_VAR = 0.5
 
+#: covariance of the vacuum/ground initial state, diag(1/2, 1/2, 0, 0);
+#: read-only, as every caller shares it
+VACUUM = np.diag([0.5, 0.5, 0.0, 0.0])
+VACUUM.flags.writeable = False
+
 
 def mode_index(label: str) -> int:
     return MODES.index(label)
@@ -71,20 +78,6 @@ class LinearOde:
     alpha: float
     drift: np.ndarray
     diffusion: np.ndarray
-
-
-@dataclass(frozen=True)
-class CovSnapshot:
-    """Symmetrized covariance of the four modes at one time.
-
-    The closed-form route leaves the entries it does not define (the
-    cross-sector ones) NaN.
-    """
-
-    cov: np.ndarray
-
-    def entry(self, row: str, col: str) -> float:
-        return float(self.cov[mode_index(row), mode_index(col)])
 
 
 @dataclass(frozen=True)
@@ -172,11 +165,6 @@ def build_moment_odes(alpha: float) -> LinearOde:
     return LinearOde(alpha=float(alpha), drift=drift, diffusion=diffusion)
 
 
-def initial_snapshot() -> CovSnapshot:
-    """Vacuum/ground initial state: covariance diag(1/2, 1/2, 0, 0)."""
-    return CovSnapshot(np.diag([0.5, 0.5, 0.0, 0.0]))
-
-
 def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
                          sample_dt: float) -> CovTrajectory:
     """Classical fixed-step RK4 of the covariance equation, every sample_dt.
@@ -193,8 +181,7 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
     if t_max == 0:
-        return CovTrajectory(np.array([0.0]), initial_snapshot().cov[None],
-                             0.0)
+        return CovTrajectory(np.array([0.0]), VACUUM[None].copy(), 0.0)
     if sample_dt > t_max:
         raise ConfigError(f"grid_step = {sample_dt:.3g} must not exceed"
                           f" t_max = {t_max:.3g}")
@@ -216,7 +203,7 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     # b = vec(S).  The RK4 stages then collapse to c_{n+1} = c + E c + r with
     # E = sum_{1<=j<=4} (dt K)^j / j!  and  r = sum_{1<=j<=4} dt^j K^{j-1} b / j!;
     # E = R - I is kept apart from I, which would round off its low bits
-    eye, c0 = np.eye(4), initial_snapshot().cov
+    eye, c0 = np.eye(4), VACUUM
     k_mat = np.kron(ode.drift, eye) + np.kron(eye, ode.drift)
     b_vec = (ode.drift @ c0 + c0 @ ode.drift.T + ode.diffusion).reshape(16)
     e_mat, r_vec, term = np.zeros((16, 16)), np.zeros(16), np.eye(16)
@@ -272,23 +259,27 @@ def _cross_sector_max(covs: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_covariances(alpha: float, t: float) -> CovSnapshot:
-    """Evaluate the six published (co)variances; cross entries stay NaN.
+def closed_form_covariances(alpha: float, t: float | np.ndarray,
+                            ) -> np.ndarray:
+    """The six published (co)variances at the time or times ``t``.
 
-    The alpha -> 0 limits are taken analytically, and the small-exponent
+    Returns an array of shape ``np.shape(t) + (4, 4)``; the cross-sector
+    entries, which the closed form does not define, stay NaN.  The
+    alpha -> 0 limits are taken analytically, and the small-exponent
     regime uses expm1-based factorizations to avoid cancellation.
     """
-    if alpha < 0 or t < 0:
+    t = np.asarray(t, dtype=float)
+    if alpha < 0 or (t < 0).any():
         raise ConfigError("alpha and t must be nonnegative")
-    cov = np.full((4, 4), np.nan)
+    cov = np.full(t.shape + (4, 4), np.nan)
 
     def put(r, c, value):
         i, j = mode_index(r), mode_index(c)
-        cov[i, j] = cov[j, i] = value
+        cov[..., i, j] = cov[..., j, i] = value
 
     u = alpha * alpha * t
-    em = -math.expm1(-u)          # 1 - exp(-u), stable for small u
-    put("p_at", "p_at", 0.25 * (1.0 + math.exp(-2.0 * u)))
+    em = -np.expm1(-u)            # 1 - exp(-u), stable for small u
+    put("p_at", "p_at", 0.25 * (1.0 + np.exp(-2.0 * u)))
     put("x_at", "x_at", 0.5 * (1.0 + alpha * alpha * t))
     put("x_at", "P_ph", -0.25 * alpha ** 3 * t * t)
     put("P_ph", "P_ph", 0.5 * t + alpha ** 4 * t ** 3 / 6.0)
@@ -300,7 +291,7 @@ def closed_form_covariances(alpha: float, t: float) -> CovSnapshot:
     else:
         put("p_at", "X_ph", -em * em / (4.0 * alpha))
         put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
-    return CovSnapshot(cov)
+    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +331,15 @@ def variance_table(times: np.ndarray, covs: np.ndarray,
     return {col: table[col] for col in CSV_COLUMNS}
 
 
-def closed_form_table(alpha: float, times: np.ndarray,
-                      ) -> dict[str, np.ndarray]:
-    """The :func:`variance_table` of the closed-form covariances on ``times``."""
-    times = np.asarray(times, dtype=float)
-    return variance_table(times, np.array(
-        [closed_form_covariances(alpha, t).cov for t in times.tolist()]))
-
-
-def relative_error(value: float, ref: float) -> float:
-    """|value - ref| / |ref|; 0 where ref is 0 and value within 1e-14 of it."""
-    diff = abs(value - ref)
-    if ref == 0 and diff < 1e-14:
-        return 0.0
-    return diff / max(abs(ref), 1e-300)
+def relative_error(value: float | np.ndarray, ref: float | np.ndarray,
+                   ) -> float | np.ndarray:
+    """|value - ref| / |ref|, elementwise; 0 where ref is 0 and value is
+    within 1e-14 of it.  NaN stays NaN; scalars give a scalar.
+    """
+    # as in Python floats: an overflow gives inf, inf - inf NaN, and neither
+    # warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(np.subtract(value, ref))
+        err = np.where(np.equal(ref, 0) & (diff < 1e-14), 0.0,
+                       diff / np.maximum(np.abs(ref), 1e-300))
+    return err[()]

@@ -17,7 +17,7 @@ from doublepass.charfn import (GridSpec, closed_form_char,
 from doublepass.fock import (OracleConfig, PHASE_P, PHASE_X,
                              homodyne_monte_carlo, simulate_atom_moments)
 from doublepass.gaussian import (PUBLISHED, build_moment_odes,
-                                 closed_form_covariances, closed_form_table,
+                                 closed_form_covariances,
                                  integrate_covariance, mode_index,
                                  relative_error, variance_table)
 from doublepass.ito import (FAMILY_F, FAMILY_G, PAPER_FORMS, char_fn_generator,
@@ -76,9 +76,9 @@ def test_criterion_04_ode_vs_closed_form():
         for i in range(len(traj.times)):
             closed = closed_form_covariances(alpha, traj.times[i])
             for r, c in PUBLISHED.values():
-                worst = max(worst, relative_error(
-                    traj.covs[i, mode_index(r), mode_index(c)],
-                    closed.entry(r, c)))
+                i_r, i_c = mode_index(r), mode_index(c)
+                worst = max(worst, relative_error(traj.covs[i, i_r, i_c],
+                                                  closed[i_r, i_c]))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
     report(4, ok, f"ODE vs closed form: max rel err {worst:.3e} < 1e-8 "
@@ -92,8 +92,9 @@ def test_criterion_05_three_db_bound():
     exceeded = False
     for alpha in (0.5, 1.0):
         t_max = 20.0 / alpha ** 2
-        atom_db = closed_form_table(alpha, np.linspace(0.0, t_max, 4001))[
-            "sq_db_atom"]
+        times = np.linspace(0.0, t_max, 4001)
+        atom_db = variance_table(
+            times, closed_form_covariances(alpha, times))["sq_db_atom"]
         dt = min(1e-2, 0.05 / alpha ** 2)
         traj = integrate_covariance(build_moment_odes(alpha), t_max, dt, dt)
         ode_db = variance_table(traj.times, traj.covs)["sq_db_atom"]
@@ -108,7 +109,8 @@ def test_criterion_05_three_db_bound():
 
 def test_criterion_06_arbitrary_field_squeezing():
     alpha, t = 1.0, 100.0
-    closed = closed_form_table(alpha, np.array([t]))
+    times = np.array([t])
+    closed = variance_table(times, closed_form_covariances(alpha, times))
     sq_db = closed["sq_db_field_x"][0]
     vx_closed = closed["var_x_ph_norm"][0]
     traj = integrate_covariance(build_moment_odes(alpha), t, 2e-3, t)
@@ -125,11 +127,14 @@ def test_criterion_07_not_minimum_uncertainty():
     min_margin = math.inf
     for alpha in (0.3, 1.0, 2.0):
         times = np.linspace(0.05, 5.0, 100)
-        margins = closed_form_table(alpha, times)["unc_prod_field"] - 0.25
+        margins = variance_table(times, closed_form_covariances(
+            alpha, times))["unc_prod_field"] - 0.25
         min_margin = min(min_margin, float(margins.min()))
         ok &= bool((margins > 0).all())
     # equality only in the t -> 0 limit
-    prod0 = closed_form_table(1.0, np.array([1e-9]))["unc_prod_field"][0]
+    times = np.array([1e-9])
+    prod0 = variance_table(times, closed_form_covariances(
+        1.0, times))["unc_prod_field"][0]
     ok &= abs(prod0 - 0.25) < 1e-8
     report(7, ok, f"normalized uncertainty product > 1/4 for all sampled "
                   f"t > 0 (min margin {min_margin:.2e}); -> 1/4 as t -> 0")
@@ -185,8 +190,8 @@ def test_criterion_08_pde_routes():
 def test_criterion_09_oracle_atom_moments():
     start = time.perf_counter()
     closed = closed_form_covariances(0.3, 1.0)
-    vp_ref = closed.entry("p_at", "p_at")
-    vx_ref = closed.entry("x_at", "x_at")
+    p, x = mode_index("p_at"), mode_index("x_at")
+    vp_ref, vx_ref = closed[p, p], closed[x, x]
     kw = dict(alpha=0.3, t_max=1.0, d_at=40, d_anc=3, n_traj=2000,
               seed=12345, phase=PHASE_X)
     coarse = simulate_atom_moments(OracleConfig(dt=1e-3, **kw))
@@ -211,8 +216,9 @@ def test_criterion_10_oracle_field_variances():
     kw = dict(alpha=0.5, dt=1e-3, t_max=1.0, d_at=40, d_anc=3, n_traj=2000)
     st_x = homodyne_monte_carlo(OracleConfig(seed=1001, phase=PHASE_X, **kw))
     st_p = homodyne_monte_carlo(OracleConfig(seed=1002, phase=PHASE_P, **kw))
-    diff_x = abs(st_x.variance / 2 - closed.entry("X_ph", "X_ph"))
-    diff_p = abs(st_p.variance / 2 - closed.entry("P_ph", "P_ph"))
+    x, p = mode_index("X_ph"), mode_index("P_ph")
+    diff_x = abs(st_x.variance / 2 - closed[x, x])
+    diff_p = abs(st_p.variance / 2 - closed[p, p])
     st_0 = homodyne_monte_carlo(OracleConfig(
         alpha=0.0, dt=1e-3, t_max=1.0, d_at=40, d_anc=3, n_traj=2000,
         seed=1003, phase=PHASE_X))

@@ -16,7 +16,7 @@ from doublepass.charfn import (RESIDUAL_H, BoundaryLeakError, CharSurface,
                                closed_form_surface, fd_solve, moc_solve,
                                pde_residual)
 from doublepass.errors import ConfigError
-from doublepass.gaussian import closed_form_covariances
+from doublepass.gaussian import closed_form_covariances, mode_index
 from doublepass.ito import PdeCoefficients, double_pass_derivation
 from doublepass.scalars import SYM_K, Cyclo, FormalScalar
 
@@ -65,7 +65,8 @@ def test_surface_invariants():
 def test_log_derivatives_reproduce_covariances():
     # second derivatives of log F at the origin give the covariance entries
     alpha, t, h = 1.0, 1.3, 1e-3
-    snap = closed_form_covariances(alpha, t)
+    cov = closed_form_covariances(alpha, t)
+    p, x = mode_index("p_at"), mode_index("X_ph")
     f = closed_sampler("F", alpha)
 
     def logf(k, l):
@@ -74,9 +75,9 @@ def test_log_derivatives_reproduce_covariances():
     d_ll = (logf(0, h) - 2 * logf(0, 0) + logf(0, -h)) / h ** 2
     d_kk = (logf(h, 0) - 2 * logf(0, 0) + logf(-h, 0)) / h ** 2
     d_kl = (logf(h, h) - logf(h, -h) - logf(-h, h) + logf(-h, -h)) / (4 * h * h)
-    assert -d_ll == pytest.approx(snap.entry("p_at", "p_at"), abs=1e-6)
-    assert -d_kk == pytest.approx(snap.entry("X_ph", "X_ph"), abs=1e-6)
-    assert -d_kl == pytest.approx(snap.entry("p_at", "X_ph"), abs=1e-6)
+    assert -d_ll == pytest.approx(cov[p, p], abs=1e-6)
+    assert -d_kk == pytest.approx(cov[x, x], abs=1e-6)
+    assert -d_kl == pytest.approx(cov[p, x], abs=1e-6)
 
 
 # -- method of characteristics ------------------------------------------------------
@@ -215,6 +216,13 @@ def test_grid_spec_validation():
         GridSpec(l_max=-1.0, dl=0.02, k_max=8.0, dk=0.02)
     with pytest.raises(ConfigError, match="pde.dk"):
         GridSpec(l_max=8.0, dl=0.02, k_max=8.0, dk=0.03)
+    # the point counts, as Python ints, size both axes; a 16 000 001-point
+    # axis is counted without allocating it
+    grid = GridSpec(l_max=8.0, dl=0.02, k_max=2.0, dk=1.0)
+    assert grid.shape == (len(grid.k_values()), len(grid.l_values())) \
+        == (5, 801)
+    assert GridSpec(8.0, 1e-6, 8.0, 0.02).shape == (801, 16_000_001)
+    assert all(type(n) is int for n in grid.shape)
 
 
 def test_fd_cfl_violation_rejected():
@@ -664,10 +672,9 @@ def test_residual_negative_control():
     alpha = 1.0
 
     def tampered(t, k, l):
-        snap = closed_form_covariances(alpha, t)
-        s_ll = 2.0 * snap.entry("p_at", "p_at")
-        s_kl = snap.entry("p_at", "X_ph")
-        s_kk = snap.entry("X_ph", "X_ph")
+        cov = closed_form_covariances(alpha, t)
+        p, x = mode_index("p_at"), mode_index("X_ph")
+        s_ll, s_kl, s_kk = 2.0 * cov[p, p], cov[p, x], cov[x, x]
         return math.exp(-0.5 * (s_ll * l * l + 2 * s_kl * k * l
                                 + s_kk * k * k))
 

@@ -19,7 +19,7 @@ from doublepass.fock import (GAUGE_TOL, LEAK_TOL, MIN_TRAJ, OracleConfig,
                              homodyne_monte_carlo, homodyne_series,
                              kraus_stack, momentum, position,
                              simulate_atom_moments, step_unitaries)
-from doublepass.gaussian import closed_form_covariances
+from doublepass.gaussian import closed_form_covariances, mode_index
 
 # Each phase is shown in test ids by the quadrature angle it measures
 # (x at 0, p at pi/2), so the ids do not depend on how a phase is encoded.
@@ -221,10 +221,9 @@ def test_atom_moments_match_closed_forms():
                        n_traj=2000, seed=12345, phase=PHASE_X)
     series = simulate_atom_moments(cfg)
     closed = closed_form_covariances(0.3, 0.5)
-    assert series.var_p[-1] == pytest.approx(closed.entry("p_at", "p_at"),
-                                             rel=0.02)
-    assert series.var_x[-1] == pytest.approx(closed.entry("x_at", "x_at"),
-                                             rel=0.02)
+    p, x = mode_index("p_at"), mode_index("x_at")
+    assert series.var_p[-1] == pytest.approx(closed[p, p], rel=0.02)
+    assert series.var_x[-1] == pytest.approx(closed[x, x], rel=0.02)
     assert series.max_leak < LEAK_TOL
     # the state stays physical
     assert (series.var_x * series.var_p >= 0.25 - 1e-10).all()
@@ -600,7 +599,8 @@ def test_homodyne_phase_x_tracks_output_variance():
     cfg = OracleConfig(alpha=0.5, dt=2e-3, t_max=0.5, d_at=25, d_anc=3,
                        n_traj=800, seed=11, phase=PHASE_X)
     st = homodyne_monte_carlo(cfg)
-    ref = closed_form_covariances(0.5, 0.5).entry("X_ph", "X_ph")
+    x = mode_index("X_ph")
+    ref = closed_form_covariances(0.5, 0.5)[x, x]
     assert abs(st.variance / 2 - ref) < 5 * st.stderr_var / 2
 
 
@@ -608,7 +608,8 @@ def test_homodyne_phase_p_tracks_output_variance():
     cfg = OracleConfig(alpha=0.5, dt=2e-3, t_max=0.5, d_at=25, d_anc=3,
                        n_traj=800, seed=12, phase=PHASE_P)
     st = homodyne_monte_carlo(cfg)
-    ref = closed_form_covariances(0.5, 0.5).entry("P_ph", "P_ph")
+    p = mode_index("P_ph")
+    ref = closed_form_covariances(0.5, 0.5)[p, p]
     assert abs(st.variance / 2 - ref) < 5 * st.stderr_var / 2
 
 

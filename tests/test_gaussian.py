@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from doublepass.errors import ConfigError
-from doublepass.gaussian import (CSV_COLUMNS, MODES, SECTORS,
+from doublepass.gaussian import (CSV_COLUMNS, MODES, SECTORS, VACUUM,
                                  _cross_sector_max, build_moment_odes,
-                                 closed_form_covariances, closed_form_table,
-                                 initial_snapshot, integrate_covariance,
+                                 closed_form_covariances, integrate_covariance,
                                  mode_index, relative_error, variance_table)
 
 PUBLISHED = (("p_at", "p_at"), ("p_at", "X_ph"), ("X_ph", "X_ph"),
@@ -51,7 +50,7 @@ def test_variance_rate_examples():
     # d var_pp/dt = -2 a^2 var_pp + a^2/2 and d var_xx/dt = a^2/2 at t = 0
     alpha = 1.0
     ode = build_moment_odes(alpha)
-    c = initial_snapshot().cov
+    c = VACUUM
     rate = ode.drift @ c + c @ ode.drift.T + ode.diffusion
     i_p, i_x = mode_index("p_at"), mode_index("x_at")
     assert rate[i_p, i_p] == pytest.approx(-2 * 0.5 + 0.5)
@@ -69,7 +68,11 @@ def test_negative_alpha_rejected():
 def test_t_zero_single_snapshot():
     traj = integrate_covariance(build_moment_odes(1.0), 0.0, 1e-3, 1e-3)
     assert len(traj.times) == 1
-    assert np.allclose(traj.covs[0], np.diag([0.5, 0.5, 0.0, 0.0]))
+    assert np.array_equal(traj.covs[0], np.diag([0.5, 0.5, 0.0, 0.0]))
+    # the vacuum is shared and read-only; the trajectory owns its stack
+    assert not VACUUM.flags.writeable
+    traj.covs[0, 0, 0] = 1.0
+    assert VACUUM[0, 0] == 0.5
 
 
 def test_rk4_matches_closed_form_at_unit_time():
@@ -108,8 +111,9 @@ def test_ode_route_matches_all_published_entries():
         for i in (0, len(traj.times) // 3, len(traj.times) - 1):
             closed = closed_form_covariances(alpha, traj.times[i])
             for r, c in PUBLISHED:
-                value = traj.covs[i, mode_index(r), mode_index(c)]
-                assert relative_error(value, closed.entry(r, c)) < 1e-8
+                i_r, i_c = mode_index(r), mode_index(c)
+                assert relative_error(traj.covs[i, i_r, i_c],
+                                      closed[i_r, i_c]) < 1e-8
 
 
 def _rk4_with_means(ode, t_max, dt):
@@ -197,7 +201,7 @@ def test_cross_sector_stays_zero():
     # and the guard raises above 1e-10, in either off-diagonal block: one
     # triangle of one pair alone trips it
     for r, c in (("x_at", "X_ph"), ("X_ph", "x_at")):
-        covs = np.array([initial_snapshot().cov] * 2)
+        covs = np.array([VACUUM] * 2)
         covs[1, mode_index(r), mode_index(c)] = 2e-10
         with pytest.raises(AssertionError,
                            match="cross-sector covariance grew"):
@@ -210,14 +214,18 @@ def test_sectors_split_the_modes():
     pairs = list(SECTORS.values())
     assert len(pairs) == 2 and sorted(sum(pairs, ())) == sorted(MODES)
     # the closed form defines each sector's entries and leaves NaN exactly
-    # at the entries between the sectors
+    # at the entries between the sectors, at every time of an array of any
+    # shape
     inside = np.zeros((4, 4), dtype=bool)
     for pair in pairs:
         idx = [mode_index(m) for m in pair]
         inside[np.ix_(idx, idx)] = True
-    for alpha, t in ((0.0, 0.5), (1.0, 0.0), (1.3, 2.0)):
-        cov = closed_form_covariances(alpha, t).cov
-        assert np.array_equal(np.isnan(cov), ~inside)
+    for alpha, t in ((0.0, 0.5), (1.0, 0.0), (1.3, 2.0), (1.0, [0.5]),
+                     (0.3, [0.0, 1.0, 2.0]), (2.0, np.ones((2, 3)))):
+        cov = closed_form_covariances(alpha, t)
+        assert cov.shape == np.shape(t) + (4, 4)
+        assert np.array_equal(np.isnan(cov), np.broadcast_to(~inside,
+                                                             cov.shape))
 
 
 def test_covariance_symmetric_psd_and_uncertainty():
@@ -246,75 +254,175 @@ def test_var_p_at_nonincreasing():
 # -- closed_form_covariances -----------------------------------------------------
 
 
+def _entry(cov, r, c):
+    return cov[mode_index(r), mode_index(c)]
+
+
 def test_closed_form_initial_state():
-    snap = closed_form_covariances(1.0, 0.0)
-    assert snap.entry("p_at", "p_at") == pytest.approx(0.5)
-    assert snap.entry("x_at", "x_at") == pytest.approx(0.5)
-    assert snap.entry("X_ph", "X_ph") == 0.0
-    assert snap.entry("p_at", "X_ph") == 0.0
+    cov = closed_form_covariances(1.0, 0.0)
+    assert _entry(cov, "p_at", "p_at") == pytest.approx(0.5)
+    assert _entry(cov, "x_at", "x_at") == pytest.approx(0.5)
+    assert _entry(cov, "X_ph", "X_ph") == 0.0
+    assert _entry(cov, "p_at", "X_ph") == 0.0
 
 
 def test_closed_form_long_time_limit():
-    snap = closed_form_covariances(1.0, 50.0)
-    assert snap.entry("p_at", "p_at") == pytest.approx(0.25, rel=1e-12)
+    cov = closed_form_covariances(1.0, 50.0)
+    assert _entry(cov, "p_at", "p_at") == pytest.approx(0.25, rel=1e-12)
 
 
 def test_closed_form_spot_value_at_log2():
-    snap = closed_form_covariances(1.0, math.log(2))
-    assert snap.entry("p_at", "X_ph") == pytest.approx(-1.0 / 16.0, rel=1e-12)
+    cov = closed_form_covariances(1.0, math.log(2))
+    assert _entry(cov, "p_at", "X_ph") == pytest.approx(-1.0 / 16.0,
+                                                        rel=1e-12)
 
 
 def test_closed_form_unavailable_entries_marked():
-    snap = closed_form_covariances(1.0, 1.0)
-    assert math.isnan(snap.entry("x_at", "X_ph"))
-    assert all(math.isfinite(snap.entry(r, c)) for r, c in PUBLISHED)
+    cov = closed_form_covariances(1.0, 1.0)
+    assert math.isnan(_entry(cov, "x_at", "X_ph"))
+    assert all(math.isfinite(_entry(cov, r, c)) for r, c in PUBLISHED)
 
 
 def test_closed_form_alpha_zero_limits():
-    snap = closed_form_covariances(0.0, 2.0)
-    assert snap.entry("X_ph", "X_ph") == pytest.approx(1.0)
-    assert snap.entry("p_at", "X_ph") == 0.0
-    assert snap.entry("P_ph", "P_ph") == pytest.approx(1.0)
+    cov = closed_form_covariances(0.0, 2.0)
+    assert _entry(cov, "X_ph", "X_ph") == pytest.approx(1.0)
+    assert _entry(cov, "p_at", "X_ph") == 0.0
+    assert _entry(cov, "P_ph", "P_ph") == pytest.approx(1.0)
 
 
 def test_alpha_squared_below_normal_takes_alpha_zero_limit():
-    zero = closed_form_covariances(0.0, 2.0).cov
+    zero = closed_form_covariances(0.0, 2.0)
     for alpha in (1e-160, 1e-170, 1e-300, 5e-324):
-        cov = closed_form_covariances(alpha, 2.0).cov
+        cov = closed_form_covariances(alpha, 2.0)
         i, j = mode_index("p_at"), mode_index("X_ph")
         assert cov[i, j] == 0.0 and cov[j, j] == zero[j, j] == 1.0
         assert np.allclose(cov, zero, rtol=0, atol=1e-300, equal_nan=True)
     # just above the switch the general form agrees with the limit
     alpha = math.sqrt(sys.float_info.min) * (1 + 1e-15)
     assert alpha * alpha >= sys.float_info.min
-    cov = closed_form_covariances(alpha, 2.0).cov
+    cov = closed_form_covariances(alpha, 2.0)
     assert cov[mode_index("X_ph"), mode_index("X_ph")] == pytest.approx(
         1.0, rel=1e-14)
+
+
+def _scalar_closed_form(alpha, t):
+    """The closed form at one time, in Python floats: the reference."""
+    cov = np.full((4, 4), np.nan)
+
+    def put(r, c, value):
+        i, j = mode_index(r), mode_index(c)
+        cov[i, j] = cov[j, i] = value
+
+    u = alpha * alpha * t
+    em = -math.expm1(-u)
+    put("p_at", "p_at", 0.25 * (1.0 + math.exp(-2.0 * u)))
+    put("x_at", "x_at", 0.5 * (1.0 + alpha * alpha * t))
+    put("x_at", "P_ph", -0.25 * alpha ** 3 * t * t)
+    put("P_ph", "P_ph", 0.5 * t + alpha ** 4 * t ** 3 / 6.0)
+    if alpha * alpha < sys.float_info.min:
+        put("p_at", "X_ph", 0.0)
+        put("X_ph", "X_ph", 0.5 * t)
+    else:
+        put("p_at", "X_ph", -em * em / (4.0 * alpha))
+        put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
+    return cov
+
+
+#: entries whose formula takes no library function: +, -, * and / round
+#: the same in NumPy as in Python floats.  The others call exp, expm1 or
+#: pow (P_ph: t ** 3), whose NumPy loops may differ from libm's by an ulp
+_ARITHMETIC_ONLY = (("x_at", "x_at"), ("x_at", "P_ph"))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5e-324, 1e-9, 1e-3, 0.3, 1.0, 3.0])
+def test_closed_form_on_arrays_matches_scalar_reference(alpha):
+    times = np.array([0.0, 1e-300, 1e-4, 0.5, 1.0, 50.0])
+    stack = closed_form_covariances(alpha, times)
+    assert stack.shape == (len(times), 4, 4)
+    for t, cov in zip(times.tolist(), stack):
+        single = closed_form_covariances(alpha, t)
+        assert single.shape == (4, 4)
+        # one time alone and the same time in a stack: the same bits
+        assert single.tobytes() == cov.tobytes()
+        ref = _scalar_closed_form(alpha, t)
+        assert np.array_equal(np.isnan(cov), np.isnan(ref))
+        for r, c in PUBLISHED:
+            new, old = _entry(cov, r, c), _entry(ref, r, c)
+            if (r, c) in _ARITHMETIC_ONLY:
+                assert new == old, (r, c, t)
+            else:
+                assert abs(new - old) <= 2 * np.spacing(abs(old)), (r, c, t)
+
+
+def test_closed_form_rejects_any_negative_time():
+    for times in (-1e-300, [-1.0, 0.5], [0.0, 1.0, -0.5], [[1.0], [-2.0]]):
+        with pytest.raises(ConfigError, match="must be nonnegative"):
+            closed_form_covariances(1.0, times)
+    with pytest.raises(ConfigError, match="must be nonnegative"):
+        closed_form_covariances(-0.1, [0.0, 1.0])
+
+
+def _scalar_relative_error(value, ref):
+    """The rule of :func:`relative_error` in Python floats: the reference."""
+    diff = abs(value - ref)
+    if ref == 0 and diff < 1e-14:
+        return 0.0
+    return diff / max(abs(ref), 1e-300)
+
+
+def test_relative_error_on_arrays_is_the_scalar_rule():
+    nan = math.nan
+    # the ref == 0 exemption, its 1e-14 edge, the 1e-300 floor, a negative
+    # ref, NaN in either argument, inf, and a quotient that overflows
+    pairs = [(0.0, 0.0), (5e-15, 0.0), (-5e-15, 0.0), (1e-14, 0.0),
+             (2e-14, 0.0), (1e-310, 1e-310), (2e-310, 1e-310),
+             (1e-300, 0.0), (1.5, 1.0), (0.5, -1.0), (nan, 1.0), (1.0, nan),
+             (nan, 0.0), (0.0, nan), (math.inf, 1.0), (math.inf, math.inf),
+             (1.0, 1e-320), (1e10, 0.0)]
+    values, refs = (np.array(col) for col in zip(*pairs))
+    errs = relative_error(values, refs)
+    assert errs.shape == values.shape
+    for value, ref, err in zip(values.tolist(), refs.tolist(), errs.tolist()):
+        expected = _scalar_relative_error(value, ref)
+        assert (math.isnan(err) and math.isnan(expected)) or err == expected
+        # a scalar call gives the same number, as a scalar
+        single = relative_error(value, ref)
+        assert np.ndim(single) == 0
+        assert (math.isnan(single) and math.isnan(err)) or single == err
+    # check 4's form: rows of columns, as nested sequences
+    stacked = relative_error([values, values], [refs, refs])
+    assert stacked.shape == (2, len(pairs))
+    assert np.array_equal(stacked[1], errs, equal_nan=True)
+    assert np.isnan(np.max(stacked))
 
 
 # -- variance table ------------------------------------------------------------
 
 
 def test_normalized_variances_unit_values():
-    table = closed_form_table(1.0, np.array([1.0]))
+    times = np.array([1.0])
+    table = variance_table(times, closed_form_covariances(1.0, times))
     assert table["var_p_ph_norm"][0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert table["var_x_ph_norm"][0] == pytest.approx(
         0.25 * (3 + math.exp(-2) - 4 * math.exp(-1)), rel=1e-12)
 
 
 def test_normalized_variances_vacuum_limit():
-    table = closed_form_table(0.1, np.array([1e-4]))
+    times = np.array([1e-4])
+    table = variance_table(times, closed_form_covariances(0.1, times))
     assert table["var_x_ph_norm"][0] == pytest.approx(0.5, abs=1e-5)
     assert table["var_p_ph_norm"][0] == pytest.approx(0.5, abs=1e-5)
 
 
 def test_normalized_variances_large_time_asymptote():
-    table = closed_form_table(1.0, np.array([100.0]))
+    times = np.array([100.0])
+    table = variance_table(times, closed_form_covariances(1.0, times))
     assert table["var_x_ph_norm"][0] == pytest.approx(3.0 / 400.0, rel=1e-10)
 
 
 def test_squeezing_saturation():
-    atom_db = closed_form_table(1.0, np.linspace(0.0, 10.0, 2001))[
+    times = np.linspace(0.0, 10.0, 2001)
+    atom_db = variance_table(times, closed_form_covariances(1.0, times))[
         "sq_db_atom"]
     expected = 10 * math.log10(2.0 / (1 + math.exp(-20.0)))
     assert atom_db.max() == pytest.approx(expected, abs=1e-9)
@@ -324,7 +432,8 @@ def test_squeezing_saturation():
 
 
 def test_field_squeezing_at_large_interaction():
-    field_db = closed_form_table(1.0, np.linspace(0.0, 100.0, 101))[
+    times = np.linspace(0.0, 100.0, 101)
+    field_db = variance_table(times, closed_form_covariances(1.0, times))[
         "sq_db_field_x"]
     assert field_db[-1] == pytest.approx(10 * math.log10(0.5 / 0.0075),
                                          abs=1e-6)
@@ -332,7 +441,8 @@ def test_field_squeezing_at_large_interaction():
 
 
 def test_uncertainty_products():
-    table = closed_form_table(1.0, np.linspace(0.0, 5.0, 501))
+    times = np.linspace(0.0, 5.0, 501)
+    table = variance_table(times, closed_form_covariances(1.0, times))
     assert (table["unc_prod_field"][1:] > 0.25).all()
     assert (table["unc_prod_atom"] >= 0.25 - 1e-12).all()
     assert table["unc_prod_field"][0] == pytest.approx(0.25)
@@ -340,8 +450,7 @@ def test_uncertainty_products():
 
 def test_squeezing_rejects_nonpositive_variance():
     times = np.linspace(0.0, 1.0, 11)
-    good = np.array([closed_form_covariances(1.0, float(t)).cov
-                     for t in times])
+    good = closed_form_covariances(1.0, times)
     for value in (0.0, -1e-3):
         for i in range(4):
             bad = good.copy()
@@ -356,7 +465,7 @@ def test_squeezing_rejects_nonpositive_variance():
 
 def test_csv_row_schema():
     times = np.array([0.0, 1.0])
-    table = closed_form_table(1.0, times)
+    table = variance_table(times, closed_form_covariances(1.0, times))
     assert tuple(table) == CSV_COLUMNS
     assert table["var_p_ph_norm"][1] == pytest.approx(2.0 / 3.0)
     # the t = 0 row: vacuum limit 1/2, 0 dB, field product 1/4
