@@ -16,8 +16,7 @@ from .gaussian import (CovTrajectory, LinearOde, build_moment_odes,
                        closed_form_covariances, integrate_covariance,
                        variance_table)
 from .charfn import (BoundaryLeakError, CharSurface, GridSpec,
-                     closed_form_char, closed_form_surface, fd_solve,
-                     moc_solve, pde_residual)
+                     closed_form_char, fd_solve, moc_solve, pde_residual)
 from .fock import (AtomMomentSeries, OracleConfig, TrajectoryStats,
                    TruncationLeakError, homodyne_monte_carlo, homodyne_series,
                    kraus_stack, simulate_atom_moments, step_unitaries)

@@ -90,12 +90,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CharSurface:
-    """Sampled characteristic function on a (k, l) grid at one time.
+    """A :func:`fd_solve` surface on a (k, l) grid at one time.
 
-    Surfaces from :func:`fd_solve` also carry the solver's health numbers:
-    the CFL number ``max|drift| dt / dl`` and the largest boundary value
-    the leak monitor saw (0.0 when no step ran); both are ``None`` only for
-    the closed form.
+    It carries the solver's health numbers: the CFL number
+    ``max|drift| dt / dl`` and the largest boundary value the leak monitor
+    saw (0.0 when no step ran).
     """
 
     family: str
@@ -104,8 +103,8 @@ class CharSurface:
     k_values: np.ndarray
     l_values: np.ndarray
     values: np.ndarray          # shape (nk, nl)
-    cfl: float | None = None
-    boundary_max: float | None = None
+    cfl: float
+    boundary_max: float
 
     def __post_init__(self):
         shape = (len(self.k_values), len(self.l_values))
@@ -152,10 +151,11 @@ def _check_family(family: str) -> None:
 
 
 def closed_form_char(family: str, alpha: float, t: float,
-                     k, l):
+                     k, l) -> np.ndarray:
     """Gaussian closed form, built from the covariances of the family's sector.
 
-    Accepts scalars or numpy arrays for k and l.
+    Takes scalars or arrays for k and l and returns the values on their
+    broadcast shape: an array, or a 0-d NumPy float for two scalars.
     """
     _check_family(family)
     cov = closed_form_covariances(alpha, t)
@@ -163,16 +163,7 @@ def closed_form_char(family: str, alpha: float, t: float,
     s_ll, s_kl, s_kk = cov[atom, atom], cov[atom, field], cov[field, field]
     k = np.asarray(k, dtype=float)
     l = np.asarray(l, dtype=float)
-    out = np.exp(-0.5 * (s_ll * l * l + 2.0 * s_kl * k * l + s_kk * k * k))
-    return float(out) if out.ndim == 0 else out
-
-
-def closed_form_surface(family: str, alpha: float, t: float,
-                        grid: GridSpec) -> CharSurface:
-    kv, lv = grid.k_values(), grid.l_values()
-    kk, ll = np.meshgrid(kv, lv, indexing="ij")
-    return CharSurface(family, alpha, t, kv, lv,
-                       closed_form_char(family, alpha, t, kk, ll))
+    return np.exp(-0.5 * (s_ll * l * l + 2.0 * s_kl * k * l + s_kk * k * k))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ MAX_ALPHA = 1e6
 #: k and l of the points where ``pde`` checks MOC and the residual
 PROBE = (-2.0, -0.5, 0.0, 1.0, 2.5)
 
+#: the published column, and so the field mode, each oracle phase measures
+ORACLE_FIELD_COLUMN = {fock.PHASE_X: "var_x_ph_norm",
+                       fock.PHASE_P: "var_p_ph_norm"}
+
 #: what a command returns: its artifacts (file name -> text), its stdout
 #: text and its exit code
 Outputs = tuple[dict[str, str], str, int]
@@ -343,28 +347,25 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], list]:
     """
     grid = cfg.section(charfn.GridSpec)
     artifacts: dict[str, str] = {}
-    fd_errors = []
     summary = [f"pde summary: alpha={_fmt(cfg.alpha)} t={_fmt(cfg.pde_t)}"]
     health = []
-    families = (charfn.FAMILY_F, charfn.FAMILY_G)
-    for surf in charfn.fd_solve(families, cfg.alpha, grid, cfg.pde_t,
-                                cfg.pde_dt):
-        family = surf.family
-        health.append(f"fd cfl {family}: {surf.cfl:.6e}")
-        health.append(f"fd boundary max {family}: {surf.boundary_max:.6e}")
-        ref = charfn.closed_form_surface(family, cfg.alpha, cfg.pde_t, grid)
-        err = float(np.abs(surf.values - ref.values).max())
-        fd_errors.append(err)
-        buf = io.StringIO()
-        surf.to_csv(buf)
-        artifacts[f"surface_{family}.csv"] = buf.getvalue()
-        summary.append(f"fd max abs error {family}: {err:.6e}")
+    mesh = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
     # MOC is the scalar route, one point at a time; the closed form and
     # the residual take the probe points as arrays
     kk, ll = (a.ravel() for a in np.meshgrid(PROBE, PROBE, indexing="ij"))
-    moc_errors, residuals = [], []
-    for family in families:
+    fd_errors, moc_errors, residuals = [], [], []
+    for surf in charfn.fd_solve((charfn.FAMILY_F, charfn.FAMILY_G),
+                                cfg.alpha, grid, cfg.pde_t, cfg.pde_dt):
+        family = surf.family
         closed = partial(charfn.closed_form_char, family, cfg.alpha)
+        err = np.abs(surf.values - closed(cfg.pde_t, *mesh)).max()
+        fd_errors.append(err)
+        summary.append(f"fd max abs error {family}: {err:.6e}")
+        health.append(f"fd cfl {family}: {surf.cfl:.6e}")
+        health.append(f"fd boundary max {family}: {surf.boundary_max:.6e}")
+        buf = io.StringIO()
+        surf.to_csv(buf)
+        artifacts[f"surface_{family}.csv"] = buf.getvalue()
         moc = [charfn.moc_solve(family, cfg.alpha, cfg.pde_t, k, l)
                for k, l in zip(kk.tolist(), ll.tolist())]
         moc_errors.append(np.abs(np.subtract(moc, closed(cfg.pde_t, kk, ll))))
@@ -415,9 +416,8 @@ def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
         i = gaussian.mode_index(mode)
         covs[:, i, i] = series[idx]
     table = gaussian.variance_table([st.time for st in stats], covs)
-    field_col = ("var_x_ph_norm" if cfg.oracle_phase == fock.PHASE_X
-                 else "var_p_ph_norm")
-    table[field_col] = [st.variance / 2.0 / st.time for st in stats]
+    table[ORACLE_FIELD_COLUMN[cfg.oracle_phase]] = [
+        st.variance / 2.0 / st.time for st in stats]
     return _table_csv(table, {
         "stderr_var_field_norm": [st.stderr_var / 2.0 / st.time
                                   for st in stats],
@@ -480,8 +480,8 @@ def cmd_compare(cfg: RunConfig) -> Outputs:
 
     # 9. oracle, homodyne variance (statistical budget), at the final time
     st = series[-1]
-    field = gaussian.mode_index("X_ph" if cfg.oracle_phase == fock.PHASE_X
-                                else "P_ph")
+    mode, _ = gaussian.PUBLISHED[ORACLE_FIELD_COLUMN[cfg.oracle_phase]]
+    field = gaussian.mode_index(mode)
     ref = cov[field, field]
     checks.append(_check("oracle_homodyne",
                          f"|Var(y)/2 - sigma2| (n={st.n})",

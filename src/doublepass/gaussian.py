@@ -25,7 +25,6 @@ compares two routes elementwise.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from dataclasses import dataclass
 
@@ -200,17 +199,11 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     # Delta' = A Delta + Delta A^T + S with S = A C0 + C0 A^T + D, whose
     # cross-covariance entries cancel exactly.  This is affine in the
     # row-major vec(Delta): K vec(Delta) + b with K = A (x) 1 + 1 (x) A and
-    # b = vec(S).  The RK4 stages then collapse to c_{n+1} = c + E c + r with
-    # E = sum_{1<=j<=4} (dt K)^j / j!  and  r = sum_{1<=j<=4} dt^j K^{j-1} b / j!;
-    # E = R - I is kept apart from I, which would round off its low bits
+    # b = vec(S); the RK4 stages collapse to c_{n+1} = c + E c + r
     eye, c0 = np.eye(4), VACUUM
     k_mat = np.kron(ode.drift, eye) + np.kron(eye, ode.drift)
     b_vec = (ode.drift @ c0 + c0 @ ode.drift.T + ode.diffusion).reshape(16)
-    e_mat, r_vec, term = np.zeros((16, 16)), np.zeros(16), np.eye(16)
-    for j in range(1, 5):
-        r_vec = r_vec + (term @ b_vec) * (dt ** j / math.factorial(j))
-        term = term @ k_mat
-        e_mat = e_mat + term * (dt ** j / math.factorial(j))
+    e_mat, r_vec = _rk4_step_map(k_mat, b_vec, dt)
 
     # (E_a, r_a) after (E_b, r_b) is (E_a + E_b + E_a E_b, r_b + E_a r_b + r_a);
     # binary powering from the identity map (0, 0) raises the step to the stride
@@ -239,6 +232,19 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
 
     return CovTrajectory(np.arange(n_rows + 1) * sample_dt, covs,
                          _cross_sector_max(covs))
+
+
+def _rk4_step_map(k_mat: np.ndarray, b_vec: np.ndarray,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(E, r)`` of one RK4 step ``c -> c + E c + r`` of ``c' = K c + b``:
+    its four Taylor terms in Horner form, ``E = h P`` and ``r = dt P b`` with
+    ``h = dt K`` and ``P = I + h/2 (I + h/3 (I + h/4))``.  No power of dt is
+    formed to overflow; E = R - I stays apart from I, which would round off
+    its low bits."""
+    eye = np.eye(len(k_mat))
+    h = dt * k_mat
+    p = eye + h / 2.0 @ (eye + h / 3.0 @ (eye + h / 4.0))
+    return h @ p, dt * (p @ b_vec)
 
 
 def _cross_sector_max(covs: np.ndarray) -> float:
@@ -282,15 +288,16 @@ def closed_form_covariances(alpha: float, t: float | np.ndarray,
     put("p_at", "p_at", 0.25 * (1.0 + np.exp(-2.0 * u)))
     put("x_at", "x_at", 0.5 * (1.0 + alpha * alpha * t))
     put("x_at", "P_ph", -0.25 * alpha ** 3 * t * t)
-    put("P_ph", "P_ph", 0.5 * t + alpha ** 4 * t ** 3 / 6.0)
-    # the alpha = 0 limit is exact to double precision wherever alpha^2
-    # is not a normal float, and the general form divides by it
+    # the alpha = 0 limit is exact wherever alpha^2 is not a normal float;
+    # the general form divides by it, and its alpha^4 t^3 may be 0 * inf
     if alpha * alpha < sys.float_info.min:
         put("p_at", "X_ph", 0.0)
         put("X_ph", "X_ph", 0.5 * t)
+        put("P_ph", "P_ph", 0.5 * t)
     else:
         put("p_at", "X_ph", -em * em / (4.0 * alpha))
         put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
+        put("P_ph", "P_ph", 0.5 * t + alpha ** 4 * t ** 3 / 6.0)
     return cov
 
 

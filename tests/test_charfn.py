@@ -13,8 +13,7 @@ import pytest
 from doublepass import charfn
 from doublepass.charfn import (RESIDUAL_H, BoundaryLeakError, CharSurface,
                                GridSpec, _upwind_layout, closed_form_char,
-                               closed_form_surface, fd_solve, moc_solve,
-                               pde_residual)
+                               fd_solve, moc_solve, pde_residual)
 from doublepass.errors import ConfigError
 from doublepass.gaussian import closed_form_covariances, mode_index
 from doublepass.ito import PdeCoefficients, double_pass_derivation
@@ -25,6 +24,12 @@ FAMILIES = ("F", "G")
 
 def closed_sampler(family, alpha):
     return lambda t, k, l: closed_form_char(family, alpha, t, k, l)
+
+
+def closed_on_grid(family, alpha, t, grid):
+    """The closed form on the full (k, l) mesh of ``grid``."""
+    return closed_form_char(family, alpha, t, *np.meshgrid(
+        grid.k_values(), grid.l_values(), indexing="ij"))
 
 
 # -- closed form -----------------------------------------------------------------
@@ -49,17 +54,18 @@ def test_g_slice_at_k_zero():
     assert closed_form_char("G", alpha, t, 0.0, l) == pytest.approx(expected)
 
 
-def origin_value(surf):
-    """The surface value at k = l = 0 (both grids are symmetric)."""
-    return surf.values[len(surf.k_values) // 2, len(surf.l_values) // 2]
+def origin_value(values):
+    """The value at k = l = 0 of a surface (both grids are symmetric)."""
+    nk, nl = values.shape
+    return values[nk // 2, nl // 2]
 
 
 def test_surface_invariants():
-    surf = closed_form_surface("F", 1.0, 0.7, GridSpec(6.0, 0.1, 2.0, 0.5))
-    assert 0.0 < surf.values.min() and surf.values.max() <= 1.0
-    assert origin_value(surf) == 1.0
+    values = closed_on_grid("F", 1.0, 0.7, GridSpec(6.0, 0.1, 2.0, 0.5))
+    assert 0.0 < values.min() and values.max() <= 1.0
+    assert origin_value(values) == 1.0
     # even under (k, l) -> (-k, -l)
-    assert np.allclose(surf.values, surf.values[::-1, ::-1], atol=1e-9)
+    assert np.allclose(values, values[::-1, ::-1], atol=1e-9)
 
 
 def test_log_derivatives_reproduce_covariances():
@@ -183,9 +189,9 @@ def test_fd_matches_closed_form():
     grid = GridSpec(l_max=12.0, dl=0.02, k_max=3.0, dk=1.0)
     for family in FAMILIES:
         (surf,) = fd_solve((family,), 1.0, grid, 0.5, 4e-4)
-        ref = closed_form_surface(family, 1.0, 0.5, grid)
-        assert np.abs(surf.values - ref.values).max() < 5e-4
-        assert abs(origin_value(surf) - 1.0) <= 1e-5
+        ref = closed_on_grid(family, 1.0, 0.5, grid)
+        assert np.abs(surf.values - ref).max() < 5e-4
+        assert abs(origin_value(surf.values) - 1.0) <= 1e-5
         assert surf.values.max() <= 1.0 + 1e-5
         assert np.allclose(surf.values, surf.values[::-1, ::-1], atol=1e-9)
 
@@ -197,8 +203,8 @@ def test_fd_convergence_order_two():
         dt = dl * dl / 4.0
         n = math.ceil(0.4 / dt)
         (surf,) = fd_solve(("F",), 1.0, grid, 0.4, 0.4 / n)
-        ref = closed_form_surface("F", 1.0, 0.4, grid)
-        errs.append(np.abs(surf.values - ref.values).max())
+        ref = closed_on_grid("F", 1.0, 0.4, grid)
+        errs.append(np.abs(surf.values - ref).max())
     order = math.log2(errs[0] / errs[1])
     assert 1.5 < order < 2.5
 
@@ -206,7 +212,7 @@ def test_fd_convergence_order_two():
 def test_fd_origin_stays_normalized():
     grid = GridSpec(l_max=10.0, dl=0.05, k_max=1.0, dk=0.5)
     (surf,) = fd_solve(("G",), 1.0, grid, 0.5, 1e-3)
-    assert origin_value(surf) == pytest.approx(1.0, abs=1e-9)
+    assert origin_value(surf.values) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grid_spec_validation():
@@ -565,8 +571,9 @@ def test_fd_health_only_on_fd_surfaces():
     assert surf.cfl == pytest.approx(0.45) and surf.boundary_max == 0.0
     with pytest.raises(ConfigError, match="CFL"):
         fd_solve(("F",), 1.0, grid, 0.0, 0.01)
-    closed = closed_form_surface("F", 1.0, 0.5, grid)
-    assert closed.cfl is None and closed.boundary_max is None
+    # the health numbers are required: no surface is built without them
+    with pytest.raises(TypeError, match="cfl.*boundary_max"):
+        CharSurface("F", 1.0, 0.0, surf.k_values, surf.l_values, surf.values)
 
 
 def test_surface_shape_guard_survives_optimize_flag():
@@ -574,7 +581,7 @@ def test_surface_shape_guard_survives_optimize_flag():
             "from doublepass.charfn import CharSurface\n"
             "try:\n"
             "    CharSurface('F', 1.0, 0.0, np.zeros(2), np.zeros(3),"
-            " np.zeros((3, 2)))\n"
+            " np.zeros((3, 2)), 0.0, 0.0)\n"
             "except ValueError:\n"
             "    print('raised')\n")
     res = subprocess.run([sys.executable, "-O", "-c", code],
@@ -582,7 +589,8 @@ def test_surface_shape_guard_survives_optimize_flag():
     assert res.returncode == 0, res.stderr
     assert res.stdout == "raised\n"
     with pytest.raises(ValueError):
-        CharSurface("F", 1.0, 0.0, np.zeros(2), np.zeros(3), np.zeros((3, 2)))
+        CharSurface("F", 1.0, 0.0, np.zeros(2), np.zeros(3), np.zeros((3, 2)),
+                    0.0, 0.0)
 
 
 def test_surface_csv_matches_per_row_formatting(monkeypatch):
@@ -609,7 +617,13 @@ def _reference_csv_body(surf):
 def _hand_built(values):
     nk, nl = values.shape
     return CharSurface("F", 1.0, 0.1, np.linspace(-1.0, 1.0, nk),
-                       np.linspace(-2.0, 2.0, nl), values)
+                       np.linspace(-2.0, 2.0, nl), values, 0.0, 0.0)
+
+
+def _closed_surface(family, alpha, t, grid):
+    """A hand-built surface holding the closed form on ``grid``."""
+    return CharSurface(family, alpha, t, grid.k_values(), grid.l_values(),
+                       closed_on_grid(family, alpha, t, grid), 0.0, 0.0)
 
 
 # odd nk (k = 0 among the rows) and even nk (k_max 0.5, dk 0.2: six rows)
@@ -623,7 +637,7 @@ SIGNED_ZEROS = np.array([[-0.0, 0.5, 0.0], [1.0, 2.0, 1.0], [0.0, 0.5, 0.0]])
 @pytest.mark.parametrize("surf", [
     *(s for grid in CSV_GRIDS for s in fd_solve(FAMILIES, 0.7, grid, 0.1,
                                                 0.01)),
-    closed_form_surface("G", 0.3, 0.5, CSV_GRIDS[1]),
+    _closed_surface("G", 0.3, 0.5, CSV_GRIDS[1]),
     _hand_built(ODD),
     _hand_built(SIGNED_ZEROS),
     _hand_built(np.where(SIGNED_ZEROS == 0, -0.0, SIGNED_ZEROS)),
@@ -643,7 +657,7 @@ def test_surface_csv_bytes_match_a_per_line_writer(surf):
 
 def test_surface_csv_dump():
     grid = GridSpec(l_max=1.0, dl=0.5, k_max=0.5, dk=0.5)
-    surf = closed_form_surface("F", 1.0, 0.5, grid)
+    surf = _closed_surface("F", 1.0, 0.5, grid)
     buf = io.StringIO()
     surf.to_csv(buf)
     lines = buf.getvalue().splitlines()

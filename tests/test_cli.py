@@ -517,6 +517,34 @@ def test_probe_checks_on_arrays_match_point_calls(family, alpha):
              for k, l in points]).tobytes()
 
 
+def test_pde_evaluates_the_closed_form_once_per_family_on_one_mesh(
+        tmp_path, monkeypatch):
+    # the FD error takes the closed form on the full (k, l) mesh: one mesh
+    # per run, one evaluation on it per family
+    shape = charfn.GridSpec(l_max=8.0, dl=0.1, k_max=0.5, dk=0.5).shape
+    meshes, families = [], []
+    meshgrid, closed_fn = np.meshgrid, charfn.closed_form_char
+
+    def count_mesh(*axes, **kwargs):
+        out = meshgrid(*axes, **kwargs)
+        if out[0].shape == shape:
+            meshes.append(shape)
+        return out
+
+    def count_closed(family, alpha, t, k, l):
+        out = closed_fn(family, alpha, t, k, l)
+        if out.shape == shape:
+            families.append(family)
+        return out
+
+    monkeypatch.setattr(np, "meshgrid", count_mesh)
+    monkeypatch.setattr(charfn, "closed_form_char", count_closed)
+    cfg = _write_config(tmp_path / "run.cfg")
+    assert main(["pde", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    assert meshes == [shape]
+    assert families == ["F", "G"]
+
+
 def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
     # the closed-form table is the one closed-form call on many times;
     # checks 8 and 9 make a call at one time
@@ -926,3 +954,24 @@ def test_config_sweep_never_exits_internal(tmp_path, key, value):
             "compare",):
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / command)]) in (0, 1, 2)
+
+
+#: (t_max, grid_step, solver.dt) of the variance path: fine steps, and
+#: extents where dt ** j of a Taylor-summed step map overflows
+PAIRS = [("1e-3", "1e-3", "1e-4"), ("1", "0.5", "1e-4"),
+         ("1e100", "1e100", "1e99"), ("1e300", "1e300", "1e299"),
+         ("1e100", "1e99", "1e98")]
+
+
+@pytest.mark.parametrize("command", ["variances", "compare"])
+@pytest.mark.parametrize("alpha", ["0", "1e-100", "1"])
+@pytest.mark.parametrize("t_max, grid_step, solver_dt", PAIRS,
+                         ids=["-".join(pair) for pair in PAIRS])
+def test_variance_path_pair_sweep_never_exits_internal(
+        tmp_path, command, alpha, t_max, grid_step, solver_dt):
+    """Pairs of step and extent: a tiny alpha lets a huge solver.dt through
+    the stability bound, and no run may reach exit 3."""
+    cfg = _write_config(tmp_path / "run.cfg", grid_step=grid_step)
+    assert main([command, "--alpha", alpha, "--t-max", t_max,
+                 "--dt", solver_dt, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) in (0, 1, 2)

@@ -8,9 +8,10 @@ import pytest
 
 from doublepass.errors import ConfigError
 from doublepass.gaussian import (CSV_COLUMNS, MODES, SECTORS, VACUUM,
-                                 _cross_sector_max, build_moment_odes,
-                                 closed_form_covariances, integrate_covariance,
-                                 mode_index, relative_error, variance_table)
+                                 _cross_sector_max, _rk4_step_map,
+                                 build_moment_odes, closed_form_covariances,
+                                 integrate_covariance, mode_index,
+                                 relative_error, variance_table)
 
 PUBLISHED = (("p_at", "p_at"), ("p_at", "X_ph"), ("X_ph", "X_ph"),
              ("x_at", "x_at"), ("x_at", "P_ph"), ("P_ph", "P_ph"))
@@ -135,11 +136,8 @@ def _rk4_with_means(ode, t_max, dt):
         m_b, c_b = basis[:4], basis[4:].reshape(4, 4)
         k_mat[:, idx] = pack(a @ m_b, a @ c_b + c_b @ a.T)
     b_vec = pack(np.zeros(4), a @ c0 + c0 @ a.T + ode.diffusion)
-    r_mat, r_vec, term = np.eye(20), np.zeros(20), np.eye(20)
-    for j in range(1, 5):
-        r_vec = r_vec + (term @ b_vec) * (dt ** j / math.factorial(j))
-        term = term @ k_mat
-        r_mat = r_mat + term * (dt ** j / math.factorial(j))
+    e_mat, r_vec = _rk4_step_map(k_mat, b_vec, dt)
+    r_mat = np.eye(20) + e_mat
     ys = np.zeros((n_steps + 1, 20))
     covs = ys[:, 4:].reshape(n_steps + 1, 4, 4)
     for step in range(1, n_steps + 1):
@@ -184,6 +182,46 @@ def test_covariance_rk4_scan_matches_mean_carrying_rk4(alpha, t_max, dt):
             assert np.array_equal(covs, covs.transpose(0, 2, 1)), case
             if stride == 1:
                 assert np.array_equal(covs[1], ref[1]), case
+
+
+def _taylor_step_map(k_mat, b_vec, dt):
+    """The RK4 step map as the plain sum of its four Taylor terms."""
+    n = len(k_mat)
+    e_mat, r_vec, term = np.zeros((n, n)), np.zeros(n), np.eye(n)
+    for j in range(1, 5):
+        r_vec = r_vec + (term @ b_vec) * (dt ** j / math.factorial(j))
+        term = term @ k_mat
+        e_mat = e_mat + term * (dt ** j / math.factorial(j))
+    return e_mat, r_vec
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5e-324, 1e-100, 1e-9, 1e-3, 0.3,
+                                   1.0, 5.0, 1e3])
+def test_horner_step_map_matches_taylor_sum(alpha):
+    # the Horner map is the Taylor sum up to rounding wherever the sum is
+    # finite; where dt ** j overflows but the stability bound holds, as at
+    # a tiny alpha and dt 1e99, the Horner map is still finite
+    ode = build_moment_odes(alpha)
+    a, eye = ode.drift, np.eye(4)
+    k_mat = np.kron(a, eye) + np.kron(eye, a)
+    b_vec = (a @ VACUUM + VACUUM @ a.T + ode.diffusion).reshape(16)
+    for dt in (1e-300, 1e-13, 1e-4, 1e-2, 0.1, 1.0, 1e30, 1e76, 1e77, 1e78,
+               1e99, 1e299):
+        case = f"dt {dt:g}"
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                old = _taylor_step_map(k_mat, b_vec, dt)
+        except OverflowError:
+            old = None
+        if old is None or not all(np.isfinite(m).all() for m in old):
+            if alpha * alpha * dt <= 0.1:
+                assert old is None, case
+                assert all(np.isfinite(m).all() for m in
+                           _rk4_step_map(k_mat, b_vec, dt)), case
+            continue
+        for new, ref in zip(_rk4_step_map(k_mat, b_vec, dt), old):
+            assert np.array_equal(new == 0, ref == 0), case
+            assert np.abs(new - ref).max() <= 2e-15 * np.abs(ref).max(), case
 
 
 def test_cross_sector_stays_zero():
@@ -288,6 +326,11 @@ def test_closed_form_alpha_zero_limits():
     assert _entry(cov, "X_ph", "X_ph") == pytest.approx(1.0)
     assert _entry(cov, "p_at", "X_ph") == 0.0
     assert _entry(cov, "P_ph", "P_ph") == pytest.approx(1.0)
+    # both field variances are t / 2 even where t^3 overflows
+    cov = closed_form_covariances(0.0, [1e103, 1e300])
+    for mode in ("X_ph", "P_ph"):
+        i = mode_index(mode)
+        assert cov[:, i, i].tolist() == [5e102, 5e299]
 
 
 def test_alpha_squared_below_normal_takes_alpha_zero_limit():
