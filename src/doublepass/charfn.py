@@ -15,8 +15,8 @@ formulas, is the solvers' independent reference.
 ``PdeCoefficients`` accepts only a c0 even and a c1 odd under
 (k, l) -> (-k, -l), so every solution is even.  The finite-difference
 solver uses that derived symmetry: it steps the k >= 0 rows of all the
-families it is given, in cache-sized blocks of rows, and mirrors them onto
-k < 0.
+families it is given, in cache-sized blocks of rows, and returns those
+rows; the k < 0 rows are the same rows read backwards.
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ class GridSpec:
 class CharSurface:
     """A :func:`fd_solve` surface on a (k, l) grid at one time.
 
-    It carries the solver's health numbers: the CFL number
+    ``values`` holds the rows FD stepped, those of ``k_values[nk // 2:]``
+    (k >= 0); the surface is even, so the k < 0 rows are those rows read
+    backwards.  It carries the solver's health numbers: the CFL number
     ``max|drift| dt / dl`` and the largest boundary value the leak monitor
     saw (0.0 when no step ran).
     """
@@ -102,18 +104,19 @@ class CharSurface:
     t: float
     k_values: np.ndarray
     l_values: np.ndarray
-    values: np.ndarray          # shape (nk, nl)
+    values: np.ndarray          # shape (nk - nk // 2, nl)
     cfl: float
     boundary_max: float
 
     def __post_init__(self):
-        shape = (len(self.k_values), len(self.l_values))
-        if self.values.shape != shape:
+        nk, nl = len(self.k_values), len(self.l_values)
+        if self.values.shape != (nk - nk // 2, nl):
             raise ValueError(
-                f"surface values have shape {self.values.shape}, grid {shape}")
+                f"surface values have shape {self.values.shape}, the k >= 0"
+                f" rows of grid {(nk, nl)}")
 
     def to_csv(self, stream: TextIO) -> None:
-        nk, nl = self.values.shape
+        nk, nl = len(self.k_values), len(self.l_values)
         stream.write(
             f"# family={self.family} alpha={self.alpha:.12g} t={self.t:.12g}"
             f" l_min={self.l_values[0]:.12g} l_max={self.l_values[-1]:.12g}"
@@ -121,18 +124,12 @@ class CharSurface:
             f" k_min={self.k_values[0]:.12g} k_max={self.k_values[-1]:.12g}"
             f" nk={nk}\n")
         stream.write("k,l,value\n")
-        # each k and l string is formatted once; an even surface (every FD
-        # surface) formats each value once per mirrored pair, as row
-        # nk - 1 - i is row i reversed.  Bits, not ==, decide it: -0.0 and
-        # 0.0 are equal but print differently
+        # each k and l string and each stored value is formatted once; row
+        # i < nk // 2 is row nk - 1 - i, a stored row, reversed
         fmt = "{:.12g}".format
         l_strs = list(map(fmt, self.l_values.tolist()))
-        v, mirrored = self.values, self.values[::-1, ::-1]
-        even = (np.array_equal(v, mirrored)
-                and np.array_equal(np.signbit(v), np.signbit(mirrored)))
-        top = nk - nk // 2 if even else nk
-        rows = [list(map(fmt, row)) for row in v[:top].tolist()]
-        rows += [row[::-1] for row in rows[:nk - top][::-1]]
+        half = [list(map(fmt, row)) for row in self.values.tolist()]
+        rows = [row[::-1] for row in half[::-1][:nk // 2]] + half
         for k, row in zip(map(fmt, self.k_values.tolist()), rows):
             # the lines "k,l,value" of one row: its "l,value" pairs joined
             # by a newline and the next line's "k,"
@@ -375,8 +372,7 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
     for bit, a k > 0 row read backwards: IEEE rounding is symmetric under
     negation.  Only the rows with k >= 0, ``k_values()[nk // 2:]`` (k = 0
     among them when nk is odd), are stepped; the rows of all ``families``
-    are stacked, and each full surface is rebuilt by mirroring.  Returns one
-    surface per family, in order.
+    are stacked.  Returns one surface of those rows per family, in order.
 
     Per step: half decay (exact pointwise factor of the derived c0), one Heun
     step along the drift ``-c1`` with a second-order upwind derivative, half
@@ -458,8 +454,7 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
     values = values.reshape(len(families), rows, -1)
     leaks = leaks.reshape(len(families), -1).max(axis=1)
     return tuple(
-        CharSurface(family, alpha, float(t), kv, lv,
-                    np.vstack((h[::-1, ::-1][:half], h)),
+        CharSurface(family, alpha, float(t), kv, lv, h,
                     cfl=cfl, boundary_max=float(leak))
         for family, h, cfl, leak in zip(families, values, cfls, leaks))
 

@@ -349,7 +349,9 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], list]:
     artifacts: dict[str, str] = {}
     summary = [f"pde summary: alpha={_fmt(cfg.alpha)} t={_fmt(cfg.pde_t)}"]
     health = []
-    mesh = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
+    # the k >= 0 rows a surface holds; the closed form is even bit for bit
+    mesh = np.meshgrid(grid.k_values()[grid.shape[0] // 2:],
+                       grid.l_values(), indexing="ij")
     # MOC is the scalar route, one point at a time; the closed form and
     # the residual take the probe points as arrays
     kk, ll = (a.ravel() for a in np.meshgrid(PROBE, PROBE, indexing="ij"))
@@ -392,7 +394,7 @@ def cmd_pde(cfg: RunConfig) -> Outputs:
 
 
 def _oracle_runs(cfg: RunConfig) -> tuple[fock.AtomMomentSeries,
-                                          list[fock.TrajectoryStats]]:
+                                          fock.TrajectoryStats]:
     """The configured oracle: one atom-moment run, one homodyne series."""
     ocfg = cfg.section(fock.OracleConfig)
     atoms = fock.simulate_atom_moments(ocfg)
@@ -403,26 +405,24 @@ def _oracle_runs(cfg: RunConfig) -> tuple[fock.AtomMomentSeries,
 
 
 def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
-               stats: list[fock.TrajectoryStats]) -> str:
+               stats: fock.TrajectoryStats) -> str:
     """Oracle results in the shared schema plus stderr_* and n_traj columns.
 
     Atomic columns come from the deterministic trace route; the normalized
     field variance for the configured phase comes from the homodyne record
     (Var(y)/2 normalized by t).  Entries the oracle does not measure are nan.
     """
-    idx = [round(st.time / cfg.oracle_dt) for st in stats]
-    covs = np.full((len(stats), 4, 4), math.nan)
+    covs = np.full((len(stats.step), 4, 4), math.nan)
     for mode, series in (("x_at", atoms.var_x), ("p_at", atoms.var_p)):
         i = gaussian.mode_index(mode)
-        covs[:, i, i] = series[idx]
-    table = gaussian.variance_table([st.time for st in stats], covs)
-    table[ORACLE_FIELD_COLUMN[cfg.oracle_phase]] = [
-        st.variance / 2.0 / st.time for st in stats]
+        covs[:, i, i] = series[stats.step]
+    table = gaussian.variance_table(stats.time, covs)
+    table[ORACLE_FIELD_COLUMN[cfg.oracle_phase]] = (
+        stats.variance / 2.0 / stats.time)
     return _table_csv(table, {
-        "stderr_var_field_norm": [st.stderr_var / 2.0 / st.time
-                                  for st in stats],
-        "stderr_mean_record": [st.stderr_mean for st in stats],
-        "n_traj": [st.n for st in stats],
+        "stderr_var_field_norm": stats.stderr_var / 2.0 / stats.time,
+        "stderr_mean_record": stats.stderr_mean,
+        "n_traj": [stats.n] * len(stats.step),
     })
 
 
@@ -479,14 +479,13 @@ def cmd_compare(cfg: RunConfig) -> Outputs:
                          np.max([rel_p, rel_x]), cfg.tol_oracle_rel))
 
     # 9. oracle, homodyne variance (statistical budget), at the final time
-    st = series[-1]
     mode, _ = gaussian.PUBLISHED[ORACLE_FIELD_COLUMN[cfg.oracle_phase]]
     field = gaussian.mode_index(mode)
     ref = cov[field, field]
     checks.append(_check("oracle_homodyne",
-                         f"|Var(y)/2 - sigma2| (n={st.n})",
-                         abs(st.variance / 2.0 - ref),
-                         cfg.tol_oracle_sigma * st.stderr_var / 2.0))
+                         f"|Var(y)/2 - sigma2| (n={series.n})",
+                         abs(series.variance[-1] / 2.0 - ref),
+                         cfg.tol_oracle_sigma * series.stderr_var[-1] / 2.0))
     artifacts["oracle.csv"] = oracle_csv(cfg, atoms, series)
 
     # 10. alpha = 0 homodyne control

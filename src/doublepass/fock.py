@@ -164,15 +164,17 @@ class AtomMomentSeries:
 
 @dataclass(frozen=True)
 class TrajectoryStats:
-    """Ensemble statistics of the integrated homodyne record at one time."""
+    """Ensemble statistics of the integrated homodyne record: one entry per
+    sample step (a scalar for one sample); ``n`` and ``max_leak`` per run."""
 
-    time: float
+    step: np.ndarray
+    time: np.ndarray
     n: int
-    mean: float
-    variance: float
-    stderr_mean: float      # sample standard deviation / sqrt(n)
-    stderr_var: float       # Gaussian-approx standard error of the variance
-    max_leak: float         # largest top-two-level population the monitor saw
+    mean: np.ndarray
+    variance: np.ndarray
+    stderr_mean: np.ndarray  # sample standard deviation / sqrt(n)
+    stderr_var: np.ndarray  # Gaussian-approx standard error of the variance
+    max_leak: float  # largest top-two-level population of the run
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +361,15 @@ def _trajectory_uniforms(seed: int, n_traj: int, n_steps: int) -> np.ndarray:
     return out
 
 
-def _stats(time: float, samples: np.ndarray,
+def _stats(config: OracleConfig, step: int | np.ndarray, records: np.ndarray,
            max_leak: float) -> TrajectoryStats:
-    n = samples.size
-    mean = float(samples.mean())
-    var = float(samples.var(ddof=1))
-    std = math.sqrt(var)
+    """Statistics at ``step`` over the last axis of ``records``."""
+    n = records.shape[-1]
+    var = records.var(axis=-1, ddof=1)
     return TrajectoryStats(
-        time=time, n=n, mean=mean, variance=var,
-        stderr_mean=std / math.sqrt(n),
-        stderr_var=var * math.sqrt(2.0 / (n - 1)),
-        max_leak=max_leak,
-    )
+        step=step, time=step * config.dt, n=n, mean=records.mean(axis=-1),
+        variance=var, stderr_mean=np.sqrt(var) / math.sqrt(n),
+        stderr_var=var * math.sqrt(2.0 / (n - 1)), max_leak=max_leak)
 
 
 def _reachable_levels(kraus: np.ndarray) -> np.ndarray:
@@ -391,8 +390,9 @@ def _reachable_levels(kraus: np.ndarray) -> np.ndarray:
 
 
 def _homodyne_records(config: OracleConfig, sample_steps: list[int],
-                      ) -> list[tuple[float, np.ndarray, float]]:
-    """(time, record y per trajectory, max leak so far) at each sample step."""
+                      ) -> tuple[np.ndarray, float]:
+    """The record y of every trajectory at each of the increasing
+    ``sample_steps``, one row per step, and the run's largest leak."""
     d, da = config.d_at, config.d_anc
     n_steps = config.n_steps
     n = config.n_traj
@@ -409,8 +409,8 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
 
-    out: list[tuple[float, np.ndarray, float]] = []
-    wanted = set(sample_steps)
+    records = np.empty((len(sample_steps), n))
+    sample = 0
     check_every = 25
     max_leak = 0.0
     traj = np.arange(n)
@@ -446,9 +446,10 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                     "non-finite atom state or outcome probability in a"
                     f" trajectory at step {step}")
             max_leak = max(max_leak, leak)
-        if step in wanted:
-            out.append((step * config.dt, y.copy(), max_leak))
-    return out
+        if sample < len(records) and step == sample_steps[sample]:
+            records[sample] = y
+            sample += 1
+    return records, max_leak
 
 
 def homodyne_monte_carlo(config: OracleConfig) -> TrajectoryStats:
@@ -459,12 +460,12 @@ def homodyne_monte_carlo(config: OracleConfig) -> TrajectoryStats:
     (phase p) and Var(y_t) estimates twice the accumulated-quadrature
     variance.  Fully reproducible from the seed.
     """
-    (final,) = _homodyne_records(config, [config.n_steps])
-    return _stats(*final)
+    records, max_leak = _homodyne_records(config, [config.n_steps])
+    return _stats(config, config.n_steps, records[0], max_leak)
 
 
 def homodyne_series(config: OracleConfig,
-                    n_samples: int) -> list[TrajectoryStats]:
+                    n_samples: int) -> TrajectoryStats:
     """Statistics at n_samples evenly spaced times (final time included).
 
     Sample k = 1..n_samples is taken at step k * n_steps // n_samples, so the
@@ -475,4 +476,5 @@ def homodyne_series(config: OracleConfig,
     n_steps = config.n_steps
     n = min(n_samples, n_steps)
     steps = [k * n_steps // n for k in range(1, n + 1)]
-    return [_stats(*rec) for rec in _homodyne_records(config, steps)]
+    records, max_leak = _homodyne_records(config, steps)
+    return _stats(config, np.array(steps), records, max_leak)

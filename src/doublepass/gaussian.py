@@ -287,9 +287,10 @@ def closed_form_covariances(alpha: float, t: float | np.ndarray,
     em = -np.expm1(-u)            # 1 - exp(-u), stable for small u
     put("p_at", "p_at", 0.25 * (1.0 + np.exp(-2.0 * u)))
     put("x_at", "x_at", 0.5 * (1.0 + alpha * alpha * t))
-    put("x_at", "P_ph", -0.25 * alpha ** 3 * t * t)
+    # powers from u: alpha ** 4 may underflow to 0 where t ** 3 overflows
+    put("x_at", "P_ph", -0.25 * u * alpha * t)
     # the alpha = 0 limit is exact wherever alpha^2 is not a normal float;
-    # the general form divides by it, and its alpha^4 t^3 may be 0 * inf
+    # the general form divides by it
     if alpha * alpha < sys.float_info.min:
         put("p_at", "X_ph", 0.0)
         put("X_ph", "X_ph", 0.5 * t)
@@ -297,7 +298,7 @@ def closed_form_covariances(alpha: float, t: float | np.ndarray,
     else:
         put("p_at", "X_ph", -em * em / (4.0 * alpha))
         put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
-        put("P_ph", "P_ph", 0.5 * t + alpha ** 4 * t ** 3 / 6.0)
+        put("P_ph", "P_ph", 0.5 * t + u * u * t / 6.0)
     return cov
 
 

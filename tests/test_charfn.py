@@ -32,6 +32,13 @@ def closed_on_grid(family, alpha, t, grid):
         grid.k_values(), grid.l_values(), indexing="ij"))
 
 
+def full_surface(surf):
+    """Every row of ``surf``: its stored k >= 0 rows, after the k < 0 rows,
+    which are those rows read backwards."""
+    v = surf.values
+    return np.vstack((v[::-1, ::-1][:len(surf.k_values) // 2], v))
+
+
 # -- closed form -----------------------------------------------------------------
 
 
@@ -182,18 +189,18 @@ def test_fd_alpha_zero_is_exact():
     (surf,) = fd_solve(("F",), 0.0, grid, 0.3, 1e-3)
     kk, ll = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
     exact = np.exp(-ll ** 2 / 4) * np.exp(-kk ** 2 * 0.3 / 4)
-    assert np.abs(surf.values - exact).max() < 1e-12
+    assert np.abs(full_surface(surf) - exact).max() < 1e-12
 
 
 def test_fd_matches_closed_form():
     grid = GridSpec(l_max=12.0, dl=0.02, k_max=3.0, dk=1.0)
     for family in FAMILIES:
         (surf,) = fd_solve((family,), 1.0, grid, 0.5, 4e-4)
+        full = full_surface(surf)
         ref = closed_on_grid(family, 1.0, 0.5, grid)
-        assert np.abs(surf.values - ref).max() < 5e-4
-        assert abs(origin_value(surf.values) - 1.0) <= 1e-5
-        assert surf.values.max() <= 1.0 + 1e-5
-        assert np.allclose(surf.values, surf.values[::-1, ::-1], atol=1e-9)
+        assert np.abs(full - ref).max() < 5e-4
+        assert abs(origin_value(full) - 1.0) <= 1e-5
+        assert full.max() <= 1.0 + 1e-5
 
 
 def test_fd_convergence_order_two():
@@ -204,7 +211,7 @@ def test_fd_convergence_order_two():
         n = math.ceil(0.4 / dt)
         (surf,) = fd_solve(("F",), 1.0, grid, 0.4, 0.4 / n)
         ref = closed_on_grid("F", 1.0, 0.4, grid)
-        errs.append(np.abs(surf.values - ref).max())
+        errs.append(np.abs(full_surface(surf) - ref).max())
     order = math.log2(errs[0] / errs[1])
     assert 1.5 < order < 2.5
 
@@ -212,7 +219,7 @@ def test_fd_convergence_order_two():
 def test_fd_origin_stays_normalized():
     grid = GridSpec(l_max=10.0, dl=0.05, k_max=1.0, dk=0.5)
     (surf,) = fd_solve(("G",), 1.0, grid, 0.5, 1e-3)
-    assert origin_value(surf.values) == pytest.approx(1.0, abs=1e-9)
+    assert origin_value(full_surface(surf)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grid_spec_validation():
@@ -252,12 +259,18 @@ def test_fd_cfl_violation_rejected():
     ids=("compare", "k_slices"))
 def test_fd_surface_exactly_even(family, alpha, grid):
     # the grid is exactly symmetric, c0 even and c1 odd under
-    # (k, l) -> (-k, -l), and IEEE rounding is symmetric under negation
+    # (k, l) -> (-k, -l), and IEEE rounding is symmetric under negation.
+    # A surface holds the k >= 0 rows; the k = 0 row is its own mirror, bit
+    # for bit (the other rows' mirrors are pinned by the two-stencil test)
     assert np.array_equal(grid.l_values(), -grid.l_values()[::-1])
-    assert np.array_equal(grid.k_values(), -grid.k_values()[::-1])
+    kv = grid.k_values()
+    assert np.array_equal(kv, -kv[::-1])
     (surf,) = fd_solve((family,), alpha, grid, 0.05, 4e-4)
-    v = surf.values
-    assert np.array_equal(v, v[::-1, ::-1])
+    assert surf.values.shape == (len(kv) // 2 + 1, len(grid.l_values()))
+    assert kv[len(kv) // 2] == 0.0
+    row = surf.values[0]
+    assert np.array_equal(row, row[::-1])
+    assert np.array_equal(np.signbit(row), np.signbit(row[::-1]))
 
 
 def test_solvers_read_the_derived_equation(monkeypatch):
@@ -271,7 +284,7 @@ def test_solvers_read_the_derived_equation(monkeypatch):
     kk, ll = np.meshgrid(grid.k_values(), grid.l_values(), indexing="ij")
     exact = np.exp(-ll ** 2 / 4 - kk ** 2 * t / 4)
     (surf,) = fd_solve(("F",), 1.0, grid, t, 1e-3)
-    assert np.abs(surf.values - exact).max() < 1e-12
+    assert np.abs(full_surface(surf) - exact).max() < 1e-12
     for k, l in ((0.0, 0.0), (1.5, -0.5), (-2.0, 2.5)):
         assert moc_solve("F", 1.0, t, k, l) == pytest.approx(
             math.exp(-l * l / 4 - k * k * t / 4), rel=1e-12, abs=1e-12)
@@ -354,15 +367,17 @@ EVEN_GRID = GridSpec(l_max=8.0, dl=0.1, k_max=0.75, dk=0.5)
                          ids=("outflow", "inflow", "edge_run", "even_rows"))
 def test_fd_bit_identical_to_two_stencil_step(family, alpha, grid, tol,
                                              monkeypatch):
-    # the reference steps every row; fd_solve steps k >= 0 and mirrors
+    # the reference steps every row; fd_solve steps the k >= 0 rows, and
+    # the k < 0 rows of the reference are those rows read backwards
     monkeypatch.setattr(charfn, "BOUNDARY_TOL", tol)
     kv = grid.k_values()
     assert kv.min() < 0 < kv.max() and (0.0 in kv) == (len(kv) % 2 == 1)
     dt, n_steps = 0.005, 40
     ref, cfl, edges = _two_stencil_fd(family, alpha, grid, n_steps, dt)
     (surf,) = fd_solve((family,), alpha, grid, n_steps * dt, dt)
-    assert np.array_equal(surf.values, ref)
-    assert np.array_equal(np.signbit(surf.values), np.signbit(ref))
+    full = full_surface(surf)
+    assert np.array_equal(full, ref)
+    assert np.array_equal(np.signbit(full), np.signbit(ref))
     assert surf.cfl == cfl
     assert surf.boundary_max == max(edges)
 
@@ -599,7 +614,8 @@ def test_surface_csv_matches_per_row_formatting(monkeypatch):
     (surf,) = fd_solve(("G",), 0.7, grid, 0.05, 0.01)
     buf = io.StringIO()
     surf.to_csv(buf)
-    rows = [f"{k:.12g},{l:.12g},{surf.values[i, j]:.12g}"
+    full = full_surface(surf)
+    rows = [f"{k:.12g},{l:.12g},{full[i, j]:.12g}"
             for i, k in enumerate(surf.k_values)
             for j, l in enumerate(surf.l_values)]
     lines = buf.getvalue().split("\n")
@@ -609,44 +625,50 @@ def test_surface_csv_matches_per_row_formatting(monkeypatch):
 
 def _reference_csv_body(surf):
     """The lines after the header, each number formatted on its own line."""
-    return "".join("{:.12g},{:.12g},{:.12g}\n".format(k, l, surf.values[i, j])
+    full = full_surface(surf)
+    return "".join("{:.12g},{:.12g},{:.12g}\n".format(k, l, full[i, j])
                    for i, k in enumerate(surf.k_values)
                    for j, l in enumerate(surf.l_values))
 
 
 def _hand_built(values):
-    nk, nl = values.shape
-    return CharSurface("F", 1.0, 0.1, np.linspace(-1.0, 1.0, nk),
+    """A surface storing ``values`` as its k >= 0 rows, k = 0 among them."""
+    rows, nl = values.shape
+    return CharSurface("F", 1.0, 0.1, np.linspace(-1.0, 1.0, 2 * rows - 1),
                        np.linspace(-2.0, 2.0, nl), values, 0.0, 0.0)
 
 
 def _closed_surface(family, alpha, t, grid):
     """A hand-built surface holding the closed form on ``grid``."""
+    nk = grid.shape[0]
     return CharSurface(family, alpha, t, grid.k_values(), grid.l_values(),
-                       closed_on_grid(family, alpha, t, grid), 0.0, 0.0)
+                       closed_on_grid(family, alpha, t, grid)[nk // 2:],
+                       0.0, 0.0)
 
 
 # odd nk (k = 0 among the rows) and even nk (k_max 0.5, dk 0.2: six rows)
 CSV_GRIDS = (GridSpec(l_max=8.0, dl=0.1, k_max=0.5, dk=0.25),
              GridSpec(l_max=8.0, dl=0.1, k_max=0.5, dk=0.2))
-ODD = np.random.default_rng(7).normal(size=(3, 4))
-# -0.0 and 0.0 are == but print differently: only the bits make it even
-SIGNED_ZEROS = np.array([[-0.0, 0.5, 0.0], [1.0, 2.0, 1.0], [0.0, 0.5, 0.0]])
+RANDOM_HALF = np.random.default_rng(7).normal(size=(3, 4))
+# -0.0 and 0.0 are == but print differently; a k < 0 row is a stored row
+# reversed, so its signed zeros swap places
+SIGNED_ZEROS = np.array([[-0.0, 2.0, 0.0], [0.0, 0.5, -0.0]])
 
 
 @pytest.mark.parametrize("surf", [
     *(s for grid in CSV_GRIDS for s in fd_solve(FAMILIES, 0.7, grid, 0.1,
                                                 0.01)),
     _closed_surface("G", 0.3, 0.5, CSV_GRIDS[1]),
-    _hand_built(ODD),
+    _hand_built(RANDOM_HALF),
     _hand_built(SIGNED_ZEROS),
     _hand_built(np.where(SIGNED_ZEROS == 0, -0.0, SIGNED_ZEROS)),
     _hand_built(np.array([[1.0, 3.0, 1.0]])),
 ], ids=("odd_nk_F", "odd_nk_G", "even_nk_F", "even_nk_G", "closed_form",
-        "not_even", "signed_zeros", "negative_zeros", "one_row"))
+        "random_half", "signed_zeros", "negative_zeros", "one_row"))
 def test_surface_csv_bytes_match_a_per_line_writer(surf):
-    # even surfaces format each value once per mirrored pair, the others
-    # every value; both must write what one format call per line writes
+    # to_csv formats each stored value once and writes each k < 0 row from
+    # a stored row's strings reversed: it must write what one format call
+    # per line of the full surface writes
     buf = io.StringIO()
     surf.to_csv(buf)
     header, columns, body = buf.getvalue().split("\n", 2)

@@ -519,30 +519,34 @@ def test_probe_checks_on_arrays_match_point_calls(family, alpha):
 
 def test_pde_evaluates_the_closed_form_once_per_family_on_one_mesh(
         tmp_path, monkeypatch):
-    # the FD error takes the closed form on the full (k, l) mesh: one mesh
-    # per run, one evaluation on it per family
-    shape = charfn.GridSpec(l_max=8.0, dl=0.1, k_max=0.5, dk=0.5).shape
-    meshes, families = [], []
+    # the FD error takes the closed form on the mesh of the k >= 0 rows a
+    # surface holds: one mesh of that shape besides the one fd_solve
+    # evaluates its coefficients on, one evaluation on it per family, and
+    # no (k, l) mesh or closed form of the full grid
+    nk, nl = charfn.GridSpec(l_max=8.0, dl=0.1, k_max=0.5, dk=0.5).shape
+    half = (nk - nk // 2, nl)
+    meshes, evaluated = [], []
     meshgrid, closed_fn = np.meshgrid, charfn.closed_form_char
 
     def count_mesh(*axes, **kwargs):
         out = meshgrid(*axes, **kwargs)
-        if out[0].shape == shape:
-            meshes.append(shape)
+        meshes.append(out[0].shape)
         return out
 
     def count_closed(family, alpha, t, k, l):
         out = closed_fn(family, alpha, t, k, l)
-        if out.shape == shape:
-            families.append(family)
+        evaluated.append((family, out.shape))
         return out
 
     monkeypatch.setattr(np, "meshgrid", count_mesh)
     monkeypatch.setattr(charfn, "closed_form_char", count_closed)
     cfg = _write_config(tmp_path / "run.cfg")
     assert main(["pde", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
-    assert meshes == [shape]
-    assert families == ["F", "G"]
+    assert half == (2, 161)
+    assert meshes.count(half) == 2 and (nk, nl) not in meshes
+    assert [family for family, shape in evaluated if shape == half] == \
+        ["F", "G"]
+    assert all(shape != (nk, nl) for _, shape in evaluated)
 
 
 def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
@@ -962,16 +966,28 @@ PAIRS = [("1e-3", "1e-3", "1e-4"), ("1", "0.5", "1e-4"),
          ("1e100", "1e100", "1e99"), ("1e300", "1e300", "1e299"),
          ("1e100", "1e99", "1e98")]
 
+#: (t_max, grid_step, solver.dt, alpha): every pair at alpha 0, 1e-100 and
+#: 1, then two runs where a tiny alpha lets through a t whose cube
+#: overflows while alpha ** 4 underflows
+VARIANCE_RUNS = [(*pair, alpha) for pair in PAIRS
+                 for alpha in ("0", "1e-100", "1")] + [
+    ("1e200", "1e200", "1e199", "1e-100"),
+    ("1e237", "1e237", "1e219", "1e-110")]
+
 
 @pytest.mark.parametrize("command", ["variances", "compare"])
-@pytest.mark.parametrize("alpha", ["0", "1e-100", "1"])
-@pytest.mark.parametrize("t_max, grid_step, solver_dt", PAIRS,
-                         ids=["-".join(pair) for pair in PAIRS])
+@pytest.mark.parametrize("t_max, grid_step, solver_dt, alpha", VARIANCE_RUNS,
+                         ids=["-".join(run) for run in VARIANCE_RUNS])
 def test_variance_path_pair_sweep_never_exits_internal(
         tmp_path, command, alpha, t_max, grid_step, solver_dt):
     """Pairs of step and extent: a tiny alpha lets a huge solver.dt through
-    the stability bound, and no run may reach exit 3."""
+    the stability bound, and no run may reach exit 3; a variances run that
+    exits 0 writes finite numbers only."""
     cfg = _write_config(tmp_path / "run.cfg", grid_step=grid_step)
-    assert main([command, "--alpha", alpha, "--t-max", t_max,
+    code = main([command, "--alpha", alpha, "--t-max", t_max,
                  "--dt", solver_dt, "--config", cfg,
-                 "--out", str(tmp_path / "out")]) in (0, 1, 2)
+                 "--out", str(tmp_path / "out")])
+    assert code in (0, 1, 2)
+    if command == "variances" and code == EXIT_OK:
+        text = (tmp_path / "out" / "variances.csv").read_text()
+        assert "nan" not in text and "inf" not in text

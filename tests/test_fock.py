@@ -309,7 +309,9 @@ def _real_stack(alpha, dt, d_at, d_anc, phase):
 
 
 def _full_space_records(config, sample_steps):
-    """Reference: the real-gauge homodyne loop stepping every atom level."""
+    """Reference: the real-gauge homodyne loop stepping every atom level;
+    returns the records at ``sample_steps``, one row each, and the run's
+    largest leak."""
     d, da = config.d_at, config.d_anc
     n_steps, n = config.n_steps, config.n_traj
     eigvals = _quadrature_basis(config.phase, da)[0]
@@ -319,7 +321,7 @@ def _full_space_records(config, sample_steps):
     psi[0, :] = 1.0
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
-    out, max_leak, traj = [], 0.0, np.arange(n)
+    records, max_leak, traj = [], 0.0, np.arange(n)
     for step in range(1, n_steps + 1):
         comps = (kraus @ psi).reshape(da, d, n)
         probs = (comps * comps).sum(axis=1)
@@ -332,8 +334,8 @@ def _full_space_records(config, sample_steps):
             leak = float((psi[-2:, :] ** 2).sum(axis=0).max())
             max_leak = max(max_leak, leak)
         if step in sample_steps:
-            out.append((step * config.dt, y.copy(), max_leak))
-    return out
+            records.append(y.copy())
+    return np.array(records), max_leak
 
 
 @pytest.mark.parametrize("d_anc", [2, 3])
@@ -347,12 +349,11 @@ def test_reachable_level_records_bit_equal_full_space(alpha, phase, d_anc):
     assert levels.tolist() == ([0] if alpha == 0.0 else
                                list(range(cfg.d_at)))
     steps = [10, 25, 47, cfg.n_steps]
-    got = fock._homodyne_records(cfg, steps)
-    ref = _full_space_records(cfg, steps)
-    assert len(got) == len(ref) == len(steps)
-    for (t, y, leak), (t_ref, y_ref, leak_ref) in zip(got, ref):
-        assert t == t_ref and leak == leak_ref
-        assert y.tobytes() == y_ref.tobytes()
+    got, leak = fock._homodyne_records(cfg, steps)
+    ref, leak_ref = _full_space_records(cfg, steps)
+    assert got.shape == ref.shape == (len(steps), cfg.n_traj)
+    assert got.tobytes() == ref.tobytes()
+    assert leak == leak_ref
 
 
 def test_reachable_levels_partial_set(monkeypatch):
@@ -372,11 +373,11 @@ def test_reachable_levels_partial_set(monkeypatch):
     stack = embedded(0.9, 5e-3, 10, 3, np.eye(3))
     assert fock._reachable_levels(stack).tolist() == [0, 1, 2]
     steps = [20, cfg.n_steps]
-    got = fock._homodyne_records(cfg, steps)
-    ref = _full_space_records(cfg, steps)
-    for (t, y, leak), (t_ref, y_ref, leak_ref) in zip(got, ref):
-        assert t == t_ref and leak == leak_ref == 0.0
-        assert np.abs(y - y_ref).max() < 1e-12
+    got, leak = fock._homodyne_records(cfg, steps)
+    ref, leak_ref = _full_space_records(cfg, steps)
+    assert got.shape == ref.shape == (len(steps), cfg.n_traj)
+    assert leak == leak_ref == 0.0
+    assert np.abs(got - ref).max() < 1e-12
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -416,7 +417,8 @@ def test_real_gauge_leaves_rounding_only(d_anc, phase, alpha):
 
 
 def _complex_records(config, sample_steps):
-    """Reference: the complex homodyne loop on the ungauged Kraus stack."""
+    """Reference: the complex homodyne loop on the ungauged Kraus stack;
+    returns what :func:`_full_space_records` returns."""
     d, da = config.d_at, config.d_anc
     n_steps = config.n_steps
     n = config.n_traj
@@ -431,7 +433,7 @@ def _complex_records(config, sample_steps):
     psi[0, :] = 1.0
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
-    out, max_leak, traj = [], 0.0, np.arange(n)
+    records, max_leak, traj = [], 0.0, np.arange(n)
     for step in range(1, n_steps + 1):
         comps = (kraus @ psi).reshape(da, m, n)
         probs = (comps.real ** 2 + comps.imag ** 2).sum(axis=1)
@@ -444,8 +446,8 @@ def _complex_records(config, sample_steps):
             leak = float((np.abs(psi[top]) ** 2).sum(axis=0).max())
             max_leak = max(max_leak, leak)
         if step in sample_steps:
-            out.append((step * config.dt, y.copy(), max_leak))
-    return out
+            records.append(y.copy())
+    return np.array(records), max_leak
 
 
 @pytest.mark.parametrize("case", ["compare", "vacuum_control", "phase_p",
@@ -459,14 +461,12 @@ def test_real_gauge_records_bit_equal_complex_loop(case):
     cfg = (run.section(OracleConfig, alpha=0.0, seed=run.oracle_seed + 1)
            if case == "vacuum_control" else run.section(OracleConfig))
     steps = [25, 240, cfg.n_steps]
-    got = fock._homodyne_records(cfg, steps)
-    ref = _complex_records(cfg, steps)
-    assert len(got) == len(ref) == len(steps)
-    for (t, y, leak), (t_ref, y_ref, leak_ref) in zip(got, ref):
-        assert t == t_ref
-        assert y.tobytes() == y_ref.tobytes()
-        assert 0.0 <= leak < LEAK_TOL and 0.0 <= leak_ref < LEAK_TOL
-        assert abs(leak - leak_ref) <= 1e-12
+    got, leak = fock._homodyne_records(cfg, steps)
+    ref, leak_ref = _complex_records(cfg, steps)
+    assert got.shape == ref.shape == (len(steps), cfg.n_traj)
+    assert got.tobytes() == ref.tobytes()
+    assert 0.0 <= leak < LEAK_TOL and 0.0 <= leak_ref < LEAK_TOL
+    assert abs(leak - leak_ref) <= 1e-12
 
 
 def test_gauge_guard_threshold():
@@ -565,7 +565,7 @@ def test_homodyne_requires_enough_trajectories():
                            match=f"oracle.n_traj must be at least {MIN_TRAJ}"):
             OracleConfig(n_traj=n_traj, **kw)
     enough = OracleConfig(n_traj=MIN_TRAJ, **kw)
-    assert len(homodyne_series(enough, 4)) == 4
+    assert len(homodyne_series(enough, 4).step) == 4
 
 
 def test_homodyne_deterministic_from_seed():
@@ -626,19 +626,23 @@ def test_homodyne_series_sampling():
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.2, d_at=16, d_anc=3,
                        n_traj=120, seed=3, phase=PHASE_X)
     series = homodyne_series(cfg, 4)
-    times = [st.time for st in series]
-    assert times[-1] == pytest.approx(0.2)
-    assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
-    # the final-time entry agrees with the single-shot API at the same seed
+    assert series.step.tolist() == [25, 50, 75, 100]
+    assert series.time[-1] == pytest.approx(0.2)
+    assert (np.diff(series.time) > 0).all()
+    # the final-time entry agrees with the single-shot API at the same seed,
+    # bit for bit: the same reduction, over one record
     final = homodyne_monte_carlo(cfg)
-    assert series[-1] == final
+    assert final.step == series.step[-1]
+    for field in ("time", "mean", "variance", "stderr_mean", "stderr_var"):
+        assert getattr(final, field) == getattr(series, field)[-1]
+    assert (final.n, final.max_leak) == (series.n, series.max_leak)
 
 
 def test_homodyne_series_count_not_dividing_steps():
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.2, d_at=16, d_anc=3,
                        n_traj=120, seed=3, phase=PHASE_X)
     series = homodyne_series(cfg, 3)
-    assert len(series) == 3
-    assert [st.time for st in series] == [k * cfg.dt for k in (33, 66, 100)]
+    assert series.step.tolist() == [33, 66, 100]
+    assert series.time.tolist() == [k * cfg.dt for k in (33, 66, 100)]
     # more samples than steps: one per step
-    assert len(homodyne_series(cfg, 150)) == cfg.n_steps
+    assert len(homodyne_series(cfg, 150).step) == cfg.n_steps

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,8 +361,8 @@ def _scalar_closed_form(alpha, t):
     em = -math.expm1(-u)
     put("p_at", "p_at", 0.25 * (1.0 + math.exp(-2.0 * u)))
     put("x_at", "x_at", 0.5 * (1.0 + alpha * alpha * t))
-    put("x_at", "P_ph", -0.25 * alpha ** 3 * t * t)
-    put("P_ph", "P_ph", 0.5 * t + alpha ** 4 * t ** 3 / 6.0)
+    put("x_at", "P_ph", -0.25 * u * alpha * t)
+    put("P_ph", "P_ph", 0.5 * t + u * u * t / 6.0)
     if alpha * alpha < sys.float_info.min:
         put("p_at", "X_ph", 0.0)
         put("X_ph", "X_ph", 0.5 * t)
@@ -372,14 +373,18 @@ def _scalar_closed_form(alpha, t):
 
 
 #: entries whose formula takes no library function: +, -, * and / round
-#: the same in NumPy as in Python floats.  The others call exp, expm1 or
-#: pow (P_ph: t ** 3), whose NumPy loops may differ from libm's by an ulp
-_ARITHMETIC_ONLY = (("x_at", "x_at"), ("x_at", "P_ph"))
+#: the same in NumPy as in Python floats.  The others call exp or expm1,
+#: whose NumPy loops may differ from libm's by an ulp
+_ARITHMETIC_ONLY = (("x_at", "x_at"), ("x_at", "P_ph"), ("P_ph", "P_ph"))
+
+#: the couplings and times the closed form is checked on
+CLOSED_FORM_ALPHAS = (0.0, 5e-324, 1e-9, 1e-3, 0.3, 1.0, 3.0)
+CLOSED_FORM_TIMES = (0.0, 1e-300, 1e-4, 0.5, 1.0, 50.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 5e-324, 1e-9, 1e-3, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("alpha", CLOSED_FORM_ALPHAS)
 def test_closed_form_on_arrays_matches_scalar_reference(alpha):
-    times = np.array([0.0, 1e-300, 1e-4, 0.5, 1.0, 50.0])
+    times = np.array(CLOSED_FORM_TIMES)
     stack = closed_form_covariances(alpha, times)
     assert stack.shape == (len(times), 4, 4)
     for t, cov in zip(times.tolist(), stack):
@@ -395,6 +400,30 @@ def test_closed_form_on_arrays_matches_scalar_reference(alpha):
                 assert new == old, (r, c, t)
             else:
                 assert abs(new - old) <= 2 * np.spacing(abs(old)), (r, c, t)
+
+
+def _ulps(value, exact):
+    """|value - exact| in spacings of the doubles at ``exact``."""
+    spacing = Fraction(float(np.spacing(abs(float(exact)))))
+    return float(abs(Fraction(value) - exact) / spacing)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cubic_entries_match_exact_arithmetic():
+    # -alpha^3 t^2 / 4 and t/2 + alpha^4 t^3 / 6 in rationals, on the grid
+    # above and at two variances runs where a tiny alpha lets through a t
+    # whose cube overflows while alpha ** 4 underflows; a warning fails
+    cases = [(alpha, CLOSED_FORM_TIMES) for alpha in CLOSED_FORM_ALPHAS]
+    cases += [(1e-100, (1e200,)), (1e-110, (1e237,))]
+    for alpha, times in cases:
+        stack = closed_form_covariances(alpha, np.array(times))
+        a = Fraction(alpha)
+        for t, cov in zip(map(Fraction, times), stack):
+            for (r, c), exact in (
+                    (("x_at", "P_ph"), -a ** 3 * t * t / 4),
+                    (("P_ph", "P_ph"), t / 2 + a ** 4 * t ** 3 / 6)):
+                ulps = _ulps(_entry(cov, r, c), exact)
+                assert ulps <= 8, (alpha, float(t), r, c, ulps)
 
 
 def test_closed_form_rejects_any_negative_time():
