@@ -16,7 +16,10 @@ formulas, is the solvers' independent reference.
 (k, l) -> (-k, -l), so every solution is even.  The finite-difference
 solver uses that derived symmetry: it steps the k >= 0 rows of all the
 families it is given, in cache-sized blocks of rows, and returns those
-rows; the k < 0 rows are the same rows read backwards.
+rows; the k < 0 rows are the same rows read backwards.  The coefficients do
+not depend on time, so its step (half decay, Heun along the upwind
+stencil, half decay) is one fixed five-tap map per point, built once per
+block.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ BOUNDARY_TOL = 1e-3
 #: step of the residual check's central differences; it needs t >= the step
 RESIDUAL_H = 1e-4
 
-#: bytes of one FD state array per row block: 40 rows at nl 801, so the
-#: nine arrays of a block stay in a 2 MiB L2 through the whole time loop
+#: bytes of one FD array per row block: 40 rows at nl 801, so the eight
+#: arrays of a block (two state buffers, five step weights, one scratch)
+#: stay in a 2 MiB L2 through the whole time loop
 FD_BLOCK_BYTES = 2 ** 18
 
 #: steps between two folds of the FD boundary history
@@ -262,19 +266,21 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
 
 
 def _upwind_layout(forward: np.ndarray):
-    """Slots of the FD state: each row in upwind order, with four ghosts.
+    """Slots of the FD state: each row in upwind order, with eight ghosts.
 
     ``forward`` marks the points of the ``(nk, nl)`` grid whose drift is
     negative; in every row they are a prefix of ``m`` columns (l below the
     zero of the drift).  Row ``r`` takes the contiguous slots
-    ``[r (nl + 4), (r + 1)(nl + 4))`` and holds the columns
-    ``m+1, m, m-1, ..., 0`` then ``m-2, m-1, m, ..., nl-1``: column ``c``
-    sits at offset ``m + 1 - c`` if ``c < m`` and at ``c + 4`` otherwise.
-    So the two upwind neighbours of every grid point sit in the two slots
-    before it.  The four ghost offsets ``0, 1, m+2, m+3`` copy the columns
-    ``m+1, m, m-2, m-1``, or the zero slot ``nk (nl + 4)`` where that
-    column is off the l grid.  Returns the slot of every grid point, the
-    ghost slots and the slots they copy.
+    ``[r (nl + 8), (r + 1)(nl + 8))``: four ghosts, the forward run
+    ``m-1, ..., 0``, four ghosts, the backward run ``m, ..., nl-1``.  Column
+    ``c`` sits at offset ``m + 3 - c`` if ``c < m`` and at ``c + 8``
+    otherwise.  So the two columns the upwind stencil of a point reads, and
+    the two that theirs read in turn, sit in the four slots before it; near
+    the turn of a row some of them lie across it.  The ghost offsets
+    ``0, 1, 2, 3`` copy the columns ``m-2, -, m+1, m`` and the offsets
+    ``m+4, ..., m+7`` the columns ``m+1, -, m-2, m-1``; ``-`` and a column
+    off the l grid copy the zero slot ``nk (nl + 8)``.  Returns the slot of
+    every grid point, the ghost slots and the slots they copy.
     """
     nk, nl = forward.shape
     cols = np.arange(nl)
@@ -282,13 +288,69 @@ def _upwind_layout(forward: np.ndarray):
     if not np.array_equal(forward, cols < m):
         raise RuntimeError(
             "forward-stencil points are not a prefix of each row")
-    start = (nl + 4) * np.arange(nk)[:, None]
-    pos = start + np.where(forward, m + 1 - cols, cols + 4)
-    ghost = start + [0, 1, 2, 3] + m * [0, 0, 1, 1]
-    copied = m + [1, 0, -2, -1]         # on the grid: offsets m+5, m+4, 3, 2
-    source = np.where((copied >= 0) & (copied < nl),
-                      start + [5, 4, 3, 2] + m * [1, 1, 0, 0], nk * (nl + 4))
+    start = (nl + 8) * np.arange(nk)[:, None]
+    pos = start + np.where(forward, m + 3 - cols, cols + 8)
+    ghost = start + np.arange(8) + m * [0, 0, 0, 0, 1, 1, 1, 1]
+    copied = m + [-2, 0, 1, 0, 1, 0, -2, -1]
+    on_grid = ((copied >= 0) & (copied < nl)
+               & np.array([1, 0, 1, 1, 1, 0, 1, 1], dtype=bool))
+    source = np.where(on_grid, start + np.where(copied < m, m + 3 - copied,
+                                                copied + 8), nk * (nl + 8))
     return pos, ghost.ravel(), source.ravel()
+
+
+#: the second-order upwind derivative at a slot times 2 dl: the weights of
+#: the slot and of the two before it
+_UPWIND = (3.0, -4.0, 1.0)
+
+
+def _step_weights(pos: np.ndarray, ghost: np.ndarray, source: np.ndarray,
+                  drift: np.ndarray, decay: np.ndarray, dt: float,
+                  dl: float) -> np.ndarray:
+    """The weights of one FD step on the slots of :func:`_upwind_layout`.
+
+    One step is the fixed linear map ``D (I + dt L + dt^2/2 L^2) D`` with
+    ``D`` the half-decay diagonal and ``L = -|drift| d/dl`` the upwind
+    operator: half decay, Heun along ``L`` (on a linear operator exactly
+    ``I + dt L + dt^2/2 L^2``), half decay.  Row ``b`` of the returned ``(5, n - 4)`` array multiplies
+    slot ``j - b`` into slot ``j``, for the slots ``4 <= j < n``; each of
+    the 13 terms of the map (one of ``I``, three of ``L``, nine of ``L^2``)
+    is added to the weight of the slot in the point's window that holds the
+    column it reads.  Ghost slots get no weight: the step overwrites them.
+    Raises ``RuntimeError`` if a nonzero term reads a column outside the
+    five slots ``j-4, ..., j``.
+    """
+    n = pos.size + 8 * len(pos)
+    held = np.arange(n + 1)             # the slot whose value a slot holds
+    held[ghost] = source
+    window = [held[4 - b:n - b] for b in range(5)]
+    rate = np.zeros(n + 1)              # 0 at the ghosts and the zero slot
+    rate[pos] = -np.abs(drift) / (2.0 * dl)
+    rate_j = rate[4:n]
+    weights = np.zeros((5, n - 4))
+    weights[0, pos - 4] = 1.0
+    for b, c in enumerate(_UPWIND):
+        weights[b] += (dt * c) * rate_j
+    for i, ci in enumerate(_UPWIND):
+        mid = window[i]                 # the column L at j reads at j - i
+        for k, ck in enumerate(_UPWIND):
+            read = held[mid - k]        # the column L at mid reads
+            term = (0.5 * dt * dt * ci * ck) * rate_j * rate[mid]
+            term[read == n] = 0.0       # beyond the l grid: the value is 0
+            hits = np.zeros(n - 4, dtype=np.int8)
+            for b in range(5):
+                hit = window[b] == read
+                np.add(weights[b], term, out=weights[b], where=hit)
+                hits += hit
+            if np.any((hits != 1) & (term != 0.0)):
+                raise RuntimeError("an FD step reads a column outside the"
+                                   " five slots before a point")
+    half = np.zeros(n + 1)
+    half[pos] = np.exp(0.5 * dt * decay)
+    for b in range(5):
+        weights[b] *= half[4:n]
+        weights[b] *= half[window[b]]
+    return weights
 
 
 def _fd_block(drift: np.ndarray, decay: np.ndarray, f0: np.ndarray,
@@ -296,62 +358,46 @@ def _fd_block(drift: np.ndarray, decay: np.ndarray, f0: np.ndarray,
     """All ``n_steps`` steps of :func:`fd_solve` on one block of rows.
 
     ``drift`` and ``decay`` hold the block's rows, ``f0`` the initial row.
-    The block has its own :func:`_upwind_layout` and zero slot, and every
-    slice the loop reads is built once, before it.  After each step the
-    edge values go into a history of :data:`_LEAK_CHECK_STEPS` rows; every
-    that many steps, and after the last, the history is folded into the
-    running maximum of each edge, and its steps are checked in order.
-    Returns the values and each row's largest boundary value, or, at the
-    first step whose largest boundary value exceeds :data:`BOUNDARY_TOL`,
-    ``(None, None, (step, value))``.
+    The block has its own :func:`_upwind_layout`, zero slot and
+    :func:`_step_weights`.  A step is five multiplies and four adds
+    of the slots ``j-4, ..., j`` into a second buffer, the ghost copy and a
+    swap of the buffers.  After each step the edge values go into a history
+    of :data:`_LEAK_CHECK_STEPS` rows; every that many steps, and after the
+    last, the history is folded into the running maximum of each edge, and
+    its steps are checked in order.  Returns the values and each row's
+    largest boundary value, or, at the first step whose largest boundary
+    value exceeds :data:`BOUNDARY_TOL`, ``(None, None, (step, value))``.
     """
     pos, ghost, source = _upwind_layout(drift < 0.0)
-    n = pos.size + 4 * len(drift)
+    weights = _step_weights(pos, ghost, source, drift, decay, dt, dl)
+    n = pos.size + 8 * len(drift)
     f = np.zeros(n + 1)                 # slot n is the zero slot
-    g = np.zeros(n + 1)
     f[pos] = f0
-    f_slots, g_slots = f[:n], g[:n]
-    neg_abs_drift = np.zeros(n)
-    neg_abs_drift[pos] = -np.abs(drift)
-    half_decay = np.ones(n)
-    half_decay[pos] = np.exp(0.5 * dt * decay)
-    two_dl, half_dt = 2.0 * dl, 0.5 * dt
-    three_f, four_f, k1, k2 = (np.empty(n) for _ in range(4))
-    # no stencil writes slots 0 and 1; they are ghosts (factor 0), so they
-    # stay 0 through the loop's reuse of num as well
-    num = np.zeros(n)
-    num_2, three_f_2, four_f_1 = num[2:], three_f[2:], four_f[1:-1]
-    mul, add, subtract = np.multiply, np.add, np.subtract
-
-    def advection(src: np.ndarray, s: np.ndarray, s_2: np.ndarray,
-                  out: np.ndarray) -> None:
-        """out = -|drift| * d(src)/dl in every slot, in upwind order."""
-        src[ghost] = src[source]
-        mul(s, 3.0, out=three_f)
-        mul(s, 4.0, out=four_f)
-        subtract(three_f_2, four_f_1, out=num_2)
-        add(num_2, s_2, out=num_2)
-        np.divide(num, two_dl, out=num)
-        mul(neg_abs_drift, num, out=out)
-
-    f_2, g_2 = f[:n - 2], g[:n - 2]
+    f[ghost] = f[source]
+    g = np.zeros(n + 1)
+    scratch = np.empty(n - 4)
+    # a step reads one buffer and writes the other: each tap's weights and
+    # the slots it reads, farthest first, then the buffer and slots written
+    steps = []
+    for src, dst in ((f, g), (g, f)):
+        taps = tuple((weights[b], src[4 - b:n - b]) for b in (4, 3, 2, 1, 0))
+        steps.append((taps[0], taps[1:], dst, dst[4:n]))
+    state = f
+    mul, add = np.multiply, np.add
     edges = pos[:, [0, -1]].ravel()     # first and last l columns
     batch = np.empty((_LEAK_CHECK_STEPS, edges.size))
     edge_max = np.zeros(edges.size)     # running maximum per edge
     for done in range(0, n_steps, _LEAK_CHECK_STEPS):
         history = batch[:n_steps - done]
         for row in history:
-            f_slots *= half_decay
-            advection(f, f_slots, f_2, k1)
-            mul(k1, dt, out=num)
-            add(f_slots, num, out=g_slots)
-            advection(g, g_slots, g_2, k2)
-            add(k1, k2, out=num)
-            num *= half_dt
-            f_slots += num
-            f_slots *= half_decay
+            (w_far, far), near, state, out = steps[state is g]
+            mul(w_far, far, out=out)
+            for w, tap in near:
+                mul(w, tap, out=scratch)
+                add(out, scratch, out=out)
+            state[ghost] = state[source]
             # the edges are in range; "raise" would copy through a buffer
-            f.take(edges, out=row, mode="clip")
+            state.take(edges, out=row, mode="clip")
         seen = np.abs(history)
         np.maximum(edge_max, seen.max(axis=0), out=edge_max)
         step_max = seen.max(axis=1)
@@ -359,7 +405,7 @@ def _fd_block(drift: np.ndarray, decay: np.ndarray, f0: np.ndarray,
         if over.any():
             i = int(over.argmax())
             return None, None, (done + i + 1, float(step_max[i]))
-    return f[pos], edge_max.reshape(-1, 2).max(axis=1), None
+    return state[pos], edge_max.reshape(-1, 2).max(axis=1), None
 
 
 def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
@@ -376,23 +422,24 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
 
     Per step: half decay (exact pointwise factor of the derived c0), one Heun
     step along the drift ``-c1`` with a second-order upwind derivative, half
-    decay.  The drift does not depend on time, so the upwind side of every
-    point, ``-|drift|`` and the decay factor are fixed before the loop.
+    decay.  The drift and the decay do not depend on time, so a step is one
+    fixed linear map per row, ``D (I + dt L + dt^2/2 L^2) D`` with ``D`` the
+    half decay and ``L`` the upwind operator (:func:`_step_weights`).
 
     The rows never couple, so the stack is cut into blocks of contiguous
-    rows of at most :data:`FD_BLOCK_BYTES` per state array (rows of both
-    families may share one), and :func:`_fd_block` runs every step on one
-    block before the next starts; a block's state stays in cache through
-    the whole loop.  A block holds its rows in one preallocated flat buffer
-    laid out by :func:`_upwind_layout`: each row in upwind order, so every
-    point takes the same backward stencil ``(3f - 4f[j-1] + f[j-2]) / 2dl``
-    on the slots before it, times ``-|drift|``.  Where the drift is negative
-    this reads the row mirrored and gives, bit for bit, the negative of the
-    forward stencil ``((4f[j+1] - 3f) - f[j+2]) / 2dl`` in l order.  Before
-    each Heun stage the ghost slots copy the values across the turn of each
-    row (zero beyond the l grid); the stencil then reads contiguous slices
-    into preallocated arrays.
-
+    rows of at most :data:`FD_BLOCK_BYTES` per array (rows of both families
+    may share one), and :func:`_fd_block` runs every step on one block
+    before the next starts; a block's arrays stay in cache through the
+    whole loop.  A block holds its rows in a flat buffer laid out by
+    :func:`_upwind_layout`: each row in upwind order, so every point takes
+    the same backward stencil ``(3f - 4f[j-1] + f[j-2]) / 2dl`` on the
+    slots before it, times ``-|drift|``; where the drift is negative this
+    reads the row mirrored, the forward stencil in l order.  The map then
+    reads, at every point, its own slot and the four before it, with ghost
+    slots copying the columns across the turn of each row (zero beyond the
+    l grid): a step is five multiplies and four adds of contiguous slices.
+    The weights are rounded products, so the surfaces differ from two Heun
+    stages by rounding alone; a row's weights do not depend on its block.
     Requires the CFL condition max|drift| * dt <= dl / 2 for every family:
     above it Heun on this stencil amplifies the highest wavenumber by
     ``1 - 4 nu + 8 nu^2 > 1`` (Hundsdorfer & Verwer, *Numerical Solution of
@@ -431,7 +478,7 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
             raise ConfigError(
                 f"CFL violation: |drift|*dt/dl = {cfl:.3f} > 0.5")
 
-    block = max(1, FD_BLOCK_BYTES // (8 * (len(lv) + 4)))
+    block = max(1, FD_BLOCK_BYTES // (8 * (len(lv) + 8)))
     values = np.empty(drift.shape)
     leaks = np.empty(len(drift))
     stop, trips = n_steps, []

@@ -114,6 +114,18 @@ class RunConfig:
             raise ConfigError(
                 f"parameter pde.t must be at least {charfn.RESIDUAL_H:.0e},"
                 " the step of the residual check's time stencil")
+        # the covariances grow with t, so the variance path's closed form is
+        # finite at every row if it is at t_max; beyond the double range it
+        # would write inf and nan, and RK4's powered step map overflows
+        with np.errstate(all="ignore"):
+            cov = gaussian.closed_form_covariances(self.alpha, self.t_max)
+        if not all(math.isfinite(cov[gaussian.mode_index(r),
+                                     gaussian.mode_index(c)])
+                   for r, c in gaussian.PUBLISHED.values()):
+            raise ConfigError(
+                f"parameter t_max = {self.t_max:.6g}: the closed-form"
+                f" covariances at alpha = {self.alpha:.6g} exceed the double"
+                " range; reduce t_max")
         # the route configs check their sections; at alpha = 0 the oracle's
         # step bound on alpha^2 * oracle.dt waits for its run, as the CFL does
         grid = self.section(charfn.GridSpec)

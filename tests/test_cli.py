@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -966,28 +967,39 @@ PAIRS = [("1e-3", "1e-3", "1e-4"), ("1", "0.5", "1e-4"),
          ("1e100", "1e100", "1e99"), ("1e300", "1e300", "1e299"),
          ("1e100", "1e99", "1e98")]
 
+#: runs whose closed-form covariance at t_max exceeds the double range
+#: (P_ph about 1.7e499 at alpha 1e-142, t 1e300), though alpha^2 dt = 0.1
+#: passes the stability bound: load rejects them, naming t_max
+OUT_OF_RANGE = [("1e300", "1e300", "1e283", "1e-142")]
+
 #: (t_max, grid_step, solver.dt, alpha): every pair at alpha 0, 1e-100 and
 #: 1, then two runs where a tiny alpha lets through a t whose cube
-#: overflows while alpha ** 4 underflows
+#: overflows while alpha ** 4 underflows, then the runs out of range
 VARIANCE_RUNS = [(*pair, alpha) for pair in PAIRS
                  for alpha in ("0", "1e-100", "1")] + [
     ("1e200", "1e200", "1e199", "1e-100"),
-    ("1e237", "1e237", "1e219", "1e-110")]
+    ("1e237", "1e237", "1e219", "1e-110")] + OUT_OF_RANGE
 
 
 @pytest.mark.parametrize("command", ["variances", "compare"])
 @pytest.mark.parametrize("t_max, grid_step, solver_dt, alpha", VARIANCE_RUNS,
                          ids=["-".join(run) for run in VARIANCE_RUNS])
 def test_variance_path_pair_sweep_never_exits_internal(
-        tmp_path, command, alpha, t_max, grid_step, solver_dt):
+        tmp_path, capsys, command, alpha, t_max, grid_step, solver_dt):
     """Pairs of step and extent: a tiny alpha lets a huge solver.dt through
     the stability bound, and no run may reach exit 3; a variances run that
-    exits 0 writes finite numbers only."""
+    exits 0 writes finite numbers only, and a run out of the double range
+    exits 2 at load, naming t_max, with no warning."""
     cfg = _write_config(tmp_path / "run.cfg", grid_step=grid_step)
-    code = main([command, "--alpha", alpha, "--t-max", t_max,
-                 "--dt", solver_dt, "--config", cfg,
-                 "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--alpha", alpha, "--t-max", t_max,
+                     "--dt", solver_dt, "--config", cfg,
+                     "--out", str(tmp_path / "out")])
     assert code in (0, 1, 2)
+    if (t_max, grid_step, solver_dt, alpha) in OUT_OF_RANGE:
+        assert code == EXIT_CONFIG
+        assert "t_max" in capsys.readouterr().err
     if command == "variances" and code == EXIT_OK:
         text = (tmp_path / "out" / "variances.csv").read_text()
         assert "nan" not in text and "inf" not in text
