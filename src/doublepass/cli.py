@@ -66,6 +66,13 @@ Outputs = tuple[dict[str, str], str, int]
 #: (``grid_step = solver.dt``); rounded up
 VARIANCE_ROW_BYTES = 1536
 
+#: most multiply-adds an oracle run's homodyne Monte Carlo may take, counted
+#: as ``n_traj * n_steps * d_anc * d_at**2`` (the outcome amplitudes of one
+#: step are one (d_anc d_at, d_at) @ (d_at, n_traj) product).  Measured at
+#: 0.10-0.15 ns each on one 2.1 GHz Xeon core, BLAS at one thread (d_at 30
+#: and 60, d_anc 3 and 6, n_traj 400-3000), so the bound is about 20 min
+ORACLE_MAX_WORK = 10 ** 13
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -130,11 +137,20 @@ class RunConfig:
         # step bound on alpha^2 * oracle.dt waits for its run, as the CFL does
         grid = self.section(charfn.GridSpec)
         oracle = self.section(fock.OracleConfig, alpha=0.0)
-        # pre-flight: no one array of a route may exceed physical memory.
-        # Bytes in Python numbers, which cannot overflow: the variance
-        # tables, one row per sample and at most one per solver.dt, the
-        # oracle's uniforms, one FD surface and the oracle's joint-space
-        # operator
+        # pre-flight, in Python numbers, which cannot overflow: the oracle's
+        # work, bounded whatever the machine, then no one array of a route
+        # may exceed physical memory
+        work = oracle.n_traj * oracle.n_steps * oracle.d_anc * oracle.d_at ** 2
+        if work > ORACLE_MAX_WORK:
+            raise ConfigError(
+                "oracle.dt, oracle.t_max, oracle.n_traj, oracle.d_at,"
+                f" oracle.d_anc: the oracle's homodyne Monte Carlo would take"
+                f" {work:.3g} multiply-adds, more than the"
+                f" {ORACLE_MAX_WORK:.0e} (about 20 min on one core) a run"
+                " may take")
+        # bytes: the variance tables, one row per sample and at most one per
+        # solver.dt, the oracle's atom-moment series (var_x and var_p at
+        # every step), one FD surface and the oracle's joint-space operator
         variance_rows = min(self.t_max / self.solver_dt,
                             self.t_max / self.grid_step) + 1
         nk, nl = grid.shape
@@ -143,8 +159,8 @@ class RunConfig:
         for keys, array, size in (
                 ("solver.dt, grid_step", "variance tables",
                  variance_rows * VARIANCE_ROW_BYTES),
-                ("oracle.dt, oracle.n_traj", "oracle's uniform draws",
-                 oracle.n_traj * oracle.n_steps * 8),
+                ("oracle.dt, oracle.t_max", "oracle's atom-moment series",
+                 (oracle.n_steps + 1) * 16),
                 ("pde.l_max, pde.dl, pde.k_max, pde.dk", "FD surface",
                  nk * nl * 8),
                 ("oracle.d_at, oracle.d_anc", "oracle's joint-space operator",

@@ -271,8 +271,9 @@ def closed_form_covariances(alpha: float, t: float | np.ndarray,
 
     Returns an array of shape ``np.shape(t) + (4, 4)``; the cross-sector
     entries, which the closed form does not define, stay NaN.  The
-    alpha -> 0 limits are taken analytically, and the small-exponent
-    regime uses expm1-based factorizations to avoid cancellation.
+    small-exponent regime uses expm1-based factorizations to avoid
+    cancellation; where alpha^2 is not a normal float (alpha = 0 included)
+    no entry divides by a power of alpha.
     """
     t = np.asarray(t, dtype=float)
     if alpha < 0 or (t < 0).any():
@@ -283,22 +284,34 @@ def closed_form_covariances(alpha: float, t: float | np.ndarray,
         i, j = mode_index(r), mode_index(c)
         cov[..., i, j] = cov[..., j, i] = value
 
-    u = alpha * alpha * t
-    em = -np.expm1(-u)            # 1 - exp(-u), stable for small u
-    put("p_at", "p_at", 0.25 * (1.0 + np.exp(-2.0 * u)))
-    put("x_at", "x_at", 0.5 * (1.0 + alpha * alpha * t))
-    # powers from u: alpha ** 4 may underflow to 0 where t ** 3 overflows
-    put("x_at", "P_ph", -0.25 * u * alpha * t)
-    # the alpha = 0 limit is exact wherever alpha^2 is not a normal float;
-    # the general form divides by it
-    if alpha * alpha < sys.float_info.min:
-        put("p_at", "X_ph", 0.0)
-        put("X_ph", "X_ph", 0.5 * t)
-        put("P_ph", "P_ph", 0.5 * t)
+    # powers from u = alpha^2 t: alpha ** 4 may underflow to 0 where t ** 3
+    # overflows
+    if alpha * alpha >= sys.float_info.min:
+        u = alpha * alpha * t
+        em = -np.expm1(-u)            # 1 - exp(-u), stable for small u
+        cubic = -0.25 * u * alpha * t
+        cross = -em * em / (4.0 * alpha)
+        field_x = em * (2.0 + em) / (4.0 * alpha * alpha)
     else:
-        put("p_at", "X_ph", -em * em / (4.0 * alpha))
-        put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
-        put("P_ph", "P_ph", 0.5 * t + u * u * t / 6.0)
+        # alpha^2 is subnormal or 0 and keeps few of alpha's digits, or
+        # none: build u as alpha (alpha t) and divide by no power of alpha.
+        # With phi = em / u (1 at u = 0), em^2 / alpha = phi em alpha t and
+        # em (2 + em) / alpha^2 = phi (2 + em) t; a subnormal u has
+        # em = u exactly, so phi = 1 there
+        at = alpha * t
+        u = alpha * at
+        em = -np.expm1(-u)
+        with np.errstate(invalid="ignore"):
+            phi = np.where(u > 0, em / u, 1.0)
+        cubic = -0.25 * u * at
+        cross = -0.25 * phi * em * at
+        field_x = 0.25 * phi * (2.0 + em) * t
+    put("p_at", "p_at", 0.25 * (1.0 + np.exp(-2.0 * u)))
+    put("x_at", "x_at", 0.5 * (1.0 + u))
+    put("x_at", "P_ph", cubic)
+    put("p_at", "X_ph", cross)
+    put("X_ph", "X_ph", field_x)
+    put("P_ph", "P_ph", 0.5 * t + u * u * t / 6.0)
     return cov
 
 

@@ -228,33 +228,65 @@ def test_validate_names_the_config_key():
         RunConfig(alpha=-1.0).validate()
 
 
+#: the end of a memory row's message
+_MEMORY = r" would take .* GiB, more than the .* GiB of physical memory"
+
+#: the end of the oracle work row's message
+_WORK = (r" the oracle's homodyne Monte Carlo would take .* multiply-adds,"
+         r" more than the 1e\+13")
+
+_ORACLE_WORK_KEYS = (r"oracle\.dt, oracle\.t_max, oracle\.n_traj,"
+                     r" oracle\.d_at, oracle\.d_anc:")
+
+
 @pytest.mark.parametrize("argv, config, message", [
     # 1e12 sampled rows of 1 536 B, 1.5 PB
     (("variances",), "grid_step = 1e-12\nsolver.dt = 1e-12\n",
-     r"solver\.dt, grid_step: the variance tables"),
-    # 400 x 5e8 uniforms, 1.6 TB
-    (("oracle",), "oracle.dt = 1e-9\n",
-     r"oracle\.dt, oracle\.n_traj: the oracle's uniform draws"),
-    # a modest step over a long extent: 400 x 1e9 uniforms
-    (("derive",), "oracle.t_max = 1e6\n",
-     r"oracle\.dt, oracle\.n_traj: the oracle's uniform draws"),
+     r"solver\.dt, grid_step: the variance tables" + _MEMORY),
+    # 400 x 5e8 steps x 3 x 30^2, 5.4e14 multiply-adds
+    (("oracle",), "oracle.dt = 1e-9\n", _ORACLE_WORK_KEYS + _WORK),
+    # a modest step over a long extent: 400 x 1e9 steps, 1.1e15
+    (("derive",), "oracle.t_max = 1e6\n", _ORACLE_WORK_KEYS + _WORK),
     # 801 x 16 000 001 surface values, 103 GB
     (("pde",), "pde.dl = 1e-6\n",
-     r"pde\.l_max, pde\.dl, pde\.k_max, pde\.dk: the FD surface"),
-    # a (60 000, 60 000) complex operator, 57.6 GB
-    (("oracle",), "oracle.d_at = 20000\n",
-     r"oracle\.d_at, oracle\.d_anc: the oracle's joint-space operator"),
+     r"pde\.l_max, pde\.dl, pde\.k_max, pde\.dk: the FD surface" + _MEMORY),
+    # a 60 000-level joint space: 400 x 500 x 3 x 20 000^2 multiply-adds,
+    # 2.4e14, before its (60 000, 60 000) complex operator, 57.6 GB
+    (("oracle",), "oracle.d_at = 20000\n", _ORACLE_WORK_KEYS + _WORK),
 ])
 def test_arrays_larger_than_memory_rejected_at_load(tmp_path, argv, config,
                                                     message):
-    # only the estimate runs: load_config raises before any route allocates
+    # only the estimate runs: load_config raises before any route allocates;
+    # the work row comes first, so the oracle cases fail the same way
+    # whatever the machine's memory
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(config)
     args = build_parser().parse_args(
         [*argv, "--config", str(cfg_file), "--out", str(tmp_path)])
-    with pytest.raises(ConfigError, match=message + r" would take .* GiB,"
-                       r" more than the .* GiB of physical memory"):
+    with pytest.raises(ConfigError, match=message):
         load_config(args)
+
+
+def test_oracle_work_bound_is_exact_multiply_adds(monkeypatch):
+    # 100 trajectories x 10 steps x d_anc 2 x d_at 4^2: 32 000, checked in
+    # integers against the bound itself, at it and one under it
+    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, oracle_d_at=4,
+                    oracle_d_anc=2)
+    monkeypatch.setattr(cli, "ORACLE_MAX_WORK", 32_000)
+    cfg.validate()
+    monkeypatch.setattr(cli, "ORACLE_MAX_WORK", 31_999)
+    with pytest.raises(ConfigError, match="^" + _ORACLE_WORK_KEYS):
+        cfg.validate()
+    # the default run and a long one, 3000 trajectories over 3000 steps
+    # (2.4e10), load; neither is run here
+    monkeypatch.undo()
+    RunConfig().validate()
+    RunConfig(oracle_n_traj=3000, oracle_t_max=3.0).validate()
+    # at the real bound the default run may take 10**13 / (400 x 3 x 900)
+    # = 9 259 259.26 steps: that many pass and one more fails
+    RunConfig(oracle_t_max=9_259_259 * 1e-3).validate()
+    with pytest.raises(ConfigError, match="^" + _ORACLE_WORK_KEYS):
+        RunConfig(oracle_t_max=9_259_260 * 1e-3).validate()
 
 
 def test_array_estimate_is_exact_bytes(monkeypatch):
@@ -263,9 +295,9 @@ def test_array_estimate_is_exact_bytes(monkeypatch):
     small = dict(pde_l_max=0.02, pde_dl=0.02, pde_k_max=0.02, pde_dk=0.02,
                  oracle_d_at=4, oracle_d_anc=2)
     # the default variance tables are 101 rows x VARIANCE_ROW_BYTES, more
-    # than the oracle's 100 x 10 x 8 B uniforms at n_traj 100, t_max 0.01
+    # than the oracle's atom-moment series, 11 x 16 B at oracle.t_max 0.01
     row = cli.VARIANCE_ROW_BYTES
-    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, **small)
+    cfg = RunConfig(oracle_t_max=0.01, **small)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * row)
     cfg.validate()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * row - 1)
@@ -273,32 +305,34 @@ def test_array_estimate_is_exact_bytes(monkeypatch):
         cfg.validate()
     # below solver.dt a grid_step counts one row per step, 10 001, and
     # t_max / 1e-320 overflows to inf without an error
-    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, grid_step=1e-320,
-                    **small)
+    cfg = RunConfig(oracle_t_max=0.01, grid_step=1e-320, **small)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * row)
     cfg.validate()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * row - 1)
     with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
         cfg.validate()
-    cfg = RunConfig(t_max=0.001, oracle_n_traj=100, **small)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 500 * 8)
+    # at t_max 0.001 the variance tables are 1.1 rows (1 690 B); the atom
+    # series at the default oracle.t_max, 501 steps of 16 B, is the largest
+    cfg = RunConfig(t_max=0.001, **small)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 501 * 16)
     cfg.validate()
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 500 * 8 - 1)
-    with pytest.raises(ConfigError, match=r"^oracle\.dt, oracle\.n_traj: "):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 501 * 16 - 1)
+    with pytest.raises(ConfigError, match=r"^oracle\.dt, oracle\.t_max: the"
+                                          r" oracle's atom-moment series"):
         cfg.validate()
     # the defaults: an 801 x 801 FD surface, 5 132 808 B, is the largest,
     # over the variance tables (155 136 B); at grid_step 0.1 the 90 x 90
     # complex joint-space operator, 129 600 B, is the largest, over the
-    # variance tables (16 896 B) and the uniforms at oracle.t_max 0.01
-    # (8 000 B)
-    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01)
+    # variance tables (16 896 B) and the atom series at oracle.t_max 0.01
+    # (176 B)
+    cfg = RunConfig(oracle_t_max=0.01)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 801 * 801 * 8)
     cfg.validate()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 801 * 801 * 8 - 1)
     with pytest.raises(ConfigError, match=r"^pde\.l_max, pde\.dl, pde\.k_max,"
                                           r" pde\.dk: "):
         cfg.validate()
-    cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, grid_step=0.1,
+    cfg = RunConfig(oracle_t_max=0.01, grid_step=0.1,
                     **{**small, "oracle_d_at": 30, "oracle_d_anc": 3})
     monkeypatch.setattr(cli, "_physical_memory", lambda: 90 * 90 * 16)
     cfg.validate()
@@ -979,6 +1013,27 @@ VARIANCE_RUNS = [(*pair, alpha) for pair in PAIRS
                  for alpha in ("0", "1e-100", "1")] + [
     ("1e200", "1e200", "1e199", "1e-100"),
     ("1e237", "1e237", "1e219", "1e-110")] + OUT_OF_RANGE
+
+
+def test_variances_at_subnormal_alpha_squared(tmp_path, capsys):
+    # alpha^2 = 1e-320 is subnormal; at t = 1e300, u = alpha^2 t = 1e-20, so
+    # both cubic covariances are -alpha^3 t^2 / 4 = -2.5e+119 to double
+    # precision (the alpha = 0 limit wrote 0 for cov_pat_xph, and u formed
+    # from alpha^2 wrote -2.49997216796e+119 for cov_xat_pph)
+    cfg = _write_config(tmp_path / "run.cfg", grid_step="1e300")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["variances", "--alpha", "1e-160", "--t-max", "1e300",
+                     "--dt", "1e299", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "out" / "variances.csv").read_text()
+    assert "nan" not in text and "inf" not in text
+    header, _, last = text.splitlines()
+    row = dict(zip(header.split(","), last.split(",")))
+    assert row["t"] == "1e+300"
+    assert row["cov_pat_xph"] == row["cov_xat_pph"] == "-2.5e+119"
 
 
 @pytest.mark.parametrize("command", ["variances", "compare"])

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,7 +268,8 @@ def test_guards_trip_on_nan(monkeypatch):
                        n_traj=100, seed=12345, phase=PHASE_X)
     with pytest.raises(TruncationLeakError, match="trace deficit"):
         simulate_atom_moments(cfg)
-    with pytest.raises(TruncationLeakError, match="top-level"), \
+    with pytest.raises(TruncationLeakError,
+                       match="top-level .* at step 25;"), \
             np.errstate(invalid="ignore"):
         homodyne_monte_carlo(cfg)
 
@@ -285,7 +287,8 @@ def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
                        n_traj=100, seed=12345, phase=PHASE_X)
     nan_stack = fock.kraus_stack(0.3, 2e-3, 10, 3, np.eye(3))
     assert fock._reachable_levels(nan_stack).tolist() == [0]
-    with pytest.raises(TruncationLeakError), np.errstate(invalid="ignore"):
+    with pytest.raises(TruncationLeakError, match="non-finite .* step 25$"), \
+            np.errstate(invalid="ignore"):
         homodyne_monte_carlo(cfg)
 
 
@@ -308,6 +311,22 @@ def _real_stack(alpha, dt, d_at, d_anc, phase):
                             phase == PHASE_P)
 
 
+def _whole_streams(seed, n_traj, n_steps):
+    """Reference: each trajectory's uniform stream drawn in one call, one
+    row per trajectory."""
+    return np.array([np.random.default_rng(child).random(n_steps)
+                     for child in np.random.SeedSequence(seed).spawn(n_traj)])
+
+
+def _records(config, sample_steps):
+    """The loop's records at ``sample_steps``, one row each, and the
+    largest leak it reported at the last of them."""
+    rows, max_leak = [], math.nan
+    for y, max_leak in fock._homodyne_records(config, sample_steps):
+        rows.append(y.copy())
+    return np.array(rows), max_leak
+
+
 def _full_space_records(config, sample_steps):
     """Reference: the real-gauge homodyne loop stepping every atom level;
     returns the records at ``sample_steps``, one row each, and the run's
@@ -316,7 +335,7 @@ def _full_space_records(config, sample_steps):
     n_steps, n = config.n_steps, config.n_traj
     eigvals = _quadrature_basis(config.phase, da)[0]
     kraus = _real_stack(config.alpha, config.dt, d, da, config.phase)
-    uniforms = fock._trajectory_uniforms(config.seed, n, n_steps)
+    uniforms = _whole_streams(config.seed, n, n_steps)
     psi = np.zeros((d, n))
     psi[0, :] = 1.0
     y = np.zeros(n)
@@ -349,11 +368,78 @@ def test_reachable_level_records_bit_equal_full_space(alpha, phase, d_anc):
     assert levels.tolist() == ([0] if alpha == 0.0 else
                                list(range(cfg.d_at)))
     steps = [10, 25, 47, cfg.n_steps]
-    got, leak = fock._homodyne_records(cfg, steps)
+    got, leak = _records(cfg, steps)
     ref, leak_ref = _full_space_records(cfg, steps)
     assert got.shape == ref.shape == (len(steps), cfg.n_traj)
     assert got.tobytes() == ref.tobytes()
     assert leak == leak_ref
+
+
+#: the chunk the loop draws its uniform streams in
+CHUNK = fock._UNIFORM_CHUNK
+
+
+@pytest.mark.parametrize("d_anc", [2, 3, 4])
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("alpha", [0.0, 0.9])
+@pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                     3 * CHUNK + 5])
+def test_chunked_streams_keep_every_record(n_steps, alpha, phase, d_anc):
+    # streams drawn a chunk at a time against each drawn in one call, with
+    # samples on the steps either side of every chunk edge the run reaches
+    dt = 2.0 ** -10
+    cfg = OracleConfig(alpha=alpha, dt=dt, t_max=n_steps * dt, d_at=12,
+                       d_anc=d_anc, n_traj=100, seed=17, phase=phase)
+    assert cfg.n_steps == n_steps
+    edges = {1, n_steps}
+    for k in range(CHUNK, n_steps + 1, CHUNK):
+        edges |= {k - 1, k, k + 1}
+    steps = sorted(e for e in edges if 1 <= e <= n_steps)
+    got, leak = _records(cfg, steps)
+    ref, leak_ref = _full_space_records(cfg, steps)
+    assert got.shape == ref.shape == (len(steps), cfg.n_traj)
+    assert got.tobytes() == ref.tobytes()
+    assert leak == leak_ref
+
+
+@pytest.mark.parametrize("n_traj", [150, 400])
+@pytest.mark.parametrize("phase", PHASES)
+def test_streamed_statistics_equal_stacked_reduction(phase, n_traj):
+    # compare's oracle, 50 samples: each record reduced as the loop reaches
+    # it gives the bits of one reduction over the stacked records
+    cfg = RunConfig(oracle_phase=phase, oracle_n_traj=n_traj).section(
+        OracleConfig)
+    series = homodyne_series(cfg, 50)
+    records, leak = _full_space_records(cfg, series.step.tolist())
+    ref = fock._stats(cfg, series.step, records.mean(axis=-1),
+                      records.var(axis=-1, ddof=1), leak)
+    for field in ("step", "time", "mean", "variance", "stderr_mean",
+                  "stderr_var"):
+        assert getattr(series, field).tobytes() == \
+            getattr(ref, field).tobytes(), field
+    assert (series.n, series.max_leak) == (ref.n, ref.max_leak)
+
+
+def test_homodyne_memory_does_not_grow_with_steps():
+    # 10x the steps at the same sample count: drawing whole streams would
+    # add n_traj x 45 CHUNK x 8 B (4.6 MB) to the traced peak
+    def run(n_steps):
+        dt = 1e-4
+        homodyne_series(OracleConfig(alpha=0.3, dt=dt, t_max=n_steps * dt,
+                                     d_at=8, d_anc=2, n_traj=100, seed=3,
+                                     phase=PHASE_X), 4)
+
+    def traced_peak(n_steps):
+        tracemalloc.start()
+        try:
+            run(n_steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(5 * CHUNK)      # first-call allocations are not the loop's
+    short, long = traced_peak(5 * CHUNK), traced_peak(50 * CHUNK)
+    assert long - short < 100 * 45 * CHUNK * 8 / 20
 
 
 def test_reachable_levels_partial_set(monkeypatch):
@@ -373,7 +459,7 @@ def test_reachable_levels_partial_set(monkeypatch):
     stack = embedded(0.9, 5e-3, 10, 3, np.eye(3))
     assert fock._reachable_levels(stack).tolist() == [0, 1, 2]
     steps = [20, cfg.n_steps]
-    got, leak = fock._homodyne_records(cfg, steps)
+    got, leak = _records(cfg, steps)
     ref, leak_ref = _full_space_records(cfg, steps)
     assert got.shape == ref.shape == (len(steps), cfg.n_traj)
     assert leak == leak_ref == 0.0
@@ -428,7 +514,7 @@ def _complex_records(config, sample_steps):
     m = levels.size
     kraus = kraus.reshape(da, d, d)[:, levels][:, :, levels].reshape(da * m, m)
     top = levels >= d - 2
-    uniforms = fock._trajectory_uniforms(config.seed, n, n_steps)
+    uniforms = _whole_streams(config.seed, n, n_steps)
     psi = np.zeros((m, n), dtype=complex)
     psi[0, :] = 1.0
     y = np.zeros(n)
@@ -461,7 +547,7 @@ def test_real_gauge_records_bit_equal_complex_loop(case):
     cfg = (run.section(OracleConfig, alpha=0.0, seed=run.oracle_seed + 1)
            if case == "vacuum_control" else run.section(OracleConfig))
     steps = [25, 240, cfg.n_steps]
-    got, leak = fock._homodyne_records(cfg, steps)
+    got, leak = _records(cfg, steps)
     ref, leak_ref = _complex_records(cfg, steps)
     assert got.shape == ref.shape == (len(steps), cfg.n_traj)
     assert got.tobytes() == ref.tobytes()
@@ -495,7 +581,9 @@ def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
     real = fock._real_gauge(fock.kraus_stack(0.3, 2e-3, 10, 3, np.eye(3)),
                             True)
     assert np.isnan(real).sum() == 1
-    with pytest.raises(TruncationLeakError), np.errstate(invalid="ignore"):
+    with pytest.raises(TruncationLeakError,
+                       match="top-level .* at step 25;"), \
+            np.errstate(invalid="ignore"):
         homodyne_monte_carlo(cfg)
     # the atom loop keeps it too: a stack's real part alone would step a
     # finite, wrong channel and report a finite deficit
@@ -518,7 +606,8 @@ def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(monkeypatch):
     monkeypatch.setattr(fock, "kraus_stack", nan_block_one)
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
                        n_traj=100, seed=12345, phase=PHASE_X)
-    with pytest.raises(TruncationLeakError, match="outcome probability"), \
+    with pytest.raises(TruncationLeakError,
+                       match="outcome probability .* at step 25$"), \
             np.errstate(invalid="ignore"):
         homodyne_monte_carlo(cfg)
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -334,13 +335,49 @@ def test_closed_form_alpha_zero_limits():
         assert cov[:, i, i].tolist() == [5e102, 5e299]
 
 
-def test_alpha_squared_below_normal_takes_alpha_zero_limit():
+#: (alpha, t) where alpha^2 is subnormal: u = alpha^2 t of 1e-20 (the
+#: variances run of test_cli), 1e-2 near the top of the double range,
+#: 2e-8 with alpha^2 just under the normal range, and u itself subnormal
+#: or 0
+SUBNORMAL_ALPHA2 = [(1e-160, 1e300), (1e-155, 1e308), (1.4e-154, 1e300),
+                    (1e-170, 1e300), (1e-300, 1e300), (1e-155, 100.0),
+                    (5e-324, 1e300)]
+
+
+def _decimal_closed_form(alpha, t):
+    """The published entries in 800-digit decimals, with alpha^2 t exact:
+    enough digits that 1 - exp(-u) keeps its own for u down to 1e-700."""
+    with localcontext() as ctx:
+        ctx.prec = 800
+        a, t = Decimal(alpha), Decimal(t)
+        u = a * a * t
+        em = 1 - (-u).exp()
+        return {("p_at", "p_at"): (1 + (-2 * u).exp()) / 4,
+                ("x_at", "x_at"): (1 + u) / 2,
+                ("x_at", "P_ph"): -a ** 3 * t ** 2 / 4,
+                ("p_at", "X_ph"): -em * em / (4 * a),
+                ("X_ph", "X_ph"): em * (2 + em) / (4 * a * a),
+                ("P_ph", "P_ph"): t / 2 + a ** 4 * t ** 3 / 6}
+
+
+def test_alpha_squared_below_normal_builds_from_alpha_t():
+    # at t = 2 every entry is the alpha = 0 limit to double precision
     zero = closed_form_covariances(0.0, 2.0)
     for alpha in (1e-160, 1e-170, 1e-300, 5e-324):
         cov = closed_form_covariances(alpha, 2.0)
         i, j = mode_index("p_at"), mode_index("X_ph")
         assert cov[i, j] == 0.0 and cov[j, j] == zero[j, j] == 1.0
         assert np.allclose(cov, zero, rtol=0, atol=1e-300, equal_nan=True)
+    # where t is large enough that u = alpha^2 t counts, u is formed from
+    # alpha t and no entry divides by a power of alpha: each is within
+    # 3 ulp of the exact value (the alpha = 0 limit was 1.7e11 ulp off in
+    # X_ph and P_ph at alpha 1e-155, t 1e308, and wrote 0 for p_at, X_ph)
+    for alpha, t in SUBNORMAL_ALPHA2:
+        assert alpha * alpha < sys.float_info.min
+        cov = closed_form_covariances(alpha, t)
+        for (r, c), exact in _decimal_closed_form(alpha, t).items():
+            ulps = _ulps(_entry(cov, r, c), Fraction(exact))
+            assert ulps <= 3, (alpha, t, r, c, ulps)
     # just above the switch the general form agrees with the limit
     alpha = math.sqrt(sys.float_info.min) * (1 + 1e-15)
     assert alpha * alpha >= sys.float_info.min
@@ -357,18 +394,23 @@ def _scalar_closed_form(alpha, t):
         i, j = mode_index(r), mode_index(c)
         cov[i, j] = cov[j, i] = value
 
-    u = alpha * alpha * t
-    em = -math.expm1(-u)
-    put("p_at", "p_at", 0.25 * (1.0 + math.exp(-2.0 * u)))
-    put("x_at", "x_at", 0.5 * (1.0 + alpha * alpha * t))
-    put("x_at", "P_ph", -0.25 * u * alpha * t)
-    put("P_ph", "P_ph", 0.5 * t + u * u * t / 6.0)
-    if alpha * alpha < sys.float_info.min:
-        put("p_at", "X_ph", 0.0)
-        put("X_ph", "X_ph", 0.5 * t)
-    else:
+    if alpha * alpha >= sys.float_info.min:
+        u = alpha * alpha * t
+        em = -math.expm1(-u)
+        put("x_at", "P_ph", -0.25 * u * alpha * t)
         put("p_at", "X_ph", -em * em / (4.0 * alpha))
         put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
+    else:
+        at = alpha * t
+        u = alpha * at
+        em = -math.expm1(-u)
+        phi = em / u if u > 0 else 1.0
+        put("x_at", "P_ph", -0.25 * u * at)
+        put("p_at", "X_ph", -0.25 * phi * em * at)
+        put("X_ph", "X_ph", 0.25 * phi * (2.0 + em) * t)
+    put("p_at", "p_at", 0.25 * (1.0 + math.exp(-2.0 * u)))
+    put("x_at", "x_at", 0.5 * (1.0 + u))
+    put("P_ph", "P_ph", 0.5 * t + u * u * t / 6.0)
     return cov
 
 
