@@ -29,15 +29,13 @@ drawn ``_UNIFORM_CHUNK`` steps at a time; the loop yields the record at
 each sample step, where ``homodyne_series`` reduces it to its mean and
 variance.  So the Monte Carlo's memory does not grow with the step count.
 
-The homodyne loop runs only on the atom levels reachable from |0>: the
-closure of level 0 under the exact nonzero pattern of the Kraus blocks.
-Amplitudes on the other levels start at 0 and no block maps a reachable
-level into them, so they stay exactly 0 and the restricted loop drops only
-x * 0 and + 0.0 terms.  For alpha > 0 every level is reachable and the loop
-is the full one; at alpha = 0 (the vacuum control) every block is a
-multiple of the identity, each outcome amplitude is a single product, and
-the loop runs on level 0 alone.  Either way every probability, outcome and
-record keeps its bits.
+At alpha = 0 (the vacuum control) the collision leaves the atom alone:
+every block is c_e times the identity, with c_e = <e|0> in the gauge below.
+Outcome e then has the fixed probability c_e^2, and since
+sqrt(c * c) == |c| in binary floating point the general loop's state stays
+exactly +-|0>.  So the record is a sum of independent draws from one law,
+and the homodyne loop draws each step's outcomes from that law with no atom
+state to step; every outcome and record keeps the bits of the general loop.
 
 Both loops run in real arithmetic, in the atom gauge |n> -> i^n |n>
 (G = diag(i^n), K_e -> G^dagger K_e G).  G^dagger a G = i a, so the gauge
@@ -363,16 +361,16 @@ def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_chunks(seed: int, n_traj: int,
-                    n_steps: int) -> Iterator[np.ndarray]:
+def _uniform_steps(seed: int, n_traj: int,
+                   n_steps: int) -> Iterator[np.ndarray]:
     """One independent uniform stream per (seed, trajectory index), drawn
     ``_UNIFORM_CHUNK`` steps at a time.
 
-    Yields ``(n_traj, width)`` views of one buffer, row i the next ``width``
-    draws of trajectory i; each chunk overwrites the one before, and the
-    chunks together hold ``n_steps`` draws of every stream.  A generator's
-    stream does not depend on how its draws are split, so every draw keeps
-    the bits of one ``random(n_steps)`` call per trajectory.
+    Yields, for each of the ``n_steps`` steps, an ``(n_traj,)`` view of one
+    buffer, entry i the draw of trajectory i; each chunk of draws
+    overwrites the one before.  A generator's stream does not depend on how
+    its draws are split, so every draw keeps the bits of one
+    ``random(n_steps)`` call per trajectory.
     """
     streams = [np.random.default_rng(child)
                for child in np.random.SeedSequence(seed).spawn(n_traj)]
@@ -381,7 +379,7 @@ def _uniform_chunks(seed: int, n_traj: int,
         chunk = buffer[:, :min(_UNIFORM_CHUNK, n_steps - start)]
         for rng, row in zip(streams, chunk):
             rng.random(out=row)
-        yield chunk
+        yield from chunk.T
 
 
 def _stats(config: OracleConfig, step: int | np.ndarray,
@@ -396,23 +394,6 @@ def _stats(config: OracleConfig, step: int | np.ndarray,
         stderr_var=var * math.sqrt(2.0 / (n - 1)), max_leak=max_leak)
 
 
-def _reachable_levels(kraus: np.ndarray) -> np.ndarray:
-    """Atom levels some sequence of Kraus blocks reaches from |0>, ascending.
-
-    Level j links to level i when any block has K_e[i, j] != 0 (NaN counts
-    as nonzero), so the amplitudes on every other level stay exactly 0.
-    """
-    d = kraus.shape[1]
-    links = (kraus.reshape(-1, d, d) != 0).any(axis=0)
-    reached = np.zeros(d, dtype=bool)
-    reached[0] = True
-    while True:
-        grown = reached | links[:, reached].any(axis=1)
-        if (grown == reached).all():
-            return np.flatnonzero(reached)
-        reached = grown
-
-
 def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                       ) -> Iterator[tuple[np.ndarray, float]]:
     """Run the homodyne loop, yielding at each of the increasing
@@ -421,35 +402,42 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
 
     y is the loop's own buffer, which the next step overwrites: read it
     before resuming the loop.  Memory does not grow with ``n_steps``.
+    At alpha = 0 the outcomes are drawn from their fixed law and the leak
+    is exactly 0 (see the module docstring).
     """
     d, da = config.d_at, config.d_anc
     n_steps = config.n_steps
     n = config.n_traj
     eigvals, kraus = _gauged_stack(config, config.phase)
-    # step only the levels reachable from |0>; the rest hold exact zeros
-    levels = _reachable_levels(kraus)
-    m = levels.size
-    kraus = kraus.reshape(da, d, d)[:, levels][:, :, levels].reshape(da * m, m)
-    top = levels >= d - 2
-
-    chunks = _uniform_chunks(config.seed, n, n_steps)
-    psi = np.zeros((m, n))
-    psi[0, :] = 1.0
+    steps = enumerate(_uniform_steps(config.seed, n, n_steps), 1)
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
-
     sample = 0
+
+    if config.alpha == 0:
+        # the law reads one entry of each block: a NaN elsewhere stops it here
+        if not np.isfinite(kraus).all():
+            raise TruncationLeakError("non-finite Kraus stack at alpha = 0")
+        cum = np.cumsum(kraus[::d, 0] * kraus[::d, 0])
+        for step, uniforms in steps:
+            # cum is finite and sorted, so this counts the entries of cum
+            # below u * total: the general loop's outcome
+            y += gain * eigvals[np.searchsorted(cum, uniforms * cum[-1])]
+            if sample < len(sample_steps) and step == sample_steps[sample]:
+                yield y, 0.0
+                sample += 1
+        return
+
+    psi = np.zeros((d, n))
+    psi[0, :] = 1.0
     check_every = 25
     max_leak = 0.0
     traj = np.arange(n)
     # the step's arrays, allocated once, so no step faults in fresh pages
-    comps, squares = np.empty((da, m, n)), np.empty((da, m, n))
-    comps_flat = comps.reshape(da * m, n)
+    comps, squares = np.empty((da, d, n)), np.empty((da, d, n))
+    comps_flat = comps.reshape(da * d, n)
     probs, cum = np.empty((da, n)), np.empty((da, n))
-    for step in range(1, n_steps + 1):
-        column = (step - 1) % _UNIFORM_CHUNK
-        if column == 0:
-            uniforms = next(chunks)
+    for step, uniforms in steps:
         np.matmul(kraus, psi, out=comps_flat)
         np.multiply(comps, comps, out=squares)
         squares.sum(axis=1, out=probs)
@@ -459,18 +447,17 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
             np.add(cum[e - 1], probs[e], out=cum[e])
         # u in [0, 1) times the total never rounds above it, and NaN and inf
         # compare False: the last comparison never holds, so idx <= da - 1
-        draws = uniforms[:, column] * cum[-1]
+        draws = uniforms * cum[-1]
         idx = (draws[None, :] > cum).sum(axis=0)
         psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
         y += gain * eigvals[idx]
         if step % check_every == 0 or step == n_steps:
-            leak = float((psi[top] ** 2).sum(axis=0).max())
+            leak = float((psi[-2:] ** 2).sum(axis=0).max())
             # "not <=" so that NaN trips the guard
             if not leak <= LEAK_TOL:
                 raise TruncationLeakError(
                     f"top-level atom population {leak:.2e} in a trajectory"
                     f" at step {step}; increase d_at")
-            # the top levels may be unreachable, so test the state itself;
             # a NaN total probability draws outcome 0 and keeps psi finite
             if not (np.isfinite(psi).all() and np.isfinite(cum[-1]).all()):
                 raise TruncationLeakError(

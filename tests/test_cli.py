@@ -640,16 +640,21 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
     # l^2 = 1e320 overflows the transport coefficients on the grid
     ("pde", "pde.l_max = 1e160\npde.k_max = 1e160\npde.dl = 1e158\n"
      "pde.dk = 1e158\n", "reduce pde.l_max and pde.k_max"),
+    # a CFL number of 8e301 is written in significant digits, not 302 of them
+    ("pde", "pde.t = 1e300\npde.dt = 1e299\n", "|drift|*dt/dl = 8e+301 > 0.5"),
 ], ids=["boundary_leak", "cfl_above_half", "truncation_leak", "negative_tol",
         "zero_tol", "variances_tiny_grid_step", "variances_tiny_solver_dt",
         "oracle_subnormal_dt", "oracle_tiny_dt", "pde_subnormal_dt",
-        "pde_tiny_dl", "compare_tiny_grid_step", "pde_overflowing_grid"])
+        "pde_tiny_dl", "compare_tiny_grid_step", "pde_overflowing_grid",
+        "cfl_huge_dt"])
 def test_fixable_by_config_exit_code(tmp_path, command, config, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
     assert res.returncode == EXIT_CONFIG, res.stderr
     assert "configuration error" in res.stderr and message in res.stderr
+    # one short line: no number is printed in hundreds of digits
+    assert len(res.stderr) < 160, res.stderr
     assert "Traceback" not in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 

@@ -275,8 +275,9 @@ def test_guards_trip_on_nan(monkeypatch):
 
 
 def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
-    # a NaN diagonal links no level to another, so only level 0 is stepped
-    # and the top-level leak reads 0: the state itself must trip the guard
+    # a NaN diagonal links no level to another, so no nonzero amplitude can
+    # reach the top levels; the NaN spreads there through 0 * NaN, and the
+    # top-level guard trips at its first check
     def nan_diagonal(alpha, dt, d_at, d_anc, basis):
         k = np.zeros((d_anc, d_at, d_at), dtype=complex)
         k[:, np.arange(d_at), np.arange(d_at)] = np.nan
@@ -285,11 +286,33 @@ def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
     monkeypatch.setattr(fock, "kraus_stack", nan_diagonal)
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
                        n_traj=100, seed=12345, phase=PHASE_X)
-    nan_stack = fock.kraus_stack(0.3, 2e-3, 10, 3, np.eye(3))
-    assert fock._reachable_levels(nan_stack).tolist() == [0]
-    with pytest.raises(TruncationLeakError, match="non-finite .* step 25$"), \
+    with pytest.raises(TruncationLeakError,
+                       match="top-level .* at step 25;"), \
             np.errstate(invalid="ignore"):
         homodyne_monte_carlo(cfg)
+
+
+@pytest.mark.parametrize("where", ["every_entry", "one_entry"])
+def test_vacuum_control_trips_on_nan_stack(monkeypatch, where):
+    # the vacuum law reads one entry of each block; a NaN anywhere in the
+    # stack must stop the run before its first record
+    def nan_kraus(alpha, dt, d_at, d_anc, basis):
+        k = np.eye(d_at, dtype=complex)[None].repeat(d_anc, axis=0)
+        if where == "every_entry":
+            k[:] = np.nan
+        else:
+            k[1, 3, 3] = np.nan
+        return k.reshape(d_anc * d_at, d_at)
+
+    monkeypatch.setattr(fock, "kraus_stack", nan_kraus)
+    cfg = OracleConfig(alpha=0.0, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
+                       n_traj=100, seed=12345, phase=PHASE_X)
+    records = []
+    with pytest.raises(TruncationLeakError,
+                       match="non-finite Kraus stack at alpha = 0"):
+        for y, _ in fock._homodyne_records(cfg, [1, 10, cfg.n_steps]):
+            records.append(y.copy())
+    assert records == []
 
 
 def test_oracle_health_within_limits_at_compare_config():
@@ -301,14 +324,7 @@ def test_oracle_health_within_limits_at_compare_config():
     assert 0.0 <= st.max_leak < LEAK_TOL
 
 
-# -- homodyne loop on the reachable atom levels ------------------------------------
-
-
-def _real_stack(alpha, dt, d_at, d_anc, phase):
-    """The real-gauge homodyne stack the loop steps, on every atom level."""
-    basis = _quadrature_basis(phase, d_anc)[1]
-    return fock._real_gauge(fock.kraus_stack(alpha, dt, d_at, d_anc, basis),
-                            phase == PHASE_P)
+# -- homodyne loop against a full-space reference ----------------------------------
 
 
 def _whole_streams(seed, n_traj, n_steps):
@@ -333,8 +349,10 @@ def _full_space_records(config, sample_steps):
     largest leak."""
     d, da = config.d_at, config.d_anc
     n_steps, n = config.n_steps, config.n_traj
-    eigvals = _quadrature_basis(config.phase, da)[0]
-    kraus = _real_stack(config.alpha, config.dt, d, da, config.phase)
+    eigvals, basis = _quadrature_basis(config.phase, da)
+    kraus = fock._real_gauge(
+        fock.kraus_stack(config.alpha, config.dt, d, da, basis),
+        config.phase == PHASE_P)
     uniforms = _whole_streams(config.seed, n, n_steps)
     psi = np.zeros((d, n))
     psi[0, :] = 1.0
@@ -363,10 +381,6 @@ def _full_space_records(config, sample_steps):
 def test_reachable_level_records_bit_equal_full_space(alpha, phase, d_anc):
     cfg = OracleConfig(alpha=alpha, dt=5e-3, t_max=0.3, d_at=12,
                        d_anc=d_anc, n_traj=100, seed=31, phase=phase)
-    kraus = _real_stack(alpha, cfg.dt, cfg.d_at, d_anc, phase)
-    levels = fock._reachable_levels(kraus)
-    assert levels.tolist() == ([0] if alpha == 0.0 else
-                               list(range(cfg.d_at)))
     steps = [10, 25, 47, cfg.n_steps]
     got, leak = _records(cfg, steps)
     ref, leak_ref = _full_space_records(cfg, steps)
@@ -400,6 +414,24 @@ def test_chunked_streams_keep_every_record(n_steps, alpha, phase, d_anc):
     assert got.shape == ref.shape == (len(steps), cfg.n_traj)
     assert got.tobytes() == ref.tobytes()
     assert leak == leak_ref
+
+
+@pytest.mark.parametrize("d_anc", [2, 3, 4])
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                     3 * CHUNK + 5])
+def test_vacuum_records_bit_equal_full_space(n_steps, phase, d_anc):
+    # the alpha = 0 outcome law against the general loop, sampled at every
+    # step, so on both sides of every edge of the uniform chunks
+    dt = 2.0 ** -10
+    cfg = OracleConfig(alpha=0.0, dt=dt, t_max=n_steps * dt, d_at=12,
+                       d_anc=d_anc, n_traj=100, seed=23, phase=phase)
+    steps = list(range(1, n_steps + 1))
+    got, leak = _records(cfg, steps)
+    ref, leak_ref = _full_space_records(cfg, steps)
+    assert got.shape == ref.shape == (n_steps, cfg.n_traj)
+    assert got.tobytes() == ref.tobytes()
+    assert leak == leak_ref == 0.0
 
 
 @pytest.mark.parametrize("n_traj", [150, 400])
@@ -442,41 +474,6 @@ def test_homodyne_memory_does_not_grow_with_steps():
     assert long - short < 100 * 45 * CHUNK * 8 / 20
 
 
-def test_reachable_levels_partial_set(monkeypatch):
-    # Kraus blocks acting on levels 0..2 only: the loop steps three levels,
-    # the top-level leak reads exactly 0, and the records match the full
-    # space up to the summation order of the matrix product
-    small = kraus_stack(0.9, 5e-3, 3, 3, _quadrature_basis(PHASE_X, 3)[1])
-
-    def embedded(alpha, dt, d_at, d_anc, basis):
-        k = np.zeros((d_anc, d_at, d_at), dtype=complex)
-        k[:, :3, :3] = small.reshape(3, 3, 3)
-        return k.reshape(d_anc * d_at, d_at)
-
-    monkeypatch.setattr(fock, "kraus_stack", embedded)
-    cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=0.2, d_at=10, d_anc=3,
-                       n_traj=100, seed=4, phase=PHASE_X)
-    stack = embedded(0.9, 5e-3, 10, 3, np.eye(3))
-    assert fock._reachable_levels(stack).tolist() == [0, 1, 2]
-    steps = [20, cfg.n_steps]
-    got, leak = _records(cfg, steps)
-    ref, leak_ref = _full_space_records(cfg, steps)
-    assert got.shape == ref.shape == (len(steps), cfg.n_traj)
-    assert leak == leak_ref == 0.0
-    assert np.abs(got - ref).max() < 1e-12
-
-
-@pytest.mark.parametrize("phase", PHASES)
-@pytest.mark.parametrize("run", ["compare", "criterion_10"])
-def test_every_level_reachable_when_coupled(run, phase):
-    cfg = (RunConfig().section(OracleConfig) if run == "compare" else
-           OracleConfig(alpha=0.5, dt=1e-3, t_max=1.0, d_at=40, d_anc=3,
-                        n_traj=2000, seed=12345, phase=phase))
-    kraus = _real_stack(cfg.alpha, cfg.dt, cfg.d_at, cfg.d_anc, phase)
-    assert fock._reachable_levels(kraus).tolist() == \
-        list(range(cfg.d_at))
-
-
 # -- real gauge of the homodyne loop ------------------------------------------------
 
 
@@ -510,18 +507,14 @@ def _complex_records(config, sample_steps):
     n = config.n_traj
     eigvals, eigvecs = _quadrature_basis(config.phase, da)
     kraus = kraus_stack(config.alpha, config.dt, d, da, eigvecs)
-    levels = fock._reachable_levels(kraus)
-    m = levels.size
-    kraus = kraus.reshape(da, d, d)[:, levels][:, :, levels].reshape(da * m, m)
-    top = levels >= d - 2
     uniforms = _whole_streams(config.seed, n, n_steps)
-    psi = np.zeros((m, n), dtype=complex)
+    psi = np.zeros((d, n), dtype=complex)
     psi[0, :] = 1.0
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
     records, max_leak, traj = [], 0.0, np.arange(n)
     for step in range(1, n_steps + 1):
-        comps = (kraus @ psi).reshape(da, m, n)
+        comps = (kraus @ psi).reshape(da, d, n)
         probs = (comps.real ** 2 + comps.imag ** 2).sum(axis=1)
         cum = np.cumsum(probs, axis=0)
         draws = uniforms[:, step - 1] * cum[-1]
@@ -529,7 +522,7 @@ def _complex_records(config, sample_steps):
         psi = comps[idx, :, traj].T / np.sqrt(probs[idx, traj])
         y += gain * eigvals[idx]
         if step % 25 == 0 or step == n_steps:
-            leak = float((np.abs(psi[top]) ** 2).sum(axis=0).max())
+            leak = float((np.abs(psi[-2:]) ** 2).sum(axis=0).max())
             max_leak = max(max_leak, leak)
         if step in sample_steps:
             records.append(y.copy())
