@@ -476,7 +476,7 @@ def fd_solve(families: Sequence[str], alpha: float, grid: GridSpec,
     for cfl in cfls:
         if not cfl <= 0.5 + 1e-12:
             raise ConfigError(
-                f"CFL violation: |drift|*dt/dl = {cfl:.3g} > 0.5")
+                f"CFL violation: |drift|*dt/dl = {float(cfl)!r} > 0.5")
 
     block = max(1, FD_BLOCK_BYTES // (8 * (len(lv) + 8)))
     values = np.empty(drift.shape)

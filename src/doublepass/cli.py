@@ -59,19 +59,23 @@ ORACLE_FIELD_COLUMN = {fock.PHASE_X: "var_x_ph_norm",
 #: text and its exit code
 Outputs = tuple[dict[str, str], str, int]
 
-#: memory of one sampled row of the variance path at its peak: RK4's and
-#: the closed form's (n, 4, 4) stacks, the two variance tables and, most of
-#: it, the Python floats and strings ``_table_csv`` makes for each row.
-#: Peak RSS of ``variances`` grew by 1.43 kB per row from 2e5 to 4e5 rows
-#: (``grid_step = solver.dt``); rounded up
-VARIANCE_ROW_BYTES = 1536
+#: memory of one row of the variance or the oracle table at its peak, most
+#: of it the Python floats and strings ``_table_csv`` makes per row.  Peak
+#: RSS grew by 1.43 kB per row of ``variances`` (2e5 to 4e5 rows,
+#: ``grid_step = solver.dt``, with RK4's and the closed form's (n, 4, 4)
+#: stacks) and by 1.03 kB per row of ``oracle`` (2e4 to 8e4); rounded up
+TABLE_ROW_BYTES = 1536
 
-#: most multiply-adds an oracle run's homodyne Monte Carlo may take, counted
-#: as ``n_traj * n_steps * d_anc * d_at**2`` (the outcome amplitudes of one
-#: step are one (d_anc d_at, d_at) @ (d_at, n_traj) product).  Measured at
-#: 0.10-0.15 ns each on one 2.1 GHz Xeon core, BLAS at one thread (d_at 30
-#: and 60, d_anc 3 and 6, n_traj 400-3000), so the bound is about 20 min
+#: most multiply-adds an oracle run may take, counted as ``n_steps *
+#: (n_traj * d_anc * d_at**2 + ORACLE_STEP_WORK)``: one step's outcome
+#: amplitudes are one (d_anc d_at, d_at) @ (d_at, n_traj) product, at
+#: 0.10-0.15 ns per multiply-add on one 2.1 GHz Xeon core, BLAS at one
+#: thread (d_at 30 and 60, d_anc 3 and 6, n_traj 400-3000), so the bound is
+#: about 20 min.  A step also costs a fixed 36 us, ORACLE_STEP_WORK at 0.12 ns
+#: (pinned, n_traj 100, d_at 4, d_anc 2: atom loop 9-13 us, homodyne loop
+#: 18-22 us, ``compare``'s vacuum control 6 us)
 ORACLE_MAX_WORK = 10 ** 13
+ORACLE_STEP_WORK = 3 * 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -140,27 +144,24 @@ class RunConfig:
         # pre-flight, in Python numbers, which cannot overflow: the oracle's
         # work, bounded whatever the machine, then no one array of a route
         # may exceed physical memory
-        work = oracle.n_traj * oracle.n_steps * oracle.d_anc * oracle.d_at ** 2
+        work = oracle.n_steps * (oracle.n_traj * oracle.d_anc
+                                 * oracle.d_at ** 2 + ORACLE_STEP_WORK)
         if work > ORACLE_MAX_WORK:
             raise ConfigError(
                 "oracle.dt, oracle.t_max, oracle.n_traj, oracle.d_at,"
-                f" oracle.d_anc: the oracle's homodyne Monte Carlo would take"
-                f" {work:.3g} multiply-adds, more than the"
-                f" {ORACLE_MAX_WORK:.0e} (about 20 min on one core) a run"
-                " may take")
-        # bytes: the variance tables, one row per sample and at most one per
-        # solver.dt, the oracle's atom-moment series (var_x and var_p at
-        # every step), one FD surface and the oracle's joint-space operator
-        variance_rows = min(self.t_max / self.solver_dt,
-                            self.t_max / self.grid_step) + 1
+                f" oracle.d_anc: the oracle would take {work:.3g}"
+                f" multiply-adds, more than the {ORACLE_MAX_WORK:.0e}"
+                " (about 20 min on one core) a run may take")
+        # bytes: the rows of both tables (the variance tables' at most one per
+        # solver.dt), one FD surface and the oracle's joint-space operator
+        rows = (min(self.t_max / self.solver_dt, self.t_max / self.grid_step)
+                + 1 + _oracle_samples(self, oracle))
         nk, nl = grid.shape
         joint = oracle.d_at * oracle.d_anc
         memory = _physical_memory()
         for keys, array, size in (
-                ("solver.dt, grid_step", "variance tables",
-                 variance_rows * VARIANCE_ROW_BYTES),
-                ("oracle.dt, oracle.t_max", "oracle's atom-moment series",
-                 (oracle.n_steps + 1) * 16),
+                ("solver.dt, grid_step, oracle.dt", "variance and oracle"
+                 " tables", rows * TABLE_ROW_BYTES),
                 ("pde.l_max, pde.dl, pde.k_max, pde.dk", "FD surface",
                  nk * nl * 8),
                 ("oracle.d_at, oracle.d_anc", "oracle's joint-space operator",
@@ -421,15 +422,19 @@ def cmd_pde(cfg: RunConfig) -> Outputs:
     return artifacts, artifacts["pde_summary.txt"] + report, code
 
 
+def _oracle_samples(cfg: RunConfig, ocfg: fock.OracleConfig) -> int:
+    """Samples of the oracle runs, and rows of their table: one per
+    grid_step, at most one per step (the cap keeps the count finite)."""
+    return max(1, round(min(ocfg.t_max / cfg.grid_step, ocfg.n_steps)))
+
+
 def _oracle_runs(cfg: RunConfig) -> tuple[fock.AtomMomentSeries,
                                           fock.TrajectoryStats]:
-    """The configured oracle: one atom-moment run, one homodyne series."""
+    """The configured oracle's atom moments and homodyne statistics."""
     ocfg = cfg.section(fock.OracleConfig)
-    atoms = fock.simulate_atom_moments(ocfg)
-    # a grid_step at or below oracle.dt samples every step; the cap keeps a
-    # tiny grid_step from overflowing the count
-    n_samples = max(1, round(min(ocfg.t_max / cfg.grid_step, ocfg.n_steps)))
-    return atoms, fock.homodyne_series(ocfg, n_samples)
+    n_samples = _oracle_samples(cfg, ocfg)
+    return (fock.simulate_atom_moments(ocfg, n_samples),
+            fock.homodyne_series(ocfg, n_samples))
 
 
 def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
@@ -441,9 +446,8 @@ def oracle_csv(cfg: RunConfig, atoms: fock.AtomMomentSeries,
     (Var(y)/2 normalized by t).  Entries the oracle does not measure are nan.
     """
     covs = np.full((len(stats.step), 4, 4), math.nan)
-    for mode, series in (("x_at", atoms.var_x), ("p_at", atoms.var_p)):
-        i = gaussian.mode_index(mode)
-        covs[:, i, i] = series[stats.step]
+    x, p = (gaussian.mode_index(mode) for mode in ("x_at", "p_at"))
+    covs[:, x, x], covs[:, p, p] = atoms.var_x, atoms.var_p
     table = gaussian.variance_table(stats.time, covs)
     table[ORACLE_FIELD_COLUMN[cfg.oracle_phase]] = (
         stats.variance / 2.0 / stats.time)
@@ -520,8 +524,8 @@ def cmd_compare(cfg: RunConfig) -> Outputs:
     c0 = cfg.section(fock.OracleConfig, alpha=0.0, seed=cfg.oracle_seed + 1)
     st0 = fock.homodyne_monte_carlo(c0)
     checks.append(_check("oracle_vacuum_control", "|Var(y) - t|",
-                         abs(st0.variance - c0.t_max),
-                         cfg.tol_oracle_sigma * st0.stderr_var))
+                         abs(st0.variance[-1] - c0.t_max),
+                         cfg.tol_oracle_sigma * st0.stderr_var[-1]))
     report, code = _report(checks)
     artifacts["derivation.txt"] = derivation_report()
     artifacts["compare_report.txt"] = report

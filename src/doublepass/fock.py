@@ -18,8 +18,9 @@ unitary enters the step loops (the repeated-interaction picture):
 
     K_e = <e|_anc U_composite |0>_anc,   K[e * d_at + i, j] = <i, e| U |j, 0>
 
-an array of shape (d_anc * d_at, d_at) built once per run.  Atomic moments
-evolve the reduced state exactly, rho <- sum_e K_e rho K_e^dagger.
+an array of shape (d_anc * d_at, d_at) built once per (alpha, dt, d_at,
+d_anc, phase).  Atomic moments evolve the reduced state exactly,
+rho <- sum_e K_e rho K_e^dagger.
 Output-field variances come from a homodyne Monte Carlo that projectively
 measures one ancilla quadrature per step: with |e> the truncated quadrature
 eigenbasis, one (d_anc * d_at, d_at) @ (d_at, n_traj) product gives every
@@ -27,7 +28,8 @@ outcome amplitude of every trajectory.  Each trajectory draws its outcomes
 from its own uniform stream, spawned from (seed, trajectory index) and
 drawn ``_UNIFORM_CHUNK`` steps at a time; the loop yields the record at
 each sample step, where ``homodyne_series`` reduces it to its mean and
-variance.  So the Monte Carlo's memory does not grow with the step count.
+variance.  Both loops report only at one sample schedule,
+``_sample_steps``, so neither one's memory grows with the step count.
 
 At alpha = 0 (the vacuum control) the collision leaves the atom alone:
 every block is c_e times the identity, with c_e = <e|0> in the gauge below.
@@ -76,7 +78,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -163,18 +165,19 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class AtomMomentSeries:
-    """Deterministic atomic variances at steps 0..n_steps; both means are 0."""
+    """Deterministic atomic variances at the sample steps; both means are 0."""
 
+    step: np.ndarray
     var_x: np.ndarray
     var_p: np.ndarray
-    max_leak: float             # largest top-two-level population seen
+    max_leak: float             # largest top-two-level population, any step
     max_trace_deficit: float    # largest |1 - trace| before renormalizing
 
 
 @dataclass(frozen=True)
 class TrajectoryStats:
-    """Ensemble statistics of the integrated homodyne record: one entry per
-    sample step (a scalar for one sample); ``n`` and ``max_leak`` per run."""
+    """Ensemble statistics of the integrated homodyne record: one array
+    entry per sample step; ``n`` and ``max_leak`` per run."""
 
     step: np.ndarray
     time: np.ndarray
@@ -277,19 +280,31 @@ def _real_gauge(kraus: np.ndarray, measure_p: bool) -> np.ndarray:
     return real
 
 
-def _gauged_stack(config: OracleConfig,
+@lru_cache(maxsize=2)
+def _gauged_stack(alpha: float, dt: float, d_at: int, d_anc: int,
                   phase: str) -> tuple[np.ndarray, np.ndarray]:
     """(eigvals, real gauged Kraus stack) of ``phase``'s ancilla quadrature.
 
     Block e of the stack maps the atom state to the amplitude of outcome
-    eigvals[e].
+    eigvals[e].  Cached, so the atom loop and the phase-x homodyne loop of
+    one run share one build; both arrays are read-only.
     """
     measure_p = phase == PHASE_P
-    quad_op = momentum(config.d_anc) if measure_p else position(config.d_anc)
+    quad_op = momentum(d_anc) if measure_p else position(d_anc)
     eigvals, eigvecs = np.linalg.eigh(quad_op)
-    kraus = kraus_stack(config.alpha, config.dt, config.d_at, config.d_anc,
-                        eigvecs)
-    return eigvals, _real_gauge(kraus, measure_p)
+    kraus = _real_gauge(kraus_stack(alpha, dt, d_at, d_anc, eigvecs),
+                        measure_p)
+    eigvals.flags.writeable = kraus.flags.writeable = False
+    return eigvals, kraus
+
+
+def _sample_steps(n_steps: int, n_samples: int) -> list[int]:
+    """The oracle's sample steps, k * n_steps // n for k = 1..n with
+    n = min(n_samples, n_steps): even to within one step, ending at n_steps."""
+    if n_samples < 1:
+        raise ConfigError("need at least one sample")
+    n = min(n_samples, n_steps)
+    return [k * n_steps // n for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,44 +312,35 @@ def _gauged_stack(config: OracleConfig,
 # ---------------------------------------------------------------------------
 
 
-def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
-    """Repeated-interaction evolution of the reduced atomic state.
+def simulate_atom_moments(config: OracleConfig,
+                          n_samples: int) -> AtomMomentSeries:
+    """Repeated-interaction evolution of the reduced atomic state, read at
+    the ``n_samples`` steps of :func:`_sample_steps`.
 
     Per step: apply the collision channel rho <- sum_e K_e rho K_e^T in the
     real gauge (fresh vacuum ancilla, composite unitary, ancilla traced out;
     see the module docstring), check and renormalize the trace.  Raises
-    :class:`TruncationLeakError` when the trace moves by more than
-    ``TRACE_TOL`` or more than ``LEAK_TOL`` population reaches the top two
-    atom levels.
+    :class:`TruncationLeakError` when, at any step, the trace moves by more
+    than ``TRACE_TOL`` or more than ``LEAK_TOL`` population reaches the top
+    two atom levels.
     """
+    steps = _sample_steps(config.n_steps, n_samples)
     d, da = config.d_at, config.d_anc
     # any ancilla basis traces out the same channel; the phase-x stack is the
     # one in the gauge, which maps x -> -p and p -> x: Var(x) reads p^2 and
     # Var(p) reads x^2
-    _, kraus = _gauged_stack(config, PHASE_X)
+    _, kraus = _gauged_stack(config.alpha, config.dt, d, da, PHASE_X)
     kraus = kraus.reshape(da, d, d)
     kraus_t = kraus.transpose(0, 2, 1)
-    x_op, p_op = position(d), momentum(d)
-    x2 = (x_op @ x_op).real
-    p2 = (p_op @ p_op).real
+    x2, p2 = ((op @ op).real for op in (position(d), momentum(d)))
 
     rho = np.zeros((d, d))
     rho[0, 0] = 1.0
 
-    n_steps = config.n_steps
-    var_x = np.zeros(n_steps + 1)
-    var_p = np.zeros(n_steps + 1)
-    max_leak = 0.0
-    max_deficit = 0.0
-
-    def record(idx: int) -> None:
-        var_x[idx] = np.einsum("ij,ji->", rho, p2)
-        var_p[idx] = np.einsum("ij,ji->", rho, x2)
-
-    k_rho = np.empty((da, d, d))
-    k_rho_k = np.empty((da, d, d))
-    record(0)
-    for step in range(1, n_steps + 1):
+    moments = []                # (Var(x), Var(p)) at each sample step
+    max_leak = max_deficit = 0.0
+    k_rho, k_rho_k = np.empty((da, d, d)), np.empty((da, d, d))
+    for step in range(1, config.n_steps + 1):
         np.matmul(kraus, rho, out=k_rho)
         np.matmul(k_rho, kraus_t, out=k_rho_k)
         rho = k_rho_k.sum(axis=0)
@@ -352,8 +358,13 @@ def simulate_atom_moments(config: OracleConfig) -> AtomMomentSeries:
                 f"top-level atom population {leak:.2e} at step {step};"
                 " increase d_at")
         max_leak = max(max_leak, leak)
-        record(step)
-    return AtomMomentSeries(var_x, var_p, max_leak, max_deficit)
+        # the last sample is the last step, so the index stays in range
+        if step == steps[len(moments)]:
+            moments.append((np.einsum("ij,ji->", rho, p2),
+                            np.einsum("ij,ji->", rho, x2)))
+    var_x, var_p = np.array(moments).T
+    return AtomMomentSeries(np.array(steps), var_x, var_p, max_leak,
+                            max_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +393,11 @@ def _uniform_steps(seed: int, n_traj: int,
         yield from chunk.T
 
 
-def _stats(config: OracleConfig, step: int | np.ndarray,
-           mean: float | np.ndarray, var: float | np.ndarray,
-           max_leak: float) -> TrajectoryStats:
-    """Statistics at ``step`` from the record's mean and its sample
-    variance (``ddof=1``) over the ``config.n_traj`` trajectories."""
-    n = config.n_traj
-    return TrajectoryStats(
-        step=step, time=step * config.dt, n=n, mean=mean, variance=var,
-        stderr_mean=np.sqrt(var) / math.sqrt(n),
-        stderr_var=var * math.sqrt(2.0 / (n - 1)), max_leak=max_leak)
-
-
 def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                       ) -> Iterator[tuple[np.ndarray, float]]:
     """Run the homodyne loop, yielding at each of the increasing
-    ``sample_steps`` the record y of every trajectory and the largest leak
-    seen so far (the run's, at step ``n_steps``).
+    ``sample_steps``, the last of them ``n_steps``, the record y of every
+    trajectory and the largest leak seen so far.
 
     y is the loop's own buffer, which the next step overwrites: read it
     before resuming the loop.  Memory does not grow with ``n_steps``.
@@ -406,9 +405,9 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     is exactly 0 (see the module docstring).
     """
     d, da = config.d_at, config.d_anc
-    n_steps = config.n_steps
-    n = config.n_traj
-    eigvals, kraus = _gauged_stack(config, config.phase)
+    n_steps, n = config.n_steps, config.n_traj
+    eigvals, kraus = _gauged_stack(config.alpha, config.dt, d, da,
+                                   config.phase)
     steps = enumerate(_uniform_steps(config.seed, n, n_steps), 1)
     y = np.zeros(n)
     gain = math.sqrt(config.dt) * math.sqrt(2.0)
@@ -423,7 +422,7 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
             # cum is finite and sorted, so this counts the entries of cum
             # below u * total: the general loop's outcome
             y += gain * eigvals[np.searchsorted(cum, uniforms * cum[-1])]
-            if sample < len(sample_steps) and step == sample_steps[sample]:
+            if step == sample_steps[sample]:
                 yield y, 0.0
                 sample += 1
         return
@@ -464,38 +463,34 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
                     "non-finite atom state or outcome probability in a"
                     f" trajectory at step {step}")
             max_leak = max(max_leak, leak)
-        if sample < len(sample_steps) and step == sample_steps[sample]:
+        if step == sample_steps[sample]:
             yield y, max_leak
             sample += 1
 
 
-def homodyne_monte_carlo(config: OracleConfig) -> TrajectoryStats:
-    """Ensemble statistics of the integrated record at the final time.
+def homodyne_series(config: OracleConfig,
+                    n_samples: int) -> TrajectoryStats:
+    """Ensemble statistics of the integrated record at ``n_samples`` evenly
+    spaced steps, the final one included (:func:`_sample_steps`).
 
     The record y accumulates sqrt(dt) * sqrt(2) * (measured quadrature) per
     step, so it realizes sqrt(2) * x_ph_out (phase x) or sqrt(2) * p_ph_out
     (phase p) and Var(y_t) estimates twice the accumulated-quadrature
-    variance.  Fully reproducible from the seed.
+    variance (``ddof=1`` over the trajectories).  Fully reproducible from the
+    seed.  Each sample's record is reduced as the loop reaches it, so memory
+    grows with n_samples and not with n_traj times it.
     """
-    (y, max_leak), = _homodyne_records(config, [config.n_steps])
-    return _stats(config, config.n_steps, y.mean(), y.var(ddof=1), max_leak)
-
-
-def homodyne_series(config: OracleConfig,
-                    n_samples: int) -> TrajectoryStats:
-    """Statistics at n_samples evenly spaced times (final time included).
-
-    Sample k = 1..n_samples is taken at step k * n_steps // n_samples, so the
-    spacing is even to within one step; n_samples is capped at n_steps.
-    Each sample's record is reduced to its mean and variance as the loop
-    reaches it, so memory grows with n_samples and not with n_traj times it.
-    """
-    if n_samples < 1:
-        raise ConfigError("need at least one sample")
-    n_steps = config.n_steps
-    n = min(n_samples, n_steps)
-    steps = [k * n_steps // n for k in range(1, n + 1)]
-    mean, var = np.empty(n), np.empty(n)
+    steps = _sample_steps(config.n_steps, n_samples)
+    mean, var = np.empty(len(steps)), np.empty(len(steps))
     for k, (y, max_leak) in enumerate(_homodyne_records(config, steps)):
         mean[k], var[k] = y.mean(), y.var(ddof=1)
-    return _stats(config, np.array(steps), mean, var, max_leak)
+    n, step = config.n_traj, np.array(steps)
+    return TrajectoryStats(
+        step=step, time=step * config.dt, n=n, mean=mean, variance=var,
+        stderr_mean=np.sqrt(var) / math.sqrt(n),
+        stderr_var=var * math.sqrt(2.0 / (n - 1)), max_leak=max_leak)
+
+
+def homodyne_monte_carlo(config: OracleConfig) -> TrajectoryStats:
+    """:func:`homodyne_series` at one sample, the final step."""
+    return homodyne_series(config, 1)

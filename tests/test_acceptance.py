@@ -14,7 +14,7 @@ import numpy as np
 from doublepass.charfn import (GridSpec, closed_form_char, fd_solve,
                                moc_solve, pde_residual)
 from doublepass.fock import (OracleConfig, PHASE_P, PHASE_X,
-                             homodyne_monte_carlo, simulate_atom_moments)
+                             homodyne_series, simulate_atom_moments)
 from doublepass.gaussian import (PUBLISHED, build_moment_odes,
                                  closed_form_covariances,
                                  integrate_covariance, mode_index,
@@ -196,8 +196,9 @@ def test_criterion_09_oracle_atom_moments():
     vp_ref, vx_ref = closed[p, p], closed[x, x]
     kw = dict(alpha=0.3, t_max=1.0, d_at=40, d_anc=3, n_traj=2000,
               seed=12345, phase=PHASE_X)
-    coarse = simulate_atom_moments(OracleConfig(dt=1e-3, **kw))
-    fine = simulate_atom_moments(OracleConfig(dt=5e-4, **kw))
+    # one sample each, at the final step
+    coarse = simulate_atom_moments(OracleConfig(dt=1e-3, **kw), 1)
+    fine = simulate_atom_moments(OracleConfig(dt=5e-4, **kw), 1)
     rel_p = abs(coarse.var_p[-1] - vp_ref) / vp_ref
     rel_x = abs(coarse.var_x[-1] - vx_ref) / vx_ref
     dev_coarse = abs(coarse.var_p[-1] - vp_ref)
@@ -216,23 +217,29 @@ def test_criterion_10_oracle_field_variances():
     start = time.perf_counter()
     closed = closed_form_covariances(0.5, 1.0)
     kw = dict(alpha=0.5, dt=1e-3, t_max=1.0, d_at=40, d_anc=3, n_traj=2000)
-    st_x = homodyne_monte_carlo(OracleConfig(seed=1001, phase=PHASE_X, **kw))
-    st_p = homodyne_monte_carlo(OracleConfig(seed=1002, phase=PHASE_P, **kw))
+
+    def final(config):
+        """(Var(y), its standard error) at the final step, one sample."""
+        stats = homodyne_series(config, 1)
+        return stats.variance[-1], stats.stderr_var[-1]
+
+    var_x, se_x = final(OracleConfig(seed=1001, phase=PHASE_X, **kw))
+    var_p, se_p = final(OracleConfig(seed=1002, phase=PHASE_P, **kw))
     x, p = mode_index("X_ph"), mode_index("P_ph")
-    diff_x = abs(st_x.variance / 2 - closed[x, x])
-    diff_p = abs(st_p.variance / 2 - closed[p, p])
-    st_0 = homodyne_monte_carlo(OracleConfig(
+    diff_x = abs(var_x / 2 - closed[x, x])
+    diff_p = abs(var_p / 2 - closed[p, p])
+    var_0, se_0 = final(OracleConfig(
         alpha=0.0, dt=1e-3, t_max=1.0, d_at=40, d_anc=3, n_traj=2000,
         seed=1003, phase=PHASE_X))
-    diff_0 = abs(st_0.variance - 1.0)
+    diff_0 = abs(var_0 - 1.0)
     elapsed = time.perf_counter() - start
-    ok = (diff_x < 5 * st_x.stderr_var / 2 and diff_p < 5 * st_p.stderr_var / 2
-          and diff_0 < 5 * st_0.stderr_var and elapsed < 600.0)
+    ok = (diff_x < 5 * se_x / 2 and diff_p < 5 * se_p / 2
+          and diff_0 < 5 * se_0 and elapsed < 600.0)
     report(10, ok,
            f"Var(y)/2 within 5 SE of sigma2_xph ({diff_x:.4f} vs "
-           f"{5 * st_x.stderr_var / 2:.4f}) and sigma2_pph ({diff_p:.4f} vs "
-           f"{5 * st_p.stderr_var / 2:.4f}); alpha=0 control {diff_0:.4f} vs "
-           f"{5 * st_0.stderr_var:.4f} (runtime {elapsed:.0f}s < 600s)")
+           f"{5 * se_x / 2:.4f}) and sigma2_pph ({diff_p:.4f} vs "
+           f"{5 * se_p / 2:.4f}); alpha=0 control {diff_0:.4f} vs "
+           f"{5 * se_0:.4f} (runtime {elapsed:.0f}s < 600s)")
 
 
 def test_criterion_11_compare_determinism(tmp_path):

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -232,20 +232,22 @@ def test_validate_names_the_config_key():
 _MEMORY = r" would take .* GiB, more than the .* GiB of physical memory"
 
 #: the end of the oracle work row's message
-_WORK = (r" the oracle's homodyne Monte Carlo would take .* multiply-adds,"
-         r" more than the 1e\+13")
+_WORK = r" the oracle would take .* multiply-adds, more than the 1e\+13"
 
 _ORACLE_WORK_KEYS = (r"oracle\.dt, oracle\.t_max, oracle\.n_traj,"
                      r" oracle\.d_at, oracle\.d_anc:")
+
+#: the keys the table row's message names
+_TABLE_KEYS = r"solver\.dt, grid_step, oracle\.dt:"
 
 
 @pytest.mark.parametrize("argv, config, message", [
     # 1e12 sampled rows of 1 536 B, 1.5 PB
     (("variances",), "grid_step = 1e-12\nsolver.dt = 1e-12\n",
-     r"solver\.dt, grid_step: the variance tables" + _MEMORY),
-    # 400 x 5e8 steps x 3 x 30^2, 5.4e14 multiply-adds
+     _TABLE_KEYS + " the variance and oracle tables" + _MEMORY),
+    # 5e8 steps x (400 x 3 x 30^2 + 3e5), 6.9e14 multiply-adds
     (("oracle",), "oracle.dt = 1e-9\n", _ORACLE_WORK_KEYS + _WORK),
-    # a modest step over a long extent: 400 x 1e9 steps, 1.1e15
+    # a modest step over a long extent: 1e9 steps, 1.4e15
     (("derive",), "oracle.t_max = 1e6\n", _ORACLE_WORK_KEYS + _WORK),
     # 801 x 16 000 001 surface values, 103 GB
     (("pde",), "pde.dl = 1e-6\n",
@@ -268,63 +270,71 @@ def test_arrays_larger_than_memory_rejected_at_load(tmp_path, argv, config,
 
 
 def test_oracle_work_bound_is_exact_multiply_adds(monkeypatch):
-    # 100 trajectories x 10 steps x d_anc 2 x d_at 4^2: 32 000, checked in
-    # integers against the bound itself, at it and one under it
+    # 10 steps x (100 trajectories x d_anc 2 x d_at 4^2 + the fixed cost of
+    # a step), checked in integers against the bound itself, at it and one
+    # under it
     cfg = RunConfig(oracle_n_traj=100, oracle_t_max=0.01, oracle_d_at=4,
                     oracle_d_anc=2)
-    monkeypatch.setattr(cli, "ORACLE_MAX_WORK", 32_000)
+    work = 10 * (3_200 + cli.ORACLE_STEP_WORK)
+    monkeypatch.setattr(cli, "ORACLE_MAX_WORK", work)
     cfg.validate()
-    monkeypatch.setattr(cli, "ORACLE_MAX_WORK", 31_999)
+    monkeypatch.setattr(cli, "ORACLE_MAX_WORK", work - 1)
     with pytest.raises(ConfigError, match="^" + _ORACLE_WORK_KEYS):
         cfg.validate()
     # the default run and a long one, 3000 trajectories over 3000 steps
-    # (2.4e10), load; neither is run here
+    # (2.5e10), load; neither is run here
     monkeypatch.undo()
     RunConfig().validate()
     RunConfig(oracle_n_traj=3000, oracle_t_max=3.0).validate()
-    # at the real bound the default run may take 10**13 / (400 x 3 x 900)
-    # = 9 259 259.26 steps: that many pass and one more fails
-    RunConfig(oracle_t_max=9_259_259 * 1e-3).validate()
+    # at the real bound, whatever the machine's memory: 100 trajectories,
+    # d_anc 2 and d_at 10 take 20 000 + 300 000 multiply-adds a step, so
+    # 31 250 000 steps take exactly 1e13; one more step or one more
+    # trajectory is one unit over
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 50)
+    small = dict(oracle_n_traj=100, oracle_d_at=10, oracle_d_anc=2,
+                 oracle_dt=1e-7)
+    at_bound = RunConfig(oracle_t_max=3.125, **small)
+    assert at_bound.section(fock.OracleConfig).n_steps == 31_250_000
+    at_bound.validate()
+    for over in (replace(at_bound, oracle_t_max=3.1250001),
+                 replace(at_bound, oracle_n_traj=101)):
+        with pytest.raises(ConfigError, match="^" + _ORACLE_WORK_KEYS):
+            over.validate()
+    # the default run may take 10**13 / (400 x 3 x 900 + 300 000)
+    # = 7 246 376.8 steps: that many pass and one more fails
+    RunConfig(oracle_t_max=7_246_376 * 1e-3).validate()
     with pytest.raises(ConfigError, match="^" + _ORACLE_WORK_KEYS):
-        RunConfig(oracle_t_max=9_259_260 * 1e-3).validate()
+        RunConfig(oracle_t_max=7_246_377 * 1e-3).validate()
 
 
 def test_array_estimate_is_exact_bytes(monkeypatch):
     # a 3 x 3 FD surface (72 B) and an 8 x 8 joint-space operator (1 024 B)
-    # leave each of the first two rows the largest array in turn
+    # leave the table row the largest array in the first three cases
     small = dict(pde_l_max=0.02, pde_dl=0.02, pde_k_max=0.02, pde_dk=0.02,
                  oracle_d_at=4, oracle_d_anc=2)
-    # the default variance tables are 101 rows x VARIANCE_ROW_BYTES, more
-    # than the oracle's atom-moment series, 11 x 16 B at oracle.t_max 0.01
-    row = cli.VARIANCE_ROW_BYTES
-    cfg = RunConfig(oracle_t_max=0.01, **small)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * row)
-    cfg.validate()
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 101 * row - 1)
-    with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
+    row = cli.TABLE_ROW_BYTES
+    cases = [
+        # the default variance tables, 101 rows, and one oracle row at
+        # oracle.t_max 0.01
+        (RunConfig(oracle_t_max=0.01, **small), 101 + 1),
+        # below solver.dt a grid_step counts one variance row per step,
+        # 10 001, and one oracle row per oracle step, 10; t_max / 1e-320
+        # overflows to inf without an error
+        (RunConfig(oracle_t_max=0.01, grid_step=1e-320, **small),
+         10_001 + 10),
+        # grid_step = solver.dt = 1e-4: 10 001 variance rows and the 500
+        # oracle steps, one row each, not 5 000
+        (RunConfig(grid_step=1e-4, **small), 10_001 + 500)]
+    for cfg, rows in cases:
+        monkeypatch.setattr(cli, "_physical_memory", lambda: rows * row)
         cfg.validate()
-    # below solver.dt a grid_step counts one row per step, 10 001, and
-    # t_max / 1e-320 overflows to inf without an error
-    cfg = RunConfig(oracle_t_max=0.01, grid_step=1e-320, **small)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * row)
-    cfg.validate()
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 10_001 * row - 1)
-    with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
-        cfg.validate()
-    # at t_max 0.001 the variance tables are 1.1 rows (1 690 B); the atom
-    # series at the default oracle.t_max, 501 steps of 16 B, is the largest
-    cfg = RunConfig(t_max=0.001, **small)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 501 * 16)
-    cfg.validate()
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 501 * 16 - 1)
-    with pytest.raises(ConfigError, match=r"^oracle\.dt, oracle\.t_max: the"
-                                          r" oracle's atom-moment series"):
-        cfg.validate()
+        monkeypatch.setattr(cli, "_physical_memory", lambda: rows * row - 1)
+        with pytest.raises(ConfigError, match="^" + _TABLE_KEYS):
+            cfg.validate()
     # the defaults: an 801 x 801 FD surface, 5 132 808 B, is the largest,
-    # over the variance tables (155 136 B); at grid_step 0.1 the 90 x 90
+    # over the tables (102 rows, 156 672 B); at grid_step 0.1 the 90 x 90
     # complex joint-space operator, 129 600 B, is the largest, over the
-    # variance tables (16 896 B) and the atom series at oracle.t_max 0.01
-    # (176 B)
+    # tables (12 rows, 18 432 B)
     cfg = RunConfig(oracle_t_max=0.01)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 801 * 801 * 8)
     cfg.validate()
@@ -348,16 +358,54 @@ def test_variance_path_that_cannot_fit_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2 ** 30)
     RunConfig(grid_step=1e-6, solver_dt=1e-6).validate()
     # checked before main, which would run the tables if load let them by
-    with pytest.raises(ConfigError, match=r"^solver\.dt, grid_step: "):
+    with pytest.raises(ConfigError, match="^" + _TABLE_KEYS):
         RunConfig(grid_step=1e-7, solver_dt=1e-7).validate()
     cfg = tmp_path / "fine.cfg"
     cfg.write_text("grid_step = 1e-7\nsolver.dt = 1e-7\n")
     for command in ("variances", "compare"):
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / command)]) == EXIT_CONFIG
-        assert "solver.dt, grid_step: the variance tables would take" in (
-            capsys.readouterr().err)
+        assert ("solver.dt, grid_step, oracle.dt: the variance and oracle"
+                " tables would take") in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+
+
+#: 100 trajectories, d_at 4, d_anc 2: the smallest oracle, whose steps cost
+#: mostly their fixed time
+TINY_ORACLE = "oracle.n_traj = 100\noracle.d_at = 4\noracle.d_anc = 2\n"
+
+
+def test_long_or_wide_oracle_exits_2(tmp_path, monkeypatch, capsys):
+    # only the estimates run: nothing is allocated or stepped.  At
+    # oracle.dt = 2e-9, 2.5e8 steps of about 36 us (2.5 h) exceed the work
+    # bound whatever the machine
+    runs = {"long": TINY_ORACLE + "oracle.dt = 2e-9\n",
+            # 5e6 rows of oracle.csv at grid_step = oracle.dt = 1e-7, and
+            # 10 001 variance rows: 7.2 GiB, more than a 4 GiB machine has
+            "rows": TINY_ORACLE + "oracle.dt = 1e-7\ngrid_step = 1e-7\n"}
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * 2 ** 30)
+    for (name, text), message in zip(runs.items(), (
+            "oracle.dt, oracle.t_max, oracle.n_traj, oracle.d_at,"
+            " oracle.d_anc: the oracle would take 7.58e+13 multiply-adds",
+            "solver.dt, grid_step, oracle.dt: the variance and oracle tables"
+            " would take 7.17 GiB")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        for command in ("oracle", "compare"):
+            out = tmp_path / f"{name}-{command}"
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+    # the rows fit 8 GiB; 3e7 of them (oracle.t_max = 3, 9.1e12
+    # multiply-adds, under the work bound) do not fit 16 GiB
+    rows = dict(oracle_n_traj=100, oracle_d_at=4, oracle_d_anc=2,
+                oracle_dt=1e-7, grid_step=1e-7)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2 ** 30)
+    RunConfig(**rows).validate()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 2 ** 30)
+    with pytest.raises(ConfigError, match="^" + _TABLE_KEYS):
+        RunConfig(oracle_t_max=3.0, **rows).validate()
 
 
 @pytest.mark.parametrize("argv", [
@@ -488,23 +536,37 @@ def test_variances_deterministic(tmp_path):
 
 
 def test_compare_runs_each_oracle_result_once(tmp_path, monkeypatch):
-    calls = {"atoms": 0, "records": []}
+    calls = {"atoms": [], "records": [], "builds": 0}
     atoms_fn, records_fn = fock.simulate_atom_moments, fock._homodyne_records
+    unitaries_fn = fock.step_unitaries
 
-    def count_atoms(config):
-        calls["atoms"] += 1
-        return atoms_fn(config)
+    def count_atoms(config, n_samples):
+        calls["atoms"].append(n_samples)
+        return atoms_fn(config, n_samples)
 
     def count_records(config, sample_steps):
-        calls["records"].append(config.alpha)
+        calls["records"].append((config.alpha, len(sample_steps)))
         return records_fn(config, sample_steps)
+
+    def count_builds(*args):
+        calls["builds"] += 1
+        return unitaries_fn(*args)
 
     monkeypatch.setattr(fock, "simulate_atom_moments", count_atoms)
     monkeypatch.setattr(fock, "_homodyne_records", count_records)
-    assert main(["compare", "--out", str(tmp_path)]) == EXIT_OK
-    assert calls["atoms"] == 1
-    # the configured coupling and the alpha = 0 control, nothing else
-    assert sorted(calls["records"]) == [0.0, RunConfig().alpha]
+    monkeypatch.setattr(fock, "step_unitaries", count_builds)
+    # start cold, as a fresh process does
+    fock._gauged_stack.cache_clear()
+    try:
+        assert main(["compare", "--out", str(tmp_path)]) == EXIT_OK
+    finally:
+        fock._gauged_stack.cache_clear()
+    # the atom moments and the configured coupling's record at the same 50
+    # steps, and the alpha = 0 control at its final step, nothing else
+    assert calls["atoms"] == [50]
+    assert sorted(calls["records"]) == [(0.0, 1), (RunConfig().alpha, 50)]
+    # the atom loop and the phase-x homodyne loop share one Kraus stack
+    assert calls["builds"] == 2
     report = (tmp_path / "compare_report.txt").read_text()
     n_report = re.search(r"PASS oracle_homodyne: .*\bn=(\d+)\)", report)
     last_row = (tmp_path / "oracle.csv").read_text().splitlines()[-1]

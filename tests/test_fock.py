@@ -1,5 +1,6 @@
 """Truncated-Fock collision oracle: operators, unitaries, moments, homodyne."""
 
+import dataclasses
 import math
 import re
 import subprocess
@@ -26,6 +27,27 @@ from doublepass.gaussian import closed_form_covariances, mode_index
 # (x at 0, p at pi/2), so the ids do not depend on how a phase is encoded.
 PHASES = [pytest.param(PHASE_X, id=repr(0.0)),
           pytest.param(PHASE_P, id=repr(math.pi / 2))]
+
+
+@pytest.fixture
+def fresh_stacks():
+    """An empty Kraus-stack cache at the start and at the end of the test:
+    no stack an earlier test built stands in for this test's builds, and
+    none this test builds outlives it."""
+    fock._gauged_stack.cache_clear()
+    yield
+    fock._gauged_stack.cache_clear()
+
+
+@pytest.fixture
+def patch_stack(monkeypatch, fresh_stacks):
+    """Replace ``fock.kraus_stack`` by a function of its arguments.  The
+    stack cache is emptied at the replacement too, so a stack built before
+    it cannot hide it."""
+    def patch(fn):
+        monkeypatch.setattr(fock, "kraus_stack", fn)
+        fock._gauged_stack.cache_clear()
+    return patch
 
 
 def test_truncated_operators():
@@ -152,11 +174,12 @@ def test_atom_step_matches_unitary_route():
         mx, mp = np.trace(rho @ x).real, np.trace(rho @ p).real
         ref.append((np.trace(rho @ x @ x).real - mx * mx,
                     np.trace(rho @ p @ p).real - mp * mp))
-    series = simulate_atom_moments(cfg)
+    series = simulate_atom_moments(cfg, cfg.n_steps)
     got = np.stack([series.var_x, series.var_p], axis=1)
     assert cfg.n_steps == 10
-    assert np.abs(got - np.array(ref)).max() < 1e-12
-    assert series.var_x[1] != series.var_x[0]     # the step did act
+    assert series.step.tolist() == list(range(1, 11))
+    assert np.abs(got - np.array(ref[1:])).max() < 1e-12
+    assert series.var_x[0] != ref[0][0]     # the step did act
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -201,9 +224,9 @@ def test_homodyne_records_match_unitary_route(phase):
                          > np.cumsum(probs)).sum()), da - 1)
             psi[:, j] = comps[e, :, j] / math.sqrt(probs[e])
             y[j] += math.sqrt(2.0 * cfg.dt) * eigvals[e]
-    st = homodyne_monte_carlo(cfg)
-    assert st.mean == pytest.approx(y.mean(), abs=1e-12)
-    assert st.variance == pytest.approx(y.var(ddof=1), abs=1e-12)
+    st = homodyne_series(cfg, 1)
+    assert st.mean[-1] == pytest.approx(y.mean(), abs=1e-12)
+    assert st.variance[-1] == pytest.approx(y.var(ddof=1), abs=1e-12)
 
 
 # -- deterministic atomic moments ------------------------------------------------
@@ -212,7 +235,7 @@ def test_homodyne_records_match_unitary_route(phase):
 def test_atom_moments_alpha_zero():
     cfg = OracleConfig(alpha=0.0, dt=5e-3, t_max=0.5, d_at=10, d_anc=2,
                        n_traj=2000, seed=12345, phase=PHASE_X)
-    series = simulate_atom_moments(cfg)
+    series = simulate_atom_moments(cfg, cfg.n_steps)
     assert np.allclose(series.var_x, 0.5, atol=1e-12)
     assert np.allclose(series.var_p, 0.5, atol=1e-12)
 
@@ -220,7 +243,7 @@ def test_atom_moments_alpha_zero():
 def test_atom_moments_match_closed_forms():
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.5, d_at=25, d_anc=3,
                        n_traj=2000, seed=12345, phase=PHASE_X)
-    series = simulate_atom_moments(cfg)
+    series = simulate_atom_moments(cfg, cfg.n_steps)
     closed = closed_form_covariances(0.3, 0.5)
     p, x = mode_index("p_at"), mode_index("x_at")
     assert series.var_p[-1] == pytest.approx(closed[p, p], rel=0.02)
@@ -234,8 +257,8 @@ def test_atom_moments_do_not_depend_on_measured_phase():
     # the atom loop traces the ancilla out in one fixed basis
     kw = dict(alpha=0.9, dt=5e-3, t_max=0.3, d_at=14, d_anc=3, n_traj=2000,
               seed=12345)
-    at_x = simulate_atom_moments(OracleConfig(phase=PHASE_X, **kw))
-    at_p = simulate_atom_moments(OracleConfig(phase=PHASE_P, **kw))
+    at_x = simulate_atom_moments(OracleConfig(phase=PHASE_X, **kw), 60)
+    at_p = simulate_atom_moments(OracleConfig(phase=PHASE_P, **kw), 60)
     assert at_x.var_x.tobytes() == at_p.var_x.tobytes()
     assert at_x.var_p.tobytes() == at_p.var_p.tobytes()
     assert at_x.var_x[-1] != at_x.var_x[0]
@@ -245,8 +268,8 @@ def test_atom_moments_truncation_converged():
     # growing the atom space does not move the answer
     kw = dict(alpha=0.3, dt=2e-3, t_max=0.5, d_anc=3, n_traj=2000,
               seed=12345, phase=PHASE_X)
-    v30 = simulate_atom_moments(OracleConfig(d_at=30, **kw)).var_p[-1]
-    v40 = simulate_atom_moments(OracleConfig(d_at=40, **kw)).var_p[-1]
+    v30 = simulate_atom_moments(OracleConfig(d_at=30, **kw), 1).var_p[-1]
+    v40 = simulate_atom_moments(OracleConfig(d_at=40, **kw), 1).var_p[-1]
     assert abs(v30 - v40) / v40 < 1e-3
 
 
@@ -255,26 +278,29 @@ def test_atom_moments_leak_detection():
     cfg = OracleConfig(alpha=0.9, dt=5e-3, t_max=2.0, d_at=4, d_anc=3,
                        n_traj=2000, seed=12345, phase=PHASE_X)
     with pytest.raises(TruncationLeakError):
-        simulate_atom_moments(cfg)
+        simulate_atom_moments(cfg, 1)
 
 
-def test_guards_trip_on_nan(monkeypatch):
+def test_guards_trip_on_nan(patch_stack):
     # a NaN state must stop both loops, not flow into the statistics
     def nan_kraus(alpha, dt, d_at, d_anc, basis):
         return np.full((d_anc * d_at, d_at), np.nan, dtype=complex)
 
-    monkeypatch.setattr(fock, "kraus_stack", nan_kraus)
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
                        n_traj=100, seed=12345, phase=PHASE_X)
+    # the same run's stacks, built and cached before the NaN stack
+    simulate_atom_moments(cfg, 1)
+    homodyne_series(cfg, 1)
+    patch_stack(nan_kraus)
     with pytest.raises(TruncationLeakError, match="trace deficit"):
-        simulate_atom_moments(cfg)
+        simulate_atom_moments(cfg, 1)
     with pytest.raises(TruncationLeakError,
                        match="top-level .* at step 25;"), \
             np.errstate(invalid="ignore"):
-        homodyne_monte_carlo(cfg)
+        homodyne_series(cfg, 1)
 
 
-def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
+def test_guards_trip_on_nan_with_unreachable_top_levels(patch_stack):
     # a NaN diagonal links no level to another, so no nonzero amplitude can
     # reach the top levels; the NaN spreads there through 0 * NaN, and the
     # top-level guard trips at its first check
@@ -283,17 +309,17 @@ def test_guards_trip_on_nan_with_unreachable_top_levels(monkeypatch):
         k[:, np.arange(d_at), np.arange(d_at)] = np.nan
         return k.reshape(d_anc * d_at, d_at)
 
-    monkeypatch.setattr(fock, "kraus_stack", nan_diagonal)
+    patch_stack(nan_diagonal)
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
                        n_traj=100, seed=12345, phase=PHASE_X)
     with pytest.raises(TruncationLeakError,
                        match="top-level .* at step 25;"), \
             np.errstate(invalid="ignore"):
-        homodyne_monte_carlo(cfg)
+        homodyne_series(cfg, 1)
 
 
 @pytest.mark.parametrize("where", ["every_entry", "one_entry"])
-def test_vacuum_control_trips_on_nan_stack(monkeypatch, where):
+def test_vacuum_control_trips_on_nan_stack(patch_stack, where):
     # the vacuum law reads one entry of each block; a NaN anywhere in the
     # stack must stop the run before its first record
     def nan_kraus(alpha, dt, d_at, d_anc, basis):
@@ -304,7 +330,7 @@ def test_vacuum_control_trips_on_nan_stack(monkeypatch, where):
             k[1, 3, 3] = np.nan
         return k.reshape(d_anc * d_at, d_at)
 
-    monkeypatch.setattr(fock, "kraus_stack", nan_kraus)
+    patch_stack(nan_kraus)
     cfg = OracleConfig(alpha=0.0, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
                        n_traj=100, seed=12345, phase=PHASE_X)
     records = []
@@ -317,11 +343,137 @@ def test_vacuum_control_trips_on_nan_stack(monkeypatch, where):
 
 def test_oracle_health_within_limits_at_compare_config():
     ocfg = RunConfig().section(OracleConfig)
-    atoms = simulate_atom_moments(ocfg)
-    st = homodyne_monte_carlo(ocfg)
+    atoms = simulate_atom_moments(ocfg, 50)
+    st = homodyne_series(ocfg, 50)
     assert 0.0 <= atoms.max_trace_deficit < TRACE_TOL
     assert 0.0 <= atoms.max_leak < LEAK_TOL
     assert 0.0 <= st.max_leak < LEAK_TOL
+
+
+# -- one sample schedule for both loops --------------------------------------------
+
+
+#: 50 steps; the atom loop, the homodyne loop and their schedules run on it
+SMALL_RUN = dict(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3, n_traj=100,
+                 seed=12345)
+
+
+@pytest.mark.parametrize("n_samples", [1, 3, 50, 55])
+@pytest.mark.parametrize("phase", PHASES)
+def test_atom_and_homodyne_share_sample_steps(phase, n_samples):
+    # 1, 3, n_steps and n_steps + 5 samples: both loops report at the same
+    # steps, the last of them the final step
+    cfg = OracleConfig(phase=phase, **SMALL_RUN)
+    atoms = simulate_atom_moments(cfg, n_samples)
+    stats = homodyne_series(cfg, n_samples)
+    assert atoms.step.tolist() == stats.step.tolist() == \
+        fock._sample_steps(cfg.n_steps, n_samples)
+    assert len(atoms.var_x) == len(atoms.var_p) == len(stats.variance) == \
+        min(n_samples, cfg.n_steps)
+    assert atoms.step[-1] == cfg.n_steps
+
+
+@pytest.mark.parametrize("run", [simulate_atom_moments, homodyne_series])
+def test_fewer_than_one_sample_rejected(run):
+    cfg = OracleConfig(phase=PHASE_X, **SMALL_RUN)
+    with pytest.raises(ConfigError, match="need at least one sample"):
+        run(cfg, 0)
+
+
+def _every_step_moments(config):
+    """Reference: the atom loop recording Var(x) and Var(p) at every step
+    0..n_steps, as arrays indexed by step, with the largest leak and trace
+    deficit of the run."""
+    d, da = config.d_at, config.d_anc
+    basis = _quadrature_basis(PHASE_X, da)[1]
+    kraus = fock._real_gauge(
+        kraus_stack(config.alpha, config.dt, d, da, basis), False)
+    kraus = kraus.reshape(da, d, d)
+    kraus_t = kraus.transpose(0, 2, 1)
+    x_op, p_op = position(d), momentum(d)
+    x2, p2 = (x_op @ x_op).real, (p_op @ p_op).real
+    rho = np.zeros((d, d))
+    rho[0, 0] = 1.0
+    var_x, var_p = np.zeros(config.n_steps + 1), np.zeros(config.n_steps + 1)
+    max_leak = max_deficit = 0.0
+    k_rho, k_rho_k = np.empty((da, d, d)), np.empty((da, d, d))
+    for step in range(config.n_steps + 1):
+        if step:
+            np.matmul(kraus, rho, out=k_rho)
+            np.matmul(k_rho, kraus_t, out=k_rho_k)
+            rho = k_rho_k.sum(axis=0)
+            trace = rho.trace()
+            max_deficit = max(max_deficit, abs(1.0 - trace))
+            rho = rho / trace
+            max_leak = max(max_leak, float(np.diag(rho)[-2:].sum()))
+        var_x[step] = np.einsum("ij,ji->", rho, p2)
+        var_p[step] = np.einsum("ij,ji->", rho, x2)
+    return var_x, var_p, max_leak, max_deficit
+
+
+@pytest.mark.parametrize("n_samples", [1, 3, 50, 500])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_sampled_moments_bit_equal_every_step_loop(alpha, n_samples):
+    # compare's oracle (500 steps): the moments read at the sample steps are
+    # the every-step loop's at those steps, and at n_samples = n_steps all
+    # of them; the health numbers still cover every step
+    cfg = RunConfig(alpha=alpha).section(OracleConfig)
+    atoms = simulate_atom_moments(cfg, n_samples)
+    var_x, var_p, max_leak, max_deficit = _every_step_moments(cfg)
+    if n_samples == cfg.n_steps:
+        assert atoms.step.tolist() == list(range(1, cfg.n_steps + 1))
+    assert atoms.var_x.tobytes() == var_x[atoms.step].tobytes()
+    assert atoms.var_p.tobytes() == var_p[atoms.step].tobytes()
+    assert (atoms.max_leak, atoms.max_trace_deficit) == (max_leak,
+                                                         max_deficit)
+
+
+def test_atom_moment_memory_does_not_grow_with_steps():
+    # 30x the steps at the same sample count: a variance pair kept at every
+    # step would add 2 x 8 B a step, 310 kB at 20 000 steps
+    def traced_peak(n_steps):
+        dt = 1e-4
+        cfg = OracleConfig(**{**SMALL_RUN, "dt": dt, "t_max": n_steps * dt},
+                           phase=PHASE_X)
+        tracemalloc.start()
+        try:
+            simulate_atom_moments(cfg, 4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(640)    # first-call allocations are not the loop's
+    short, long = traced_peak(640), traced_peak(20_000)
+    assert long - short < 2 * 19_360 * 8 / 10
+
+
+def test_stack_built_once_per_key_and_read_only(monkeypatch, fresh_stacks):
+    # the atom loop and the phase-x homodyne loop of one run share one
+    # build; phase p and alpha = 0 are other keys, each built once
+    builds = []
+    unitaries = fock.step_unitaries
+
+    def counted(*args):
+        builds.append(args)
+        return unitaries(*args)
+
+    monkeypatch.setattr(fock, "step_unitaries", counted)
+    cfg = OracleConfig(phase=PHASE_X, **SMALL_RUN)
+    simulate_atom_moments(cfg, 1)
+    homodyne_series(cfg, 1)
+    assert builds == [(0.3, 2e-3, 10, 3)]
+    homodyne_series(dataclasses.replace(cfg, phase=PHASE_P), 1)
+    homodyne_series(dataclasses.replace(cfg, alpha=0.0), 1)
+    assert builds[1:] == [(0.3, 2e-3, 10, 3), (0.0, 2e-3, 10, 3)]
+    # the cached arrays are the ones a fresh build gives, and read-only
+    eigvals, kraus = fock._gauged_stack(0.3, 2e-3, 10, 3, PHASE_X)
+    ref_vals, basis = _quadrature_basis(PHASE_X, 3)
+    ref = fock._real_gauge(kraus_stack(0.3, 2e-3, 10, 3, basis), False)
+    assert eigvals.tobytes() == ref_vals.tobytes()
+    assert kraus.tobytes() == ref.tobytes()
+    for array in (eigvals, kraus):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 # -- homodyne loop against a full-space reference ----------------------------------
@@ -442,14 +594,15 @@ def test_streamed_statistics_equal_stacked_reduction(phase, n_traj):
     cfg = RunConfig(oracle_phase=phase, oracle_n_traj=n_traj).section(
         OracleConfig)
     series = homodyne_series(cfg, 50)
-    records, leak = _full_space_records(cfg, series.step.tolist())
-    ref = fock._stats(cfg, series.step, records.mean(axis=-1),
-                      records.var(axis=-1, ddof=1), leak)
-    for field in ("step", "time", "mean", "variance", "stderr_mean",
-                  "stderr_var"):
-        assert getattr(series, field).tobytes() == \
-            getattr(ref, field).tobytes(), field
-    assert (series.n, series.max_leak) == (ref.n, ref.max_leak)
+    step = np.array(fock._sample_steps(cfg.n_steps, 50))
+    records, leak = _full_space_records(cfg, step.tolist())
+    var, n = records.var(axis=-1, ddof=1), cfg.n_traj
+    ref = dict(step=step, time=step * cfg.dt, mean=records.mean(axis=-1),
+               variance=var, stderr_mean=np.sqrt(var) / math.sqrt(n),
+               stderr_var=var * math.sqrt(2.0 / (n - 1)))
+    for field, value in ref.items():
+        assert getattr(series, field).tobytes() == value.tobytes(), field
+    assert (series.n, series.max_leak) == (n, leak)
 
 
 def test_homodyne_memory_does_not_grow_with_steps():
@@ -559,7 +712,7 @@ def test_gauge_guard_threshold():
         fock._real_gauge(above, True)
 
 
-def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
+def test_gauge_keeps_nan_of_imaginary_part(patch_stack):
     stack = fock.kraus_stack
 
     def nan_imag(alpha, dt, d_at, d_anc, basis):
@@ -567,7 +720,7 @@ def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
         k[3, 2] = complex(k[3, 2].real, np.nan)
         return k
 
-    monkeypatch.setattr(fock, "kraus_stack", nan_imag)
+    patch_stack(nan_imag)
     # at phase p the stack is not multiplied, so only the gauge keeps the NaN
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
                        n_traj=100, seed=12345, phase=PHASE_P)
@@ -577,15 +730,15 @@ def test_gauge_keeps_nan_of_imaginary_part(monkeypatch):
     with pytest.raises(TruncationLeakError,
                        match="top-level .* at step 25;"), \
             np.errstate(invalid="ignore"):
-        homodyne_monte_carlo(cfg)
+        homodyne_series(cfg, 1)
     # the atom loop keeps it too: a stack's real part alone would step a
     # finite, wrong channel and report a finite deficit
     with pytest.raises(TruncationLeakError, match="trace deficit nan"), \
             np.errstate(invalid="ignore"):
-        simulate_atom_moments(cfg)
+        simulate_atom_moments(cfg, 1)
 
 
-def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(monkeypatch):
+def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(patch_stack):
     # a NaN in block 1 makes the total probability NaN, so every draw
     # would pick outcome 0 and the state would stay finite: without its own
     # check the run returns a record of zero variance
@@ -596,13 +749,13 @@ def test_nan_outside_block_zero_is_not_drawn_as_outcome_zero(monkeypatch):
         k[d_at + 3, 2] = np.nan
         return k
 
-    monkeypatch.setattr(fock, "kraus_stack", nan_block_one)
+    patch_stack(nan_block_one)
     cfg = OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10, d_anc=3,
                        n_traj=100, seed=12345, phase=PHASE_X)
     with pytest.raises(TruncationLeakError,
                        match="outcome probability .* at step 25$"), \
             np.errstate(invalid="ignore"):
-        homodyne_monte_carlo(cfg)
+        homodyne_series(cfg, 1)
 
 
 def test_gauge_guard_survives_optimize_flag():
@@ -620,9 +773,9 @@ def test_gauge_guard_survives_optimize_flag():
         fock.kraus_stack = turned
         cfg = fock.OracleConfig(alpha=0.3, dt=2e-3, t_max=0.1, d_at=10,
                                 d_anc=3, n_traj=100, seed=12345, phase="x")
-        for run in (fock.homodyne_monte_carlo, fock.simulate_atom_moments):
+        for run in (fock.homodyne_series, fock.simulate_atom_moments):
             try:
-                run(cfg)
+                run(cfg, 1)
             except ArithmeticError as exc:
                 print("raised:", exc)
         """)
@@ -653,55 +806,58 @@ def test_homodyne_requires_enough_trajectories():
 def test_homodyne_deterministic_from_seed():
     kw = dict(alpha=0.5, dt=2e-3, t_max=0.2, d_at=16, d_anc=3, n_traj=120,
               seed=42, phase=PHASE_X)
-    a = homodyne_monte_carlo(OracleConfig(**kw))
-    b = homodyne_monte_carlo(OracleConfig(**kw))
-    assert a == b
+    a = homodyne_series(OracleConfig(**kw), 4)
+    b = homodyne_series(OracleConfig(**kw), 4)
+    for field in dataclasses.fields(a):
+        assert np.asarray(getattr(a, field.name)).tobytes() == \
+            np.asarray(getattr(b, field.name)).tobytes(), field.name
 
 
 def test_homodyne_seed_changes_samples():
     kw = dict(alpha=0.5, dt=2e-3, t_max=0.2, d_at=16, d_anc=3, n_traj=120,
               phase=PHASE_X)
-    a = homodyne_monte_carlo(OracleConfig(seed=1, **kw))
-    b = homodyne_monte_carlo(OracleConfig(seed=2, **kw))
-    assert a.variance != b.variance
+    a = homodyne_series(OracleConfig(seed=1, **kw), 1)
+    b = homodyne_series(OracleConfig(seed=2, **kw), 1)
+    assert a.variance[-1] != b.variance[-1]
 
 
 def test_homodyne_vacuum_statistics():
     cfg = OracleConfig(alpha=0.0, dt=2e-3, t_max=0.5, d_at=8, d_anc=3,
                        n_traj=600, seed=5, phase=PHASE_X)
-    st = homodyne_monte_carlo(cfg)
-    assert st.time == pytest.approx(0.5)
-    assert abs(st.mean) < 5 * st.stderr_mean
-    assert abs(st.variance - 0.5) < 5 * st.stderr_var
-    assert st.stderr_mean == pytest.approx(
-        math.sqrt(st.variance / st.n), rel=1e-12)
+    st = homodyne_series(cfg, 1)
+    assert st.time.tolist() == [pytest.approx(0.5)]
+    (mean,), (var,) = st.mean, st.variance
+    assert abs(mean) < 5 * st.stderr_mean[-1]
+    assert abs(var - 0.5) < 5 * st.stderr_var[-1]
+    assert st.stderr_mean[-1] == pytest.approx(math.sqrt(var / st.n),
+                                               rel=1e-12)
 
 
 def test_homodyne_phase_x_tracks_output_variance():
     cfg = OracleConfig(alpha=0.5, dt=2e-3, t_max=0.5, d_at=25, d_anc=3,
                        n_traj=800, seed=11, phase=PHASE_X)
-    st = homodyne_monte_carlo(cfg)
+    st = homodyne_series(cfg, 1)
     x = mode_index("X_ph")
     ref = closed_form_covariances(0.5, 0.5)[x, x]
-    assert abs(st.variance / 2 - ref) < 5 * st.stderr_var / 2
+    assert abs(st.variance[-1] / 2 - ref) < 5 * st.stderr_var[-1] / 2
 
 
 def test_homodyne_phase_p_tracks_output_variance():
     cfg = OracleConfig(alpha=0.5, dt=2e-3, t_max=0.5, d_at=25, d_anc=3,
                        n_traj=800, seed=12, phase=PHASE_P)
-    st = homodyne_monte_carlo(cfg)
+    st = homodyne_series(cfg, 1)
     p = mode_index("P_ph")
     ref = closed_form_covariances(0.5, 0.5)[p, p]
-    assert abs(st.variance / 2 - ref) < 5 * st.stderr_var / 2
+    assert abs(st.variance[-1] / 2 - ref) < 5 * st.stderr_var[-1] / 2
 
 
 def test_homodyne_disjoint_seed_batches_consistent():
     kw = dict(alpha=0.5, dt=2e-3, t_max=0.3, d_at=20, d_anc=3, n_traj=400,
               phase=PHASE_X)
-    a = homodyne_monte_carlo(OracleConfig(seed=100, **kw))
-    b = homodyne_monte_carlo(OracleConfig(seed=200, **kw))
-    combined = math.hypot(a.stderr_var, b.stderr_var)
-    assert abs(a.variance - b.variance) < 5 * combined
+    a = homodyne_series(OracleConfig(seed=100, **kw), 1)
+    b = homodyne_series(OracleConfig(seed=200, **kw), 1)
+    combined = math.hypot(a.stderr_var[-1], b.stderr_var[-1])
+    assert abs(a.variance[-1] - b.variance[-1]) < 5 * combined
 
 
 def test_homodyne_series_sampling():
@@ -711,12 +867,14 @@ def test_homodyne_series_sampling():
     assert series.step.tolist() == [25, 50, 75, 100]
     assert series.time[-1] == pytest.approx(0.2)
     assert (np.diff(series.time) > 0).all()
-    # the final-time entry agrees with the single-shot API at the same seed,
-    # bit for bit: the same reduction, over one record
+    # the final-time entry agrees with the vacuum control's entry point, a
+    # one-sample series, at the same seed bit for bit: the same reduction,
+    # over one record
     final = homodyne_monte_carlo(cfg)
-    assert final.step == series.step[-1]
-    for field in ("time", "mean", "variance", "stderr_mean", "stderr_var"):
-        assert getattr(final, field) == getattr(series, field)[-1]
+    for field in ("step", "time", "mean", "variance", "stderr_mean",
+                  "stderr_var"):
+        assert getattr(final, field).tobytes() == \
+            getattr(series, field)[-1:].tobytes(), field
     assert (final.n, final.max_leak) == (series.n, series.max_leak)
 
 
