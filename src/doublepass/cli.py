@@ -61,9 +61,9 @@ Outputs = tuple[dict[str, str], str, int]
 
 #: memory of one row of the variance or the oracle table at its peak, most
 #: of it the Python floats and strings ``_table_csv`` makes per row.  Peak
-#: RSS grew by 1.43 kB per row of ``variances`` (2e5 to 4e5 rows,
+#: RSS grew by 1.44 kB per row of ``variances`` (2e5 to 4e5 rows,
 #: ``grid_step = solver.dt``, with RK4's and the closed form's (n, 4, 4)
-#: stacks) and by 1.03 kB per row of ``oracle`` (2e4 to 8e4); rounded up
+#: stacks) and by 1.14 kB per row of ``oracle`` (2e4 to 8e4); rounded up
 TABLE_ROW_BYTES = 1536
 
 #: most multiply-adds an oracle run may take, counted as ``n_steps *
@@ -106,6 +106,9 @@ class RunConfig:
     tol_residual: float = 1e-6
     tol_oracle_rel: float = 0.02
     tol_oracle_sigma: float = 5.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", self.alpha + 0.0)  # -0.0 is 0
 
     def validate(self) -> None:
         # every float parameter is finite; alpha >= 0 and the others > 0
@@ -285,12 +288,6 @@ def _check_out_dir(out: str) -> None:
             return
 
 
-def _fmt(value: float) -> str:
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.12g}"
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -326,10 +323,12 @@ def _variance_tables(cfg: RunConfig) -> tuple[dict[str, np.ndarray],
 
 def _table_csv(table: dict[str, np.ndarray], extra: dict[str, list]) -> str:
     """CSV of the :data:`gaussian.CSV_COLUMNS` of ``table``, then each
-    ``extra`` column under its own name: a header, one line per row."""
+    ``extra`` column under its own name: a header, one line per row, each
+    value ``%.12g`` (adding +0.0 writes -0.0 as 0, and keeps NaN and inf)."""
     columns = {**{c: table[c] for c in gaussian.CSV_COLUMNS}, **extra}
-    lines = [",".join(map(_fmt, row)) for row in
-             zip(*(np.asarray(col).tolist() for col in columns.values()))]
+    row = ",".join(["%.12g"] * len(columns))
+    lines = [row % values for values in
+             zip(*(np.add(col, 0.0).tolist() for col in columns.values()))]
     return "\n".join([",".join(columns), *lines]) + "\n"
 
 
@@ -376,7 +375,7 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], list]:
     """
     grid = cfg.section(charfn.GridSpec)
     artifacts: dict[str, str] = {}
-    summary = [f"pde summary: alpha={_fmt(cfg.alpha)} t={_fmt(cfg.pde_t)}"]
+    summary = [f"pde summary: alpha={cfg.alpha:.12g} t={cfg.pde_t:.12g}"]
     health = []
     # the k >= 0 rows a surface holds; the closed form is even bit for bit
     mesh = np.meshgrid(grid.k_values()[grid.shape[0] // 2:],
@@ -542,9 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="doublepass",
         description="Double-pass atom-field model: symbolic derivations and "
                     "cross-checked numerical routes.")
-    parser.add_argument("command",
-                        choices=["derive", "variances", "pde", "oracle",
-                                 "compare"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--alpha", type=float, default=None,
                         help="coupling strength")
     parser.add_argument("--t-max", type=float, default=None,

@@ -174,6 +174,10 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     fills the sampled rows: each the RK4 iterate on C - C0 in exact
     arithmetic.  dt must divide sample_dt (checked before any allocation),
     sample_dt must divide t_max, and alpha^2 dt <= 0.1 (stability).
+
+    Where alpha^2 is subnormal or 0, as a drift entry -alpha^2 keeps few of
+    alpha's digits or none, h = dt K and dt b are summed by degree in alpha
+    (:func:`_moment_odes_by_degree`), so alpha^2 dt keeps every digit.
     """
     if dt <= 0 or sample_dt <= 0:
         raise ConfigError("dt and sample_dt must be positive")
@@ -198,12 +202,20 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     # RK4 runs on Delta = C - C0, the deviation from the vacuum:
     # Delta' = A Delta + Delta A^T + S with S = A C0 + C0 A^T + D, whose
     # cross-covariance entries cancel exactly.  This is affine in the
-    # row-major vec(Delta): K vec(Delta) + b with K = A (x) 1 + 1 (x) A and
-    # b = vec(S); the RK4 stages collapse to c_{n+1} = c + E c + r
-    eye, c0 = np.eye(4), VACUUM
-    k_mat = np.kron(ode.drift, eye) + np.kron(eye, ode.drift)
-    b_vec = (ode.drift @ c0 + c0 @ ode.drift.T + ode.diffusion).reshape(16)
-    e_mat, r_vec = _rk4_step_map(k_mat, b_vec, dt)
+    # row-major vec(Delta): K vec(Delta) + b (see _affine_form); the RK4
+    # stages collapse to c_{n+1} = c + E c + r
+    if alpha2 >= sys.float_info.min:
+        k_mat, b_vec = _affine_form(ode.drift, ode.diffusion)
+        e_mat, r_vec = _rk4_step_map(dt * k_mat, b_vec, dt)
+    else:
+        # h = dt K and dt b as dt X_0 + (alpha dt) X_1 + alpha (alpha dt) X_2
+        at = ode.alpha * dt
+        h, dt_b = 0.0, 0.0
+        for scale, (drift, diffusion) in zip((dt, at, ode.alpha * at),
+                                             _moment_odes_by_degree()):
+            k_mat, b_vec = _affine_form(drift, diffusion)
+            h, dt_b = h + scale * k_mat, dt_b + scale * b_vec
+        e_mat, r_vec = _rk4_step_map(h, dt_b, 1.0)
 
     # (E_a, r_a) after (E_b, r_b) is (E_a + E_b + E_a E_b, r_b + E_a r_b + r_a);
     # binary powering from the identity map (0, 0) raises the step to the stride
@@ -228,21 +240,45 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
         e_s = 2.0 * e_s + e_s @ e_s
         s += b
     covs = flat.reshape(n_rows + 1, 4, 4)
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1)) + c0
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1)) + VACUUM
 
     return CovTrajectory(np.arange(n_rows + 1) * sample_dt, covs,
                          _cross_sector_max(covs))
 
 
-def _rk4_step_map(k_mat: np.ndarray, b_vec: np.ndarray,
+def _affine_form(drift: np.ndarray, diffusion: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, b)`` of ``vec(Delta)' = K vec(Delta) + b`` for Delta = C - C0:
+    the Kronecker sum ``K = A (x) 1 + 1 (x) A`` and ``b = vec(S)``,
+    ``S = A C0 + C0 A^T + D``.  Both are linear in (A, D)."""
+    eye = np.eye(4)
+    return (np.kron(drift, eye) + np.kron(eye, drift),
+            (drift @ VACUUM + VACUUM @ drift.T + diffusion).reshape(16))
+
+
+@functools.lru_cache(maxsize=1)
+def _moment_odes_by_degree() -> np.ndarray:
+    """``(A_d, D_d)`` for d = 0, 1, 2, alpha-free: ``A = sum_d a^d A_d``
+    and ``D = sum_d a^d D_d``, read from the exact entries of
+    :func:`_symbolic_moment_structure` (the drift has degrees 1 and 2, the
+    diffusion 0, 1 and 2); read-only, shape ``(3, 2, 4, 4)``."""
+    out = np.zeros((3, 2, 4, 4))
+    entries = np.array(_symbolic_moment_structure(), dtype=object)
+    for (m, i, j), entry in np.ndenumerate(entries):
+        for (degree, _, _), coeff in entry.terms():
+            out[degree, m, i, j] = float(coeff)
+    out.flags.writeable = False
+    return out
+
+
+def _rk4_step_map(h: np.ndarray, b_vec: np.ndarray,
                   dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(E, r)`` of one RK4 step ``c -> c + E c + r`` of ``c' = K c + b``:
-    its four Taylor terms in Horner form, ``E = h P`` and ``r = dt P b`` with
-    ``h = dt K`` and ``P = I + h/2 (I + h/3 (I + h/4))``.  No power of dt is
-    formed to overflow; E = R - I stays apart from I, which would round off
-    its low bits."""
-    eye = np.eye(len(k_mat))
-    h = dt * k_mat
+    """``(E, r)`` of one RK4 step ``c -> c + E c + r`` of ``c' = K c + b``,
+    given ``h = dt K``: its four Taylor terms in Horner form, ``E = h P`` and
+    ``r = dt P b`` with ``P = I + h/2 (I + h/3 (I + h/4))``.  No power of dt
+    is formed to overflow; E = R - I stays apart from I, which would round
+    off its low bits.  A ``b_vec`` that already holds dt b takes dt = 1."""
+    eye = np.eye(len(h))
     p = eye + h / 2.0 @ (eye + h / 3.0 @ (eye + h / 4.0))
     return h @ p, dt * (p @ b_vec)
 

@@ -535,6 +535,87 @@ def test_variances_deterministic(tmp_path):
         (b / "variances.csv").read_bytes()
 
 
+def _fmt_reference(value):
+    """The per-value writer the tables had: .12g, -0.0 written as 0."""
+    if value == 0.0:
+        value = 0.0
+    return f"{value:.12g}"
+
+
+def _table_csv_reference(table, extra):
+    columns = {**{c: table[c] for c in gaussian.CSV_COLUMNS}, **extra}
+    lines = [",".join(map(_fmt_reference, row)) for row in
+             zip(*(np.asarray(col).tolist() for col in columns.values()))]
+    return "\n".join([",".join(columns), *lines]) + "\n"
+
+
+def test_table_csv_matches_per_value_reference():
+    # one row format for the whole table against the per-value writer, on
+    # values across 1e-300..1e300 of either sign, every 7th -0.0, the
+    # special values in the first rows of every column, a column of -0.0
+    # only and int columns like n_traj
+    rng = np.random.default_rng(33)
+    n = 2000
+    spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    spread[::7] = -0.0
+    special = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+               -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e16, 123456789012.5, 0.1, 1.0]
+    table = {}
+    for i, col in enumerate(gaussian.CSV_COLUMNS):
+        values = np.roll(spread, 97 * i)
+        values[:len(special)] = np.roll(special, i)
+        table[col] = values
+    table["t"] = np.full(n, -0.0)
+    extra = {"spread": list(spread), "n_traj": [400] * n,
+             "index": list(range(n)), "zeros": [0] * n}
+    text = cli._table_csv(table, extra)
+    assert text == _table_csv_reference(table, extra)
+    assert not re.search(r"(^|,)-0(,|$)", text, re.M)
+
+
+@pytest.mark.parametrize("alpha", ["0.3", "1", "1e-110"])
+def test_variances_at_normal_alpha_squared(tmp_path, monkeypatch, alpha):
+    # where alpha^2 is a normal float RK4 steps with the evaluated drift,
+    # never the by-degree coefficients, and variances.csv is the per-value
+    # writer's text of the two routes' tables
+    def by_degree():
+        raise AssertionError("RK4 summed its step map by degree")
+    monkeypatch.setattr(gaussian, "_moment_odes_by_degree", by_degree)
+    assert main(["variances", "--alpha", alpha,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    cfg = load_config(build_parser().parse_args(["variances", "--alpha",
+                                                 alpha]))
+    closed, ode, _ = cli._variance_tables(cfg)
+    assert (tmp_path / "variances.csv").read_text() == _table_csv_reference(
+        closed, {f"ode_{c}": ode[c] for c in gaussian.PUBLISHED})
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_negative_zero_alpha_loads_as_zero(tmp_path, capsys, command):
+    # alpha = -0.0 is the coupling 0, from a flag or from the file: every
+    # artifact and stdout are those of alpha 0 (the surface headers wrote
+    # alpha=-0), and so is a config compare derives with replace
+    cfg = _write_config(tmp_path / "run.cfg")
+    neg = _write_config(tmp_path / "neg.cfg", alpha="-0.0")
+    runs = []
+    for name, argv in (("zero", ["--alpha", "0", "--config", cfg]),
+                       ("flag", ["--alpha", "-0.0", "--config", cfg]),
+                       ("file", ["--config", neg])):
+        out = tmp_path / name
+        assert main([command, *argv, "--out", str(out)]) == EXIT_OK
+        runs.append(({p.name: p.read_bytes() for p in out.iterdir()},
+                     capsys.readouterr().out))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert math.copysign(1.0, replace(RunConfig(alpha=-0.0),
+                                      pde_dk=1.0).alpha) == 1.0
+
+
+def test_parser_offers_every_command():
+    action = next(a for a in build_parser()._actions if a.dest == "command")
+    assert action.choices == list(cli._COMMANDS)
+
+
 def test_compare_runs_each_oracle_result_once(tmp_path, monkeypatch):
     calls = {"atoms": [], "records": [], "builds": 0}
     atoms_fn, records_fn = fock.simulate_atom_moments, fock._homodyne_records
@@ -1086,21 +1167,29 @@ def test_variances_at_subnormal_alpha_squared(tmp_path, capsys):
     # alpha^2 = 1e-320 is subnormal; at t = 1e300, u = alpha^2 t = 1e-20, so
     # both cubic covariances are -alpha^3 t^2 / 4 = -2.5e+119 to double
     # precision (the alpha = 0 limit wrote 0 for cov_pat_xph, and u formed
-    # from alpha^2 wrote -2.49997216796e+119 for cov_xat_pph)
+    # from alpha^2 wrote -2.49997216796e+119 for cov_xat_pph).  RK4 sums
+    # its step map by degree in alpha, so its ode_ columns agree (from the
+    # subnormal drift they read -2.49997216796e+119) and compare passes
     cfg = _write_config(tmp_path / "run.cfg", grid_step="1e300")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["variances", "--alpha", "1e-160", "--t-max", "1e300",
-                     "--dt", "1e299", "--config", cfg,
-                     "--out", str(tmp_path / "out")])
-    assert code == EXIT_OK
-    assert capsys.readouterr().err == ""
-    text = (tmp_path / "out" / "variances.csv").read_text()
-    assert "nan" not in text and "inf" not in text
-    header, _, last = text.splitlines()
-    row = dict(zip(header.split(","), last.split(",")))
-    assert row["t"] == "1e+300"
-    assert row["cov_pat_xph"] == row["cov_xat_pph"] == "-2.5e+119"
+    for command in ("variances", "compare"):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--alpha", "1e-160", "--t-max", "1e300",
+                         "--dt", "1e299", "--config", cfg,
+                         "--out", str(out)])
+        assert code == EXIT_OK, command
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        text = (out / "variances.csv").read_text()
+        assert "nan" not in text and "inf" not in text
+        header, _, last = text.splitlines()
+        row = dict(zip(header.split(","), last.split(",")))
+        assert row["t"] == "1e+300"
+        for col in ("cov_pat_xph", "cov_xat_pph"):
+            assert row[col] == row[f"ode_{col}"] == "-2.5e+119", command
+    assert "PASS ode_vs_closed_form" in printed.out
+    assert printed.out.endswith("result: OK\n")
 
 
 @pytest.mark.parametrize("command", ["variances", "compare"])

@@ -10,8 +10,9 @@ import pytest
 
 from doublepass.errors import ConfigError
 from doublepass.gaussian import (CSV_COLUMNS, MODES, SECTORS, VACUUM,
-                                 _cross_sector_max, _rk4_step_map,
-                                 build_moment_odes, closed_form_covariances,
+                                 _cross_sector_max, _moment_odes_by_degree,
+                                 _rk4_step_map, build_moment_odes,
+                                 closed_form_covariances,
                                  integrate_covariance, mode_index,
                                  relative_error, variance_table)
 
@@ -47,6 +48,17 @@ def test_diffusion_matrix_entries():
     ])
     assert np.allclose(ode.diffusion, expected, atol=1e-14)
     assert np.linalg.eigvalsh(ode.diffusion).min() >= -1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+def test_moment_odes_by_degree_sum_to_the_evaluated_odes(alpha):
+    # at powers of two every alpha^d and every sum is exact, so the
+    # alpha-free coefficients give the evaluated entries bit for bit
+    (a0, d0), (a1, d1), (a2, d2) = _moment_odes_by_degree()
+    ode = build_moment_odes(alpha)
+    assert not a0.any()
+    assert np.array_equal(a0 + alpha * a1 + alpha ** 2 * a2, ode.drift)
+    assert np.array_equal(d0 + alpha * d1 + alpha ** 2 * d2, ode.diffusion)
 
 
 def test_variance_rate_examples():
@@ -138,7 +150,7 @@ def _rk4_with_means(ode, t_max, dt):
         m_b, c_b = basis[:4], basis[4:].reshape(4, 4)
         k_mat[:, idx] = pack(a @ m_b, a @ c_b + c_b @ a.T)
     b_vec = pack(np.zeros(4), a @ c0 + c0 @ a.T + ode.diffusion)
-    e_mat, r_vec = _rk4_step_map(k_mat, b_vec, dt)
+    e_mat, r_vec = _rk4_step_map(dt * k_mat, b_vec, dt)
     r_mat = np.eye(20) + e_mat
     ys = np.zeros((n_steps + 1, 20))
     covs = ys[:, 4:].reshape(n_steps + 1, 4, 4)
@@ -219,9 +231,9 @@ def test_horner_step_map_matches_taylor_sum(alpha):
             if alpha * alpha * dt <= 0.1:
                 assert old is None, case
                 assert all(np.isfinite(m).all() for m in
-                           _rk4_step_map(k_mat, b_vec, dt)), case
+                           _rk4_step_map(dt * k_mat, b_vec, dt)), case
             continue
-        for new, ref in zip(_rk4_step_map(k_mat, b_vec, dt), old):
+        for new, ref in zip(_rk4_step_map(dt * k_mat, b_vec, dt), old):
             assert np.array_equal(new == 0, ref == 0), case
             assert np.abs(new - ref).max() <= 2e-15 * np.abs(ref).max(), case
 
@@ -342,6 +354,19 @@ def test_closed_form_alpha_zero_limits():
 SUBNORMAL_ALPHA2 = [(1e-160, 1e300), (1e-155, 1e308), (1.4e-154, 1e300),
                     (1e-170, 1e300), (1e-300, 1e300), (1e-155, 100.0),
                     (5e-324, 1e300)]
+
+
+@pytest.mark.parametrize("alpha, t", SUBNORMAL_ALPHA2)
+def test_rk4_at_subnormal_alpha_squared_matches_closed_form(alpha, t):
+    # the drift's -alpha^2 is subnormal or 0 here: RK4 sums h = dt K and
+    # dt b by degree in alpha and keeps every digit of alpha^2 dt (from the
+    # evaluated drift the worst entry was 1.1e-5 off at alpha 1e-160 and
+    # 1.0 at 1e-170); 100 steps keep RK4's own error below 3e-15
+    traj = integrate_covariance(build_moment_odes(alpha), t, t / 100, t)
+    closed = closed_form_covariances(alpha, t)
+    for r, c in PUBLISHED:
+        err = relative_error(_entry(traj.covs[-1], r, c), _entry(closed, r, c))
+        assert err < 1e-14, (r, c, err)
 
 
 def _decimal_closed_form(alpha, t):
