@@ -15,11 +15,12 @@ binary powering raises the RK4 step map to the sampling stride, and a
 doubling scan over the powered map fills the sampled rows.
 :func:`closed_form_covariances` evaluates the closed-form covariances of
 the double-pass model on a whole array of times at once, as one
-``(..., 4, 4)`` stack, and :func:`variance_table` turns either route's
-stack (or the oracle's atomic moments) into the one variance table the CLI
-writes: the six published (co)variances, squeezing in dB (reference
-variance 1/2) and the uncertainty products.  :func:`relative_error`
-compares two routes elementwise.
+``(..., 4, 4)`` stack, in one form at every alpha; RK4 alone switches, as
+its drift holds alpha^2 itself.  :func:`variance_table` turns either
+route's stack (or the oracle's atomic moments) into the one variance table
+the CLI writes: the six published (co)variances, squeezing in dB
+(reference variance 1/2) and the uncertainty products.
+:func:`relative_error` compares two routes elementwise.
 """
 
 from __future__ import annotations
@@ -178,6 +179,8 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     Where alpha^2 is subnormal or 0, as a drift entry -alpha^2 keeps few of
     alpha's digits or none, h = dt K and dt b are summed by degree in alpha
     (:func:`_moment_odes_by_degree`), so alpha^2 dt keeps every digit.
+    A variance that comes out nonpositive at t > 0 raises ``ConfigError``
+    naming t_max.
     """
     if dt <= 0 or sample_dt <= 0:
         raise ConfigError("dt and sample_dt must be positive")
@@ -242,6 +245,14 @@ def integrate_covariance(ode: LinearOde, t_max: float, dt: float,
     covs = flat.reshape(n_rows + 1, 4, 4)
     covs = 0.5 * (covs + covs.transpose(0, 2, 1)) + VACUUM
 
+    # a rate that cancels (Var(X_ph)'s, once p_at has relaxed) keeps RK4's
+    # rounding, which a long enough t_max integrates past 0
+    bad = ~(np.diagonal(covs[1:], axis1=1, axis2=2) > 0).all(axis=0)
+    if bad.any():
+        raise ConfigError(
+            f"t_max = {t_max:.3g}: RK4's variance of {MODES[bad.argmax()]}"
+            f" at alpha = {ode.alpha:.3g} is not positive; its rounding,"
+            " integrated over t_max, exceeds it: reduce t_max")
     return CovTrajectory(np.arange(n_rows + 1) * sample_dt, covs,
                          _cross_sector_max(covs))
 
@@ -306,10 +317,12 @@ def closed_form_covariances(alpha: float, t: float | np.ndarray,
     """The six published (co)variances at the time or times ``t``.
 
     Returns an array of shape ``np.shape(t) + (4, 4)``; the cross-sector
-    entries, which the closed form does not define, stay NaN.  The
-    small-exponent regime uses expm1-based factorizations to avoid
-    cancellation; where alpha^2 is not a normal float (alpha = 0 included)
-    no entry divides by a power of alpha.
+    entries, which the closed form does not define, stay NaN.  One form
+    serves every alpha, 0 included: u = alpha^2 t is built as
+    alpha (alpha t), 1 - exp(-u) comes from expm1, and no entry divides by
+    a power of alpha.  Where alpha^2 t overflows, Var(X_ph) and
+    cov(p_at, X_ph) read 0 and -0 (their finite limits are 3 / (4 alpha^2)
+    and -1 / (4 alpha)); no command reaches such a t.
     """
     t = np.asarray(t, dtype=float)
     if alpha < 0 or (t < 0).any():
@@ -320,33 +333,22 @@ def closed_form_covariances(alpha: float, t: float | np.ndarray,
         i, j = mode_index(r), mode_index(c)
         cov[..., i, j] = cov[..., j, i] = value
 
-    # powers from u = alpha^2 t: alpha ** 4 may underflow to 0 where t ** 3
-    # overflows
-    if alpha * alpha >= sys.float_info.min:
-        u = alpha * alpha * t
-        em = -np.expm1(-u)            # 1 - exp(-u), stable for small u
-        cubic = -0.25 * u * alpha * t
-        cross = -em * em / (4.0 * alpha)
-        field_x = em * (2.0 + em) / (4.0 * alpha * alpha)
-    else:
-        # alpha^2 is subnormal or 0 and keeps few of alpha's digits, or
-        # none: build u as alpha (alpha t) and divide by no power of alpha.
-        # With phi = em / u (1 at u = 0), em^2 / alpha = phi em alpha t and
-        # em (2 + em) / alpha^2 = phi (2 + em) t; a subnormal u has
-        # em = u exactly, so phi = 1 there
-        at = alpha * t
-        u = alpha * at
-        em = -np.expm1(-u)
-        with np.errstate(invalid="ignore"):
-            phi = np.where(u > 0, em / u, 1.0)
-        cubic = -0.25 * u * at
-        cross = -0.25 * phi * em * at
-        field_x = 0.25 * phi * (2.0 + em) * t
+    # u = alpha (alpha t), and no entry divides by a power of alpha: alpha^2
+    # keeps few of alpha's digits where it is subnormal, u formed from it
+    # loses its own where it underflows, and alpha ** 4 may underflow where
+    # t ** 3 overflows.  With phi = em / u (1 at u = 0),
+    # em^2 / alpha = phi em alpha t and em (2 + em) / alpha^2 =
+    # phi (2 + em) t; a subnormal u has em = u exactly, so phi = 1 there
+    at = alpha * t
+    u = alpha * at
+    em = -np.expm1(-u)                # 1 - exp(-u), stable for small u
+    with np.errstate(invalid="ignore"):
+        phi = np.where(u > 0, em / u, 1.0)
     put("p_at", "p_at", 0.25 * (1.0 + np.exp(-2.0 * u)))
     put("x_at", "x_at", 0.5 * (1.0 + u))
-    put("x_at", "P_ph", cubic)
-    put("p_at", "X_ph", cross)
-    put("X_ph", "X_ph", field_x)
+    put("x_at", "P_ph", -0.25 * u * at)
+    put("p_at", "X_ph", -0.25 * phi * em * at)
+    put("X_ph", "X_ph", 0.25 * phi * (2.0 + em) * t)
     put("P_ph", "P_ph", 0.5 * t + u * u * t / 6.0)
     return cov
 

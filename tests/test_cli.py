@@ -1147,20 +1147,26 @@ def test_config_sweep_never_exits_internal(tmp_path, key, value):
 #: extents where dt ** j of a Taylor-summed step map overflows
 PAIRS = [("1e-3", "1e-3", "1e-4"), ("1", "0.5", "1e-4"),
          ("1e100", "1e100", "1e99"), ("1e300", "1e300", "1e299"),
-         ("1e100", "1e99", "1e98")]
+         ("1e100", "1e99", "1e98"), ("1e-300", "1e-300", "1e-300")]
 
 #: runs whose closed-form covariance at t_max exceeds the double range
 #: (P_ph about 1.7e499 at alpha 1e-142, t 1e300), though alpha^2 dt = 0.1
 #: passes the stability bound: load rejects them, naming t_max
 OUT_OF_RANGE = [("1e300", "1e300", "1e283", "1e-142")]
 
+#: a run whose RK4 Var(X_ph) comes out negative: its rate cancels once p_at
+#: has relaxed, and 1e17 relaxation times integrate RK4's rounding of it
+#: past 0; integrate_covariance rejects it, naming t_max
+RK4_NONPOSITIVE = [("1e37", "1e37", "1e19", "1e-10")]
+
 #: (t_max, grid_step, solver.dt, alpha): every pair at alpha 0, 1e-100 and
 #: 1, then two runs where a tiny alpha lets through a t whose cube
-#: overflows while alpha ** 4 underflows, then the runs out of range
+#: overflows while alpha ** 4 underflows, then the runs out of range and
+#: the run whose RK4 variance comes out negative
 VARIANCE_RUNS = [(*pair, alpha) for pair in PAIRS
                  for alpha in ("0", "1e-100", "1")] + [
     ("1e200", "1e200", "1e199", "1e-100"),
-    ("1e237", "1e237", "1e219", "1e-110")] + OUT_OF_RANGE
+    ("1e237", "1e237", "1e219", "1e-110")] + OUT_OF_RANGE + RK4_NONPOSITIVE
 
 
 def test_variances_at_subnormal_alpha_squared(tmp_path, capsys):
@@ -1200,7 +1206,8 @@ def test_variance_path_pair_sweep_never_exits_internal(
     """Pairs of step and extent: a tiny alpha lets a huge solver.dt through
     the stability bound, and no run may reach exit 3; a variances run that
     exits 0 writes finite numbers only, and a run out of the double range
-    exits 2 at load, naming t_max, with no warning."""
+    (at load) or with a nonpositive RK4 variance exits 2, naming t_max,
+    with no warning."""
     cfg = _write_config(tmp_path / "run.cfg", grid_step=grid_step)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1208,7 +1215,7 @@ def test_variance_path_pair_sweep_never_exits_internal(
                      "--dt", solver_dt, "--config", cfg,
                      "--out", str(tmp_path / "out")])
     assert code in (0, 1, 2)
-    if (t_max, grid_step, solver_dt, alpha) in OUT_OF_RANGE:
+    if (t_max, grid_step, solver_dt, alpha) in OUT_OF_RANGE + RK4_NONPOSITIVE:
         assert code == EXIT_CONFIG
         assert "t_max" in capsys.readouterr().err
     if command == "variances" and code == EXIT_OK:

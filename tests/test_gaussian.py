@@ -1,7 +1,6 @@
 """Moment ODEs, closed-form covariances, and squeezing metrics."""
 
 import math
-import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -117,6 +116,14 @@ def test_step_size_validation():
         integrate_covariance(ode, 1.0, 1e-4, 1e-12)
     with pytest.raises(ConfigError, match="grid_step must divide t_max"):
         integrate_covariance(ode, 1.0, 1e-4, 0.3)
+
+
+def test_nonpositive_rk4_variance_names_t_max():
+    # Var(X_ph)'s rate cancels once p_at has relaxed; over 1e17 relaxation
+    # times RK4's rounding of it drives the variance below 0 (the table
+    # raised ValueError, exit 3)
+    with pytest.raises(ConfigError, match=r"t_max = 1e\+37: .* X_ph"):
+        integrate_covariance(build_moment_odes(1e-10), 1e37, 1e19, 1e37)
 
 
 def test_ode_route_matches_all_published_entries():
@@ -385,7 +392,19 @@ def _decimal_closed_form(alpha, t):
                 ("P_ph", "P_ph"): t / 2 + a ** 4 * t ** 3 / 6}
 
 
-def test_alpha_squared_below_normal_builds_from_alpha_t():
+#: (alpha, t) where alpha^2 is normal but the closed form's older general
+#: form, which divided by alpha and alpha^2, was far off: u = alpha^2 t
+#: subnormal or 0 (Var(X_ph) written as 0 at t = 1e-300), alpha^2 just
+#: above the smallest normal, and u of 1e-200 at huge t
+NORMAL_ALPHA2 = [(1e-9, 1e-300), (1e-20, 1e-300), (1e-110, 1e-300),
+                 (1.5e-154, 1e-5), (1e-150, 1e100), (1e-110, 1e20)]
+
+#: ordinary couplings and times
+ORDINARY = [(alpha, t) for alpha in (0.3, 1.0, 3.0)
+            for t in (1e-4, 0.5, 50.0)]
+
+
+def test_closed_form_within_3_ulp_at_every_alpha():
     # at t = 2 every entry is the alpha = 0 limit to double precision
     zero = closed_form_covariances(0.0, 2.0)
     for alpha in (1e-160, 1e-170, 1e-300, 5e-324):
@@ -393,22 +412,15 @@ def test_alpha_squared_below_normal_builds_from_alpha_t():
         i, j = mode_index("p_at"), mode_index("X_ph")
         assert cov[i, j] == 0.0 and cov[j, j] == zero[j, j] == 1.0
         assert np.allclose(cov, zero, rtol=0, atol=1e-300, equal_nan=True)
-    # where t is large enough that u = alpha^2 t counts, u is formed from
-    # alpha t and no entry divides by a power of alpha: each is within
-    # 3 ulp of the exact value (the alpha = 0 limit was 1.7e11 ulp off in
-    # X_ph and P_ph at alpha 1e-155, t 1e308, and wrote 0 for p_at, X_ph)
-    for alpha, t in SUBNORMAL_ALPHA2:
-        assert alpha * alpha < sys.float_info.min
+    # u is formed from alpha t and no entry divides by a power of alpha:
+    # each is within 3 ulp of the exact value, with alpha^2 subnormal (the
+    # alpha = 0 limit was 1.7e11 ulp off in X_ph and P_ph at alpha 1e-155,
+    # t 1e308, and wrote 0 for p_at, X_ph) or normal
+    for alpha, t in SUBNORMAL_ALPHA2 + NORMAL_ALPHA2 + ORDINARY:
         cov = closed_form_covariances(alpha, t)
         for (r, c), exact in _decimal_closed_form(alpha, t).items():
             ulps = _ulps(_entry(cov, r, c), Fraction(exact))
             assert ulps <= 3, (alpha, t, r, c, ulps)
-    # just above the switch the general form agrees with the limit
-    alpha = math.sqrt(sys.float_info.min) * (1 + 1e-15)
-    assert alpha * alpha >= sys.float_info.min
-    cov = closed_form_covariances(alpha, 2.0)
-    assert cov[mode_index("X_ph"), mode_index("X_ph")] == pytest.approx(
-        1.0, rel=1e-14)
 
 
 def _scalar_closed_form(alpha, t):
@@ -419,20 +431,13 @@ def _scalar_closed_form(alpha, t):
         i, j = mode_index(r), mode_index(c)
         cov[i, j] = cov[j, i] = value
 
-    if alpha * alpha >= sys.float_info.min:
-        u = alpha * alpha * t
-        em = -math.expm1(-u)
-        put("x_at", "P_ph", -0.25 * u * alpha * t)
-        put("p_at", "X_ph", -em * em / (4.0 * alpha))
-        put("X_ph", "X_ph", em * (2.0 + em) / (4.0 * alpha * alpha))
-    else:
-        at = alpha * t
-        u = alpha * at
-        em = -math.expm1(-u)
-        phi = em / u if u > 0 else 1.0
-        put("x_at", "P_ph", -0.25 * u * at)
-        put("p_at", "X_ph", -0.25 * phi * em * at)
-        put("X_ph", "X_ph", 0.25 * phi * (2.0 + em) * t)
+    at = alpha * t
+    u = alpha * at
+    em = -math.expm1(-u)
+    phi = em / u if u > 0 else 1.0
+    put("x_at", "P_ph", -0.25 * u * at)
+    put("p_at", "X_ph", -0.25 * phi * em * at)
+    put("X_ph", "X_ph", 0.25 * phi * (2.0 + em) * t)
     put("p_at", "p_at", 0.25 * (1.0 + math.exp(-2.0 * u)))
     put("x_at", "x_at", 0.5 * (1.0 + u))
     put("P_ph", "P_ph", 0.5 * t + u * u * t / 6.0)
