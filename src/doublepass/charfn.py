@@ -19,7 +19,10 @@ families it is given, in cache-sized blocks of rows, and returns those
 rows; the k < 0 rows are the same rows read backwards.  The coefficients do
 not depend on time, so its step (half decay, Heun along the upwind
 stencil, half decay) is one fixed five-tap map per point, built once per
-block.
+block.  A block's buffers start on 64-byte cache lines, so the speed of a
+step does not depend on where the heap puts them.  The method of
+characteristics integrates with Gauss-Legendre rules held as constants, so
+no run imports ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ FD_BLOCK_BYTES = 2 ** 18
 
 #: steps between two folds of the FD boundary history
 _LEAK_CHECK_STEPS = 32
+
+#: bytes of a cache line, the unit :func:`_aligned` places FD buffers by
+_LINE = 64
 
 
 class BoundaryLeakError(ConfigError):
@@ -172,9 +178,30 @@ def closed_form_char(family: str, alpha: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-#: Gauss-Legendre nodes and weights on [-1, 1]: the coarse and the fine rule
-_GL_COARSE = np.polynomial.legendre.leggauss(10)
-_GL_FINE = np.polynomial.legendre.leggauss(20)
+def _mirrored(nodes: tuple, weights: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric rule on [-1, 1] from its nodes x > 0 and their weights,
+    in increasing x."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+#: Gauss-Legendre nodes and weights on [-1, 1], the coarse (10-point) and the
+#: fine (20-point) rule: ``numpy.polynomial.legendre.leggauss``'s values,
+#: bit for bit (a test pins them), so no run imports ``numpy.polynomial``
+_GL_COARSE = _mirrored(
+    (0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+     0.8650633666889845, 0.9739065285171717),
+    (0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+     0.1494513491505804, 0.06667134430868814))
+_GL_FINE = _mirrored(
+    (0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+     0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+     0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+     0.993128599185095),
+    (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+     0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+     0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+     0.017614007139150893))
 
 
 def _gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a: float,
@@ -220,7 +247,9 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
     Gauss-Legendre quadrature (Davis & Rabinowitz, *Methods of Numerical
     Integration*, 2nd ed., 1984, ch. 2 and 6): each panel is bisected until
     its 10- and 20-point rules agree to 1e-12 relative or 1e-13 absolute, up
-    to 200 panels.  For beta > 0 the first panels are graded toward the
+    to 200 panels; the rules are the constants :data:`_GL_COARSE` and
+    :data:`_GL_FINE`, NumPy's ``leggauss`` values bit for bit.  For
+    beta > 0 the first panels are graded toward the
     boundary layer at tau = 0, of width ~1/(2 beta), where 1/beta < t.
     An error estimate above 1e-9 raises ``RuntimeError``,
     unless the value is 0 even with the error added to the exponent.
@@ -304,6 +333,22 @@ def _upwind_layout(forward: np.ndarray):
 _UPWIND = (3.0, -4.0, 1.0)
 
 
+def _aligned(shape: tuple[int, ...], offset: int = 0) -> np.ndarray:
+    """Zeros of ``shape`` whose data start ``offset`` bytes past a cache line.
+
+    Where an FD buffer starts changes the time of a step: on an AVX-512
+    Xeon, 1250 steps of a 9708-slot block took 40 ms with the buffers
+    placed as :func:`_fd_block` asks and 57-71 ms with all of them 8 to 56
+    bytes further (pinned), most likely through vector loads and stores
+    that straddle two lines.  So the buffers place themselves, and not
+    where the heap happens to put them.
+    """
+    size = 8 * math.prod(shape)
+    raw = np.zeros(size + _LINE, dtype=np.uint8)
+    start = (offset - raw.ctypes.data) % _LINE
+    return raw[start:start + size].view(np.float64).reshape(shape)
+
+
 def _step_weights(pos: np.ndarray, ghost: np.ndarray, source: np.ndarray,
                   drift: np.ndarray, decay: np.ndarray, dt: float,
                   dl: float) -> np.ndarray:
@@ -312,8 +357,10 @@ def _step_weights(pos: np.ndarray, ghost: np.ndarray, source: np.ndarray,
     One step is the fixed linear map ``D (I + dt L + dt^2/2 L^2) D`` with
     ``D`` the half-decay diagonal and ``L = -|drift| d/dl`` the upwind
     operator: half decay, Heun along ``L`` (on a linear operator exactly
-    ``I + dt L + dt^2/2 L^2``), half decay.  Row ``b`` of the returned ``(5, n - 4)`` array multiplies
-    slot ``j - b`` into slot ``j``, for the slots ``4 <= j < n``; each of
+    ``I + dt L + dt^2/2 L^2``), half decay.  Row ``b`` of the returned
+    ``(5, n - 4)`` array (a view of rows padded to whole cache lines, each
+    starting on one) multiplies slot ``j - b`` into slot ``j``, for the
+    slots ``4 <= j < n``; each of
     the 13 terms of the map (one of ``I``, three of ``L``, nine of ``L^2``)
     is added to the weight of the slot in the point's window that holds the
     column it reads.  Ghost slots get no weight: the step overwrites them.
@@ -327,7 +374,7 @@ def _step_weights(pos: np.ndarray, ghost: np.ndarray, source: np.ndarray,
     rate = np.zeros(n + 1)              # 0 at the ghosts and the zero slot
     rate[pos] = -np.abs(drift) / (2.0 * dl)
     rate_j = rate[4:n]
-    weights = np.zeros((5, n - 4))
+    weights = _aligned((5, -(-(n - 4) // 8) * 8))[:, :n - 4]
     weights[0, pos - 4] = 1.0
     for b, c in enumerate(_UPWIND):
         weights[b] += (dt * c) * rate_j
@@ -359,23 +406,27 @@ def _fd_block(drift: np.ndarray, decay: np.ndarray, f0: np.ndarray,
 
     ``drift`` and ``decay`` hold the block's rows, ``f0`` the initial row.
     The block has its own :func:`_upwind_layout`, zero slot and
-    :func:`_step_weights`.  A step is five multiplies and four adds
-    of the slots ``j-4, ..., j`` into a second buffer, the ghost copy and a
-    swap of the buffers.  After each step the edge values go into a history
-    of :data:`_LEAK_CHECK_STEPS` rows; every that many steps, and after the
-    last, the history is folded into the running maximum of each edge, and
-    its steps are checked in order.  Returns the values and each row's
-    largest boundary value, or, at the first step whose largest boundary
-    value exceeds :data:`BOUNDARY_TOL`, ``(None, None, (step, value))``.
+    :func:`_step_weights`.  Every buffer comes from :func:`_aligned`: the
+    slots a step writes (from slot 4 of either state buffer), the scratch
+    and each weight row start on a cache line.  A step is five multiplies
+    and four adds of the slots ``j-4, ..., j`` into a second buffer, the
+    ghost copy and a swap of the buffers.  After each step the edge values
+    go into a history of :data:`_LEAK_CHECK_STEPS` rows; every that many
+    steps, and after the last, the history is folded into the running
+    maximum of each edge, and its steps are checked in order.  Returns the
+    values and each row's largest boundary value, or, at the first step
+    whose largest boundary value exceeds :data:`BOUNDARY_TOL`,
+    ``(None, None, (step, value))``.
     """
     pos, ghost, source = _upwind_layout(drift < 0.0)
     weights = _step_weights(pos, ghost, source, drift, decay, dt, dl)
     n = pos.size + 8 * len(drift)
-    f = np.zeros(n + 1)                 # slot n is the zero slot
+    # slot n is the zero slot; slot 4, where the slots a step writes begin,
+    # and the scratch start on a cache line
+    f, g = (_aligned((n + 1,), _LINE - 4 * 8) for _ in range(2))
     f[pos] = f0
     f[ghost] = f[source]
-    g = np.zeros(n + 1)
-    scratch = np.empty(n - 4)
+    scratch = _aligned((n - 4,))
     # a step reads one buffer and writes the other: each tap's weights and
     # the slots it reads, farthest first, then the buffer and slots written
     steps = []

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charfn, fock, gaussian
-from .errors import ConfigError
+from .errors import ConfigError, step_count
 from .ito import PAPER_FORMS, derivation_report, double_pass_derivation
 
 EXIT_OK = 0
@@ -76,6 +76,13 @@ TABLE_ROW_BYTES = 1536
 #: 18-22 us, ``compare``'s vacuum control 6 us)
 ORACLE_MAX_WORK = 10 ** 13
 ORACLE_STEP_WORK = 3 * 10 ** 5
+
+#: most point-steps an FD run may take, counted as ``2 (nk - nk // 2) nl
+#: n_steps``: both families' k >= 0 rows (``nk // 2 + 1`` at odd nk) times
+#: the steps.  A point-step took 3.0-3.1 ns on one 2.1 GHz Xeon core (the
+#: default ``pde``, 40-row blocks, cache-line-aligned buffers, pinned), so
+#: the bound is about 20 min
+FD_MAX_POINT_STEPS = 4 * 10 ** 11
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,7 @@ class RunConfig:
         oracle = self.section(fock.OracleConfig, alpha=0.0)
         # pre-flight, in Python numbers, which cannot overflow: the oracle's
         # work, bounded whatever the machine, then no one array of a route
-        # may exceed physical memory
+        # may exceed physical memory, then FD's work
         work = oracle.n_steps * (oracle.n_traj * oracle.d_anc
                                  * oracle.d_at ** 2 + ORACLE_STEP_WORK)
         if work > ORACLE_MAX_WORK:
@@ -174,6 +181,14 @@ class RunConfig:
                     f"{keys}: the {array} would take {size / 2 ** 30:.3g}"
                     f" GiB, more than the {memory / 2 ** 30:.3g} GiB of"
                     " physical memory")
+        steps = step_count(self.pde_t, self.pde_dt, "pde.dt", "pde.t")
+        point_steps = 2 * (nk - nk // 2) * nl * steps
+        if point_steps > FD_MAX_POINT_STEPS:
+            raise ConfigError(
+                "pde.l_max, pde.dl, pde.k_max, pde.dk, pde.t, pde.dt: FD would"
+                f" take {point_steps:.3g} point-steps, more than the"
+                f" {FD_MAX_POINT_STEPS:.0e} (about 20 min on one core) a run"
+                " may take")
 
     def section(self, route: type, **given):
         """``route`` with each field not ``given`` read from its section.

@@ -433,13 +433,13 @@ def _homodyne_records(config: OracleConfig, sample_steps: list[int],
     max_leak = 0.0
     traj = np.arange(n)
     # the step's arrays, allocated once, so no step faults in fresh pages
-    comps, squares = np.empty((da, d, n)), np.empty((da, d, n))
+    comps = np.empty((da, d, n))
     comps_flat = comps.reshape(da * d, n)
     probs, cum = np.empty((da, n)), np.empty((da, n))
     for step, uniforms in steps:
         np.matmul(kraus, psi, out=comps_flat)
-        np.multiply(comps, comps, out=squares)
-        squares.sum(axis=1, out=probs)
+        # each outcome's probability: its squares summed over the levels
+        np.einsum("edn,edn->en", comps, comps, out=probs)
         # the running sum over outcomes in cumsum's order, into one buffer
         cum[0] = probs[0]
         for e in range(1, da):

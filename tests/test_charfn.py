@@ -162,6 +162,17 @@ def test_moc_quadrature_guard_raises(monkeypatch):
         moc_solve("F", 1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("rule, n", ((charfn._GL_COARSE, 10),
+                                     (charfn._GL_FINE, 20)),
+                         ids=("coarse", "fine"))
+def test_gauss_legendre_rules_are_leggauss(rule, n):
+    # the module constants are NumPy's rules bit for bit, so MOC's values
+    # are those of the rules it computed at import before
+    for const, ref in zip(rule, np.polynomial.legendre.leggauss(n)):
+        assert const.dtype == ref.dtype and const.shape == (n,)
+        assert const.tobytes() == ref.tobytes()
+
+
 def test_moc_initial_time():
     assert moc_solve("F", 1.0, 0.0, 2.0, 1.0) == \
         pytest.approx(math.exp(-0.25))
@@ -591,6 +602,77 @@ def test_fd_block_sizes(grid, sizes, monkeypatch):
     blocks = _record_blocks(monkeypatch)
     fd_solve(FAMILIES, 1.0, grid, 4e-4, 4e-4)
     assert [n_rows for n_rows, _ in blocks] == sizes
+
+
+def _record_buffers(monkeypatch, shift=0):
+    """(shape, offset, array) of every ``_aligned`` call from now on, each
+    placed ``shift`` bytes past where the solver asks."""
+    buffers, aligned = [], charfn._aligned
+
+    def recorded(shape, offset=0):
+        array = aligned(shape, offset + shift)
+        buffers.append((shape, offset, array))
+        return array
+
+    monkeypatch.setattr(charfn, "_aligned", recorded)
+    return buffers
+
+
+@pytest.mark.parametrize("shape, offset", (((1,), 0), ((7,), 32), ((3, 8), 0),
+                                           ((40 * 809 + 1,), 32)))
+def test_aligned_buffers_start_past_a_cache_line(shape, offset):
+    # from the heap and, for the default pde's block, from mmap
+    array = charfn._aligned(shape, offset)
+    assert array.shape == shape and array.dtype == np.float64
+    assert array.flags.c_contiguous and array.flags.writeable
+    assert array.ctypes.data % 64 == offset
+    assert not array.any()
+
+
+@pytest.mark.parametrize("grid", (
+    BLOCK_GRID, GridSpec(l_max=8.0, dl=0.02, k_max=0.1, dk=0.02),
+    GridSpec(l_max=8.0, dl=0.02, k_max=1.0, dk=0.02)),
+    ids=("small", "pde_grid", "blocks"))
+def test_fd_step_buffers_on_cache_lines(grid, monkeypatch):
+    # the slots a step writes (from slot 4), the scratch and every weight
+    # row start on a 64-byte line, in every block
+    monkeypatch.setattr(charfn, "BOUNDARY_TOL", 1.0)
+    buffers = _record_buffers(monkeypatch)
+    fd_solve(FAMILIES, 0.7, grid, 4e-4, 4e-4)
+    weights = [array for shape, _, array in buffers if len(shape) == 2]
+    states = [array for shape, offset, array in buffers if offset == 32]
+    scratch = [array for shape, offset, array in buffers
+               if len(shape) == 1 and offset == 0]
+    blocks = len(weights)
+    assert blocks >= 1 and len(states) == 2 * blocks
+    assert len(scratch) == blocks and len(buffers) == 4 * blocks
+    for array in weights:
+        assert array.shape[0] == 5 and array.shape[1] % 8 == 0
+        assert all(row.ctypes.data % 64 == 0 for row in array)
+    for state in states:
+        assert state[4:].ctypes.data % 64 == 0
+    for array in scratch:
+        assert array.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("pad", range(8, 64, 8))
+def test_fd_surface_does_not_depend_on_buffer_addresses(pad, monkeypatch):
+    # the same surfaces, bit for bit, after a heap pad and with every
+    # buffer moved off its line: only the addresses change
+    monkeypatch.setattr(charfn, "BOUNDARY_TOL", 1.0)
+    args = (FAMILIES, 0.7, BLOCK_GRID, 0.2, 0.005)
+    ref = fd_solve(*args)
+    held = np.empty(4096 + pad, dtype=np.uint8)
+    padded = fd_solve(*args)
+    del held
+    buffers = _record_buffers(monkeypatch, shift=pad)
+    moved = fd_solve(*args)
+    assert all(array.ctypes.data % 64 == (offset + pad) % 64
+               for _, offset, array in buffers)
+    for surfs in (padded, moved):
+        for surf, want in zip(surfs, ref):
+            assert surf.values.tobytes() == want.values.tobytes()
+            assert surf.boundary_max == want.boundary_max
 
 
 def test_upwind_layout_slots():

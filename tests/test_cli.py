@@ -237,6 +237,10 @@ _WORK = r" the oracle would take .* multiply-adds, more than the 1e\+13"
 _ORACLE_WORK_KEYS = (r"oracle\.dt, oracle\.t_max, oracle\.n_traj,"
                      r" oracle\.d_at, oracle\.d_anc:")
 
+#: the FD work row's message
+_FD_WORK = (r"pde\.l_max, pde\.dl, pde\.k_max, pde\.dk, pde\.t, pde\.dt: FD"
+            r" would take .* point-steps, more than the 4e\+11")
+
 #: the keys the table row's message names
 _TABLE_KEYS = r"solver\.dt, grid_step, oracle\.dt:"
 
@@ -255,6 +259,8 @@ _TABLE_KEYS = r"solver\.dt, grid_step, oracle\.dt:"
     # a 60 000-level joint space: 400 x 500 x 3 x 20 000^2 multiply-adds,
     # 2.4e14, before its (60 000, 60 000) complex operator, 57.6 GB
     (("oracle",), "oracle.d_at = 20000\n", _ORACLE_WORK_KEYS + _WORK),
+    # 2 x 401 x 801 point-steps over 5e8 steps, 3.2e14
+    (("pde",), "pde.dt = 1e-9\n", "^" + _FD_WORK),
 ])
 def test_arrays_larger_than_memory_rejected_at_load(tmp_path, argv, config,
                                                     message):
@@ -305,6 +311,26 @@ def test_oracle_work_bound_is_exact_multiply_adds(monkeypatch):
     RunConfig(oracle_t_max=7_246_376 * 1e-3).validate()
     with pytest.raises(ConfigError, match="^" + _ORACLE_WORK_KEYS):
         RunConfig(oracle_t_max=7_246_377 * 1e-3).validate()
+
+
+def test_fd_work_bound_is_exact_point_steps():
+    # 2 families x 2 rows (k = 0, 0.02) x 625 columns x 1.6e8 steps is
+    # exactly the bound; one more step or one more column is one unit over.
+    # Nothing runs, and the 3 x 625 surface is small whatever the machine
+    at_bound = RunConfig(pde_k_max=0.02, pde_l_max=6.24, pde_t=0.5,
+                         pde_dt=3.125e-9)
+    grid = at_bound.section(charfn.GridSpec)
+    assert grid.shape == (3, 625)
+    assert 2 * 2 * 625 * 160_000_000 == cli.FD_MAX_POINT_STEPS
+    at_bound.validate()
+    for over in (replace(at_bound, pde_t=0.500000003125),
+                 replace(at_bound, pde_l_max=6.25)):
+        with pytest.raises(ConfigError, match="^" + _FD_WORK):
+            over.validate()
+    # an even nk steps nk // 2 rows: nk 4 counts as nk 3
+    replace(at_bound, pde_k_max=0.03).validate()
+    # the default run, 8.0e8 point-steps, loads
+    RunConfig().validate()
 
 
 def test_array_estimate_is_exact_bytes(monkeypatch):
@@ -903,6 +929,25 @@ def test_import_loads_no_scipy_and_derives_nothing():
                          text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n0\n"
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="NumPy 1 imports both with numpy itself")
+def test_pde_loads_no_polynomial_or_random_module(tmp_path):
+    # the quadrature rules are constants and FD draws nothing: a pde run
+    # imports neither numpy.polynomial (and its LAPACK call) nor numpy.random
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("pde.k_max = 0.1\n")
+    code = ("import sys\n"
+            "from doublepass.cli import main\n"
+            f"code = main(['pde', '--config', {str(cfg)!r},"
+            f" '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, sorted({m for m in sys.modules if m.startswith("
+            "('numpy.polynomial', 'numpy.random'))}))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith("result: OK\n0 []\n")
 
 
 def test_compare_builds_the_derivation_once(tmp_path, monkeypatch):
