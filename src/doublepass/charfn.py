@@ -186,8 +186,9 @@ def _mirrored(nodes: tuple, weights: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1], the coarse (10-point) and the
-#: fine (20-point) rule: ``numpy.polynomial.legendre.leggauss``'s values,
-#: bit for bit (a test pins them), so no run imports ``numpy.polynomial``
+#: fine (20-point) rule: ``numpy.polynomial.legendre.leggauss``'s values
+#: under NumPy 2.4.6, bit for bit (a test pins them), so no run imports
+#: ``numpy.polynomial``
 _GL_COARSE = _mirrored(
     (0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
      0.8650633666889845, 0.9739065285171717),
@@ -248,7 +249,7 @@ def moc_solve(family: str, alpha: float, t: float, k: float, l: float,
     Integration*, 2nd ed., 1984, ch. 2 and 6): each panel is bisected until
     its 10- and 20-point rules agree to 1e-12 relative or 1e-13 absolute, up
     to 200 panels; the rules are the constants :data:`_GL_COARSE` and
-    :data:`_GL_FINE`, NumPy's ``leggauss`` values bit for bit.  For
+    :data:`_GL_FINE`, NumPy 2.4.6's ``leggauss`` values.  For
     beta > 0 the first panels are graded toward the
     boundary layer at tau = 0, of width ~1/(2 beta), where 1/beta < t.
     An error estimate above 1e-9 raises ``RuntimeError``,

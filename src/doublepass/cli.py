@@ -147,13 +147,16 @@ class RunConfig:
                 f"parameter t_max = {self.t_max:.6g}: the closed-form"
                 f" covariances at alpha = {self.alpha:.6g} exceed the double"
                 " range; reduce t_max")
-        # the route configs check their sections; at alpha = 0 the oracle's
-        # step bound on alpha^2 * oracle.dt waits for its run, as the CFL does
+        # the route configs check their sections, and pde.dt must divide
+        # pde.t; at alpha = 0 the oracle's step bound on alpha^2 * oracle.dt
+        # waits for its run, as the CFL does
         grid = self.section(charfn.GridSpec)
+        step_count(self.pde_t, self.pde_dt, "pde.dt", "pde.t")
         oracle = self.section(fock.OracleConfig, alpha=0.0)
         # pre-flight, in Python numbers, which cannot overflow: the oracle's
         # work, bounded whatever the machine, then no one array of a route
-        # may exceed physical memory, then FD's work
+        # may exceed physical memory; FD's work waits for the grid it steps
+        # (pde_outputs), which compare sets itself
         work = oracle.n_steps * (oracle.n_traj * oracle.d_anc
                                  * oracle.d_at ** 2 + ORACLE_STEP_WORK)
         if work > ORACLE_MAX_WORK:
@@ -181,14 +184,6 @@ class RunConfig:
                     f"{keys}: the {array} would take {size / 2 ** 30:.3g}"
                     f" GiB, more than the {memory / 2 ** 30:.3g} GiB of"
                     " physical memory")
-        steps = step_count(self.pde_t, self.pde_dt, "pde.dt", "pde.t")
-        point_steps = 2 * (nk - nk // 2) * nl * steps
-        if point_steps > FD_MAX_POINT_STEPS:
-            raise ConfigError(
-                "pde.l_max, pde.dl, pde.k_max, pde.dk, pde.t, pde.dt: FD would"
-                f" take {point_steps:.3g} point-steps, more than the"
-                f" {FD_MAX_POINT_STEPS:.0e} (about 20 min on one core) a run"
-                " may take")
 
     def section(self, route: type, **given):
         """``route`` with each field not ``given`` read from its section.
@@ -386,14 +381,25 @@ def pde_outputs(cfg: RunConfig) -> tuple[dict[str, str], list]:
     deterministic summary as ``pde_summary.txt``.
 
     The summary ends with the FD health numbers of each family: the CFL
-    number and the largest boundary value the leak monitor saw.
+    number and the largest boundary value the leak monitor saw.  Before FD
+    steps, a run of more than :data:`FD_MAX_POINT_STEPS` point-steps on
+    ``cfg``'s grid is a :class:`ConfigError`.
     """
     grid = cfg.section(charfn.GridSpec)
+    nk, nl = grid.shape
+    steps = step_count(cfg.pde_t, cfg.pde_dt, "pde.dt", "pde.t")
+    point_steps = 2 * (nk - nk // 2) * nl * steps
+    if point_steps > FD_MAX_POINT_STEPS:
+        raise ConfigError(
+            "pde.l_max, pde.dl, pde.k_max, pde.dk, pde.t, pde.dt: FD would"
+            f" take {point_steps:.3g} point-steps, more than the"
+            f" {FD_MAX_POINT_STEPS:.0e} (about 20 min on one core) a run"
+            " may take")
     artifacts: dict[str, str] = {}
     summary = [f"pde summary: alpha={cfg.alpha:.12g} t={cfg.pde_t:.12g}"]
     health = []
     # the k >= 0 rows a surface holds; the closed form is even bit for bit
-    mesh = np.meshgrid(grid.k_values()[grid.shape[0] // 2:],
+    mesh = np.meshgrid(grid.k_values()[nk // 2:],
                        grid.l_values(), indexing="ij")
     # MOC is the scalar route, one point at a time; the closed form and
     # the residual take the probe points as arrays

@@ -259,8 +259,6 @@ _TABLE_KEYS = r"solver\.dt, grid_step, oracle\.dt:"
     # a 60 000-level joint space: 400 x 500 x 3 x 20 000^2 multiply-adds,
     # 2.4e14, before its (60 000, 60 000) complex operator, 57.6 GB
     (("oracle",), "oracle.d_at = 20000\n", _ORACLE_WORK_KEYS + _WORK),
-    # 2 x 401 x 801 point-steps over 5e8 steps, 3.2e14
-    (("pde",), "pde.dt = 1e-9\n", "^" + _FD_WORK),
 ])
 def test_arrays_larger_than_memory_rejected_at_load(tmp_path, argv, config,
                                                     message):
@@ -313,24 +311,68 @@ def test_oracle_work_bound_is_exact_multiply_adds(monkeypatch):
         RunConfig(oracle_t_max=7_246_377 * 1e-3).validate()
 
 
-def test_fd_work_bound_is_exact_point_steps():
+class _Stepped(Exception):
+    """Raised by a stand-in ``fd_solve``: the FD work row let the run on."""
+
+
+def _no_fd(*args, **kwargs):
+    raise _Stepped
+
+
+def test_fd_work_bound_is_exact_point_steps(monkeypatch):
     # 2 families x 2 rows (k = 0, 0.02) x 625 columns x 1.6e8 steps is
     # exactly the bound; one more step or one more column is one unit over.
-    # Nothing runs, and the 3 x 625 surface is small whatever the machine
+    # FD is a stand-in, so nothing is stepped at that size, and the 3 x 625
+    # surface is small whatever the machine
+    monkeypatch.setattr(charfn, "fd_solve", _no_fd)
     at_bound = RunConfig(pde_k_max=0.02, pde_l_max=6.24, pde_t=0.5,
                          pde_dt=3.125e-9)
-    grid = at_bound.section(charfn.GridSpec)
-    assert grid.shape == (3, 625)
+    assert at_bound.section(charfn.GridSpec).shape == (3, 625)
     assert 2 * 2 * 625 * 160_000_000 == cli.FD_MAX_POINT_STEPS
-    at_bound.validate()
+    # an even nk steps nk // 2 rows: nk 4 counts as nk 3; the default run
+    # counts 8.0e8
+    for cfg in (at_bound, replace(at_bound, pde_k_max=0.03), RunConfig()):
+        cfg.validate()
+        with pytest.raises(_Stepped):
+            cli.pde_outputs(cfg)
     for over in (replace(at_bound, pde_t=0.500000003125),
                  replace(at_bound, pde_l_max=6.25)):
+        over.validate()                 # load leaves FD's work to its grid
         with pytest.raises(ConfigError, match="^" + _FD_WORK):
-            over.validate()
-    # an even nk steps nk // 2 rows: nk 4 counts as nk 3
-    replace(at_bound, pde_k_max=0.03).validate()
-    # the default run, 8.0e8 point-steps, loads
-    RunConfig().validate()
+            cli.pde_outputs(over)
+
+
+def test_fd_work_counts_the_grid_the_command_steps(tmp_path, monkeypatch,
+                                                   capsys):
+    # compare steps its own grid at pde.dl: 3 k >= 0 rows x 1 001 columns
+    # x 5e10 steps x 2 families, 3.0e14 point-steps, though the configured
+    # 1 x 3 grid counts 3e11, under the bound. FD is a stand-in, so a run
+    # the row let through would exit 3 at once, not step for days
+    monkeypatch.setattr(charfn, "fd_solve", _no_fd)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pde.k_max = 0.02\npde.dk = 0.04\npde.l_max = 0.02\n"
+                   "pde.dl = 0.02\npde.dt = 1e-11\n")
+    assert main(["compare", "--config", str(cfg),
+                 "--out", str(tmp_path / "compare")]) == EXIT_CONFIG
+    assert re.search("^configuration error: " + _FD_WORK,
+                     capsys.readouterr().err)
+    # pde.dt = 1e-9 on the default grid, 2 x 401 x 801 x 5e8 point-steps
+    # (3.2e14): pde exits 2, and the commands that step no FD run
+    cfg.write_text("pde.dt = 1e-9\n")
+    assert main(["pde", "--config", str(cfg),
+                 "--out", str(tmp_path / "pde")]) == EXIT_CONFIG
+    assert re.search("^configuration error: " + _FD_WORK,
+                     capsys.readouterr().err)
+    for command in ("derive", "variances"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]) == EXIT_OK
+    assert not (tmp_path / "compare").exists()
+    assert not (tmp_path / "pde").exists()
+    # whether pde.dt divides pde.t is still checked at load, by every command
+    cfg.write_text("pde.dt = 0.3\n")
+    assert main(["variances", "--config", str(cfg),
+                 "--out", str(tmp_path / "v")]) == EXIT_CONFIG
+    assert "pde.dt must divide pde.t" in capsys.readouterr().err
 
 
 def test_array_estimate_is_exact_bytes(monkeypatch):
