@@ -5,14 +5,16 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from doublepass import charfn, cli, fock, gaussian, ito
-from doublepass.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, load_config,
-                            build_parser, main, parse_config_file)
+from doublepass.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig,
+                            load_config, build_parser, main,
+                            parse_config_file)
 from doublepass.errors import ConfigError
 
 
@@ -120,17 +122,327 @@ def test_config_keys_and_types(tmp_path):
             parse_config_file(cfg_file)
 
 
-# -- commands -------------------------------------------------------------------
+# -- console scenarios ----------------------------------------------------------
+
+
+#: the files each command writes to --out when it runs to the end (exit 0 or 1)
+FILES = {
+    "derive": ("derivation.txt",),
+    "variances": ("variances.csv",),
+    "oracle": ("oracle.csv",),
+    "pde": ("pde_summary.txt", "surface_F.csv", "surface_G.csv"),
+    "compare": ("compare_report.txt", "derivation.txt", "oracle.csv",
+                "pde_summary.txt", "surface_F.csv", "surface_G.csv",
+                "variances.csv"),
+}
+
+#: the last line of a report whose checks all pass
+RESULT_OK = "\nresult: OK\n"
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One run of ``python -m doublepass.cli`` and what it must show.
+
+    ``argv`` and ``stderr`` may name the run's own directory ``{tmp}``.  A
+    ``config`` (text, or bytes written as they are) is written to
+    ``{tmp}/run.cfg`` and passed with ``--config``; ``--out`` is
+    ``{tmp}/out`` unless ``argv`` gives one.  The file checks read the first
+    file the command writes: its table, for ``variances`` and ``oracle``.
+    """
+
+    id: str
+    argv: tuple[str, ...]
+    config: str | bytes | None = None
+    exit: int = EXIT_OK
+    #: text the configuration error names: its key where it names one
+    stderr: str = ""
+    #: texts stdout contains
+    stdout: tuple[str, ...] = ()
+    #: lines of the table, header included
+    lines: int | None = None
+    #: (line, column, text) of one table cell, the header being line 0
+    cell: tuple[int, str, str] | None = None
+    #: no nan or inf in the table or on stdout
+    finite: bool = False
+    no_negative_zero: bool = False
+    #: why the run does not yet do what the row expects
+    xfail: str = ""
+
+
+#: every console scenario, by the test that runs it
+SCENARIOS = {
+    "derive_output_contains_system": (
+        Scenario("derive", ("derive",), stdout=(
+            "L = (1/2*sqrt2)*a*p - (1/2*i*sqrt2)*a*x",
+            "H = -(1/4*i)*a^2 + (1/2)*a^2*x*p",
+            "x_ph_out = x_ph_in + (a)*p_at_out", "{1,2,3}")),),
+    "config_error_exit_code": (
+        Scenario("unknown_key", ("variances",), "mystery = 1\n", EXIT_CONFIG,
+                 "{tmp}/run.cfg:1: unknown key 'mystery'"),),
+    "duplicate_config_key_is_config_error": (
+        Scenario("twice", ("variances",),
+                 "alpha = 0.5\n# a comment\nt_max = 1\nalpha = 2\n",
+                 EXIT_CONFIG,
+                 "{tmp}/run.cfg:4: key 'alpha' already given on line 1"),),
+    # shrinking every tolerance far below machine precision fails with 1
+    "compare_tolerance_failure_exit_code": (
+        Scenario("tolerance", ("compare", "--tolerance-scale", "1e-16"),
+                 exit=EXIT_TOLERANCE, stdout=("FAIL", "TOLERANCE FAILURE")),),
+    # a bad number is rejected at load, before anything is allocated
+    "bad_number_exit_code": (
+        Scenario("argv0", ("oracle", "--alpha", "nan"), exit=EXIT_CONFIG,
+                 stderr="parameter alpha must be finite"),
+        Scenario("argv1", ("oracle", "--t-max", "nan"), exit=EXIT_CONFIG,
+                 stderr="parameter t_max must be finite"),
+        Scenario("argv2", ("oracle", "--alpha", "1e200"), exit=EXIT_CONFIG,
+                 stderr="alpha must not exceed 1e+06"),
+        Scenario("argv3", ("oracle", "--seed", "-1"), exit=EXIT_CONFIG,
+                 stderr="oracle.seed must be nonnegative"),
+        Scenario("argv4", ("compare", "--alpha", "nan"), exit=EXIT_CONFIG,
+                 stderr="parameter alpha must be finite"),
+        # solver.dt does not divide grid_step
+        Scenario("argv5", ("variances",), "grid_step = 1e-12\n", EXIT_CONFIG,
+                 "solver.dt must divide grid_step = 1e-12"),
+        Scenario("argv6", ("compare",), "grid_step = 1e-12\n", EXIT_CONFIG,
+                 "solver.dt must divide grid_step = 1e-12"),
+        # an FD surface larger than memory, and an oracle of 2.4e14
+        # multiply-adds before its (60 000, 60 000) operator
+        Scenario("argv7", ("pde",), "pde.dl = 1e-6\n", EXIT_CONFIG,
+                 "pde.l_max, pde.dl, pde.k_max, pde.dk: the FD surface would"
+                 " take"),
+        Scenario("argv8", ("oracle",), "oracle.d_at = 20000\n", EXIT_CONFIG,
+                 "oracle.d_at, oracle.d_anc: the oracle would take 2.4e+14"),
+        # pde.t below the residual check's time step: before RK4 and FD run,
+        # so the message names the key and not the stencil
+        Scenario("argv9", ("pde",), "pde.t = 5e-5\npde.dt = 5e-5\n",
+                 EXIT_CONFIG, "parameter pde.t must be at least 1e-04"),
+        Scenario("argv10", ("compare",), "pde.t = 5e-5\npde.dt = 5e-5\n",
+                 EXIT_CONFIG, "parameter pde.t must be at least 1e-04"),
+    ),
+    # compare would run every route before writing; the check comes first.
+    # run.cfg, an empty config, stands in for a file where a directory goes
+    "bad_file_input_exit_code": (
+        Scenario("missing_config",
+                 ("compare", "--config", "{tmp}/absent.cfg"),
+                 exit=EXIT_CONFIG,
+                 stderr="cannot read config file {tmp}/absent.cfg: "),
+        Scenario("config_is_dir", ("compare", "--config", "{tmp}"),
+                 exit=EXIT_CONFIG, stderr="cannot read config file {tmp}: "),
+        Scenario("config_not_utf8", ("compare",), b"# caf\xe9\nalpha = 1\n",
+                 EXIT_CONFIG, "cannot read config file {tmp}/run.cfg: "),
+        Scenario("out_under_file", ("compare", "--out", "{tmp}/run.cfg/sub"),
+                 "", EXIT_CONFIG, "output path {tmp}/run.cfg/sub: "),
+        Scenario("out_is_file", ("compare", "--out", "{tmp}/run.cfg"), "",
+                 EXIT_CONFIG, "output path {tmp}/run.cfg: "),
+    ),
+    # a 300-byte name makes the lookup itself fail (ENAMETOOLONG)
+    "overlong_out_path_exit_code": tuple(
+        Scenario(command, (command, "--out", "{tmp}/" + "a" * 300),
+                 exit=EXIT_CONFIG,
+                 stderr="configuration error: output path {tmp}/" + "a" * 300)
+        for command in ("derive", "variances")),
+    # four of these messages name no config key: boundary_leak,
+    # cfl_above_half, cfl_huge_dt and truncation_leak (d_at, not oracle.d_at)
+    "fixable_by_config_exit_code": (
+        Scenario("boundary_leak", ("pde",),
+                 "pde.l_max = 0.01\npde.k_max = 0.1\n", EXIT_CONFIG,
+                 "widen the l grid"),
+        # CFL 0.756 is unstable; it must not surface as a boundary leak
+        Scenario("cfl_above_half", ("pde",), "pde.l_max = 12\npde.k_max = 0.1"
+                 "\npde.dt = 0.00125\npde.t = 0.3\n", EXIT_CONFIG, "CFL"),
+        Scenario("truncation_leak", ("oracle",), "oracle.d_at = 4\n",
+                 EXIT_CONFIG, "increase d_at"),
+        Scenario("negative_tol", ("compare",), "tolerance.ode_rel = -1\n",
+                 EXIT_CONFIG, "parameter tolerance.ode_rel must be positive"),
+        Scenario("zero_tol", ("compare",), "tolerance.oracle_sigma = 0\n",
+                 EXIT_CONFIG,
+                 "parameter tolerance.oracle_sigma must be positive"),
+        # steps so small that the step count overflows
+        Scenario("variances_tiny_grid_step", ("variances",),
+                 "grid_step = 1e-300\n", EXIT_CONFIG, "grid_step = 1e-300"),
+        Scenario("variances_tiny_solver_dt", ("variances",),
+                 "solver.dt = 1e-320\n", EXIT_CONFIG, "solver.dt = 1e-320"),
+        Scenario("oracle_subnormal_dt", ("oracle",), "oracle.dt = 1e-320\n",
+                 EXIT_CONFIG, "oracle.dt = 1e-320"),
+        Scenario("oracle_tiny_dt", ("oracle",), "oracle.dt = 1e-300\n",
+                 EXIT_CONFIG, "oracle.dt = 1e-300"),
+        Scenario("pde_subnormal_dt", ("pde",), "pde.dt = 1e-320\n",
+                 EXIT_CONFIG, "pde.dt = 1e-320"),
+        Scenario("pde_tiny_dl", ("pde",), "pde.dl = 1e-300\n", EXIT_CONFIG,
+                 "pde.dl = 1e-300"),
+        Scenario("compare_tiny_grid_step", ("compare",),
+                 "grid_step = 1e-300\n", EXIT_CONFIG, "grid_step = 1e-300"),
+        # l^2 = 1e320 overflows the transport coefficients on the grid
+        Scenario("pde_overflowing_grid", ("pde",), "pde.l_max = 1e160\n"
+                 "pde.k_max = 1e160\npde.dl = 1e158\npde.dk = 1e158\n",
+                 EXIT_CONFIG, "reduce pde.l_max and pde.k_max"),
+        # a CFL number of 8e301 is written in significant digits, not 302
+        Scenario("cfl_huge_dt", ("pde",), "pde.t = 1e300\npde.dt = 1e299\n",
+                 EXIT_CONFIG, "|drift|*dt/dl = 8e+301 > 0.5"),
+    ),
+    "console_scenario": (
+        # RK4 keeps only the grid_step rows: 1e9 steps run in a few MB, where
+        # a stack of every step would need 119 GiB
+        Scenario("fine_rk4_step", ("compare", "--dt", "1e-9"),
+                 stdout=(RESULT_OK,)),
+        # 5e8 steps x (400 x 3 x 30^2 + 3e5), 6.9e14 multiply-adds
+        Scenario("oracle_fine_dt", ("oracle",), "oracle.dt = 1e-9\n",
+                 EXIT_CONFIG, "oracle.dt, oracle.t_max, oracle.n_traj,"
+                 " oracle.d_at, oracle.d_anc: the oracle would take"),
+        # the homodyne Monte Carlo draws its uniform streams in chunks and
+        # reduces each record as it goes: 1000 trajectories over 2000 steps
+        # run in memory that does not grow with the step count
+        Scenario("long_oracle", ("oracle",),
+                 "oracle.n_traj = 1000\noracle.t_max = 2\n"),
+        # at alpha 0 the homodyne loop draws each uniform chunk's outcomes
+        # from their fixed law: grid_step = 1e-3 samples every one of the
+        # 500 steps (four chunks of 128)
+        Scenario("vacuum_every_step", ("oracle", "--alpha", "0"),
+                 "oracle.phase = p\ngrid_step = 1e-3\n", lines=501),
+        # pde.k_max = 1 steps 2 x 51 rows of 809 slots: three FD row blocks
+        # (40, 40, 22 rows)
+        Scenario("fd_row_blocks", ("pde",), "pde.k_max = 1\npde.t = 0.02\n"),
+        # the closed-form table is evaluated on the whole time array at once
+        Scenario("table_1e5_rows", ("variances",),
+                 "grid_step = 1e-5\nsolver.dt = 1e-5\n", lines=100_002),
+        # alpha 0 lets solver.dt = 1e99 through the stability bound; the RK4
+        # step map forms no power of dt, so nothing overflows
+        Scenario("huge_solver_dt", ("variances", "--alpha", "0", "--t-max",
+                                    "1e100", "--dt", "1e99"),
+                 "grid_step = 1e100\n"),
+        # alpha 1e-110 lets t = 1e237 through the stability bound: t ** 3
+        # overflows and alpha ** 4 underflows, so the closed form builds both
+        # powers from alpha^2 t
+        Scenario("huge_t", ("variances", "--alpha", "1e-110", "--t-max",
+                            "1e237", "--dt", "1e219"), "grid_step = 1e237\n",
+                 cell=(2, "cov_xat_pph", "-2.5e+143"), finite=True),
+        # RK4 over 2e17 relaxation times of p_at (RK4_NONPOSITIVE is a
+        # horizon where the same rounding drives Var(X_ph) below 0)
+        Scenario("huge_t_compare", ("compare", "--alpha", "1e-110", "--t-max",
+                                    "1e237", "--dt", "1e219"),
+                 "grid_step = 1e237\n", stdout=(RESULT_OK,),
+                 xfail="rounding leaves about 1.9e-16 of Var(X_ph)'s"
+                 " cancelling rate: ode_var_x_ph_norm reads 1.94e-16 where the"
+                 " closed form gives 7.5e-18, and compare exits 1 at check 4"),
+        # alpha^2 = 1e-40 is normal but u = alpha^2 t = 1e-340 underflows:
+        # the closed form builds u from alpha t and divides by no power of
+        # alpha, so Var(X_ph) / t is its exact 0.5
+        Scenario("tiny_t", ("variances", "--alpha", "1e-20", "--t-max",
+                            "1e-300", "--dt", "1e-300"),
+                 "grid_step = 1e-300\n", cell=(2, "var_x_ph_norm", "0.5")),
+        Scenario("tiny_t_compare", ("compare", "--alpha", "1e-9", "--t-max",
+                                    "1e-300", "--dt", "1e-300"),
+                 "grid_step = 1e-300\n", stdout=(RESULT_OK,)),
+        # both closed-form cross covariances are -0.0 on all 101 rows
+        Scenario("alpha_0_no_negative_zero", ("variances", "--alpha", "0"),
+                 lines=102, no_negative_zero=True),
+    ),
+}
+
+
+def run_scenario(tmp_path, row, max_stderr=None):
+    """Run ``row`` and check what it declares, and the rules every row keeps:
+    a configuration error (exit 2) is one ``configuration error:`` line, under
+    ``max_stderr`` characters if given, and the run creates nothing; any other
+    run prints nothing on stderr and writes exactly its command's files."""
+    tmp = tmp_path / "run"
+    tmp.mkdir()
+    argv = [arg.format(tmp=tmp) for arg in row.argv]
+    if row.config is not None:
+        config = (row.config if isinstance(row.config, bytes)
+                  else row.config.encode())
+        (tmp / "run.cfg").write_bytes(config)
+        argv += ["--config", str(tmp / "run.cfg")]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp / "out")]
+    res = run_cli(*argv)
+    assert res.returncode == row.exit, res.stderr
+    assert all(text in res.stdout for text in row.stdout), res.stdout
+    if row.exit == EXIT_CONFIG:
+        assert re.fullmatch("configuration error: .*\n",
+                            res.stderr), res.stderr
+        assert row.stderr.format(tmp=tmp) in res.stderr, res.stderr
+        assert max_stderr is None or len(res.stderr) < max_stderr, res.stderr
+        assert [p.name for p in tmp.iterdir()] == (
+            [] if row.config is None else ["run.cfg"])
+        return
+    assert res.stderr == ""
+    files = FILES[row.argv[0]]
+    assert sorted(p.name for p in (tmp / "out").iterdir()) == list(files)
+    table = (tmp / "out" / files[0]).read_text()
+    lines = table.splitlines()
+    assert row.lines is None or len(lines) == row.lines
+    if row.cell is not None:
+        line, column, text = row.cell
+        header = lines[0].split(",")
+        assert lines[line].split(",")[header.index(column)] == text
+    assert not (row.finite and re.search("nan|inf", table + res.stdout, re.I))
+    assert not (row.no_negative_zero
+                and re.search(r"(^|,)-0(,|$)", table, re.M))
+
+
+def _scenarios(test):
+    return pytest.mark.parametrize("row", [
+        pytest.param(row, id=row.id, marks=[pytest.mark.xfail(
+            reason=row.xfail, strict=True)] if row.xfail else [])
+        for row in SCENARIOS[test]])
 
 
 def test_derive_output_contains_system(tmp_path):
-    res = run_cli("derive", "--out", str(tmp_path))
-    assert res.returncode == EXIT_OK
-    assert "L = (1/2*sqrt2)*a*p - (1/2*i*sqrt2)*a*x" in res.stdout
-    assert "H = -(1/4*i)*a^2 + (1/2)*a^2*x*p" in res.stdout
-    assert "x_ph_out = x_ph_in + (a)*p_at_out" in res.stdout
-    assert "{1,2,3}" in res.stdout
-    assert (tmp_path / "derivation.txt").read_text() == res.stdout
+    run_scenario(tmp_path, *SCENARIOS["derive_output_contains_system"])
+
+
+def test_config_error_exit_code(tmp_path):
+    run_scenario(tmp_path, *SCENARIOS["config_error_exit_code"])
+
+
+def test_duplicate_config_key_is_config_error(tmp_path):
+    run_scenario(tmp_path, *SCENARIOS["duplicate_config_key_is_config_error"])
+
+
+def test_compare_tolerance_failure_exit_code(tmp_path):
+    run_scenario(tmp_path, *SCENARIOS["compare_tolerance_failure_exit_code"])
+
+
+@_scenarios("bad_number_exit_code")
+def test_bad_number_exit_code(tmp_path, row):
+    run_scenario(tmp_path, row)
+
+
+@_scenarios("bad_file_input_exit_code")
+def test_bad_file_input_exit_code(tmp_path, row):
+    run_scenario(tmp_path, row)
+
+
+@_scenarios("overlong_out_path_exit_code")
+def test_overlong_out_path_exit_code(tmp_path, row):
+    run_scenario(tmp_path, row)
+
+
+@_scenarios("fixable_by_config_exit_code")
+def test_fixable_by_config_exit_code(tmp_path, row):
+    # one short line: no number is printed in hundreds of digits
+    run_scenario(tmp_path, row, max_stderr=160)
+
+
+@_scenarios("console_scenario")
+def test_console_scenario(tmp_path, row):
+    run_scenario(tmp_path, row)
+
+
+def test_ci_runs_the_console_script_in_one_step():
+    # the workflow runs the installed entry point once; every other console
+    # scenario is a row of SCENARIOS, so none is declared twice
+    workflow = Path(__file__).parents[1] / ".github/workflows/tier1.yml"
+    text = re.sub(r"(?m)^\s*#.*\n", "", workflow.read_text(encoding="utf-8"))
+    steps = re.split(r"(?m)^      - ", text.split("\n    steps:\n", 1)[1])
+    running = [step.splitlines()[0] for step in steps
+               if re.search(r"\bdoublepass\b", step)]
+    assert running == ["name: Console script"]
+
+
+# -- commands -------------------------------------------------------------------
 
 
 def test_variances_csv_known_value(tmp_path):
@@ -193,27 +505,6 @@ def test_oracle_command(tmp_path):
                  "--out", str(tmp_path / "coarse")]) == EXIT_OK
     coarse = (tmp_path / "coarse" / "oracle.csv").read_text().splitlines()
     assert len(coarse) == 1 + 3
-
-
-def test_config_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("mystery = 1\n")
-    res = run_cli("variances", "--config", str(bad), "--out", str(tmp_path))
-    assert res.returncode == EXIT_CONFIG
-    assert "unknown key" in res.stderr
-
-
-def test_duplicate_config_key_is_config_error(tmp_path):
-    cfg = tmp_path / "twice.cfg"
-    cfg.write_text("alpha = 0.5\n# a comment\nt_max = 1\nalpha = 2\n")
-    with pytest.raises(ConfigError, match=r"twice.cfg:4: key 'alpha' already"
-                                          r" given on line 1"):
-        parse_config_file(cfg)
-    res = run_cli("variances", "--config", str(cfg), "--out",
-                  str(tmp_path / "out"))
-    assert res.returncode == EXIT_CONFIG, res.stderr
-    assert "key 'alpha' already given on line 1" in res.stderr
-    assert not (tmp_path / "out").exists()
 
 
 def test_validate_names_the_config_key():
@@ -476,46 +767,6 @@ def test_long_or_wide_oracle_exits_2(tmp_path, monkeypatch, capsys):
         RunConfig(oracle_t_max=3.0, **rows).validate()
 
 
-@pytest.mark.parametrize("argv", [
-    ("oracle", "--alpha", "nan"),
-    ("oracle", "--t-max", "nan"),
-    ("oracle", "--alpha", "1e200"),
-    ("oracle", "--seed", "-1"),
-    ("compare", "--alpha", "nan"),
-    # solver.dt does not divide grid_step; nothing may be allocated first
-    ("variances", "--config", "{tiny_grid}"),
-    ("compare", "--config", "{tiny_grid}"),
-    # an FD surface and an oracle operator larger than memory, at load
-    ("pde", "--config", "{fine_dl}"),
-    ("oracle", "--config", "{big_d_at}"),
-    # pde.t below the residual check's time step, at load: before RK4 and
-    # FD run, so the message names the key and not the stencil
-    ("pde", "--config", "{short_t}"),
-    ("compare", "--config", "{short_t}"),
-])
-def test_bad_number_exit_code(tmp_path, argv):
-    paths, keys = {}, {}
-    # config file -> its text and the key the error must name
-    for name, text, key in (
-            ("tiny_grid", "grid_step = 1e-12\n", "grid_step"),
-            ("fine_dl", "pde.dl = 1e-6\n", "pde.dl"),
-            ("big_d_at", "oracle.d_at = 20000\n", "oracle.d_at"),
-            ("short_t", "pde.t = 5e-5\npde.dt = 5e-5\n", "pde.t")):
-        paths[name] = tmp_path / f"{name}.cfg"
-        paths[name].write_text(text)
-        keys[str(paths[name])] = key
-    argv = [arg.format(**paths) for arg in argv]
-    res = run_cli(*argv, "--out", str(tmp_path))
-    assert res.returncode == EXIT_CONFIG
-    assert "configuration error" in res.stderr
-    assert "Traceback" not in res.stderr
-    for arg in argv:
-        if arg in keys:
-            assert keys[arg] in res.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        p.name for p in paths.values())
-
-
 def test_fine_solver_dt_runs(tmp_path):
     # RK4 keeps only the 101 sampled rows, so 1e11 steps fit in memory
     assert main(["variances", "--dt", "1e-11",
@@ -538,42 +789,6 @@ def test_rk4_rounding_does_not_grow_as_solver_dt_shrinks(alpha, solver_dt):
     assert worst <= 1e-14
 
 
-@pytest.mark.parametrize("case", [
-    "missing_config", "config_is_dir", "config_not_utf8", "out_under_file",
-    "out_is_file"])
-def test_bad_file_input_exit_code(tmp_path, case):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("not a directory\n")
-    bad_bytes = tmp_path / "latin1.cfg"
-    bad_bytes.write_bytes(b"# caf\xe9\nalpha = 1\n")
-    out = ("--out", str(tmp_path / "out"))
-    argv = {
-        "missing_config": ("--config", str(tmp_path / "absent.cfg"), *out),
-        "config_is_dir": ("--config", str(tmp_path), *out),
-        "config_not_utf8": ("--config", str(bad_bytes), *out),
-        "out_under_file": ("--out", str(blocker / "sub")),
-        "out_is_file": ("--out", str(blocker)),
-    }[case]
-    # compare would run every route before writing; the check comes first
-    res = run_cli("compare", *argv)
-    assert res.returncode == EXIT_CONFIG, res.stderr
-    assert "configuration error" in res.stderr
-    assert "Traceback" not in res.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker",
-                                                          "latin1.cfg"]
-
-
-@pytest.mark.parametrize("command", ["derive", "variances"])
-def test_overlong_out_path_exit_code(tmp_path, command):
-    # a 300-byte name makes the lookup itself fail (ENAMETOOLONG)
-    out = tmp_path / ("a" * 300)
-    res = run_cli(command, "--out", str(out))
-    assert res.returncode == EXIT_CONFIG, res.stderr
-    assert f"configuration error: output path {out}" in res.stderr
-    assert "Traceback" not in res.stderr
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_write_failure_is_config_error(tmp_path):
     target = tmp_path / ("a" * 300) / "derivation.txt"
     with pytest.raises(ConfigError, match="cannot write"):
@@ -584,15 +799,6 @@ def test_write_failure_is_config_error(tmp_path):
 def test_bad_flag_exit_code(tmp_path):
     res = run_cli("frobnicate", "--out", str(tmp_path))
     assert res.returncode == EXIT_CONFIG
-
-
-def test_compare_tolerance_failure_exit_code(tmp_path):
-    # shrinking every tolerance far below machine precision must fail with 1
-    res = run_cli("compare", "--tolerance-scale", "1e-16",
-                  "--out", str(tmp_path))
-    assert res.returncode == 1
-    assert "FAIL" in res.stdout
-    assert "TOLERANCE FAILURE" in res.stdout
 
 
 def test_variances_deterministic(tmp_path):
@@ -830,46 +1036,6 @@ def test_compare_integrates_moment_ode_once(tmp_path, monkeypatch):
         tmp_path / "var" / "variances.csv").read_text()
 
 
-@pytest.mark.parametrize("command, config, message", [
-    ("pde", "pde.l_max = 0.01\npde.k_max = 0.1\n", "widen the l grid"),
-    # CFL 0.756 is unstable; it must not surface as a boundary leak
-    ("pde", "pde.l_max = 12\npde.k_max = 0.1\npde.dt = 0.00125\n"
-     "pde.t = 0.3\n", "CFL"),
-    ("oracle", "oracle.d_at = 4\n", "increase d_at"),
-    ("compare", "tolerance.ode_rel = -1\n",
-     "parameter tolerance.ode_rel must be positive"),
-    ("compare", "tolerance.oracle_sigma = 0\n",
-     "parameter tolerance.oracle_sigma must be positive"),
-    # steps so small that the step count overflows
-    ("variances", "grid_step = 1e-300\n", "grid_step = 1e-300"),
-    ("variances", "solver.dt = 1e-320\n", "solver.dt = 1e-320"),
-    ("oracle", "oracle.dt = 1e-320\n", "oracle.dt = 1e-320"),
-    ("oracle", "oracle.dt = 1e-300\n", "oracle.dt = 1e-300"),
-    ("pde", "pde.dt = 1e-320\n", "pde.dt = 1e-320"),
-    ("pde", "pde.dl = 1e-300\n", "pde.dl = 1e-300"),
-    ("compare", "grid_step = 1e-300\n", "grid_step = 1e-300"),
-    # l^2 = 1e320 overflows the transport coefficients on the grid
-    ("pde", "pde.l_max = 1e160\npde.k_max = 1e160\npde.dl = 1e158\n"
-     "pde.dk = 1e158\n", "reduce pde.l_max and pde.k_max"),
-    # a CFL number of 8e301 is written in significant digits, not 302 of them
-    ("pde", "pde.t = 1e300\npde.dt = 1e299\n", "|drift|*dt/dl = 8e+301 > 0.5"),
-], ids=["boundary_leak", "cfl_above_half", "truncation_leak", "negative_tol",
-        "zero_tol", "variances_tiny_grid_step", "variances_tiny_solver_dt",
-        "oracle_subnormal_dt", "oracle_tiny_dt", "pde_subnormal_dt",
-        "pde_tiny_dl", "compare_tiny_grid_step", "pde_overflowing_grid",
-        "cfl_huge_dt"])
-def test_fixable_by_config_exit_code(tmp_path, command, config, message):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
-    res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
-    assert res.returncode == EXIT_CONFIG, res.stderr
-    assert "configuration error" in res.stderr and message in res.stderr
-    # one short line: no number is printed in hundreds of digits
-    assert len(res.stderr) < 160, res.stderr
-    assert "Traceback" not in res.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
-
-
 def test_internal_error_exits_3_and_writes_nothing(tmp_path, monkeypatch,
                                                   capsys):
     # the alpha = 0 homodyne control is the last thing compare computes
@@ -891,18 +1057,12 @@ PDE_CHECKS = ("PASS moc_vs_closed_form: ", "PASS fd_vs_closed_form: ",
               "PASS closed_form_residual: ", "result: OK")
 
 
-@pytest.mark.parametrize("command, files, echoed", [
-    ("derive", ["derivation.txt"], "derivation.txt"),
-    ("variances", ["variances.csv"], None),
-    ("oracle", ["oracle.csv"], None),
-    ("pde", ["pde_summary.txt", "surface_F.csv", "surface_G.csv"],
-     "pde_summary.txt"),
-    ("compare", ["compare_report.txt", "derivation.txt", "oracle.csv",
-                 "pde_summary.txt", "surface_F.csv", "surface_G.csv",
-                 "variances.csv"], "compare_report.txt"),
+@pytest.mark.parametrize("command, echoed", [
+    ("derive", "derivation.txt"), ("variances", None), ("oracle", None),
+    ("pde", "pde_summary.txt"), ("compare", "compare_report.txt"),
 ], ids=["derive", "variances", "oracle", "pde", "compare"])
 def test_each_command_writes_its_files_and_stdout(tmp_path, capsys, command,
-                                                   files, echoed):
+                                                   echoed):
     # stdout is the text of the file ``echoed`` (empty without one); pde
     # adds its check lines
     cfg = tmp_path / "run.cfg"
@@ -910,7 +1070,7 @@ def test_each_command_writes_its_files_and_stdout(tmp_path, capsys, command,
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg),
                  "--out", str(out)]) == EXIT_OK
-    assert sorted(p.name for p in out.iterdir()) == files
+    assert sorted(p.name for p in out.iterdir()) == list(FILES[command])
     printed = capsys.readouterr().out
     echo = "" if echoed is None else (out / echoed).read_text()
     assert printed.startswith(echo)
@@ -1195,8 +1355,7 @@ def test_pde_exits_1_on_a_failed_check(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(charfn, "fd_solve", recorded)
     out = tmp_path / "out"
     assert main(["pde", "--config", cfg, "--out", str(out)]) == 1
-    assert sorted(p.name for p in out.iterdir()) == [
-        "pde_summary.txt", "surface_F.csv", "surface_G.csv"]
+    assert sorted(p.name for p in out.iterdir()) == list(FILES["pde"])
     stdout = capsys.readouterr().out
     assert stdout.startswith((out / "pde_summary.txt").read_text())
     assert [ln.split(":")[0] for ln in stdout.splitlines()
